@@ -29,6 +29,43 @@ func TestSweepPassAllocFree(t *testing.T) {
 	}
 }
 
+// TestReactivateAllocFree asserts that the re-activation scan closing
+// every refresh — one pass over the local arcs plus clearing the change
+// records — allocates nothing.
+func TestReactivateAllocFree(t *testing.T) {
+	g, _ := gen.PlantedPartition(5, gen.PlantedConfig{
+		N: 600, NumComms: 12, AvgDegree: 8, Mixing: 0.2,
+	})
+	h := NewBenchLevel(g, 7)
+	for h.SweepPass() > 0 {
+	}
+	lv := h.lv
+	activated := 0
+	avg := testing.AllocsPerRun(50, func() {
+		for i := range lv.active {
+			lv.active[i] = false
+		}
+		for k, v := range lv.visList {
+			lv.movedV[v] = k%31 == 0
+			lv.changedM[lv.comm[v]] = k%97 == 0
+		}
+		lv.reactivate()
+		activated = 0
+		for _, on := range lv.active {
+			if on {
+				activated++
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("re-activation scan: %v allocs/op, want 0", avg)
+	}
+	if activated == 0 || activated == len(lv.active) {
+		t.Fatalf("re-activation scan activated %d of %d vertices, want a strict subset",
+			activated, len(lv.active))
+	}
+}
+
 // TestCodecRoundAllocFree asserts a full Module_Info encode/decode
 // round (mixed long and short forms) through a warm encoder and a
 // reused decoder allocates nothing.

@@ -42,8 +42,8 @@ import (
 // Delegate moves use the paper's literal approximate scheme (winner of
 // the gathered local delta-Ls; exact two-round evaluation would need a
 // synchronous allgather). k = 0 never enters this file: rankBody
-// dispatches to the unchanged synchronous cluster(), which is what
-// keeps the default bit-for-bit identical to pre-async builds.
+// dispatches to the synchronous cluster(), which is what keeps the
+// default bit-for-bit identical to a build without this file.
 //
 // Exactness is restored at the end: after every rank has seen every
 // peer's fin, all hub decisions and ghost updates of all epochs have
@@ -783,6 +783,9 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 		var cands []hubCandidate
 		midOps := int64(0)
 		for pass := 0; pass < passBudget(e); pass++ {
+			// Epochs install ghost statistics outside refresh, so no
+			// change records exist: every pass is a full scan.
+			lv.activateAll()
 			m, df, cs := lv.sweep(s, 1)
 			moves += m
 			deferred = df

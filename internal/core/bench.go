@@ -37,10 +37,13 @@ func NewBenchLevel(g *graph.Graph, seed uint64) *BenchLevel {
 	return b
 }
 
-// SweepPass runs one local move pass over the level's vertices and
-// returns the number of moves applied. Calling it until it returns 0
-// reaches the steady state where passes only scan and evaluate.
+// SweepPass activates every vertex, runs one local move pass over the
+// level's vertices, and returns the number of moves applied. Calling it
+// until it returns 0 reaches the steady state where passes only scan
+// and evaluate; the activation keeps each call a full-scan pass, so it
+// times evaluation rather than an empty active set.
 func (b *BenchLevel) SweepPass() int {
+	b.lv.activateAll()
 	moves, _, _ := b.lv.sweep(b.s, 1)
 	return moves
 }

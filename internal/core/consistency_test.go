@@ -9,7 +9,9 @@ package core
 //  2. the refreshed global aggregates equal a from-scratch evaluation
 //     of the owner assignment on the whole graph;
 //  3. module statistics delivered to subscribers equal the
-//     authoritative totals.
+//     authoritative totals;
+//  4. when the loop ends on a zero move vote, no still-active non-hub
+//     vertex has an improving move (the active set lost nothing).
 
 import (
 	"fmt"
@@ -25,8 +27,9 @@ import (
 )
 
 // runStage1WithChecks executes stage-1 clustering while verifying the
-// invariants after every iteration.
-func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) {
+// invariants after every iteration. It reports whether the loop ended on
+// a zero move vote (and so ran check 4) rather than on its iteration cap.
+func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) (converged bool) {
 	t.Helper()
 	cfgv := (&cfg).withDefaults()
 	cfgv.P = p
@@ -39,6 +42,7 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) {
 	modSnaps := make([]map[int]mapeq.Module, p)
 	var mu sync.Mutex
 	var violations []string
+	zeroVotes := 0
 
 	mpi.Run(p, func(c *mpi.Comm) {
 		defer func() {}()
@@ -53,11 +57,12 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) {
 		for iter := 0; iter < 12; iter++ {
 			lv.dampP = dampProb(iter)
 			moves, deferred, cands := lv.sweep(s, passBudget(iter))
-			_ = deferred
 			hubMoves := lv.broadcastDelegates(cands)
 			lv.swapGhostComms()
 			lv.refresh(costs, -1)
-			total := c.AllreduceI64(int64(moves+hubMoves), mpi.OpSum)
+			// The same convergence vote as cluster(): deferred moves
+			// keep the loop alive.
+			total := c.AllreduceI64(int64(moves+hubMoves+deferred), mpi.OpSum)
 
 			// Publish this rank's state and check on rank 0.
 			snap := make([]int, n)
@@ -77,6 +82,20 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) {
 			}
 			c.Barrier()
 			if total == 0 {
+				// (4) The active set left no improving move behind: a
+				// pass over the still-active non-hub vertices, damping
+				// off, applies nothing.
+				lv.dampP = 0
+				if m, _, _ := lv.sweep(s, 1); m > 0 {
+					mu.Lock()
+					violations = append(violations, fmt.Sprintf(
+						"iter %d: rank %d converged with %d active improving vertices",
+						iter, c.Rank(), m))
+					mu.Unlock()
+				}
+				mu.Lock()
+				zeroVotes++
+				mu.Unlock()
 				break
 			}
 		}
@@ -87,6 +106,7 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) {
 	if len(violations) > 0 {
 		t.FailNow()
 	}
+	return zeroVotes == p
 }
 
 func checkInvariants(g *graph.Graph, flow *mapeq.VertexFlow,
@@ -190,4 +210,17 @@ func TestStage1InvariantsManyRanks(t *testing.T) {
 		N: 200, NumComms: 5, AvgDegree: 6, Mixing: 0.2,
 	})
 	runStage1WithChecks(t, g, 16, Config{Seed: 17})
+}
+
+// TestStage1InvariantsSingleRank runs the checks where the synchronized
+// loop reaches a zero move vote (with several ranks, small graphs keep a
+// residue of cross-boundary moves and cluster() ends them through its
+// stall rule instead), so check 4 is exercised.
+func TestStage1InvariantsSingleRank(t *testing.T) {
+	g, _ := gen.PlantedPartition(23, gen.PlantedConfig{
+		N: 600, NumComms: 10, AvgDegree: 8, Mixing: 0.3,
+	})
+	if !runStage1WithChecks(t, g, 1, Config{Seed: 5, DHigh: 1 << 30}) {
+		t.Fatal("single-rank stage 1 did not converge to a zero move vote in 12 iterations")
+	}
 }

@@ -93,6 +93,7 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 			hc := ds.cand[pos]
 			if hc.DeltaL < 0 && lv.comm[hc.Hub] != hc.Target {
 				lv.comm[hc.Hub] = hc.Target
+				lv.movedV[hc.Hub] = true
 				moves++
 			}
 		}
@@ -157,6 +158,7 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 		dl := mapeq.DeltaL(lv.refAgg, lv.hubFrom[pos], ds.target[pos], mv)
 		if dl < -1e-15 {
 			lv.comm[h] = hc.Target
+			lv.movedV[h] = true
 			moves++
 		}
 	}
@@ -222,7 +224,10 @@ func (lv *level) swapGhostComms() (sent int) {
 		d.Reset(b)
 		for d.Remaining() > 0 {
 			gu := decodeGhostUpdate(d)
-			lv.comm[gu.Vertex] = gu.Comm
+			if lv.comm[gu.Vertex] != gu.Comm {
+				lv.comm[gu.Vertex] = gu.Comm
+				lv.movedV[gu.Vertex] = true
+			}
 		}
 	}
 	return sent
@@ -233,7 +238,9 @@ func (lv *level) swapGhostComms() (sent int) {
 // Allreduce). After refresh, every rank's module table is exact for all
 // modules of its visible vertices, lv.agg holds the exact global
 // aggregates, and the returned count is the global number of non-empty
-// modules.
+// modules. Full (non-isSent) records mark their modules changed, and the
+// closing reactivate call turns those marks and the moves recorded since
+// the previous refresh into the next sweep's active set.
 //
 // The two Algorithm 3 rounds are journaled and costed as first-class
 // spans (refresh-round1: local partials + shuffle to module homes +
@@ -482,6 +489,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 				}
 				lv.delivered[mi.ModID] = mod
 				lv.deliveredOk[mi.ModID] = true
+				lv.changedM[mi.ModID] = true
 			}
 			lv.mods[mi.ModID] = mod
 			lv.trackMod(mi.ModID)
@@ -518,6 +526,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 	for i, h := range lv.hubs {
 		lv.hubFrom[i] = lv.mods[lv.comm[h]]
 	}
+	lv.reactivate()
 
 	// Round-2 span: authoritative replies delivered, table rebuilt,
 	// aggregates reduced.

@@ -94,6 +94,17 @@ type level struct {
 	// evalIndexOf maps a vertex id to its position in evalVerts
 	// (-1 = not evaluated on this rank).
 	evalIndexOf []int32
+	// active marks, by eval index, the vertices the next sweep pass must
+	// evaluate: all true when the level is built, cleared by each
+	// evaluation, set again when the vertex's neighbourhood changes (see
+	// sweep and reactivate).
+	active []bool
+	// Change records between two refreshes, both by id over the id
+	// space: movedV marks visible vertices whose community changed,
+	// changedM modules that arrived as full Module_Info records. The
+	// re-activation scan at the end of refresh consumes and clears them.
+	movedV   []bool
+	changedM []bool
 	// visList caches the visible vertex ids, sorted.
 	visList []int
 	// Owner-side module state, dense by owned slot: ownedStats holds
@@ -264,6 +275,10 @@ func (lv *level) initLocalState() {
 	for i, u := range lv.evalVerts {
 		lv.evalIndexOf[u] = int32(i)
 	}
+	lv.active = make([]bool, len(lv.evalVerts))
+	lv.activateAll()
+	lv.movedV = make([]bool, n)
+	lv.changedM = make([]bool, n)
 	if lv.isHub != nil {
 		lv.hubIndex = make([]int32, n)
 		for v := range lv.hubIndex {

@@ -9,50 +9,33 @@ type sweepScratch struct {
 	wTo     []float64 // indexed by community id
 	remote  []bool    // community reached through a non-owned vertex
 	touched []int
-	order   []int // permutation over evalVerts indices
+	visit   []int // one pass's active non-hub eval indices, shuffled
 	cands   []hubCandidate
 }
 
 func (lv *level) newScratch() *sweepScratch {
-	s := &sweepScratch{
+	return &sweepScratch{
 		wTo:    make([]float64, lv.idSpace),
 		remote: make([]bool, lv.idSpace),
-		order:  make([]int, len(lv.evalVerts)),
+		visit:  make([]int, 0, len(lv.evalVerts)),
 	}
-	for i := range s.order {
-		s.order[i] = i
-	}
-	return s
 }
 
 // maxLocalPasses bounds local move passes inside one synchronized
 // FindBestModule phase.
 const maxLocalPasses = 24
 
-// sweep runs one FindBestModule phase (Algorithm 2, line 3): "local
-// clustering with duplicates". Low-degree vertices are moved repeatedly
-// — with immediate local updates, like the sequential inner loop —
-// until no local move improves the codelength, so every expensive
-// synchronization round does a full local optimization. Delegate moves
-// are only proposed (one evaluation pass after local quiescence), to be
-// decided globally in the BroadcastDelegates phase.
-//
-// The minimum-label heuristic (Section 3.4) suppresses the vertex
-// bouncing problem: when an owned singleton wants to join the singleton
-// module of a vertex on another rank, both sides may decide the
-// symmetric move in the same round and exchange places forever. The
-// move is therefore applied only when the target label is smaller than
-// the current one, making exactly one side win.
 // passBudget limits local passes for a given synchronized iteration:
-// early rounds run a single pass so boundary information propagates
-// before rank-local greediness can lock in cross-boundary mistakes;
-// later rounds run to local convergence to keep the number of expensive
-// synchronization rounds small.
+// 1, 2, 4 and 8 passes in rounds 0-3, then maxLocalPasses. Early rounds
+// run few passes so boundary information propagates before rank-local
+// greediness can lock in cross-boundary mistakes; later rounds run to
+// local convergence (a pass with no move, or an empty active set) to
+// keep the number of expensive synchronization rounds small.
 func passBudget(iter int) int {
 	if iter >= 4 {
 		return maxLocalPasses
 	}
-	return 1 << iter // 1, 2, 4, 8
+	return 1 << iter
 }
 
 // dampProb returns the remote-move deferral probability for a
@@ -69,22 +52,50 @@ func dampProb(iter int) float64 {
 	}
 }
 
+// sweep runs one FindBestModule phase (Algorithm 2, line 3): "local
+// clustering with duplicates". Low-degree vertices are moved with
+// immediate local updates, like the sequential inner loop, for up to
+// budget passes. A pass visits, in a fresh random order, only the active
+// vertices: those not evaluated yet at this level, and those whose
+// neighbourhood changed since their last evaluation — a neighbour moved
+// in this sweep, or since the last refresh a neighbour moved on another
+// rank or the vertex's or a neighbour's module changed (see reactivate).
+// This is the neighbourhood-scoped move evaluation of Browet et al.
+// Passes stop early when one applies no move or nothing is active.
+// Delegate moves are only proposed (one evaluation of each active local
+// hub portion after the passes), to be decided globally in the
+// BroadcastDelegates phase.
+//
+// The minimum-label heuristic (Section 3.4) suppresses the vertex
+// bouncing problem: when an owned singleton wants to join the singleton
+// module of a vertex on another rank, both sides may decide the
+// symmetric move in the same round and exchange places forever. The
+// move is therefore applied only when the target label is smaller than
+// the current one, making exactly one side win.
 func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCands []hubCandidate) {
 	if budget > maxLocalPasses {
 		budget = maxLocalPasses
 	}
 	for pass := 0; pass < budget; pass++ {
+		s.visit = s.visit[:0]
+		for i, on := range lv.active {
+			// Delegates are handled after local quiescence.
+			if on && (lv.isHub == nil || !lv.isHub[lv.evalVerts[i]]) {
+				s.visit = append(s.visit, i)
+			}
+		}
+		if len(s.visit) == 0 {
+			break
+		}
 		passMoves := 0
 		lv.deferred = 0
-		lv.rng.Shuffle(s.order)
-		for _, i := range s.order {
+		lv.rng.Shuffle(s.visit)
+		for _, i := range s.visit {
 			u := lv.evalVerts[i]
-			if lv.isHub != nil && lv.isHub[u] {
-				continue // delegates are handled after local quiescence
-			}
 			if ownerOf(u, lv.p) != lv.rank {
 				panicf("rank %d evaluating non-owned non-hub vertex %d", lv.rank, u)
 			}
+			lv.active[i] = false
 			if lv.moveVertex(s, i, u) {
 				passMoves++
 			}
@@ -95,19 +106,57 @@ func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCan
 			break
 		}
 	}
-	// Delegate proposal pass: evaluate each local hub portion once.
+	// Delegate proposal pass: evaluate each active local hub portion once.
 	s.cands = s.cands[:0]
 	for _, h := range lv.hubs {
 		i := lv.evalIndexOf[h]
-		if i < 0 {
+		if i < 0 || !lv.active[i] {
 			continue
 		}
+		lv.active[i] = false
 		if target, delta, ok := lv.bestTarget(s, int(i), h); ok {
 			s.cands = append(s.cands, hubCandidate{Hub: h, Target: target, DeltaL: delta})
 		}
 		lv.clearWTo(s)
 	}
 	return moves, deferred, s.cands
+}
+
+// activateAll marks every eval vertex active, so the next pass is a
+// full scan.
+func (lv *level) activateAll() {
+	for i := range lv.active {
+		lv.active[i] = true
+	}
+}
+
+// reactivate runs at the end of refresh. It activates every eval vertex
+// u whose own module or some neighbour's module arrived as a full
+// (changed) Module_Info record, or some neighbour of which moved since
+// the previous refresh, then clears both change records. The shift of
+// the global exit total (QTotal) that every move causes is deliberately
+// not tracked: it changes every vertex's delta-L a little, and chasing
+// it would bring back the full re-scan.
+func (lv *level) reactivate() {
+	for i, u := range lv.evalVerts {
+		if lv.active[i] {
+			continue
+		}
+		hit := lv.changedM[lv.comm[u]]
+		for j := lv.evalOff[i]; !hit && j < lv.evalOff[i+1]; j++ {
+			v := lv.adjV[j]
+			hit = lv.movedV[v] || lv.changedM[lv.comm[v]]
+		}
+		lv.active[i] = hit
+	}
+	// Moves and ghost updates only touch visible vertices, and every
+	// module delivered in round 2 is tracked in modList.
+	for _, v := range lv.visList {
+		lv.movedV[v] = false
+	}
+	for _, m := range lv.modList {
+		lv.changedM[m] = false
+	}
 }
 
 // bestTarget evaluates all neighbor modules of eval vertex index i
@@ -162,6 +211,8 @@ func (lv *level) clearWTo(s *sweepScratch) {
 
 // moveVertex evaluates and, if allowed, applies the best move of owned
 // low-degree vertex u (eval index i). Returns whether a move happened.
+// A refused or deferred move leaves u active; an applied one marks u
+// moved and activates its eval neighbours.
 //
 // Besides neighbor modules, an owned vertex may escape back to its own
 // founder module when that module is currently empty (this rank is the
@@ -198,6 +249,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	// Escapes retreat into an empty module and cannot bounce.
 	if !escape && !lv.cfg.NoMinLabel && s.remote[bestC] && bestC >= from &&
 		lv.mods[bestC].Members == 1 && lv.mods[from].Members == 1 {
+		lv.active[i] = true
 		lv.clearWTo(s)
 		return false
 	}
@@ -210,6 +262,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	if !escape && !lv.cfg.NoDamping && s.remote[bestC] && lv.dampP > 0 &&
 		lv.rng.Float64() < lv.dampP {
 		lv.deferred++
+		lv.active[i] = true
 		lv.clearWTo(s)
 		return false
 	}
@@ -227,5 +280,15 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	lv.trackMod(from)
 	lv.trackMod(bestC)
 	lv.comm[u] = bestC
+	lv.movedV[u] = true
+	// A self-arc re-activates u too: merged-level vertices carry one, and
+	// re-evaluating the mover from its new module costs almost no extra
+	// evaluations while keeping codelength closer to the full re-scan
+	// (largest scale-0.3 golden increase +0.16% with it, +0.23% without).
+	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
+		if k := lv.evalIndexOf[lv.adjV[j]]; k >= 0 {
+			lv.active[k] = true
+		}
+	}
 	return true
 }

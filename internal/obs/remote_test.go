@@ -122,6 +122,16 @@ func TestRelayCollectorEndToEnd(t *testing.T) {
 	}
 	rec.AddP2P(1, mpi.P2PEvent{Src: 0, Tag: 9, Bytes: 64, SentAt: 1 * time.Millisecond, RecvStart: 2 * time.Millisecond, RecvEnd: 3 * time.Millisecond})
 	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 4 * time.Millisecond, Release: 5 * time.Millisecond})
+	// The parent pings on its own cadence; under load the child could
+	// finish and close the uplink before the first ping/pong round trip
+	// completes. Wait for one clock sample (bounded) so the assertion
+	// below tests the estimator, not the scheduler.
+	for deadline := time.Now().Add(10 * time.Second); coll.Clocks()[1].Samples == 0; {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	childJ.Finish()
 	relay.Wait()
 	tel := CaptureTelemetry(childJ, 1, rec, &mpi.TransportStats{Network: "tcp"}, up.Drops())
