@@ -119,6 +119,11 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -transport %q (want goroutine or proc)", *transport))
 	}
+	// A bad input fails here, before any rank process starts: with
+	// -transport=proc the launcher itself never reads the graph.
+	if err := checkInput(*dataset, flag.Arg(0)); err != nil {
+		fatal(err)
+	}
 
 	// The journal feeds -trace, the live -pprof debug endpoints, and the
 	// wait-state sections of the -metrics report (the critical path needs
@@ -159,11 +164,18 @@ func main() {
 		}()
 	}
 
-	g, err := loadGraph(*dataset, *scale, flag.Arg(0))
-	if err != nil {
-		fatal(err)
+	// With -transport=proc the rank processes load the graph; the
+	// launcher parses it only after they exit, and only for outputs
+	// that need it, so it never competes with the ranks for the cores.
+	var g *dinfomap.Graph
+	var err error
+	if !multiproc {
+		g, err = loadGraph(*dataset, *scale, flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	}
-	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
 	cfg := dinfomap.DistributedConfig{
 		P: *p, DHigh: *dHigh, Seed: *seed,
@@ -178,6 +190,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("graph: %d vertices, %d edges\n", len(res.Communities), res.NumEdges)
 		if mesh != nil {
 			// Report building reads span timings from the journal; hand it
 			// the merged clock-aligned one so the proc-mode report carries
@@ -189,6 +202,11 @@ func main() {
 		res = dinfomap.RunDistributed(g, cfg)
 	}
 	wall := time.Since(start)
+	if g == nil && (*top > 0 || *metricsPath != "" || *dotPath != "") {
+		if g, err = loadGraph(*dataset, *scale, flag.Arg(0)); err != nil {
+			fatal(err)
+		}
+	}
 
 	fmt.Printf("modules:     %d\n", res.NumModules)
 	fmt.Printf("codelength:  %.6f bits (initial %.6f)\n", res.Codelength, res.InitialCodelength)
@@ -267,6 +285,27 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// checkInput reports, without reading the graph, why loadGraph could
+// not load it: an unknown dataset name, a missing input, a path that
+// does not exist, or a directory.
+func checkInput(dataset, path string) error {
+	if dataset != "" {
+		_, err := dinfomap.LookupDataset(dataset)
+		return err
+	}
+	if path == "" {
+		return fmt.Errorf("need an edge-list file or -dataset (known: %v)", dinfomap.Datasets())
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	if fi.IsDir() {
+		return fmt.Errorf("%s is a directory, not an edge-list file", path)
+	}
+	return nil
+}
+
 func loadGraph(dataset string, scale float64, path string) (*dinfomap.Graph, error) {
 	if dataset != "" {
 		d, err := dinfomap.LookupDataset(dataset)
@@ -287,8 +326,8 @@ func loadGraph(dataset string, scale float64, path string) (*dinfomap.Graph, err
 		g, _ := d.Generate()
 		return g, nil
 	}
-	if path == "" {
-		return nil, fmt.Errorf("need an edge-list file or -dataset (known: %v)", dinfomap.Datasets())
+	if err := checkInput("", path); err != nil {
+		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,0 +1,113 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runMainEnv makes the test binary act as the dinfomap command: a test
+// re-executes itself with this variable set and the command's flags.
+const runMainEnv = "DINFOMAP_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func TestCheckInput(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "g.txt")
+	if err := os.WriteFile(file, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, dataset, path string
+		wantErr             string // "" = no error
+	}{
+		{name: "file", path: file},
+		{name: "dataset", dataset: "amazon"},
+		{name: "dataset ignores path", dataset: "amazon", path: filepath.Join(dir, "absent")},
+		{name: "no input", wantErr: "need an edge-list file or -dataset"},
+		{name: "missing path", path: filepath.Join(dir, "absent"), wantErr: "no such file or directory"},
+		{name: "directory", path: dir, wantErr: "is a directory"},
+		{name: "unknown dataset", dataset: "no-such-dataset", wantErr: "no-such-dataset"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkInput(tc.dataset, tc.path)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("checkInput: %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("checkInput accepted the input, want an error containing %q", tc.wantErr)
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("checkInput: %v, want an error containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestLoadGraphRejectsWhatCheckInputRejects pins that both transports
+// fail on the same inputs with the same error: the in-process path
+// reaches the check through loadGraph, the launcher calls it directly.
+func TestLoadGraphRejectsWhatCheckInputRejects(t *testing.T) {
+	dir := t.TempDir()
+	for _, in := range []struct{ dataset, path string }{
+		{path: filepath.Join(dir, "absent")},
+		{path: dir},
+		{dataset: "no-such-dataset"},
+	} {
+		want := checkInput(in.dataset, in.path)
+		if want == nil {
+			t.Fatalf("checkInput(%q, %q) accepted a bad input", in.dataset, in.path)
+		}
+		if _, err := loadGraph(in.dataset, 1, in.path); err == nil || err.Error() != want.Error() {
+			t.Fatalf("loadGraph(%q, %q) = %v, want %v", in.dataset, in.path, err, want)
+		}
+	}
+}
+
+// TestBadInputFailsBeforeSpawn runs the command on bad inputs with both
+// transports: each run must exit non-zero with the same message, and
+// the proc launcher must fail before starting any rank process.
+func TestBadInputFailsBeforeSpawn(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"missing path", []string{filepath.Join(dir, "absent")}},
+		{"directory", []string{dir}},
+		{"unknown dataset", []string{"-dataset", "no-such-dataset"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr [2]string
+			for i, transport := range []string{"goroutine", "proc"} {
+				args := append([]string{"-p", "2", "-q", "-transport", transport}, tc.args...)
+				cmd := exec.Command(os.Args[0], args...)
+				cmd.Env = append(os.Environ(), runMainEnv+"=1")
+				var out bytes.Buffer
+				cmd.Stderr = &out
+				err := cmd.Run()
+				var exitErr *exec.ExitError
+				if !errors.As(err, &exitErr) {
+					t.Fatalf("-transport %s: want a non-zero exit, got %v", transport, err)
+				}
+				stderr[i] = out.String()
+				if strings.Contains(stderr[i], "rank ") {
+					t.Fatalf("-transport %s: a rank process ran: %s", transport, stderr[i])
+				}
+			}
+			if stderr[0] != stderr[1] || !strings.HasPrefix(stderr[0], "dinfomap: ") {
+				t.Fatalf("stderr differs by transport:\n goroutine: %q\n proc:      %q", stderr[0], stderr[1])
+			}
+		})
+	}
+}

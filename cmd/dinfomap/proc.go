@@ -4,8 +4,13 @@
 // the rank's listener passed as fd 3), and assembles the children's
 // artifact files into the same DistributedResult the in-process run
 // produces — bit-identical for the same graph, config, and seed,
-// because every child regenerates the graph and partitioning
+// because every child loads the graph, recomputes the partitioning
 // deterministically and runs the identical rank program.
+//
+// The parent does not hold the graph. It only checks that the input
+// exists before spawning, takes the graph's size from rank 0's
+// artifact, and loads the graph itself after the children exit, and
+// only when -top, -metrics or -dot needs it.
 //
 // When the run is observed (-trace, -pprof, or -metrics), the parent
 // additionally binds a telemetry uplink listener and each child streams

@@ -58,6 +58,7 @@ type RankArtifact struct {
 // by construction, published once via rank 0's artifact.
 type RankOutput struct {
 	Communities       []int     `json:"communities"`
+	NumEdges          int       `json:"num_edges"`
 	MDLTrace          []float64 `json:"mdl_trace"`
 	MergeRate         []float64 `json:"merge_rate"`
 	InitialCodelength float64   `json:"initial_codelength"`
@@ -93,6 +94,13 @@ func RunRank(g *graph.Graph, cfg Config, t mpi.Transport) (*RankArtifact, error)
 		return nil, fmt.Errorf("core: RunRank needs a non-empty graph")
 	}
 	runner := newRunState(g, &cfg)
+	// This process runs one rank: the other ranks' arc lists were only
+	// needed to place this rank's arcs and to summarize the layout.
+	for r := range runner.layout.RankArcs {
+		if r != t.Rank() {
+			runner.layout.RankArcs[r] = nil
+		}
+	}
 	stats, err := mpi.RunRank(t, cfg.Recorder, runner.rankMain)
 	if err != nil {
 		return nil, err
@@ -131,6 +139,7 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	dense, k := graph.Renumber(o.Communities)
 	res.Communities = dense
 	res.NumModules = k
+	res.NumEdges = o.NumEdges
 	res.MDLTrace = o.MDLTrace
 	res.MergeRate = o.MergeRate
 	res.InitialCodelength = o.InitialCodelength
@@ -256,6 +265,7 @@ func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 		o := &rs.out
 		a.Output = &RankOutput{
 			Communities:       o.communities,
+			NumEdges:          rs.g.NumEdges(),
 			MDLTrace:          o.mdlTrace,
 			MergeRate:         o.mergeRate,
 			InitialCodelength: o.initialL,

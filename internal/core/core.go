@@ -100,6 +100,10 @@ type Result struct {
 	Communities []int
 	// NumModules is the number of final modules.
 	NumModules int
+	// NumEdges is the input graph's undirected edge count, so a caller
+	// that never loaded the graph (the multi-process launcher) can
+	// still report its size; the vertex count is len(Communities).
+	NumEdges int
 	// Codelength is the final global MDL in bits, exactly comparable to
 	// the sequential algorithm's (same Eq. 3, same vertex term).
 	Codelength float64
@@ -184,7 +188,7 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	n := g.NumVertices()
 	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
 	if n == 0 || g.TotalWeight() == 0 {
-		res := &Result{Communities: make([]int, n), NumModules: n}
+		res := &Result{Communities: make([]int, n), NumModules: n, NumEdges: g.NumEdges()}
 		for u := range res.Communities {
 			res.Communities[u] = u
 		}

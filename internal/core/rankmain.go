@@ -250,6 +250,9 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	flow := rs.flow
 	lv := newStage1Level(c, cfg, rs.layout, flow.P, flow.Exit, flow.Norm(),
 		flow.SumPlogpP, cfg.Seed)
+	// The level holds this rank's arcs in CSR form now; nothing reads
+	// the arc list again, so let it go for the rest of the run.
+	rs.layout.RankArcs[rank] = nil
 	lv.jlog, lv.jstage = jlog, 1
 
 	costs1 := make(phaseCosts)

@@ -137,11 +137,38 @@ func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 			l.NumHubs++
 		}
 	}
+	// The placement rule runs twice: once to count each rank's arcs,
+	// once to fill lists allocated at their final capacity. Rebalancing
+	// only fills ranks up to the mean, so capacity max(count, mean+1)
+	// means no list ever grows (or is copied) along the way.
+	counts := make([]int, p)
+	l.placeArcs(g, func(r, _, _ int, _ float64) { counts[r]++ })
+	mean := g.NumArcs() / p
+	for r, c := range counts {
+		l.RankArcs[r] = make([]Arc, 0, max(c, mean+1))
+	}
+	l.placeArcs(g, func(r, u, v int, w float64) {
+		l.RankArcs[r] = append(l.RankArcs[r], Arc{U: u, V: v, W: w})
+	})
+	if !opts.NoRebalance {
+		l.rebalance()
+	}
+	return l
+}
+
+// placeArcs applies Delegate's placement rule to every arc of g in
+// adjacency order, calling put with the arc's rank. The rule is
+// deterministic, so repeated calls place every arc identically.
+func (l *Layout) placeArcs(g *graph.Graph, put func(r, u, v int, w float64)) {
 	rr := 0 // round-robin cursor for hub-hub arcs
-	for u := 0; u < n; u++ {
+	for u := range l.Owner {
 		uHub := l.IsHub[u]
-		g.Neighbors(u, func(v int, w float64) {
-			a := Arc{U: u, V: v, W: w}
+		targets, weights := g.NeighborSlice(u)
+		for i, v := range targets {
+			w := 1.0
+			if weights != nil {
+				w = weights[i]
+			}
 			var r int
 			switch {
 			case !uHub:
@@ -149,16 +176,12 @@ func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 			case !l.IsHub[v]:
 				r = l.Owner[v] // hub evaluated where its target lives
 			default:
-				r = rr % p // hub-hub: anywhere; start round-robin
+				r = rr % l.P // hub-hub: anywhere; start round-robin
 				rr++
 			}
-			l.RankArcs[r] = append(l.RankArcs[r], a)
-		})
+			put(r, u, v, w)
+		}
 	}
-	if !opts.NoRebalance {
-		l.rebalance()
-	}
-	return l
 }
 
 // rebalance moves hub-sourced arcs from overloaded ranks to underloaded
@@ -232,29 +255,41 @@ func (l *Layout) EdgeCounts() []int {
 // by local arcs that are neither owned by r nor delegates. Communication
 // volume is proportional to the ghost count (Figure 7).
 func (l *Layout) Ghosts(r int) []int {
-	seen := make(map[int]bool)
-	for _, a := range l.RankArcs[r] {
-		for _, x := range [2]int{a.U, a.V} {
-			if !l.IsHub[x] && l.Owner[x] != r {
-				seen[x] = true
-			}
+	seen := make([]bool, len(l.Owner))
+	count := l.markGhosts(r, seen)
+	out := make([]int, 0, count)
+	for v, ok := range seen {
+		if ok {
+			out = append(out, v)
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
 }
 
 // GhostCounts returns the ghost vertex count of each rank.
 func (l *Layout) GhostCounts() []int {
 	counts := make([]int, l.P)
+	seen := make([]bool, len(l.Owner))
 	for r := range counts {
-		counts[r] = len(l.Ghosts(r))
+		clear(seen)
+		counts[r] = l.markGhosts(r, seen)
 	}
 	return counts
+}
+
+// markGhosts sets seen[x] for every ghost vertex x of rank r and returns
+// how many it newly marked. seen is indexed by vertex.
+func (l *Layout) markGhosts(r int, seen []bool) int {
+	count := 0
+	for _, a := range l.RankArcs[r] {
+		for _, x := range [2]int{a.U, a.V} {
+			if !seen[x] && !l.IsHub[x] && l.Owner[x] != r {
+				seen[x] = true
+				count++
+			}
+		}
+	}
+	return count
 }
 
 // BalanceStats summarizes a layout for the Figure 6/7 experiments.

@@ -2,8 +2,11 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dinfomap/internal/gen"
 	"dinfomap/internal/graph"
@@ -272,5 +275,132 @@ func TestOneDBlockImbalanceOnDegreeSortedHub(t *testing.T) {
 	}
 	if st.MinEdges > 10 {
 		t.Fatalf("tail block has %d arcs, expected starvation", st.MinEdges)
+	}
+}
+
+// delegateByAppend is the straightforward form of Delegate: one
+// placement pass appending to growing lists, then the same rebalance.
+// Delegate must reproduce its arcs and their order exactly.
+func delegateByAppend(g *graph.Graph, p int, opts DelegateOptions) *Layout {
+	n := g.NumVertices()
+	l := &Layout{
+		P: p, DHigh: opts.DHigh,
+		Owner:    RoundRobinOwner(n, p),
+		IsHub:    make([]bool, n),
+		RankArcs: make([][]Arc, p),
+	}
+	for u := 0; u < n; u++ {
+		if g.Degree(u) > opts.DHigh {
+			l.IsHub[u] = true
+			l.NumHubs++
+		}
+	}
+	rr := 0
+	for u := 0; u < n; u++ {
+		g.Neighbors(u, func(v int, w float64) {
+			r := l.Owner[u]
+			if l.IsHub[u] {
+				if l.IsHub[v] {
+					r = rr % p
+					rr++
+				} else {
+					r = l.Owner[v]
+				}
+			}
+			l.RankArcs[r] = append(l.RankArcs[r], Arc{U: u, V: v, W: w})
+		})
+	}
+	if !opts.NoRebalance {
+		l.rebalance()
+	}
+	return l
+}
+
+// bruteGhosts recomputes Ghosts(r) with a map and a sort.
+func bruteGhosts(l *Layout, r int) []int {
+	seen := make(map[int]bool)
+	for _, a := range l.RankArcs[r] {
+		for _, x := range [2]int{a.U, a.V} {
+			if !l.IsHub[x] && l.Owner[x] != r {
+				seen[x] = true
+			}
+		}
+	}
+	out := make([]int, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func TestDelegateMatchesAppendFormAndBruteGhosts(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		g := gen.PowerLawGraph(seed, 1500, 2.1, 2, 150)
+		for _, p := range []int{1, 2, 3, 8} {
+			for _, noRebalance := range []bool{false, true} {
+				opts := DelegateOptions{DHigh: 3 * p, NoRebalance: noRebalance}
+				l := Delegate(g, p, opts)
+				if err := l.Validate(g); err != nil {
+					t.Fatalf("seed %d p=%d %+v: %v", seed, p, opts, err)
+				}
+				if want := delegateByAppend(g, p, opts); !reflect.DeepEqual(l.RankArcs, want.RankArcs) {
+					t.Fatalf("seed %d p=%d %+v: arcs differ from the append form", seed, p, opts)
+				}
+				counts := l.GhostCounts()
+				for r := 0; r < p; r++ {
+					want := bruteGhosts(l, r)
+					if got := l.Ghosts(r); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d p=%d %+v: Ghosts(%d) = %v, want %v", seed, p, opts, r, got, want)
+					}
+					if counts[r] != len(want) {
+						t.Fatalf("seed %d p=%d %+v: GhostCounts()[%d] = %d, want %d",
+							seed, p, opts, r, counts[r], len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRebalanceKeepsBackingArrays pins that Delegate sizes every rank's
+// list for its final length, so rebalancing moves arcs without growing
+// (and so copying) any list.
+func TestRebalanceKeepsBackingArrays(t *testing.T) {
+	g := gen.PowerLawGraph(5, 4000, 2.0, 2, 400)
+	for _, p := range []int{2, 3, 8, 16} {
+		l := Delegate(g, p, DelegateOptions{NoRebalance: true})
+		before := make([]*Arc, p)
+		lens := l.EdgeCounts()
+		for r, arcs := range l.RankArcs {
+			before[r] = unsafe.SliceData(arcs)
+		}
+		l.rebalance()
+		grew := false
+		for r, arcs := range l.RankArcs {
+			if unsafe.SliceData(arcs) != before[r] {
+				t.Fatalf("p=%d: rebalance reallocated rank %d's list", p, r)
+			}
+			grew = grew || len(arcs) > lens[r]
+		}
+		if !grew {
+			t.Fatalf("p=%d: rebalance moved no arcs; the graph does not exercise it", p)
+		}
+		want := Delegate(g, p, DelegateOptions{})
+		if !reflect.DeepEqual(l.RankArcs, want.RankArcs) {
+			t.Fatalf("p=%d: rebalancing in place differs from Delegate", p)
+		}
+	}
+}
+
+// TestDelegateAllocs bounds Delegate's allocations: a fixed handful
+// plus one list per rank. Lists that grow while being filled would add
+// dozens more.
+func TestDelegateAllocs(t *testing.T) {
+	g := benchGraph()
+	const p = 16
+	allocs := testing.AllocsPerRun(3, func() { Delegate(g, p, DelegateOptions{}) })
+	if allocs > p+12 {
+		t.Fatalf("Delegate at p=%d made %v allocations, want <= %d", p, allocs, p+12)
 	}
 }
