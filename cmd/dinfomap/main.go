@@ -54,7 +54,7 @@ import (
 func main() {
 	var (
 		p              = flag.Int("p", 4, "number of ranks")
-		dHigh          = flag.Int("dhigh", 0, "delegate degree threshold (0 = auto)")
+		dHigh          = flag.Int("dhigh", 0, "delegate degree threshold (0 = auto; ignored with -p 1, which delegates nothing)")
 		seed           = flag.Uint64("seed", 1, "random seed")
 		asyncStaleness = flag.Int("async-staleness", 0,
 			"bounded-staleness async sweeps: ranks may proceed with ghost statistics up to k epochs stale (0 = synchronous, bit-reproducible)")

@@ -118,6 +118,8 @@ func RunSequential(g *Graph, cfg SequentialConfig) *SequentialResult {
 
 // DistributedConfig controls the distributed Infomap algorithm
 // (Algorithm 2 of the paper). P is the number of simulated ranks.
+// DHigh, the delegate threshold, is ignored at P = 1: one rank
+// delegates nothing.
 type DistributedConfig = core.Config
 
 // DistributedResult is a distributed Infomap result, including the MDL
@@ -433,7 +435,8 @@ func Analyze1D(g *Graph, p int) BalanceStats {
 }
 
 // AnalyzeDelegate computes the balance of delegate partitioning of g
-// over p ranks with the paper's default threshold (d_high = p).
+// over p ranks with the paper's default threshold (d_high = p). With
+// p = 1 nothing is delegated.
 func AnalyzeDelegate(g *Graph, p int) BalanceStats {
 	return partition.Delegate(g, p, partition.DelegateOptions{}).Stats()
 }

@@ -101,6 +101,38 @@ func TestPublicAPIPartitionAnalysis(t *testing.T) {
 		t.Errorf("delegate imbalance %.2f not better than 1D %.2f",
 			del.EdgeImbalance, oneD.EdgeImbalance)
 	}
+	if hubs := AnalyzeDelegate(g, 1).NumHubs; hubs != 0 {
+		t.Errorf("one rank delegated %d hubs, want 0", hubs)
+	}
+}
+
+// TestSingleRankWorkInflation pins the one-rank target of the
+// distributed sweep: at p = 1 it makes at most 1.25 times the delta-L
+// evaluations of sequential Infomap on the same graph, for a codelength
+// within 0.5% of sequential's. Evaluation counts are deterministic in
+// the graph and the seed.
+func TestSingleRankWorkInflation(t *testing.T) {
+	for _, name := range []string{"amazon", "dblp", "ndweb", "youtube"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			d, err := LookupDataset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := d.Generate()
+			seq := RunSequential(g, SequentialConfig{Seed: 1})
+			dist := RunDistributed(g, DistributedConfig{P: 1, Seed: 1})
+			inflation := float64(dist.DeltaEvaluations) / float64(seq.DeltaEvaluations)
+			if inflation > 1.25 {
+				t.Errorf("p = 1 made %d evaluations, %.2f× sequential's %d; want at most 1.25×",
+					dist.DeltaEvaluations, inflation, seq.DeltaEvaluations)
+			}
+			if rel := math.Abs(dist.Codelength/seq.Codelength - 1); rel > 0.005 {
+				t.Errorf("p = 1 codelength %.6f is %.2f%% from sequential's %.6f; want within 0.5%%",
+					dist.Codelength, 100*rel, seq.Codelength)
+			}
+		})
+	}
 }
 
 func TestPublicAPIMetrics(t *testing.T) {

@@ -21,11 +21,10 @@ type BenchLevel struct {
 
 // NewBenchLevel builds a single-rank level over g with singleton
 // assignments and exact refresh-time aggregates, ready for SweepPass
-// and Refresh calls. The delegate threshold is set above any degree so
-// the level has no hubs (hub coordination is pointless at p = 1).
+// and Refresh calls. Like every single-rank level it has no hubs.
 func NewBenchLevel(g *graph.Graph, seed uint64) *BenchLevel {
 	cfg := Config{P: 1, Seed: seed}.withDefaults()
-	layout := partition.Delegate(g, 1, partition.DelegateOptions{DHigh: 1 << 30})
+	layout := partition.Delegate(g, 1, partition.DelegateOptions{})
 	flow := mapeq.NewVertexFlow(g)
 	var lv *level
 	mpi.Run(1, func(c *mpi.Comm) {

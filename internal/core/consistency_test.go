@@ -220,7 +220,7 @@ func TestStage1InvariantsSingleRank(t *testing.T) {
 	g, _ := gen.PlantedPartition(23, gen.PlantedConfig{
 		N: 600, NumComms: 10, AvgDegree: 8, Mixing: 0.3,
 	})
-	if !runStage1WithChecks(t, g, 1, Config{Seed: 5, DHigh: 1 << 30}) {
+	if !runStage1WithChecks(t, g, 1, Config{Seed: 5}) {
 		t.Fatal("single-rank stage 1 did not converge to a zero move vote in 12 iterations")
 	}
 }

@@ -19,7 +19,8 @@ type Config struct {
 	// DHigh is the delegate threshold: vertices with degree > DHigh are
 	// duplicated on all ranks. <= 0 means the scaled default
 	// max(P, 4*avgDegree); the paper's literal d_high = p assumes
-	// Titan-scale processor counts (see Run).
+	// Titan-scale processor counts (see Run). It is ignored at P = 1,
+	// where no vertex is delegated.
 	DHigh int
 	// NoRebalance disables the partitioner's rebalancing pass (ablation).
 	NoRebalance bool
@@ -246,7 +247,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 // delegate most vertices — delegates get only one coordinated move
 // per synchronized round, so quality and convergence collapse. The
 // default therefore keeps delegates in the tail: at least p, and at
-// least several times the average degree (see DESIGN.md).
+// least several times the average degree (see DESIGN.md). At p = 1 the
+// threshold is ignored: partition.Delegate delegates nothing on one
+// rank, so hubs move in every local pass like any owned vertex.
 func newRunState(g *graph.Graph, cfg *Config) *runState {
 	dHigh := cfg.DHigh
 	if dHigh <= 0 {

@@ -262,10 +262,30 @@ func TestProcReportParity(t *testing.T) {
 func TestTransportParity(t *testing.T) {
 	g, _ := planted(7, 600, 12, 0.2)
 	cfg := Config{P: 4, Seed: 42}
+	requireSameRun(t, Run(g, cfg), runRanksOverProc(t, g, cfg))
+}
 
-	inproc := Run(g, cfg)
-	multi := runRanksOverProc(t, g, cfg)
+// TestTransportParitySingleRank pins transport parity at p = 1, where
+// the layout delegates nothing: the graph has hubs at p = 2, yet the
+// one-rank run on either backend reports none.
+func TestTransportParitySingleRank(t *testing.T) {
+	g, _ := planted(7, 600, 12, 0.2)
+	if hubs := Run(g, Config{P: 2, Seed: 42}).Partition.NumHubs; hubs == 0 {
+		t.Fatal("the graph has no hubs at p = 2; it cannot show the p = 1 rule")
+	}
+	cfg := Config{P: 1, Seed: 42}
+	inproc, multi := Run(g, cfg), runRanksOverProc(t, g, cfg)
+	requireSameRun(t, inproc, multi)
+	if inproc.Partition.NumHubs != 0 || multi.Partition.NumHubs != 0 {
+		t.Fatalf("p = 1 runs delegated %d (goroutine) and %d (proc) hubs, want 0",
+			inproc.Partition.NumHubs, multi.Partition.NumHubs)
+	}
+}
 
+// requireSameRun fails t unless the two results carry bit-identical
+// partitions, codelengths, MDL traces and deterministic comm counters.
+func requireSameRun(t *testing.T, inproc, multi *Result) {
+	t.Helper()
 	if inproc.Codelength != multi.Codelength {
 		t.Errorf("codelength differs: goroutine %v vs proc %v",
 			inproc.Codelength, multi.Codelength)

@@ -99,6 +99,7 @@ type DelegateOptions struct {
 	// DHigh is the hub degree threshold: vertices with Degree > DHigh
 	// are delegated. <= 0 means the paper's default, DHigh = p
 	// (Section 4: "We set the threshold d_high as the processor number").
+	// It is ignored at p = 1, where Delegate delegates nothing.
 	DHigh int
 	// NoRebalance disables the fourth preprocessing step (moving
 	// hub-sourced arcs toward |E|/p per rank); used by the ablation.
@@ -115,12 +116,20 @@ type DelegateOptions struct {
 //     (so delegate and target co-locate); hub-hub arcs round-robin;
 //  4. hub-sourced arcs are reassigned from overloaded to underloaded
 //     ranks until every rank is close to the mean arc count.
+//
+// With p = 1 there is nothing to spread, so no vertex is delegated,
+// whatever opts.DHigh is, and the layout records DHigh = 0 like a 1D
+// layout. A hub would only cost the run: a delegate moves once per
+// synchronized round, an owned vertex in every local pass.
 func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 	if p < 1 {
 		panic(fmt.Sprintf("partition: Delegate with p=%d", p))
 	}
 	dHigh := opts.DHigh
-	if dHigh <= 0 {
+	switch {
+	case p == 1:
+		dHigh = 0
+	case dHigh <= 0:
 		dHigh = p
 	}
 	n := g.NumVertices()
@@ -132,7 +141,7 @@ func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 		RankArcs: make([][]Arc, p),
 	}
 	for u := 0; u < n; u++ {
-		if g.Degree(u) > dHigh {
+		if dHigh > 0 && g.Degree(u) > dHigh {
 			l.IsHub[u] = true
 			l.NumHubs++
 		}

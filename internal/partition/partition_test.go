@@ -100,14 +100,34 @@ func TestDelegateExplicitThreshold(t *testing.T) {
 	}
 }
 
+// TestDelegateSingleRank pins the p = 1 rule: whatever the threshold,
+// one rank delegates nothing, records the 1D threshold 0, and holds
+// every arc in adjacency order.
 func TestDelegateSingleRank(t *testing.T) {
-	g := star(20)
-	l := Delegate(g, 1, DelegateOptions{})
-	if err := l.Validate(g); err != nil {
-		t.Fatal(err)
+	g := gen.PowerLawGraph(9, 2000, 2.0, 2, 200)
+	var want []Arc
+	for u := 0; u < g.NumVertices(); u++ {
+		g.Neighbors(u, func(v int, w float64) {
+			want = append(want, Arc{U: u, V: v, W: w})
+		})
 	}
-	if len(l.RankArcs[0]) != g.NumArcs() {
-		t.Fatalf("rank 0 has %d arcs, want all %d", len(l.RankArcs[0]), g.NumArcs())
+	for _, dHigh := range []int{0, 1, 3, 1 << 30} {
+		for _, noRebalance := range []bool{false, true} {
+			opts := DelegateOptions{DHigh: dHigh, NoRebalance: noRebalance}
+			l := Delegate(g, 1, opts)
+			if l.NumHubs != 0 || l.DHigh != 0 {
+				t.Fatalf("%+v: NumHubs = %d, DHigh = %d, want 0 and 0", opts, l.NumHubs, l.DHigh)
+			}
+			if st := l.Stats(); st.NumHubs != 0 || st.MaxGhosts != 0 {
+				t.Fatalf("%+v: stats report %d hubs, %d ghosts, want none", opts, st.NumHubs, st.MaxGhosts)
+			}
+			if err := l.Validate(g); err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			if !reflect.DeepEqual(l.RankArcs[0], want) {
+				t.Fatalf("%+v: rank 0's arcs are not the adjacency-order arc list", opts)
+			}
+		}
 	}
 }
 
