@@ -31,6 +31,10 @@ type RankArtifact struct {
 	Wall2Ns int64 `json:"wall2_ns"`
 	Evals   int64 `json:"evals"`
 
+	// MinLabel counts the rank's minimum-label refusals, stage 1 then
+	// stage 2.
+	MinLabel [2]obs.MinLabelCounts `json:"min_label"`
+
 	// Staleness is the rank's ghost-staleness histogram from the
 	// asynchronous stage-1 sweeps (bucket s counts epochs swept against
 	// module statistics s epochs stale); nil on synchronous runs.
@@ -159,6 +163,7 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	res.PerRankWall1 = make([]time.Duration, cfg.P)
 	res.PerRankWall2 = make([]time.Duration, cfg.P)
 	res.PerRankEvals = make([]int64, cfg.P)
+	res.PerRankMinLabel = make([][2]obs.MinLabelCounts, cfg.P)
 	res.PerRankIterations = make([][]obs.IterationReport, cfg.P)
 	res.CommStats = make([]mpi.Stats, cfg.P)
 	for r, a := range artifacts {
@@ -174,6 +179,7 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 		res.PerRankWall1[r] = time.Duration(a.Wall1Ns)
 		res.PerRankWall2[r] = time.Duration(a.Wall2Ns)
 		res.PerRankEvals[r] = a.Evals
+		res.PerRankMinLabel[r] = a.MinLabel
 		res.PerRankIterations[r] = a.Iterations
 		res.CommStats[r] = a.Stats
 		if a.Staleness != nil {
@@ -257,6 +263,7 @@ func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 		Wall1Ns:     rs.perRankWall1[rank].Nanoseconds(),
 		Wall2Ns:     rs.perRankWall2[rank].Nanoseconds(),
 		Evals:       rs.perRankEvals[rank],
+		MinLabel:    rs.perRankMinLabel[rank],
 		Iterations:  rs.perRankIters[rank],
 		Staleness:   rs.perRankStale[rank],
 		Partition:   rs.partStats,

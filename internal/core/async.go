@@ -743,6 +743,7 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 	as := newAsyncState(lv)
 	s := lv.newScratch()
 	prevAsyncKind := lv.c.SetKind(mpi.KindModuleInfo)
+	lv.epochs = true
 	for e := 0; e < lv.cfg.MaxSweeps; e++ {
 		// --- Gate + process (async-drain span) ---
 		jt := lv.jlog.Now()
@@ -828,6 +829,13 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 		})
 		lv.jlog.PublishComm(lv.c.Stats())
 		out.iterations++
+	}
+
+	// The polish below applies the return rule to its own moves only:
+	// a return there usually repairs a move made on stale statistics.
+	lv.epochs = false
+	for i := range lv.lastFrom {
+		lv.lastFrom[i] = -1
 	}
 
 	// --- Shutdown: join the mesh, then restore exactness ---

@@ -33,7 +33,11 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) (conve
 	t.Helper()
 	cfgv := (&cfg).withDefaults()
 	cfgv.P = p
-	layout := partition.Delegate(g, p, partition.DelegateOptions{DHigh: cfgv.DHigh})
+	// The layout a run of cfg would use: the scaled default threshold
+	// unless cfg.DHigh is set.
+	layout := partition.Delegate(g, p, partition.DelegateOptions{
+		DHigh: delegateThreshold(g, &cfgv),
+	})
 	flow := mapeq.NewVertexFlow(g)
 	n := g.NumVertices()
 
@@ -186,9 +190,24 @@ func TestStage1InvariantsPlanted(t *testing.T) {
 	runStage1WithChecks(t, g, 4, Config{Seed: 3})
 }
 
+// TestStage1InvariantsPaperThreshold keeps the paper's literal
+// d_high = p: at p = 4 on this graph (average degree 8) most vertices
+// become hubs, a layout no default run uses but the invariants must
+// survive.
+func TestStage1InvariantsPaperThreshold(t *testing.T) {
+	g, _ := gen.PlantedPartition(5, gen.PlantedConfig{
+		N: 400, NumComms: 8, AvgDegree: 8, Mixing: 0.2,
+	})
+	runStage1WithChecks(t, g, 4, Config{Seed: 3, DHigh: 4})
+}
+
+// TestStage1InvariantsHubHeavy must end on a zero move vote (see
+// TestStage1InvariantsTwoRanks), so check 4 runs with hubs on six ranks.
 func TestStage1InvariantsHubHeavy(t *testing.T) {
 	g := gen.PowerLawGraph(9, 1000, 1.9, 2, 200)
-	runStage1WithChecks(t, g, 6, Config{Seed: 7})
+	if !runStage1WithChecks(t, g, 6, Config{Seed: 7}) {
+		t.Fatal("hub-heavy stage 1 at p = 6 did not converge to a zero move vote in 12 iterations")
+	}
 }
 
 func TestStage1InvariantsNoMinLabel(t *testing.T) {
@@ -212,15 +231,26 @@ func TestStage1InvariantsManyRanks(t *testing.T) {
 	runStage1WithChecks(t, g, 16, Config{Seed: 17})
 }
 
-// TestStage1InvariantsSingleRank runs the checks where the synchronized
-// loop reaches a zero move vote (with several ranks, small graphs keep a
-// residue of cross-boundary moves and cluster() ends them through its
-// stall rule instead), so check 4 is exercised.
+// TestStage1InvariantsSingleRank and TestStage1InvariantsTwoRanks run
+// the checks where the synchronized loop reaches a zero move vote, so
+// check 4 is exercised on one rank and across a rank boundary. At
+// p = 2 the return rule is what lets the loop get there: without it a
+// residue of vertices bouncing between the ranks keeps the vote alive
+// until cluster()'s stall rule ends the stage.
 func TestStage1InvariantsSingleRank(t *testing.T) {
 	g, _ := gen.PlantedPartition(23, gen.PlantedConfig{
 		N: 600, NumComms: 10, AvgDegree: 8, Mixing: 0.3,
 	})
 	if !runStage1WithChecks(t, g, 1, Config{Seed: 5}) {
 		t.Fatal("single-rank stage 1 did not converge to a zero move vote in 12 iterations")
+	}
+}
+
+func TestStage1InvariantsTwoRanks(t *testing.T) {
+	g, _ := gen.PlantedPartition(23, gen.PlantedConfig{
+		N: 600, NumComms: 10, AvgDegree: 8, Mixing: 0.3,
+	})
+	if !runStage1WithChecks(t, g, 2, Config{Seed: 5}) {
+		t.Fatal("two-rank stage 1 did not converge to a zero move vote in 12 iterations")
 	}
 }

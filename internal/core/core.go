@@ -24,8 +24,10 @@ type Config struct {
 	DHigh int
 	// NoRebalance disables the partitioner's rebalancing pass (ablation).
 	NoRebalance bool
-	// NoMinLabel disables the minimum-label anti-bouncing rule (ablation:
-	// demonstrates the vertex bouncing problem of Section 3.4).
+	// NoMinLabel disables the minimum-label anti-bouncing rules — the
+	// singleton and return rules of the sweep and the hub swap rule of
+	// the delegate broadcast (ablation: demonstrates the vertex bouncing
+	// problem of Section 3.4).
 	NoMinLabel bool
 	// ApproxDelegates applies delegate moves directly on the winning
 	// local delta-L (the paper's literal scheme) instead of the exact
@@ -144,6 +146,9 @@ type Result struct {
 	PerRankWall1, PerRankWall2 []time.Duration
 	// PerRankEvals[r] is rank r's delta-L evaluation count.
 	PerRankEvals []int64
+	// PerRankMinLabel[r] is rank r's count of minimum-label refusals,
+	// stage 1 then stage 2 (see obs.MinLabelCounts).
+	PerRankMinLabel [][2]obs.MinLabelCounts
 	// PerRankStaleness[r] is rank r's ghost-staleness histogram from the
 	// asynchronous stage-1 sweeps: bucket s counts epochs swept against
 	// module statistics s epochs stale (length StalenessBound+1; the
@@ -240,24 +245,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 // communicating. The flow arrays are the product of the distributed
 // degree computation described in Section 3.3; ranks only ever read
 // entries of vertices they see.
-//
-// Threshold default: the paper uses d_high = p, which on Titan
-// (p in the thousands) delegates only the extreme tail. At this
-// reproduction's processor counts (2-64) a literal d_high = p would
-// delegate most vertices — delegates get only one coordinated move
-// per synchronized round, so quality and convergence collapse. The
-// default therefore keeps delegates in the tail: at least p, and at
-// least several times the average degree (see DESIGN.md). At p = 1 the
-// threshold is ignored: partition.Delegate delegates nothing on one
-// rank, so hubs move in every local pass like any owned vertex.
 func newRunState(g *graph.Graph, cfg *Config) *runState {
-	dHigh := cfg.DHigh
-	if dHigh <= 0 {
-		avgDeg := 2 * g.NumEdges() / maxInt(1, g.NumVertices())
-		dHigh = maxInt(cfg.P, 4*avgDeg)
-	}
 	layout := partition.Delegate(g, cfg.P, partition.DelegateOptions{
-		DHigh:       dHigh,
+		DHigh:       delegateThreshold(g, cfg),
 		NoRebalance: cfg.NoRebalance,
 	})
 	return &runState{
@@ -269,9 +259,29 @@ func newRunState(g *graph.Graph, cfg *Config) *runState {
 		perRankWall1:       make([]time.Duration, cfg.P),
 		perRankWall2:       make([]time.Duration, cfg.P),
 		perRankEvals:       make([]int64, cfg.P),
+		perRankMinLabel:    make([][2]obs.MinLabelCounts, cfg.P),
 		perRankIters:       make([][]obs.IterationReport, cfg.P),
 		perRankStale:       make([][]int64, cfg.P),
 	}
+}
+
+// delegateThreshold returns the d_high a run of cfg uses on g:
+// cfg.DHigh when set, else the scaled default. The paper uses
+// d_high = p, which on Titan (p in the thousands) delegates only the
+// extreme tail. At this reproduction's processor counts (2-64) a
+// literal d_high = p would delegate most vertices — delegates get only
+// one coordinated move per synchronized round, so quality and
+// convergence collapse. The default therefore keeps delegates in the
+// tail: at least p, and at least several times the average degree (see
+// DESIGN.md). At p = 1 the threshold is ignored: partition.Delegate
+// delegates nothing on one rank, so hubs move in every local pass like
+// any owned vertex.
+func delegateThreshold(g *graph.Graph, cfg *Config) int {
+	if cfg.DHigh > 0 {
+		return cfg.DHigh
+	}
+	avgDeg := 2 * g.NumEdges() / maxInt(1, g.NumVertices())
+	return maxInt(cfg.P, 4*avgDeg)
 }
 
 // runState carries inputs and cross-rank outputs of one run. In-process
@@ -296,6 +306,7 @@ type runState struct {
 	perRankWall1       []time.Duration
 	perRankWall2       []time.Duration
 	perRankEvals       []int64
+	perRankMinLabel    [][2]obs.MinLabelCounts
 	perRankIters       [][]obs.IterationReport
 	perRankStale       [][]int64
 

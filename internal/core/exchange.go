@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
@@ -26,7 +29,9 @@ import (
 // per round) and walked by ascending position — hubs is sorted, so that
 // is ascending hub-id order with no key collection or sort.
 //
-// Returns the number of hub moves applied (identical on every rank).
+// Improving moves are applied through the hub swap rule (see
+// applyDelegateMoves). Returns the number of hub moves applied
+// (identical on every rank).
 func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 	if lv.isHub == nil {
 		return 0
@@ -86,18 +91,16 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 		}
 	}
 
-	moves := 0
+	ds.accept = ds.accept[:0]
 	if lv.cfg.ApproxDelegates {
 		// The paper's literal scheme: apply the winning local candidate.
 		for _, pos := range ds.sel {
 			hc := ds.cand[pos]
 			if hc.DeltaL < 0 && lv.comm[hc.Hub] != hc.Target {
-				lv.comm[hc.Hub] = hc.Target
-				lv.movedV[hc.Hub] = true
-				moves++
+				ds.accept = append(ds.accept, pos)
 			}
 		}
-		return moves
+		return lv.applyDelegateMoves()
 	}
 
 	// ---- Round B: exact evaluation ----
@@ -157,10 +160,58 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 		}
 		dl := mapeq.DeltaL(lv.refAgg, lv.hubFrom[pos], ds.target[pos], mv)
 		if dl < -1e-15 {
-			lv.comm[h] = hc.Target
-			lv.movedV[h] = true
-			moves++
+			ds.accept = append(ds.accept, pos)
 		}
+	}
+	return lv.applyDelegateMoves()
+}
+
+// modPair is one delegate move's (from, target) module pair.
+type modPair struct{ from, target int }
+
+func cmpModPair(a, b modPair) int {
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	return cmp.Compare(a.target, b.target)
+}
+
+// applyDelegateMoves applies the round's improving delegate moves,
+// listed by hub position in ds.accept, and returns how many it applied.
+//
+// Hub swap rule, the minimum-label rule for delegates: when two of the
+// moves swap modules (A→B and B→A), only the move into the smaller id
+// is applied. Both hubs were evaluated against the same snapshot, in
+// which each one's module still held the other; applied together they
+// trade places, and the next round proposes the same swap back. Every
+// rank holds the same accepted list and the same hub modules, so every
+// rank drops the same moves. The (from, target) pairs are sorted and
+// each reverse pair binary-searched, which keeps the choice free of
+// map iteration order.
+func (lv *level) applyDelegateMoves() (moves int) {
+	ds := lv.dsch
+	swapRule := !lv.cfg.NoMinLabel && len(ds.accept) > 1
+	if swapRule {
+		ds.pairs = ds.pairs[:0]
+		for _, pos := range ds.accept {
+			ds.pairs = append(ds.pairs, modPair{lv.comm[lv.hubs[pos]], ds.cand[pos].Target})
+		}
+		slices.SortFunc(ds.pairs, cmpModPair)
+	}
+	// Moves change only their own hub's module, so from is read before
+	// any move of this round is applied.
+	for _, pos := range ds.accept {
+		h := lv.hubs[pos]
+		from, target := lv.comm[h], ds.cand[pos].Target
+		if swapRule && target > from {
+			if _, swapped := slices.BinarySearchFunc(ds.pairs, modPair{target, from}, cmpModPair); swapped {
+				lv.skippedSwaps++
+				continue
+			}
+		}
+		lv.comm[h] = target
+		lv.movedV[h] = true
+		moves++
 	}
 	return moves
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dinfomap/internal/obs"
@@ -167,6 +168,16 @@ func TestBuildReportFromRealRun(t *testing.T) {
 	if back.Quality.Codelength != res.Codelength {
 		t.Fatalf("codelength %v lost in round trip (got %v)",
 			res.Codelength, back.Quality.Codelength)
+	}
+	if got := back.Convergence.MinLabel; len(got) != p || !slices.Equal(got, res.PerRankMinLabel) {
+		t.Fatalf("minimum-label counts %v lost in round trip (got %v)", res.PerRankMinLabel, got)
+	}
+	var returns int64
+	for _, st := range res.PerRankMinLabel {
+		returns += st[0].RefusedReturns + st[1].RefusedReturns
+	}
+	if returns == 0 {
+		t.Error("no rank refused a return; the return rule never fired at p = 4")
 	}
 }
 

@@ -276,6 +276,9 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	mergeRate := []float64{float64(oc.liveBefore-oc.numModules) / float64(n0)}
 	iters1 := oc.iterations
 	deltaEvals := lv.deltaEvals
+	minLabel := [2]obs.MinLabelCounts{{
+		RefusedReturns: lv.refusedReturns, SkippedSwaps: lv.skippedSwaps,
+	}}
 	emitIter(1, 0, iters1, deltaEvals)
 
 	// Projection bookkeeping: this rank's owned original vertices.
@@ -308,6 +311,8 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		oc = merged.cluster(costs2)
 		iters2 += oc.iterations
 		deltaEvals += merged.deltaEvals
+		minLabel[1].RefusedReturns += merged.refusedReturns
+		minLabel[1].SkippedSwaps += merged.skippedSwaps
 
 		next = merged.gatherAssignments(next)
 		for i := range origComm {
@@ -367,6 +372,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	rs.perRankWall1[rank] = wall1
 	rs.perRankWall2[rank] = wall2
 	rs.perRankEvals[rank] = deltaEvals
+	rs.perRankMinLabel[rank] = minLabel
 	rs.perRankIters[rank] = iterRecs
 	if staleHist != nil {
 		rs.perRankStale[rank] = staleHist

@@ -37,6 +37,7 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 			OuterIterations: res.OuterIterations,
 			Stage1Sweeps:    res.Stage1Iterations,
 			Stage2Sweeps:    res.Stage2Iterations,
+			MinLabel:        res.PerRankMinLabel,
 		},
 		Timing: obs.TimingInfo{
 			Stage1WallNs:    res.Stage1Wall.Nanoseconds(),

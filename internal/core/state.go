@@ -99,6 +99,10 @@ type level struct {
 	// evaluation, set again when the vertex's neighbourhood changes (see
 	// sweep and reactivate).
 	active []bool
+	// lastFrom holds, by eval index, the module the vertex left on its
+	// last applied move at this level (-1 = it has not moved); the
+	// return rule of moveVertex reads it.
+	lastFrom []int32
 	// Change records between two refreshes, both by id over the id
 	// space: movedV marks visible vertices whose community changed,
 	// changedM modules that arrived as full Module_Info records. The
@@ -162,6 +166,15 @@ type level struct {
 	// deferred counts remote moves deferred by damping in the latest
 	// pass; deferred work keeps the convergence vote alive.
 	deferred int
+	// epochs marks clusterAsync's bounded-staleness epochs, whose ghost
+	// statistics may be several epochs old: the partner of a bounce is
+	// not acting on the same snapshot, so the return rule stays off.
+	epochs bool
+	// refusedReturns counts moves refused by the return rule, and
+	// skippedSwaps delegate moves dropped by the hub swap rule, over
+	// the level's lifetime.
+	refusedReturns int64
+	skippedSwaps   int64
 }
 
 // refreshScratch holds refresh's per-round accumulators. The p* arrays
@@ -194,6 +207,10 @@ type delegateScratch struct {
 	sumTo    []float64
 	sumFrom  []float64
 	target   []mapeq.Module
+	// accept lists the hub positions of the round's improving moves, and
+	// pairs their (from, target) modules sorted, for the hub swap rule.
+	accept []int32
+	pairs  []modPair
 }
 
 // ownedSlots returns the number of owner-side slots on this rank: the
@@ -277,6 +294,10 @@ func (lv *level) initLocalState() {
 	}
 	lv.active = make([]bool, len(lv.evalVerts))
 	lv.activateAll()
+	lv.lastFrom = make([]int32, len(lv.evalVerts))
+	for i := range lv.lastFrom {
+		lv.lastFrom[i] = -1
+	}
 	lv.movedV = make([]bool, n)
 	lv.changedM = make([]bool, n)
 	if lv.isHub != nil {
@@ -294,6 +315,8 @@ func (lv *level) initLocalState() {
 			proposer: make([]int32, len(lv.hubs)),
 			sel:      make([]int32, 0, len(lv.hubs)),
 			target:   make([]mapeq.Module, len(lv.hubs)),
+			accept:   make([]int32, 0, len(lv.hubs)),
+			pairs:    make([]modPair, 0, len(lv.hubs)),
 		}
 	}
 	lv.rsch = &refreshScratch{

@@ -71,7 +71,9 @@ func dampProb(iter int) float64 {
 // module of a vertex on another rank, both sides may decide the
 // symmetric move in the same round and exchange places forever. The
 // move is therefore applied only when the target label is smaller than
-// the current one, making exactly one side win.
+// the current one, making exactly one side win. The same rule covers a
+// vertex returning into a remote-reached module it just left (see
+// moveVertex) and, in broadcastDelegates, two hubs swapping modules.
 func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCands []hubCandidate) {
 	if budget > maxLocalPasses {
 		budget = maxLocalPasses
@@ -211,8 +213,9 @@ func (lv *level) clearWTo(s *sweepScratch) {
 
 // moveVertex evaluates and, if allowed, applies the best move of owned
 // low-degree vertex u (eval index i). Returns whether a move happened.
-// A refused or deferred move leaves u active; an applied one marks u
-// moved and activates its eval neighbours.
+// A move refused by the singleton rule or deferred leaves u active, a
+// return refused by the return rule leaves it inactive; an applied one
+// marks u moved and activates its eval neighbours.
 //
 // Besides neighbor modules, an owned vertex may escape back to its own
 // founder module when that module is currently empty (this rank is the
@@ -253,6 +256,18 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 		lv.clearWTo(s)
 		return false
 	}
+	// Return rule, the same rule for vertices that already left: a move
+	// back into the remote-reached module u last left is usually the
+	// answer to a neighbour on another rank moving the other way in the
+	// same round, and both would repeat it every round. Only the return
+	// toward the smaller label is applied; the refused vertex stays
+	// inactive until its neighbourhood changes again.
+	if !escape && !lv.cfg.NoMinLabel && !lv.epochs && s.remote[bestC] &&
+		int32(bestC) == lv.lastFrom[i] && bestC > from {
+		lv.refusedReturns++
+		lv.clearWTo(s)
+		return false
+	}
 	// Damping of cross-boundary moves: ranks sharing identical module
 	// statistics tend to pile into the same attractive module in the
 	// same round, over-merging past what any of them would accept with
@@ -281,6 +296,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	lv.trackMod(bestC)
 	lv.comm[u] = bestC
 	lv.movedV[u] = true
+	lv.lastFrom[i] = int32(from)
 	// A self-arc re-activates u too: merged-level vertices carry one, and
 	// re-evaluating the mover from its new module costs almost no extra
 	// evaluations while keeping codelength closer to the full re-scan

@@ -240,6 +240,18 @@ type ConvergenceInfo struct {
 	OuterIterations int       `json:"outer_iterations"`
 	Stage1Sweeps    int       `json:"stage1_sweeps"`
 	Stage2Sweeps    int       `json:"stage2_sweeps"`
+	// MinLabel[r] holds rank r's minimum-label refusals, stage 1 then
+	// stage 2. Schema addition (v1-compatible); deterministic.
+	MinLabel [][2]MinLabelCounts `json:"min_label,omitempty"`
+}
+
+// MinLabelCounts counts one rank's minimum-label refusals in one
+// clustering stage: moves back into a remote-reached module refused by
+// the return rule, and delegate moves dropped by the hub swap rule.
+// Both are zero on one rank, where nothing is remote or delegated.
+type MinLabelCounts struct {
+	RefusedReturns int64 `json:"refused_returns"`
+	SkippedSwaps   int64 `json:"skipped_swaps"`
 }
 
 // TimingInfo compares modeled (alpha-beta cost model) and host
