@@ -123,19 +123,6 @@ type kindModel struct {
 	Msgs          int64 `json:"msgs"`
 }
 
-// stalenessRow is one rank's asynchronous-sweep staleness summary.
-type stalenessRow struct {
-	Rank int `json:"rank"`
-	// Histogram[s] counts epochs the rank swept against ghost module
-	// statistics s epochs stale.
-	Histogram []int64 `json:"histogram"`
-	Epochs    int64   `json:"epochs"`
-	// MeanStale is the epoch-weighted average staleness; MaxStale the
-	// largest bucket actually hit.
-	MeanStale float64 `json:"mean_stale"`
-	MaxStale  int     `json:"max_stale"`
-}
-
 // straggler is one row of the lost-time table, ranked by blocked time.
 type straggler struct {
 	Rank               int    `json:"rank"`
@@ -164,12 +151,7 @@ type analysis struct {
 	TotalLostWallNs  int64       `json:"total_lost_wall_ns"`
 	LostFractionWall float64     `json:"lost_fraction_wall"`
 	Kinds            []kindModel `json:"kinds,omitempty"`
-	// StalenessBound and Staleness are present on reports from
-	// asynchronous (bounded-staleness) runs: the configured bound and
-	// each rank's epoch-staleness histogram.
-	StalenessBound int            `json:"staleness_bound,omitempty"`
-	Staleness      []stalenessRow `json:"staleness,omitempty"`
-	ConservationOK bool           `json:"conservation_ok"`
+	ConservationOK   bool        `json:"conservation_ok"`
 	// Clocks echoes the report's per-rank clock-offset estimates
 	// (multi-process runs only). ClockAlignmentOK is false when any
 	// rank's residual exceeds the -max-clock-skew threshold; it stays
@@ -237,26 +219,6 @@ func analyze(rep *obs.Report, maxSkew time.Duration) *analysis {
 		sort.SliceStable(a.Stragglers, func(i, j int) bool {
 			return a.Stragglers[i].BlockedWallNs > a.Stragglers[j].BlockedWallNs
 		})
-	}
-
-	a.StalenessBound = rep.Config.StalenessBound
-	for _, rr := range rep.Ranks {
-		if len(rr.GhostStaleness) == 0 {
-			continue
-		}
-		row := stalenessRow{Rank: rr.Rank, Histogram: rr.GhostStaleness}
-		var weighted int64
-		for s, n := range rr.GhostStaleness {
-			row.Epochs += n
-			weighted += int64(s) * n
-			if n > 0 {
-				row.MaxStale = s
-			}
-		}
-		if row.Epochs > 0 {
-			row.MeanStale = float64(weighted) / float64(row.Epochs)
-		}
-		a.Staleness = append(a.Staleness, row)
 	}
 
 	a.ConservationOK = true
@@ -357,16 +319,6 @@ func (a *analysis) writeText(w *os.File, topN int) {
 		for _, k := range a.Kinds {
 			fmt.Fprintf(w, "  %-16s  %12v  %12v  %12d  %12d\n",
 				k.Kind, dur(k.BlockedWallNs), dur(k.ModeledNs), k.Msgs, k.BytesSent)
-		}
-	}
-
-	if len(a.Staleness) > 0 {
-		fmt.Fprintf(w, "\nasync ghost staleness (bound k=%d), per rank:\n", a.StalenessBound)
-		fmt.Fprintf(w, "  %-4s  %8s  %10s  %9s  %s\n",
-			"rank", "epochs", "mean-stale", "max-stale", "histogram")
-		for _, s := range a.Staleness {
-			fmt.Fprintf(w, "  %-4d  %8d  %10.2f  %9d  %v\n",
-				s.Rank, s.Epochs, s.MeanStale, s.MaxStale, s.Histogram)
 		}
 	}
 

@@ -10,11 +10,8 @@
 // ns/op fails beyond the generous time threshold (default +25%, CPU
 // noise is real); allocs/op fails on any increase (allocation counts
 // are deterministic, pooling regressions must fail loudly); bytes/op
-// follows the bytes threshold. Benchmarks flagged VolatileAllocs in
-// the suite (asynchronous end-to-end runs, whose allocation counts
-// depend on scheduling) record allocs/bytes under wall_-prefixed keys
-// the differ ignores, so only their ns/op is gated. Exit status: 0
-// clean, 1 regressions found, 2 usage or I/O error.
+// follows the bytes threshold. Exit status: 0 clean, 1 regressions
+// found, 2 usage or I/O error.
 package main
 
 import (
@@ -39,19 +36,12 @@ import (
 const ReportSchema = "dinfomap-bench/v1"
 
 // benchRecord is the per-benchmark median of the recorded runs.
-// Benchmarks with timing-dependent allocation counts (asynchronous
-// end-to-end runs drain a scheduling-dependent number of packets)
-// record allocs/bytes under the wall-prefixed keys instead, which the
-// regression differ ignores by convention — only their ns/op stays
-// gated, under the generous time threshold.
 type benchRecord struct {
-	Runs            int      `json:"runs"`
-	N               int      `json:"n"`
-	NsPerOp         float64  `json:"ns_per_op"`
-	AllocsPerOp     *float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp      *float64 `json:"bytes_per_op,omitempty"`
-	WallAllocsPerOp *float64 `json:"wall_allocs_per_op,omitempty"`
-	WallBytesPerOp  *float64 `json:"wall_bytes_per_op,omitempty"`
+	Runs        int     `json:"runs"`
+	N           int     `json:"n"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // benchReport is the dinfomap-bench/v1 document.
@@ -128,27 +118,16 @@ func main() {
 		// (GC bookkeeping, stack growth) that land inside the measured
 		// window once in hundreds of iterations. Round it away so the
 		// zero-allocation contract gates on real per-op allocations.
-		medAllocs := math.Round(median(allocs))
-		medBytes := median(bytes)
 		rec := benchRecord{
-			Runs:    *count,
-			N:       int(median(iters)),
-			NsPerOp: median(ns),
-		}
-		if bench.VolatileAllocs {
-			rec.WallAllocsPerOp = &medAllocs
-			rec.WallBytesPerOp = &medBytes
-		} else {
-			rec.AllocsPerOp = &medAllocs
-			rec.BytesPerOp = &medBytes
+			Runs:        *count,
+			N:           int(median(iters)),
+			NsPerOp:     median(ns),
+			AllocsPerOp: math.Round(median(allocs)),
+			BytesPerOp:  median(bytes),
 		}
 		rep.Benchmarks[bench.Name] = rec
-		volatileMark := ""
-		if bench.VolatileAllocs {
-			volatileMark = "  (allocs ungated: timing-dependent)"
-		}
-		fmt.Printf("%-24s %12.0f ns/op %12.0f allocs/op %14.0f B/op  (median of %d)%s\n",
-			bench.Name, rec.NsPerOp, medAllocs, medBytes, *count, volatileMark)
+		fmt.Printf("%-24s %12.0f ns/op %12.0f allocs/op %14.0f B/op  (median of %d)\n",
+			bench.Name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, *count)
 	}
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "dinfomap-bench: no benchmarks matched")

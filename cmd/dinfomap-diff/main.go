@@ -35,15 +35,12 @@ func main() {
 		verbose    = flag.Bool("v", false, "print informational findings, not just regressions")
 		parity     = flag.Bool("parity", false,
 			"compare two run-report FILES for cross-transport parity: deterministic fields bit-exact, host wall/wait times ignored")
-		quality = flag.Bool("quality", false,
-			"gate a candidate run-report FILE's codelength against a baseline report's within -codelength-tol (for async runs, where parity cannot hold)")
 		version = flag.Bool("version", false, "print build provenance and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: dinfomap-diff [flags] <baseline-dir> <candidate-dir>\n"+
-				"       dinfomap-diff -parity <report-a.json> <report-b.json>\n"+
-				"       dinfomap-diff -quality [-codelength-tol F] <baseline.json> <candidate.json>\n")
+				"       dinfomap-diff -parity <report-a.json> <report-b.json>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -57,9 +54,6 @@ func main() {
 	}
 	if *parity {
 		os.Exit(runParity(flag.Arg(0), flag.Arg(1)))
-	}
-	if *quality {
-		os.Exit(runQuality(flag.Arg(0), flag.Arg(1), *codelengthTol))
 	}
 
 	rep, err := regress.Diff(flag.Arg(0), flag.Arg(1), regress.Options{

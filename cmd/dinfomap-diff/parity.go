@@ -63,38 +63,3 @@ func loadNormalized(path string) ([]byte, error) {
 	obs.ScrubVolatile(rep)
 	return json.MarshalIndent(rep, "", "  ")
 }
-
-// runQuality gates a candidate run report's solution quality against a
-// baseline report: the candidate codelength may exceed the baseline's
-// by at most tol, relative. Timings, counters, and iteration counts
-// are out of scope — this is the gate for modes that deliberately
-// trade bit-reproducibility for wall clock (bounded-staleness
-// asynchronous runs), where parity cannot hold but quality must.
-func runQuality(basePath, candPath string, tol float64) int {
-	load := func(path string) (*obs.Report, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return obs.ParseReport(data)
-	}
-	base, err := load(basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dinfomap-diff:", err)
-		return 2
-	}
-	cand, err := load(candPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dinfomap-diff:", err)
-		return 2
-	}
-	rel := (cand.Quality.Codelength - base.Quality.Codelength) / base.Quality.Codelength
-	fmt.Printf("codelength: baseline %.6f, candidate %.6f (%+.3f%% relative, tolerance %.3f%%)\n",
-		base.Quality.Codelength, cand.Quality.Codelength, 100*rel, 100*tol)
-	if rel > tol {
-		fmt.Println("FAIL: candidate codelength beyond the quality gate")
-		return 1
-	}
-	fmt.Println("quality ok")
-	return 0
-}

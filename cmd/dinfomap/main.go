@@ -53,11 +53,9 @@ import (
 
 func main() {
 	var (
-		p              = flag.Int("p", 4, "number of ranks")
-		dHigh          = flag.Int("dhigh", 0, "delegate degree threshold (0 = auto; ignored with -p 1, which delegates nothing)")
-		seed           = flag.Uint64("seed", 1, "random seed")
-		asyncStaleness = flag.Int("async-staleness", 0,
-			"bounded-staleness async sweeps: ranks may proceed with ghost statistics up to k epochs stale (0 = synchronous, bit-reproducible)")
+		p         = flag.Int("p", 4, "number of ranks")
+		dHigh     = flag.Int("dhigh", 0, "delegate degree threshold (0 = auto; ignored with -p 1, which delegates nothing)")
+		seed      = flag.Uint64("seed", 1, "random seed")
 		dataset   = flag.String("dataset", "", "built-in dataset name instead of a file")
 		scale     = flag.Float64("scale", 1.0, "built-in dataset scale factor")
 		transport = flag.String("transport", "goroutine",
@@ -93,7 +91,7 @@ func main() {
 	}
 
 	launch := procLaunch{
-		p: *p, dHigh: *dHigh, seed: *seed, asyncStaleness: *asyncStaleness,
+		p: *p, dHigh: *dHigh, seed: *seed,
 		dataset: *dataset, scale: *scale, graphPath: flag.Arg(0),
 		tracePath: *tracePath, connectTimeout: *connectTimeout,
 	}
@@ -178,8 +176,7 @@ func main() {
 	}
 
 	cfg := dinfomap.DistributedConfig{
-		P: *p, DHigh: *dHigh, Seed: *seed,
-		StalenessBound: *asyncStaleness, Journal: journal,
+		P: *p, DHigh: *dHigh, Seed: *seed, Journal: journal,
 	}
 	start := time.Now()
 	var res *dinfomap.DistributedResult

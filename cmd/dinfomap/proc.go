@@ -44,7 +44,6 @@ import (
 // reproduce exactly: anything that shapes the graph or the algorithm.
 type procLaunch struct {
 	p, dHigh       int
-	asyncStaleness int
 	seed           uint64
 	dataset        string
 	scale          float64
@@ -183,7 +182,6 @@ func launchProcRanks(l procLaunch, journal *dinfomap.RunJournal, lm *dinfomap.Ru
 			"-p", strconv.Itoa(l.p),
 			"-dhigh", strconv.Itoa(l.dHigh),
 			"-seed", strconv.FormatUint(l.seed, 10),
-			"-async-staleness", strconv.Itoa(l.asyncStaleness),
 			"-connect-timeout", l.connectTimeout.String(),
 		}
 		if upAddr != "" {
@@ -254,7 +252,7 @@ func launchProcRanks(l procLaunch, journal *dinfomap.RunJournal, lm *dinfomap.Ru
 		arts[r] = a
 	}
 	cfg := dinfomap.DistributedConfig{
-		P: l.p, DHigh: l.dHigh, Seed: l.seed, StalenessBound: l.asyncStaleness,
+		P: l.p, DHigh: l.dHigh, Seed: l.seed,
 	}
 	res, err := dinfomap.AssembleDistributed(cfg, arts)
 	if err != nil {
@@ -338,8 +336,7 @@ func runChildRank(cc childConfig) error {
 
 	cfg := dinfomap.DistributedConfig{
 		P: l.p, DHigh: l.dHigh, Seed: l.seed,
-		StalenessBound: l.asyncStaleness,
-		Journal:        journal, Recorder: rec,
+		Journal: journal, Recorder: rec,
 	}
 	art, runErr := dinfomap.RunDistributedRank(g, cfg, tr)
 

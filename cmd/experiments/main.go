@@ -10,10 +10,10 @@
 //
 // Experiments: table1 fig4 fig5 table2 fig6 fig7 fig8 fig9 fig10
 // table3 ablations comms waitstates all, plus the measured-wall
-// experiments asyncfrontier and speedup (proc-mesh runs; excluded from
-// "all" because their numbers depend on the host's real clock, not the
-// deterministic cost model). Output is the same rows/series the paper
-// reports, as fixed-width text tables; with -json DIR each experiment
+// experiment speedup (proc-mesh runs; excluded from "all" because its
+// numbers depend on the host's real clock, not the deterministic cost
+// model). Output is the same rows/series the paper reports, as
+// fixed-width text tables; with -json DIR each experiment
 // additionally writes a machine-readable sibling DIR/<id>.json so
 // trajectory tooling can consume the numbers without parsing the text.
 package main
@@ -50,7 +50,7 @@ const envelopeSchema = "dinfomap-experiment/v1"
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1 fig4 fig5 table2 fig6 fig7 fig8 fig9 fig10 table3 ablations comms waitstates asyncfrontier speedup all)")
+		exp      = flag.String("exp", "all", "experiment id (table1 fig4 fig5 table2 fig6 fig7 fig8 fig9 fig10 table3 ablations comms waitstates speedup all)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor")
 		seed     = flag.Uint64("seed", 1, "random seed offset")
 		datasets = flag.String("datasets", "", "comma-separated dataset override")
@@ -185,17 +185,6 @@ func main() {
 				return nil, err
 			}
 			experiments.FormatWaitStates(w, rows)
-			return rows, nil
-		case "asyncfrontier":
-			dataset := ""
-			if len(ds) > 0 {
-				dataset = ds[0]
-			}
-			rows, err := experiments.RunAsyncFrontier(o, dataset, *p, ps)
-			if err != nil {
-				return nil, err
-			}
-			experiments.FormatAsyncFrontier(w, rows)
 			return rows, nil
 		case "speedup":
 			dataset := ""

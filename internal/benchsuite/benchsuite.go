@@ -14,15 +14,9 @@ import (
 )
 
 // Bench is one named benchmark runnable through testing.Benchmark.
-// VolatileAllocs marks benchmarks whose allocation counts are
-// timing-dependent (asynchronous runs drain a scheduling-dependent
-// number of packets per epoch), so the near-strict allocs gate cannot
-// apply: cmd/dinfomap-bench records their allocs/bytes under
-// wall-prefixed keys the regression differ ignores by convention.
 type Bench struct {
-	Name           string
-	F              func(b *testing.B)
-	VolatileAllocs bool
+	Name string
+	F    func(b *testing.B)
 }
 
 // Suite returns the primitive benchmarks in a fixed order: the three
@@ -35,12 +29,6 @@ func Suite() []Bench {
 		{Name: "DistributedInfomapP4", F: BenchDistributedInfomapP4},
 		{Name: "DelegatePartitioning", F: BenchDelegatePartitioning},
 		{Name: "SweepPass", F: BenchSweepPass},
-		// Both async benches have scheduling- and iteration-dependent
-		// allocation profiles: the end-to-end run drains a variable
-		// number of packets per epoch, and the epoch primitive's
-		// amortized history appends spread differently across b.N.
-		{Name: "AsyncEpoch", F: BenchAsyncEpoch, VolatileAllocs: true},
-		{Name: "DistributedAsyncP4K2", F: BenchDistributedAsyncP4K2, VolatileAllocs: true},
 		{Name: "CodecModuleInfo", F: BenchCodecModuleInfo},
 		{Name: "AlltoallvP4", F: BenchAlltoallvP4},
 	}
@@ -93,33 +81,6 @@ func BenchSweepPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.SweepPass()
-	}
-}
-
-// BenchAsyncEpoch times one bounded-staleness epoch exchange round
-// (partial encode + epoch bookkeeping + accumulate/materialize) on a
-// converged single-rank level: the hot path clusterAsync adds over the
-// synchronized loop, isolated from sweep compute.
-func BenchAsyncEpoch(b *testing.B) {
-	pg := plantedBenchGraph()
-	h := core.NewBenchLevel(pg.Graph, 7)
-	for h.SweepPass() > 0 {
-	}
-	h.AsyncEpoch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.AsyncEpoch()
-	}
-}
-
-// BenchDistributedAsyncP4K2 is the end-to-end asynchronous
-// counterpart of BenchDistributedInfomapP4: the same planted graph
-// clustered with a staleness bound of 2.
-func BenchDistributedAsyncP4K2(b *testing.B) {
-	pg := plantedBenchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dinfomap.RunDistributed(pg.Graph, dinfomap.DistributedConfig{P: 4, Seed: uint64(i), StalenessBound: 2})
 	}
 }
 

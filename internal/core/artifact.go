@@ -35,11 +35,6 @@ type RankArtifact struct {
 	// stage 2.
 	MinLabel [2]obs.MinLabelCounts `json:"min_label"`
 
-	// Staleness is the rank's ghost-staleness histogram from the
-	// asynchronous stage-1 sweeps (bucket s counts epochs swept against
-	// module statistics s epochs stale); nil on synchronous runs.
-	Staleness []int64 `json:"staleness,omitempty"`
-
 	Iterations []obs.IterationReport `json:"iterations,omitempty"`
 
 	// Partition is the delegate-layout balance summary. Every rank
@@ -182,12 +177,6 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 		res.PerRankMinLabel[r] = a.MinLabel
 		res.PerRankIterations[r] = a.Iterations
 		res.CommStats[r] = a.Stats
-		if a.Staleness != nil {
-			if res.PerRankStaleness == nil {
-				res.PerRankStaleness = make([][]int64, cfg.P)
-			}
-			res.PerRankStaleness[r] = a.Staleness
-		}
 		if b := a.Stats.TotalBytes(); b > res.MaxRankBytes {
 			res.MaxRankBytes = b
 		}
@@ -212,16 +201,6 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
 		trace.PhaseSwapBoundary, trace.PhaseRefreshRound1,
 		trace.PhaseRefreshRound2, trace.PhaseOther,
-	}
-	// Async runs accrue their exchange cost under the async-drain phase;
-	// synchronous runs never have the key, and omitting it there keeps
-	// their modeled-phase breakdown (and the golden result JSONs built
-	// from it) byte-identical to pre-async builds.
-	for _, a := range artifacts {
-		if _, ok := a.Phase[trace.PhaseAsyncDrain]; ok {
-			phases = append(phases, trace.PhaseAsyncDrain)
-			break
-		}
 	}
 	for _, ph := range phases {
 		var worst time.Duration
@@ -265,7 +244,6 @@ func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 		Evals:       rs.perRankEvals[rank],
 		MinLabel:    rs.perRankMinLabel[rank],
 		Iterations:  rs.perRankIters[rank],
-		Staleness:   rs.perRankStale[rank],
 		Partition:   rs.partStats,
 	}
 	if rank == 0 {

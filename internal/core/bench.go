@@ -16,7 +16,6 @@ type BenchLevel struct {
 	lv    *level
 	s     *sweepScratch
 	costs phaseCosts
-	as    *asyncState
 }
 
 // NewBenchLevel builds a single-rank level over g with singleton
@@ -50,21 +49,6 @@ func (b *BenchLevel) SweepPass() int {
 // Refresh runs one Module_Info refresh: partials to module homes,
 // authoritative stats back, and the closing MDL reduction.
 func (b *BenchLevel) Refresh() { b.lv.refresh(b.costs, 0) }
-
-// AsyncEpoch runs one bounded-staleness epoch round minus the sweep:
-// the eager partial encode + epoch broadcast bookkeeping, an
-// opportunistic drain, and the accumulate/materialize of the newest
-// complete epoch — the exchange hot path clusterAsync adds over the
-// synchronized loop. At p = 1 every epoch completes immediately, so
-// each call exercises the full encode/decode/rebuild cycle.
-func (b *BenchLevel) AsyncEpoch() {
-	if b.as == nil {
-		b.as = newAsyncState(b.lv)
-	}
-	b.as.sendEpoch(0, nil)
-	b.as.drain()
-	b.as.processReady()
-}
 
 // BenchCodecRound encodes recs into e (reset first) and decodes them
 // all back through d, returning the number of records decoded. It is

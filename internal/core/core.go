@@ -47,17 +47,6 @@ type Config struct {
 	// MaxSweeps bounds synchronized sweeps inside one clustering stage;
 	// <= 0 means 100.
 	MaxSweeps int
-	// StalenessBound selects the asynchronous sweep mode of stage 1:
-	// with k >= 1, ranks proceed through sweep epochs against ghost
-	// module statistics up to k epochs stale, sending Module_Info
-	// partials eagerly and draining peers' packets opportunistically
-	// between local move passes; a rank blocks only when the freshest
-	// complete epoch would exceed the bound (see clusterAsync). 0 (the
-	// default) is the fully synchronized loop, bit-for-bit identical to
-	// runs before this knob existed. Stage 2 operates on the contracted
-	// graph, whose sweeps are communication-cheap, and always runs
-	// synchronously.
-	StalenessBound int
 	// Seed randomizes per-rank vertex visit order.
 	Seed uint64
 	// CostModel converts measured work/traffic into modeled times; the
@@ -87,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweeps <= 0 {
 		c.MaxSweeps = 100
-	}
-	if c.StalenessBound < 0 {
-		c.StalenessBound = 0
 	}
 	if c.CostModel == (trace.CostModel{}) {
 		c.CostModel = trace.DefaultCostModel()
@@ -149,11 +135,6 @@ type Result struct {
 	// PerRankMinLabel[r] is rank r's count of minimum-label refusals,
 	// stage 1 then stage 2 (see obs.MinLabelCounts).
 	PerRankMinLabel [][2]obs.MinLabelCounts
-	// PerRankStaleness[r] is rank r's ghost-staleness histogram from the
-	// asynchronous stage-1 sweeps: bucket s counts epochs swept against
-	// module statistics s epochs stale (length StalenessBound+1; the
-	// gate makes larger staleness impossible). Nil on synchronous runs.
-	PerRankStaleness [][]int64
 
 	// PerRankIterations[r] is rank r's per-outer-iteration cost/traffic
 	// slices (stage 1 is outer 0, each merged level adds one): cumulative
@@ -261,7 +242,6 @@ func newRunState(g *graph.Graph, cfg *Config) *runState {
 		perRankEvals:       make([]int64, cfg.P),
 		perRankMinLabel:    make([][2]obs.MinLabelCounts, cfg.P),
 		perRankIters:       make([][]obs.IterationReport, cfg.P),
-		perRankStale:       make([][]int64, cfg.P),
 	}
 }
 
@@ -308,7 +288,6 @@ type runState struct {
 	perRankEvals       []int64
 	perRankMinLabel    [][2]obs.MinLabelCounts
 	perRankIters       [][]obs.IterationReport
-	perRankStale       [][]int64
 
 	out rankOutput
 }

@@ -490,8 +490,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 		rs.newOwned = append(rs.newOwned, int32(slot))
 		for _, dstRank := range rs.oSubs[slot] {
 			e := sb.For(int(dstRank))
-			unchanged := !lv.cfg.NoDedup && !lv.forceFullInfo &&
-				lv.sentVersion[dstRank][slot] == lv.modVersion[slot]
+			unchanged := !lv.cfg.NoDedup && lv.sentVersion[dstRank][slot] == lv.modVersion[slot]
 			if unchanged {
 				// Short form: the subscriber already has this version.
 				ModuleInfo{ModID: m, IsSent: true}.encodeShort(e)
@@ -591,10 +590,6 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 		Ops: r2Ops, Msgs: msgs, Bytes: bytes,
 		WaitNs: waitDelta(before, after),
 	})
-	// forceFullInfo is one-shot: the full-record round just completed
-	// repaired the sentVersion/delivered bookkeeping, so later refreshes
-	// can deduplicate again.
-	lv.forceFullInfo = false
 	return numModules
 }
 

@@ -109,7 +109,7 @@ func TestHubSwapRule(t *testing.T) {
 // it reaches only through rank 1's vertices and is marked as having
 // left last. The return is refused when the ring's id is the larger one
 // (leaving 0 inactive) and applied when it is the smaller one; the rule
-// is off under NoMinLabel and inside asynchronous epochs.
+// is off under NoMinLabel.
 func TestReturnRule(t *testing.T) {
 	// Odd vertices (rank 1) form a ring, vertex 0 (rank 0) links to
 	// three of them, and the even vertices 2..8 form a ring of their own.
@@ -131,15 +131,13 @@ func TestReturnRule(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		cfg      Config
-		epochs   bool
 		comm     []int
 		moved    bool
 		refusals int64
 	}{
-		{"into larger id", Config{}, false, ringIn(9, 0), false, 1},
-		{"into smaller id", Config{}, false, ringIn(1, 4), true, 0},
-		{"NoMinLabel", Config{NoMinLabel: true}, false, ringIn(9, 0), true, 0},
-		{"async epoch", Config{}, true, ringIn(9, 0), true, 0},
+		{"into larger id", Config{}, ringIn(9, 0), false, 1},
+		{"into smaller id", Config{}, ringIn(1, 4), true, 0},
+		{"NoMinLabel", Config{NoMinLabel: true}, ringIn(9, 0), true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ringMod, from := tc.comm[1], tc.comm[0]
@@ -150,7 +148,6 @@ func TestReturnRule(t *testing.T) {
 				s := lv.newScratch()
 				i := int(lv.evalIndexOf[0])
 				lv.lastFrom[i] = int32(ringMod)
-				lv.epochs = tc.epochs
 				lv.active[i] = false // as sweep does before evaluating
 				moved := lv.moveVertex(s, i, 0)
 				if moved != tc.moved || lv.refusedReturns != tc.refusals {

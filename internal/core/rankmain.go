@@ -41,11 +41,6 @@ type clusterOutcome struct {
 	finalL     float64
 	numModules int64
 	liveBefore int64
-
-	// staleHist is the ghost-staleness histogram of an asynchronous run
-	// (staleHist[s] counts epochs swept s epochs stale); nil when the
-	// synchronized loop ran.
-	staleHist []int64
 }
 
 // cluster runs the synchronized clustering loop on one level
@@ -70,11 +65,7 @@ func (lv *level) cluster(costs phaseCosts) clusterOutcome {
 		lv.timer.Start(trace.PhaseFindBestModule)
 		jt := lv.jlog.Now()
 		evalsBefore := lv.deltaEvals
-		if lv.polish {
-			lv.dampP = 0
-		} else {
-			lv.dampP = dampProb(iter)
-		}
+		lv.dampP = dampProb(iter)
 		moves, deferred, cands := lv.sweep(s, passBudget(iter))
 		lv.timer.Stop(trace.PhaseFindBestModule)
 		costs.add(trace.PhaseFindBestModule, trace.RankCost{Ops: lv.deltaEvals - evalsBefore})
@@ -169,17 +160,9 @@ func (lv *level) cluster(costs phaseCosts) clusterOutcome {
 		if rel := 5e-4 * bestL; rel > stallEps {
 			stallEps = rel
 		}
-		// The polish phase after an async run starts from an already
-		// near-converged partition, so its first stalled round is the
-		// signal to stop; waiting for a second just repeats a no-op
-		// sweep at full synchronization cost.
-		stallLimit := 2
-		if lv.polish {
-			stallLimit = 1
-		}
 		if l >= bestL-stallEps {
 			stalled++
-			if stalled >= stallLimit {
+			if stalled >= 2 {
 				break
 			}
 		} else {
@@ -257,19 +240,9 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 
 	costs1 := make(phaseCosts)
 	t0 := time.Now()
-	var oc clusterOutcome
-	if cfg.StalenessBound > 0 {
-		// Bounded-staleness mode replaces only stage 1's synchronized
-		// loop; stage 2 levels are small enough that their collectives
-		// are not the bottleneck, and keeping them synchronous preserves
-		// the exact merge semantics.
-		oc = lv.clusterAsync(costs1)
-	} else {
-		oc = lv.cluster(costs1)
-	}
+	oc := lv.cluster(costs1)
 	wall1 := time.Since(t0)
 
-	staleHist := oc.staleHist // stage-1 only; the loop below reuses oc
 	initialL := initialCodelengthOf(lv)
 	mdlTrace := []float64{oc.finalL}
 	n0 := int64(lv.idSpace)
@@ -374,9 +347,6 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	rs.perRankEvals[rank] = deltaEvals
 	rs.perRankMinLabel[rank] = minLabel
 	rs.perRankIters[rank] = iterRecs
-	if staleHist != nil {
-		rs.perRankStale[rank] = staleHist
-	}
 	if rank == 0 {
 		rs.out.communities = full
 		rs.out.mdlTrace = mdlTrace

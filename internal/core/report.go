@@ -20,11 +20,10 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 			TotalWeight: g.TotalWeight(),
 		},
 		Config: obs.ConfigInfo{
-			P:              cfg.P,
-			DHigh:          cfg.DHigh,
-			Seed:           cfg.Seed,
-			Theta:          cfg.Theta,
-			StalenessBound: cfg.StalenessBound,
+			P:     cfg.P,
+			DHigh: cfg.DHigh,
+			Seed:  cfg.Seed,
+			Theta: cfg.Theta,
 		},
 		Quality: obs.QualityInfo{
 			Codelength:        res.Codelength,
@@ -116,9 +115,6 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 		}
 		if r < len(res.Transports) {
 			rr.Transport = res.Transports[r]
-		}
-		if r < len(res.PerRankStaleness) {
-			rr.GhostStaleness = res.PerRankStaleness[r]
 		}
 		rep.Ranks = append(rep.Ranks, rr)
 	}

@@ -143,21 +143,6 @@ type level struct {
 	jstage uint8
 	jouter uint16
 
-	// forceFullInfo makes the next refresh send full Module_Info records
-	// regardless of the isSent version bookkeeping. The asynchronous
-	// epochs (clusterAsync) move vertices without refresh's version
-	// accounting, so the closing synchronous refresh cannot trust
-	// sentVersion: a module whose stats drifted and returned would match
-	// a stale cached delivery. Never set on the synchronous path.
-	forceFullInfo bool
-
-	// polish marks the short synchronized convergence phase that closes
-	// an asynchronous run: the partition is already near-converged, so
-	// the move damping that guards fresh starts against oscillation is
-	// skipped (deferred moves would otherwise keep the convergence vote
-	// alive for several pointless rounds).
-	polish bool
-
 	rng        *gen.RNG
 	deltaEvals int64
 	// dampP is the current remote-move deferral probability (set per
@@ -166,10 +151,6 @@ type level struct {
 	// deferred counts remote moves deferred by damping in the latest
 	// pass; deferred work keeps the convergence vote alive.
 	deferred int
-	// epochs marks clusterAsync's bounded-staleness epochs, whose ghost
-	// statistics may be several epochs old: the partner of a bounce is
-	// not acting on the same snapshot, so the return rule stays off.
-	epochs bool
 	// refusedReturns counts moves refused by the return rule, and
 	// skippedSwaps delegate moves dropped by the hub swap rule, over
 	// the level's lifetime.

@@ -262,7 +262,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	// same round, and both would repeat it every round. Only the return
 	// toward the smaller label is applied; the refused vertex stays
 	// inactive until its neighbourhood changes again.
-	if !escape && !lv.cfg.NoMinLabel && !lv.epochs && s.remote[bestC] &&
+	if !escape && !lv.cfg.NoMinLabel && s.remote[bestC] &&
 		int32(bestC) == lv.lastFrom[i] && bestC > from {
 		lv.refusedReturns++
 		lv.clearWTo(s)

@@ -37,13 +37,6 @@ func (e *Encoder) PutInt(v int) { e.PutU64(uint64(int64(v))) }
 // PutF64 appends a float64.
 func (e *Encoder) PutF64(v float64) { e.PutU64(math.Float64bits(v)) }
 
-// PutRaw appends pre-encoded bytes verbatim, with no length prefix.
-// The caller owns the framing: the bytes must themselves be a sequence
-// of records the receiver knows how to delimit. It exists so a payload
-// section built once can be stamped into many per-destination packets
-// without re-encoding record by record.
-func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
-
 // PutBool appends a bool as one byte.
 func (e *Encoder) PutBool(v bool) {
 	if v {

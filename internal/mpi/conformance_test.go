@@ -141,118 +141,6 @@ func TestConformanceTagMatching(t *testing.T) {
 	}
 }
 
-// TestConformanceTryRecv pins the non-blocking half of the receive
-// contract on both backends: a miss returns immediately with ok=false,
-// a hit returns queued messages in per-(src,tag) send order, and hits
-// are accounted as queue residency, never as blocked wait.
-func TestConformanceTryRecv(t *testing.T) {
-	const n = 10
-	for _, b := range backendRunners() {
-		t.Run(b.name, func(t *testing.T) {
-			stats := b.run(t, 2, func(c *Comm) {
-				if c.Rank() == 0 {
-					c.Send(1, 5, []byte("a"))
-					c.Send(1, 6, []byte("b"))
-					for i := 0; i < n; i++ {
-						c.Send(1, 7, []byte{byte(i)})
-					}
-					c.Send(1, 9, []byte("ready"))
-					return
-				}
-				if _, _, ok := c.TryRecv(0, 99); ok {
-					t.Error("TryRecv hit on a tag never sent")
-				}
-				// The ready message is sent last on the same (src) stream,
-				// so once it matches, every earlier send is queued.
-				c.Recv(0, 9)
-				if data, from, ok := c.TryRecv(0, 6); !ok || from != 0 || string(data) != "b" {
-					t.Errorf("TryRecv(0,6) = %q from %d ok=%v, want \"b\" from 0", data, from, ok)
-				}
-				if _, _, ok := c.TryRecv(0, 6); ok {
-					t.Error("TryRecv matched tag 6 twice")
-				}
-				if data, _, ok := c.TryRecv(0, 5); !ok || string(data) != "a" {
-					t.Errorf("TryRecv(0,5) = %q ok=%v, want \"a\"", data, ok)
-				}
-				// Drain-available: same tag drains in send order, then misses.
-				for i := 0; i < n; i++ {
-					data, _, ok := c.TryRecv(0, 7)
-					if !ok || len(data) != 1 || data[0] != byte(i) {
-						t.Errorf("drain %d: got %v ok=%v", i, data, ok)
-					}
-				}
-				if _, _, ok := c.TryRecv(0, 7); ok {
-					t.Error("TryRecv hit after the tag-7 stream drained")
-				}
-			}, WithTimeout(10*time.Second))
-			s := stats[1]
-			if want := int64(n + 3); s.MsgsRecv != want {
-				t.Errorf("MsgsRecv = %d, want %d (TryRecv hits must count)", s.MsgsRecv, want)
-			}
-			// Only the one blocking Recv may bill blocked wait; the n+2
-			// TryRecv hits must all land in queue residency.
-			if s.RecvsBlocked > 1 {
-				t.Errorf("RecvsBlocked = %d, want <= 1 (TryRecv never blocks)", s.RecvsBlocked)
-			}
-			if !s.Conserved() {
-				t.Errorf("wait-state counters broke conservation: %+v", s)
-			}
-		})
-	}
-}
-
-// TestConformanceTryRecvPoison pins TryRecv's failure semantics on both
-// backends: messages already delivered still drain from a poisoned
-// world, and the first empty poll afterwards unwinds with the
-// originating cause instead of letting the rank spin on a dead world.
-func TestConformanceTryRecvPoison(t *testing.T) {
-	for _, b := range backendRunners() {
-		t.Run(b.name, func(t *testing.T) {
-			var msg string
-			var mu sync.Mutex
-			fn := func(c *Comm) {
-				if c.Rank() == 0 {
-					defer func() {
-						if p := recover(); p != nil {
-							mu.Lock()
-							msg = fmt.Sprint(p)
-							mu.Unlock()
-							panic(p)
-						}
-					}()
-					c.Send(0, 9, []byte("queued-before-death"))
-					c.Recv(1, 8) // released only when rank 1 is about to die
-					if data, _, ok := c.TryRecv(0, 9); !ok || string(data) != "queued-before-death" {
-						panic(fmt.Sprintf("pending message lost to poison: %q ok=%v", data, ok))
-					}
-					for { // empty polls must eventually observe the poison
-						c.TryRecv(1, 77)
-						time.Sleep(time.Millisecond)
-					}
-				}
-				c.Send(0, 8, []byte("go"))
-				time.Sleep(20 * time.Millisecond)
-				panic("drain-side boom")
-			}
-			if b.name == "goroutine" {
-				func() {
-					defer func() { recover() }()
-					Run(2, fn, WithTimeout(10*time.Second))
-				}()
-			} else {
-				runProcWorldErrs(t, 2, fn, WithTimeout(10*time.Second))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, want := range []string{"drain-side boom", "TryRecv(src=1, tag=77)", "cause:"} {
-				if !strings.Contains(msg, want) {
-					t.Errorf("TryRecv poison panic %q missing %q", msg, want)
-				}
-			}
-		})
-	}
-}
-
 func TestConformanceCollectives(t *testing.T) {
 	const p = 4
 	for _, b := range backendRunners() {

@@ -52,23 +52,6 @@ func (t *goroutineTransport) Recv(src, tag int) ([]byte, int, time.Duration) {
 	}
 }
 
-// TryRecv is the non-blocking matcher: one pass over the inbox, no
-// timer, no wait. Pending messages drain even from a poisoned world so
-// data already delivered is not lost; only an *empty* match on a dead
-// world unwinds with the poison cause, mirroring Recv's failure path.
-func (t *goroutineTransport) TryRecv(src, tag int) ([]byte, int, time.Duration, bool) {
-	ib := t.w.inboxes[t.rank]
-	if m, ok := ib.take(src, tag); ok {
-		return m.data, m.src, m.sentAt, true
-	}
-	select {
-	case <-t.w.fail.poison:
-		poisonRecvPanic(t.rank, "TryRecv", src, tag, 0, t.w.fail.failure(), ib)
-	default:
-	}
-	return nil, 0, 0, false
-}
-
 func (t *goroutineTransport) Sync() {
 	t.w.barrier.wait(&t.w.fail, t.rank, t.w.timeout)
 }

@@ -516,31 +516,6 @@ func (c *Comm) Recv(src, tag int) (data []byte, from int) {
 	return data, from
 }
 
-// TryRecv returns the first queued message matching (src, tag), or
-// ok=false immediately when none is pending — the drain-available
-// primitive of the asynchronous sweep mode. A hit is accounted exactly
-// like a blocking Recv that found its message already queued: no
-// blocked wait (the caller never waited), queue residency charged from
-// the sender's stamp. A miss costs nothing.
-func (c *Comm) TryRecv(src, tag int) (data []byte, from int, ok bool) {
-	start := c.t.Now()
-	data, from, sentAt, ok := c.t.TryRecv(src, tag)
-	if !ok {
-		return nil, 0, false
-	}
-	k := c.kindForTag(tag)
-	_, queueNs, _ := ClassifyRecvWait(start, start, sentAt)
-	c.countRecv(k, int64(len(data)), 0, queueNs, false)
-	if rec := c.rec; rec != nil {
-		rec.AddP2P(c.rank, P2PEvent{
-			Src: from, Tag: tag, Kind: k,
-			Bytes:  int64(len(data)),
-			SentAt: sentAt, RecvStart: start, RecvEnd: c.t.Now(),
-		})
-	}
-	return data, from, true
-}
-
 // slotStamper is an optional transport capability: a transport with a
 // real wire can stamp each slot collective's per-source matches
 // (send stamp, receive window) so recorded runs get p2p events for

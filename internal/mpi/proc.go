@@ -589,22 +589,6 @@ func (t *ProcTransport) Recv(src, tag int) ([]byte, int, time.Duration) {
 	return m.data, m.src, m.sentAt
 }
 
-// TryRecv is the non-blocking matcher: one pass over the shared inbox
-// the per-peer readers feed, no timer, no wait. Frames already read off
-// the wire drain even from a poisoned world; only an empty match on a
-// dead world unwinds with the poison cause, mirroring recvMatch.
-func (t *ProcTransport) TryRecv(src, tag int) ([]byte, int, time.Duration, bool) {
-	if m, ok := t.ib.take(src, tag); ok {
-		return m.data, m.src, m.sentAt, true
-	}
-	select {
-	case <-t.fail.poison:
-		poisonRecvPanic(t.rank, "TryRecv", src, tag, 0, t.fail.failure(), t.ib)
-	default:
-	}
-	return nil, 0, 0, false
-}
-
 // Sync is a dissemination barrier: ceil(log2 p) rounds, each sending a
 // generation-and-round-tagged token to rank+2^r and waiting for the
 // token from rank-2^r. When the rounds complete, every rank is known to

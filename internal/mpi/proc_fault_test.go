@@ -25,7 +25,6 @@ const (
 	helperRankEnv = "DINFOMAP_MPI_RANK"
 	helperSizeEnv = "DINFOMAP_MPI_SIZE"
 	helperDirEnv  = "DINFOMAP_MPI_DIR"
-	helperModeEnv = "DINFOMAP_MPI_MODE" // "sweep" (default) or "asyncdrain"
 )
 
 // TestMain reroutes re-executions of the test binary into the helper
@@ -78,51 +77,6 @@ func helperRankMain() {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if os.Getenv(helperModeEnv) == "asyncdrain" {
-		// The bounded-staleness epoch pattern instead of collectives:
-		// eager per-epoch sends to every peer, opportunistic TryRecv
-		// drains, and a blocking gate two epochs back — the loop shape
-		// of core's clusterAsync. The kill lands while survivors sit in
-		// TryRecv/Recv on the victim, not in a collective.
-		body = func(c *Comm) {
-			payload := []byte{0xA5}
-			seen := make([]int, c.Size())
-			for r := range seen {
-				seen[r] = -1
-			}
-			for e := 0; ; e++ {
-				for dst := 0; dst < c.Size(); dst++ {
-					if dst != c.Rank() {
-						c.Send(dst, TagFor(KindModuleInfo, e), payload)
-					}
-				}
-				for src := 0; src < c.Size(); src++ {
-					if src == c.Rank() {
-						continue
-					}
-					for {
-						_, _, ok := c.TryRecv(src, TagFor(KindModuleInfo, seen[src]+1))
-						if !ok {
-							break
-						}
-						seen[src]++
-					}
-					// The staleness gate: epoch e may proceed only once
-					// every peer's epoch e-2 has arrived.
-					for seen[src] < e-2 {
-						c.Recv(src, TagFor(KindModuleInfo, seen[src]+1))
-						seen[src]++
-					}
-				}
-				if e == 10 {
-					// Gate e=10 passing means every peer reached epoch 8+:
-					// the whole world is provably mid-drain.
-					fmt.Println("HELPER-MIDSWEEP")
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
 	_, err = RunRank(tr, nil, body)
 	if err != nil {
 		fmt.Println("HELPER-POISONED:", err)
@@ -164,20 +118,6 @@ func (b *lockedBuffer) String() string {
 // promptly with a poison error naming the lost peer — connection-loss
 // detection, not the 20s deadlock watchdog.
 func TestProcRankProcessKilledMidSweep(t *testing.T) {
-	testKilledRankPoison(t, "sweep")
-}
-
-// TestProcRankProcessKilledMidAsyncDrain is the same kill, landed
-// while the survivors run the bounded-staleness epoch loop — eager
-// sends, opportunistic TryRecv drains, and a blocking staleness gate
-// on specific peers. A victim dying between epochs must poison the
-// survivors out of their point-to-point waits just as cleanly as out
-// of a collective.
-func TestProcRankProcessKilledMidAsyncDrain(t *testing.T) {
-	testKilledRankPoison(t, "asyncdrain")
-}
-
-func testKilledRankPoison(t *testing.T, mode string) {
 	const size, victim = 4, 2
 	exe, err := os.Executable()
 	if err != nil {
@@ -195,7 +135,6 @@ func testKilledRankPoison(t *testing.T, mode string) {
 			fmt.Sprintf("%s=%d", helperRankEnv, r),
 			fmt.Sprintf("%s=%d", helperSizeEnv, size),
 			helperDirEnv+"="+dir,
-			helperModeEnv+"="+mode,
 		)
 		buf := &lockedBuffer{}
 		if r == victim {

@@ -51,14 +51,6 @@ type Transport interface {
 	// returns its payload, actual source, and the sender's send stamp.
 	// src may be AnySource. The payload is owned by the caller.
 	Recv(src, tag int) (data []byte, from int, sentAt time.Duration)
-	// TryRecv is the non-blocking half of Recv: it returns the first
-	// message matching (src, tag) if one is already queued, and ok=false
-	// immediately otherwise. A poisoned world panics with the originating
-	// cause (same unwind as a blocked Recv) once no matching message
-	// remains, so a rank polling in a drain loop cannot spin past a dead
-	// world. The payload is owned by the caller.
-	TryRecv(src, tag int) (data []byte, from int, sentAt time.Duration, ok bool)
-
 	// Sync blocks until every rank has entered the same synchronization
 	// point. No cost accounting — Comm charges around it.
 	Sync()

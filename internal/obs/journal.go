@@ -40,12 +40,6 @@ const (
 	// zero-duration event emitted when a rank finishes one outer
 	// iteration, whose counters carry that iteration's traffic delta.
 	PhaseOuterIter
-	// PhaseAsyncDrain is the exchange span of one asynchronous epoch
-	// (Config.StalenessBound > 0): the staleness gate, opportunistic
-	// packet drain, complete-epoch rebuild, and eager partial send. Its
-	// Stale field carries the staleness of the ghost statistics the
-	// epoch's sweep ran against. Synchronous runs never emit it.
-	PhaseAsyncDrain
 	numPhases
 )
 
@@ -68,8 +62,6 @@ func (p PhaseID) Name() string {
 		return trace.PhaseMergeShuffle
 	case PhaseOuterIter:
 		return trace.PhaseOuterIter
-	case PhaseAsyncDrain:
-		return trace.PhaseAsyncDrain
 	}
 	return "Unknown"
 }
@@ -97,12 +89,9 @@ type Event struct {
 
 	Moves    int32 // vertex moves applied in the span
 	Deferred int32 // cross-boundary moves deferred by damping
-	// Stale is the ghost-statistics staleness (in epochs) of an
-	// asynchronous sweep's PhaseAsyncDrain span; 0 on all other events.
-	Stale int32
-	Ops   int64 // counted work (delta-L evals, candidates, ghosts, modules)
-	Msgs  int64 // messages sent (p2p + modeled collective steps)
-	Bytes int64 // bytes sent (p2p + modeled collective payloads)
+	Ops      int64 // counted work (delta-L evals, candidates, ghosts, modules)
+	Msgs     int64 // messages sent (p2p + modeled collective steps)
+	Bytes    int64 // bytes sent (p2p + modeled collective payloads)
 	// WaitNs is the time this rank spent blocked on communication within
 	// the span (late senders + barrier/collective skew; mpi.Stats
 	// BlockedNs delta). Measured host time, nondeterministic run to run.

@@ -29,10 +29,6 @@ var spanDurationBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10,
 }
 
-// stalenessBuckets covers the useful range of the asynchronous-sweep
-// staleness bound (epochs; the bound is small by design).
-var stalenessBuckets = []float64{0, 1, 2, 4, 8}
-
 // Metrics aggregates a journal's live event flow into a Registry and
 // serves it in Prometheus text format.
 type Metrics struct {
@@ -46,7 +42,6 @@ type Metrics struct {
 	spanBytes  *Vec
 	spanDur    *Vec // {phase} histogram, seconds
 	outerIters *Vec // {rank}
-	staleness  *Vec // {rank} histogram, epochs
 
 	commKindBytes *Vec // {rank, kind, direction}
 	commKindMsgs  *Vec // {rank, kind, direction}
@@ -98,9 +93,6 @@ func RunMetrics(j *Journal) *Metrics {
 			"Host wall-clock span durations by phase.", spanDurationBuckets, "phase"),
 		outerIters: reg.Counter("dinfomap_outer_iterations_total",
 			"Outer iterations completed, by rank.", "rank"),
-		staleness: reg.Histogram("dinfomap_ghost_staleness",
-			"Ghost-statistics staleness (epochs) of asynchronous sweep gates, by rank.",
-			stalenessBuckets, "rank"),
 
 		commKindBytes: reg.Counter("dinfomap_comm_kind_bytes_total",
 			"Cumulative rank traffic bytes by message kind and direction (sent, recv, collective).", "rank", "kind", "direction"),
@@ -176,9 +168,6 @@ func (m *Metrics) observe(ev StreamEvent) {
 		return
 	}
 	phase := ev.Phase.Name()
-	if ev.Phase == PhaseAsyncDrain {
-		m.staleness.With(rank).Observe(float64(ev.Stale))
-	}
 	m.spanEvents.With(rank, phase).Add(1)
 	m.spanMoves.With(rank, phase).Add(float64(ev.Moves))
 	m.spanOps.With(rank, phase).Add(float64(ev.Ops))

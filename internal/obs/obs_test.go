@@ -55,7 +55,6 @@ func TestPhaseNames(t *testing.T) {
 	want := []string{
 		"FindBestModule", "BroadcastDelegates", "SwapBoundaryInfo", "Other",
 		"refresh-round1", "refresh-round2", "merge-shuffle", "outer-iteration",
-		"async-drain",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("PhaseNames = %v", names)

@@ -28,8 +28,8 @@ import (
 )
 
 // streamEventWire is the fixed binary size of one encoded StreamEvent:
-// 15 little-endian 64-bit fields (rank, seq, and the 13 Event fields).
-const streamEventWire = 15 * 8
+// 14 little-endian 64-bit fields (rank, seq, and the 12 Event fields).
+const streamEventWire = 14 * 8
 
 // EncodeStreamEvent serializes ev in the codec's fixed-width
 // little-endian format (the uplink's UplinkTagEvent payload).
@@ -45,7 +45,6 @@ func EncodeStreamEvent(ev StreamEvent) []byte {
 	e.PutI64(int64(ev.End))
 	e.PutInt(int(ev.Moves))
 	e.PutInt(int(ev.Deferred))
-	e.PutInt(int(ev.Stale))
 	e.PutI64(ev.Ops)
 	e.PutI64(ev.Msgs)
 	e.PutI64(ev.WaitNs)
@@ -70,7 +69,6 @@ func DecodeStreamEvent(b []byte) (StreamEvent, error) {
 	ev.End = time.Duration(d.I64())
 	ev.Moves = int32(d.Int())
 	ev.Deferred = int32(d.Int())
-	ev.Stale = int32(d.Int())
 	ev.Ops = d.I64()
 	ev.Msgs = d.I64()
 	ev.WaitNs = d.I64()

@@ -19,7 +19,7 @@ func TestStreamEventCodecRoundTrip(t *testing.T) {
 		Event: Event{
 			Stage: 2, Outer: 7, Iter: -1, Phase: PhaseID(4),
 			Start: 123456789 * time.Nanosecond, End: 987654321 * time.Nanosecond,
-			Moves: -5, Deferred: 11, Stale: 3,
+			Moves: -5, Deferred: 11,
 			Ops: 1 << 40, Msgs: 42, WaitNs: 7_000_000, Bytes: 1 << 33,
 		},
 	}

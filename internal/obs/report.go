@@ -197,12 +197,6 @@ type RankReport struct {
 	// poison events). Schema addition (v1-compatible); absent on
 	// in-process runs, which have no wire.
 	Transport *mpi.TransportStats `json:"transport,omitempty"`
-	// GhostStaleness is the rank's asynchronous-sweep staleness
-	// histogram: bucket s counts epochs swept against ghost module
-	// statistics s epochs stale (s is bounded by the configured
-	// staleness bound). Schema addition (v1-compatible); absent on
-	// synchronous runs.
-	GhostStaleness []int64 `json:"ghost_staleness,omitempty"`
 }
 
 // GraphInfo summarizes the input graph.
@@ -218,9 +212,6 @@ type ConfigInfo struct {
 	DHigh int     `json:"dhigh"`
 	Seed  uint64  `json:"seed"`
 	Theta float64 `json:"theta"`
-	// StalenessBound is the asynchronous-sweep staleness bound k.
-	// Schema addition (v1-compatible); omitted on synchronous runs.
-	StalenessBound int `json:"staleness_bound,omitempty"`
 }
 
 // QualityInfo records the partition quality outputs.

@@ -48,11 +48,6 @@ const (
 	// zero-duration event whose counters carry the iteration's cumulative
 	// traffic delta (stage 1 is outer 0; each merged level adds one).
 	PhaseOuterIter = "outer-iteration"
-	// PhaseAsyncDrain is the exchange span of one asynchronous
-	// bounded-staleness epoch: staleness gate, opportunistic drain,
-	// complete-epoch rebuild, and the eager Module_Info partial send.
-	// Only emitted when Config.StalenessBound > 0.
-	PhaseAsyncDrain = "async-drain"
 )
 
 // Timer accumulates wall time and operation counts per named phase for
