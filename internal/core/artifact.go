@@ -8,7 +8,6 @@ import (
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/partition"
-	"dinfomap/internal/trace"
 )
 
 // RankArtifact is everything one rank contributes to a Result. The
@@ -21,11 +20,10 @@ type RankArtifact struct {
 	Rank  int       `json:"rank"`
 	Stats mpi.Stats `json:"stats"`
 
-	// Phase / Stage2 / Stage2Phase are the rank's measured costs
-	// (stage-1 per phase, stage-2 total, stage-2 per phase).
-	Phase       map[string]trace.RankCost `json:"phase,omitempty"`
-	Stage2      trace.RankCost            `json:"stage2"`
-	Stage2Phase map[string]trace.RankCost `json:"stage2_phase,omitempty"`
+	// Phase / Stage2Phase are the rank's measured costs per phase in
+	// stage 1 and stage 2.
+	Phase       PhaseCosts `json:"phase"`
+	Stage2Phase PhaseCosts `json:"stage2_phase"`
 
 	Wall1Ns int64 `json:"wall1_ns"`
 	Wall2Ns int64 `json:"wall2_ns"`
@@ -152,9 +150,8 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 
 	// Publish the raw per-rank measurements (telemetry consumers build
 	// the JSON run report from these).
-	res.PerRankPhase = make([]map[string]trace.RankCost, cfg.P)
-	res.PerRankStage2 = make([]trace.RankCost, cfg.P)
-	res.PerRankStage2Phase = make([]map[string]trace.RankCost, cfg.P)
+	res.PerRankPhase = make([]PhaseCosts, cfg.P)
+	res.PerRankStage2Phase = make([]PhaseCosts, cfg.P)
 	res.PerRankWall1 = make([]time.Duration, cfg.P)
 	res.PerRankWall2 = make([]time.Duration, cfg.P)
 	res.PerRankEvals = make([]int64, cfg.P)
@@ -169,7 +166,6 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 			res.Transports[r] = a.Transport
 		}
 		res.PerRankPhase[r] = a.Phase
-		res.PerRankStage2[r] = a.Stage2
 		res.PerRankStage2Phase[r] = a.Stage2Phase
 		res.PerRankWall1[r] = time.Duration(a.Wall1Ns)
 		res.PerRankWall2[r] = time.Duration(a.Wall2Ns)
@@ -195,36 +191,22 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	// aggregating at stage granularity is accurate because delegate
 	// partitioning keeps ranks balanced within each iteration).
 	model := cfg.CostModel
-	res.PhaseModeled = make(map[string]time.Duration)
-	res.PhaseOps = make(map[string]int64)
-	phases := []string{
-		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-		trace.PhaseSwapBoundary, trace.PhaseRefreshRound1,
-		trace.PhaseRefreshRound2, trace.PhaseOther,
-	}
-	for _, ph := range phases {
+	res.PhaseModeled = make(map[string]time.Duration, stage1Phases)
+	for ph := obs.PhaseID(0); ph < stage1Phases; ph++ {
 		var worst time.Duration
-		var worstOps int64
 		for _, a := range artifacts {
-			c := a.Phase[ph]
-			if t := model.Time(c); t > worst {
+			if t := model.Time(a.Phase[ph]); t > worst {
 				worst = t
 			}
-			if c.Ops > worstOps {
-				worstOps = c.Ops
-			}
 		}
-		res.PhaseModeled[ph] = worst
-		res.PhaseOps[ph] = worstOps
+		res.PhaseModeled[ph.Name()] = worst
 		res.Stage1Modeled += worst
 	}
-	var worst2 time.Duration
 	for _, a := range artifacts {
-		if t := model.Time(a.Stage2); t > worst2 {
-			worst2 = t
+		if t := model.Time(a.Stage2Phase.Total()); t > res.Stage2Modeled {
+			res.Stage2Modeled = t
 		}
 	}
-	res.Stage2Modeled = worst2
 	return res, nil
 }
 
@@ -237,7 +219,6 @@ func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 		Rank:        rank,
 		Stats:       stats,
 		Phase:       rs.perRankPhase[rank],
-		Stage2:      rs.perRankStage2[rank],
 		Stage2Phase: rs.perRankStage2Phase[rank],
 		Wall1Ns:     rs.perRankWall1[rank].Nanoseconds(),
 		Wall2Ns:     rs.perRankWall2[rank].Nanoseconds(),

@@ -13,14 +13,13 @@ import (
 // outside a full Run. With p = 1 every collective self-completes, so
 // the level's communicator stays usable after mpi.Run returns.
 type BenchLevel struct {
-	lv    *level
-	s     *sweepScratch
-	costs phaseCosts
+	lv *level
+	s  *sweepScratch
 }
 
 // NewBenchLevel builds a single-rank level over g with singleton
 // assignments and exact refresh-time aggregates, ready for SweepPass
-// and Refresh calls. Like every single-rank level it has no hubs.
+// calls. Like every single-rank level it has no hubs.
 func NewBenchLevel(g *graph.Graph, seed uint64) *BenchLevel {
 	cfg := Config{P: 1, Seed: seed}.withDefaults()
 	layout := partition.Delegate(g, 1, partition.DelegateOptions{})
@@ -30,8 +29,8 @@ func NewBenchLevel(g *graph.Graph, seed uint64) *BenchLevel {
 		lv = newStage1Level(c, &cfg, layout, flow.P, flow.Exit, flow.Norm(),
 			flow.SumPlogpP, cfg.Seed)
 	})
-	b := &BenchLevel{lv: lv, s: lv.newScratch(), costs: make(phaseCosts)}
-	b.lv.refresh(b.costs, -1)
+	b := &BenchLevel{lv: lv, s: lv.newScratch()}
+	b.lv.refresh(-1)
 	return b
 }
 
@@ -45,10 +44,6 @@ func (b *BenchLevel) SweepPass() int {
 	moves, _, _ := b.lv.sweep(b.s, 1)
 	return moves
 }
-
-// Refresh runs one Module_Info refresh: partials to module homes,
-// authoritative stats back, and the closing MDL reduction.
-func (b *BenchLevel) Refresh() { b.lv.refresh(b.costs, 0) }
 
 // BenchCodecRound encodes recs into e (reset first) and decodes them
 // all back through d, returning the number of records decoded. It is

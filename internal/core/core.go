@@ -114,20 +114,16 @@ type Result struct {
 	Stage1Modeled, Stage2Modeled time.Duration
 	// PhaseModeled breaks stage-1 modeled time into the Figure 8 phases.
 	PhaseModeled map[string]time.Duration
-	// PhaseOps holds max-per-rank operation counts per phase.
-	PhaseOps map[string]int64
 	// Stage1Iterations / Stage2Iterations count synchronized sweeps.
 	Stage1Iterations, Stage2Iterations int
 
 	// PerRankPhase[r] is rank r's measured stage-1 cost per phase (the
 	// raw inputs behind PhaseModeled, before the max-over-ranks).
-	PerRankPhase []map[string]trace.RankCost
-	// PerRankStage2[r] is rank r's total stage-2 cost.
-	PerRankStage2 []trace.RankCost
-	// PerRankStage2Phase[r] breaks rank r's stage-2 cost into phases
-	// (the Figure-8 phases of the merged-level sweeps plus the
-	// refresh-round and merge-shuffle spans).
-	PerRankStage2Phase []map[string]trace.RankCost
+	PerRankPhase []PhaseCosts
+	// PerRankStage2Phase[r] is rank r's stage-2 cost per phase (the
+	// Figure-8 phases of the merged-level sweeps plus the refresh-round
+	// and merge-shuffle spans); its Total is the rank's stage-2 cost.
+	PerRankStage2Phase []PhaseCosts
 	// PerRankWall1 / PerRankWall2 are each rank's host wall times per stage.
 	PerRankWall1, PerRankWall2 []time.Duration
 	// PerRankEvals[r] is rank r's delta-L evaluation count.
@@ -234,9 +230,8 @@ func newRunState(g *graph.Graph, cfg *Config) *runState {
 	return &runState{
 		g: g, cfg: cfg, layout: layout, flow: mapeq.NewVertexFlow(g),
 		partStats:          layout.Stats(),
-		perRankPhase:       make([]phaseCosts, cfg.P),
-		perRankStage2:      make([]trace.RankCost, cfg.P),
-		perRankStage2Phase: make([]phaseCosts, cfg.P),
+		perRankPhase:       make([]PhaseCosts, cfg.P),
+		perRankStage2Phase: make([]PhaseCosts, cfg.P),
 		perRankWall1:       make([]time.Duration, cfg.P),
 		perRankWall2:       make([]time.Duration, cfg.P),
 		perRankEvals:       make([]int64, cfg.P),
@@ -280,9 +275,8 @@ type runState struct {
 	partStats partition.BalanceStats
 
 	// Per-rank measurement slots; each rank writes only its own index.
-	perRankPhase       []phaseCosts
-	perRankStage2      []trace.RankCost
-	perRankStage2Phase []phaseCosts
+	perRankPhase       []PhaseCosts
+	perRankStage2Phase []PhaseCosts
 	perRankWall1       []time.Duration
 	perRankWall2       []time.Duration
 	perRankEvals       []int64

@@ -7,7 +7,6 @@ import (
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
-	"dinfomap/internal/trace"
 )
 
 // broadcastDelegates runs the BroadcastDelegates phase (Algorithm 2,
@@ -254,10 +253,8 @@ func (lv *level) localHubWeights(h, target, from int) (wTo, wFrom float64) {
 // swapGhostComms runs the community-id half of the SwapBoundaryInfo
 // phase: every rank sends the current community of each owned boundary
 // vertex to the ranks ghosting it, every iteration (the paper observes
-// this traffic is stable across iterations, Figure 8). It returns the
-// number of ghost updates shipped, which the event journal records as
-// the phase's swap count.
-func (lv *level) swapGhostComms() (sent int) {
+// this traffic is stable across iterations, Figure 8).
+func (lv *level) swapGhostComms() {
 	prevKind := lv.c.SetKind(mpi.KindGhostUpdate)
 	defer lv.c.SetKind(prevKind)
 	sb := lv.sendBufs
@@ -266,7 +263,6 @@ func (lv *level) swapGhostComms() (sent int) {
 		gu := ghostUpdate{Vertex: v, Comm: lv.comm[v]}
 		for _, dstRank := range lv.subRanks[lv.subOff[i]:lv.subOff[i+1]] {
 			gu.encode(sb.For(int(dstRank)))
-			sent++
 		}
 	}
 	recv := lv.c.Alltoallv(sb.Bufs())
@@ -281,7 +277,6 @@ func (lv *level) swapGhostComms() (sent int) {
 			}
 		}
 	}
-	return sent
 }
 
 // refresh rebuilds authoritative module statistics and the global Eq. 3
@@ -304,10 +299,8 @@ func (lv *level) swapGhostComms() (sent int) {
 // sorted-key encode); owner-side sums accumulate by owned slot and are
 // walked by ascending slot, which is ascending module-id order. No step
 // hashes, sorts, or allocates in the steady state.
-func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
-	j1 := lv.jlog.Now()
-	before := lv.c.Stats()
-	lv.timer.Start(trace.PhaseRefreshRound1)
+func (lv *level) refresh(iter int32) (numModules int64) {
+	sp := lv.span(obs.PhaseRefreshRound1, iter)
 	// Round 1 ships module partials; round 2 answers with authoritative
 	// Module_Info; the closing MDL reduction is a control collective.
 	prevKind := lv.c.SetKind(mpi.KindModulePartial)
@@ -457,19 +450,8 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 	}
 
 	// Round-1 span closes here: partials shuffled and summed at owners.
-	after := lv.c.Stats()
-	msgs, bytes := commDelta(before, after)
-	lv.timer.Stop(trace.PhaseRefreshRound1)
-	costs.add(trace.PhaseRefreshRound1, trace.RankCost{Ops: r1Ops, Msgs: msgs, Bytes: bytes})
-	lv.jlog.Emit(obs.Event{
-		Stage: lv.jstage, Outer: lv.jouter, Iter: iter,
-		Phase: obs.PhaseRefreshRound1, Start: j1, End: lv.jlog.Now(),
-		Ops: r1Ops, Msgs: msgs, Bytes: bytes,
-		WaitNs: waitDelta(before, after),
-	})
-	j2 := lv.jlog.Now()
-	before = lv.c.Stats()
-	lv.timer.Start(trace.PhaseRefreshRound2)
+	lv.end(sp, r1Ops, 0, 0)
+	sp = lv.span(obs.PhaseRefreshRound2, iter)
 	lv.c.SetKind(mpi.KindModuleInfo)
 
 	// ---- Round 2: authoritative stats back to subscribers ----
@@ -580,16 +562,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 
 	// Round-2 span: authoritative replies delivered, table rebuilt,
 	// aggregates reduced.
-	after = lv.c.Stats()
-	msgs, bytes = commDelta(before, after)
-	lv.timer.Stop(trace.PhaseRefreshRound2)
-	costs.add(trace.PhaseRefreshRound2, trace.RankCost{Ops: r2Ops, Msgs: msgs, Bytes: bytes})
-	lv.jlog.Emit(obs.Event{
-		Stage: lv.jstage, Outer: lv.jouter, Iter: iter,
-		Phase: obs.PhaseRefreshRound2, Start: j2, End: lv.jlog.Now(),
-		Ops: r2Ops, Msgs: msgs, Bytes: bytes,
-		WaitNs: waitDelta(before, after),
-	})
+	lv.end(sp, r2Ops, 0, 0)
 	return numModules
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
-	"dinfomap/internal/trace"
 )
 
 // mergeShuffle performs the distributed graph merging of Section 3.5:
@@ -16,10 +15,8 @@ import (
 // The whole contraction + shuffle is journaled and costed as its own
 // merge-shuffle span, tagged with the level being contracted (stage 1
 // for the first merge, stage 2 / outer k for deeper ones).
-func (lv *level) mergeShuffle(costs phaseCosts) []mergedArc {
-	j0 := lv.jlog.Now()
-	before := lv.c.Stats()
-	lv.timer.Start(trace.PhaseMergeShuffle)
+func (lv *level) mergeShuffle() []mergedArc {
+	sp := lv.span(obs.PhaseMergeShuffle, -1)
 	prevKind := lv.c.SetKind(mpi.KindMergeShuffle)
 	defer lv.c.SetKind(prevKind)
 
@@ -131,16 +128,7 @@ func (lv *level) mergeShuffle(costs phaseCosts) []mergedArc {
 		}
 	}
 
-	after := lv.c.Stats()
-	msgs, bytes := commDelta(before, after)
-	lv.timer.Stop(trace.PhaseMergeShuffle)
-	costs.add(trace.PhaseMergeShuffle, trace.RankCost{Ops: ops, Msgs: msgs, Bytes: bytes})
-	lv.jlog.Emit(obs.Event{
-		Stage: lv.jstage, Outer: lv.jouter, Iter: -1,
-		Phase: obs.PhaseMergeShuffle, Start: j0, End: lv.jlog.Now(),
-		Ops: ops, Msgs: msgs, Bytes: bytes,
-		WaitNs: waitDelta(before, after),
-	})
+	lv.end(sp, ops, 0, 0)
 	return arcs
 }
 

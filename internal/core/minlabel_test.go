@@ -23,7 +23,7 @@ func withTwoRankLevels(g *graph.Graph, cfg Config, comm []int, fn func(lv *level
 		lv := newStage1Level(c, &cfg, rs.layout, rs.flow.P, rs.flow.Exit,
 			rs.flow.Norm(), rs.flow.SumPlogpP, cfg.Seed)
 		copy(lv.comm, comm)
-		lv.refresh(make(phaseCosts), -1)
+		lv.refresh(-1)
 		fn(lv)
 	})
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"dinfomap/internal/obs"
@@ -21,7 +23,12 @@ func runJournaled(t *testing.T, p int) (*obs.Journal, *Result, Config) {
 }
 
 func TestJournalRecordsAllRanksAndPhases(t *testing.T) {
-	const p = 4
+	for _, p := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) { checkJournalAgainstCosts(t, p) })
+	}
+}
+
+func checkJournalAgainstCosts(t *testing.T, p int) {
 	j, res, _ := runJournaled(t, p)
 
 	if res.NumModules < 2 {
@@ -75,6 +82,26 @@ func TestJournalRecordsAllRanksAndPhases(t *testing.T) {
 		t.Fatalf("journaled evals %d != result DeltaEvaluations %d",
 			journaled, res.DeltaEvaluations)
 	}
+
+	// Every span counter is the cost counter: per rank and phase, the
+	// journal summed over both stages equals the stage-1 plus stage-2
+	// cost tables (the first merge shuffle is journaled as stage 1 but
+	// costed as stage 2, so only the sum over stages matches).
+	for r := 0; r < p; r++ {
+		var got PhaseCosts
+		for _, ev := range j.Rank(r).Events() {
+			if ev.Phase < obs.PhaseOuterIter {
+				got[ev.Phase].Add(trace.RankCost{Ops: ev.Ops, Msgs: ev.Msgs, Bytes: ev.Bytes})
+			}
+		}
+		for ph := obs.PhaseID(0); ph < obs.PhaseOuterIter; ph++ {
+			want := res.PerRankPhase[r][ph]
+			want.Add(res.PerRankStage2Phase[r][ph])
+			if got[ph] != want {
+				t.Errorf("rank %d %s: journal %+v != costs %+v", r, ph.Name(), got[ph], want)
+			}
+		}
+	}
 }
 
 func TestJournalChromeExportFromRealRun(t *testing.T) {
@@ -127,6 +154,29 @@ func TestJournalChromeExportFromRealRun(t *testing.T) {
 	}
 }
 
+// The run report's per-phase key sets: six stage-1 phases, and stage 2
+// adds the merge shuffle.
+var (
+	stage1Names = []string{
+		trace.PhaseBcastDelegates, trace.PhaseFindBestModule, trace.PhaseOther,
+		trace.PhaseSwapBoundary, trace.PhaseRefreshRound1, trace.PhaseRefreshRound2,
+	}
+	stage2Names = []string{
+		trace.PhaseBcastDelegates, trace.PhaseFindBestModule, trace.PhaseOther,
+		trace.PhaseSwapBoundary, trace.PhaseMergeShuffle, trace.PhaseRefreshRound1,
+		trace.PhaseRefreshRound2,
+	}
+)
+
+func sortedKeys(m map[string]obs.PhaseCost) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func TestBuildReportFromRealRun(t *testing.T) {
 	const p = 4
 	_, res, cfg := runJournaled(t, p)
@@ -146,14 +196,19 @@ func TestBuildReportFromRealRun(t *testing.T) {
 		if rr.Rank != r {
 			t.Fatalf("rank %d slot holds rank %d", r, rr.Rank)
 		}
-		if len(rr.Phases) == 0 {
-			t.Fatalf("rank %d has no phase costs", r)
+		if got := sortedKeys(rr.Phases); !slices.Equal(got, stage1Names) {
+			t.Fatalf("rank %d stage-1 phases %v, want %v", r, got, stage1Names)
 		}
-		for ph, c := range rr.Phases {
-			want := res.PerRankPhase[r][ph]
-			if c.Ops != want.Ops || c.Msgs != want.Msgs || c.Bytes != want.Bytes {
-				t.Fatalf("rank %d phase %s cost %+v != result %+v", r, ph, c, want)
+		if got := sortedKeys(rr.Stage2Phases); !slices.Equal(got, stage2Names) {
+			t.Fatalf("rank %d stage-2 phases %v, want %v", r, got, stage2Names)
+		}
+		for ph := obs.PhaseID(0); ph < obs.PhaseMergeShuffle; ph++ {
+			if c, want := rr.Phases[ph.Name()], res.PerRankPhase[r][ph]; c != want {
+				t.Fatalf("rank %d phase %s cost %+v != result %+v", r, ph.Name(), c, want)
 			}
+		}
+		if want := res.PerRankStage2Phase[r].Total(); rr.Stage2 != want {
+			t.Fatalf("rank %d stage-2 cost %+v != result total %+v", r, rr.Stage2, want)
 		}
 	}
 	// JSON round trip through the public parser.
@@ -253,9 +308,9 @@ func TestStageInternalSpansJournaled(t *testing.T) {
 func TestRunWithoutJournalPublishesPerRankCosts(t *testing.T) {
 	g, _ := planted(9, 300, 6, 0.2)
 	res := Run(g, Config{P: 3, Seed: 5})
-	if len(res.PerRankPhase) != 3 || len(res.PerRankStage2) != 3 {
+	if len(res.PerRankPhase) != 3 || len(res.PerRankStage2Phase) != 3 {
 		t.Fatalf("per-rank slices missing: %d, %d",
-			len(res.PerRankPhase), len(res.PerRankStage2))
+			len(res.PerRankPhase), len(res.PerRankStage2Phase))
 	}
 	var evals int64
 	for r := 0; r < 3; r++ {

@@ -12,27 +12,56 @@ import (
 	"dinfomap/internal/trace"
 )
 
-// phaseCosts accumulates one rank's modeled cost per phase.
-type phaseCosts map[string]trace.RankCost
+// PhaseCosts is one rank's modeled cost per phase over one stage,
+// indexed by obs.PhaseID. The PhaseOuterIter slot stays zero: the
+// iteration marker's counters repeat what the spans already counted.
+type PhaseCosts [obs.NumPhases]trace.RankCost
 
-func (pc phaseCosts) add(name string, c trace.RankCost) {
-	cur := pc[name]
-	cur.Ops += c.Ops
-	cur.Msgs += c.Msgs
-	cur.Bytes += c.Bytes
-	pc[name] = cur
+// Stage 1 costs the phases below stage1Phases (its merge shuffle is
+// costed as stage 2); stage 2 costs every phase below stage2Phases.
+const (
+	stage1Phases = obs.PhaseMergeShuffle
+	stage2Phases = obs.PhaseOuterIter
+)
+
+// Total sums the table over phases.
+func (pc *PhaseCosts) Total() trace.RankCost {
+	var t trace.RankCost
+	for _, c := range pc {
+		t.Add(c)
+	}
+	return t
 }
 
-// commDelta returns the sent-side traffic between two stats snapshots.
-func commDelta(before, after mpi.Stats) (msgs, bytes int64) {
-	d := after.Sub(before)
-	return d.MsgsSent + d.CollectiveMsgs, d.BytesSent + d.CollectiveBytes
+// span is one open phase of a level: when it opened and the rank's
+// traffic counters at that moment.
+type span struct {
+	phase obs.PhaseID
+	iter  int32
+	start time.Duration
+	stats mpi.Stats
 }
 
-// waitDelta returns the blocked time (late senders plus barrier skew)
-// between two stats snapshots, for span wait attribution.
-func waitDelta(before, after mpi.Stats) int64 {
-	return after.BlockedNs() - before.BlockedNs()
+// span opens phase for synchronized sweep iter (-1 = outside a sweep).
+func (lv *level) span(phase obs.PhaseID, iter int32) span {
+	return span{phase: phase, iter: iter, start: lv.jlog.Now(), stats: lv.c.Stats()}
+}
+
+// end closes sp. The traffic sent since the span opened (p2p plus
+// modeled collective steps) and ops go to the level's cost table, and
+// the same counters, the move counts and the blocked time go to the
+// journal as one event.
+func (lv *level) end(sp span, ops int64, moves, deferred int) {
+	d := lv.c.Stats().Sub(sp.stats)
+	c := trace.RankCost{Ops: ops, Msgs: d.MsgsSent + d.CollectiveMsgs, Bytes: d.BytesSent + d.CollectiveBytes}
+	lv.costs[sp.phase].Add(c)
+	lv.jlog.Emit(obs.Event{
+		Stage: lv.jstage, Outer: lv.jouter, Iter: sp.iter,
+		Phase: sp.phase, Start: sp.start, End: lv.jlog.Now(),
+		Moves: int32(moves), Deferred: int32(deferred),
+		Ops: c.Ops, Msgs: c.Msgs, Bytes: c.Bytes,
+		WaitNs: d.BlockedNs(),
+	})
 }
 
 // clusterOutcome reports one level's converged clustering.
@@ -46,93 +75,45 @@ type clusterOutcome struct {
 // cluster runs the synchronized clustering loop on one level
 // (Algorithm 2, lines 2-7 with delegates, lines 10-14 without):
 // sweep, broadcast delegates, swap boundary info, refresh, until no rank
-// moves a vertex. costs receives this rank's per-phase work/traffic.
-func (lv *level) cluster(costs phaseCosts) clusterOutcome {
+// moves a vertex. Each phase is a span costed into lv.costs.
+func (lv *level) cluster() clusterOutcome {
 	out := clusterOutcome{}
 	prevKind := lv.c.SetKind(mpi.KindCollective)
 	out.liveBefore = lv.c.AllreduceI64(int64(len(lv.ownedActive)), mpi.OpSum)
 	lv.c.SetKind(prevKind)
 
 	// Iteration-0 refresh: exact singleton aggregates everywhere.
-	// refresh journals its two Module_Info rounds as first-class spans.
-	out.numModules = lv.refresh(costs, -1)
+	out.numModules = lv.refresh(-1)
 
 	s := lv.newScratch()
 	bestL := lv.agg.L()
 	stalled := 0
 	for iter := 0; iter < lv.cfg.MaxSweeps; iter++ {
-		// --- FindBestModule ---
-		lv.timer.Start(trace.PhaseFindBestModule)
-		jt := lv.jlog.Now()
+		it := int32(iter)
+		sp := lv.span(obs.PhaseFindBestModule, it)
 		evalsBefore := lv.deltaEvals
 		lv.dampP = dampProb(iter)
 		moves, deferred, cands := lv.sweep(s, passBudget(iter))
-		lv.timer.Stop(trace.PhaseFindBestModule)
-		costs.add(trace.PhaseFindBestModule, trace.RankCost{Ops: lv.deltaEvals - evalsBefore})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseFindBestModule, Start: jt, End: lv.jlog.Now(),
-			Moves: int32(moves), Deferred: int32(deferred),
-			Ops: lv.deltaEvals - evalsBefore,
-		})
+		lv.end(sp, lv.deltaEvals-evalsBefore, moves, deferred)
 
-		// --- BroadcastDelegates ---
-		lv.timer.Start(trace.PhaseBcastDelegates)
-		jt = lv.jlog.Now()
-		before := lv.c.Stats()
+		sp = lv.span(obs.PhaseBcastDelegates, it)
 		hubMoves := lv.broadcastDelegates(cands)
-		after := lv.c.Stats()
-		msgs, bytes := commDelta(before, after)
-		lv.timer.Stop(trace.PhaseBcastDelegates)
-		costs.add(trace.PhaseBcastDelegates, trace.RankCost{
-			Ops: int64(len(cands)), Msgs: msgs, Bytes: bytes,
-		})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseBcastDelegates, Start: jt, End: lv.jlog.Now(),
-			Moves: int32(hubMoves),
-			Ops:   int64(len(cands)), Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		lv.end(sp, int64(len(cands)), hubMoves, 0)
 
-		// --- SwapBoundaryInfo ---
-		lv.timer.Start(trace.PhaseSwapBoundary)
-		jt = lv.jlog.Now()
-		before = lv.c.Stats()
-		swaps := lv.swapGhostComms()
-		after = lv.c.Stats()
-		msgs, bytes = commDelta(before, after)
-		lv.timer.Stop(trace.PhaseSwapBoundary)
-		costs.add(trace.PhaseSwapBoundary, trace.RankCost{
-			Ops: int64(len(lv.ghosts)), Msgs: msgs, Bytes: bytes,
-		})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseSwapBoundary, Start: jt, End: lv.jlog.Now(),
-			Ops: int64(swaps), Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		// The modeled SwapBoundaryInfo work is one update per ghost.
+		sp = lv.span(obs.PhaseSwapBoundary, it)
+		lv.swapGhostComms()
+		lv.end(sp, int64(len(lv.ghosts)), 0, 0)
 
-		// --- Module refresh (rounds 1-2 journal their own spans) ---
-		out.numModules = lv.refresh(costs, int32(iter))
+		// Module refresh: rounds 1-2 are spans of their own.
+		out.numModules = lv.refresh(it)
 
-		// --- Other: global move count + convergence vote ---
-		lv.timer.Start(trace.PhaseOther)
-		jt = lv.jlog.Now()
-		before = lv.c.Stats()
+		// Other: global move count + convergence vote.
+		sp = lv.span(obs.PhaseOther, it)
 		prevKind := lv.c.SetKind(mpi.KindCollective)
 		total := lv.c.AllreduceI64(int64(moves+hubMoves+deferred), mpi.OpSum)
 		lv.c.SetKind(prevKind)
-		after = lv.c.Stats()
-		msgs, bytes = commDelta(before, after)
-		lv.timer.Stop(trace.PhaseOther)
-		costs.add(trace.PhaseOther, trace.RankCost{Msgs: msgs, Bytes: bytes})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseOther, Start: jt, End: lv.jlog.Now(),
-			Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		lv.end(sp, 0, 0, 0)
 		// Refresh the live comm snapshot once per synchronized sweep.
 		lv.jlog.PublishComm(lv.c.Stats())
 
@@ -238,9 +219,9 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	rs.layout.RankArcs[rank] = nil
 	lv.jlog, lv.jstage = jlog, 1
 
-	costs1 := make(phaseCosts)
+	costs1 := lv.costs
 	t0 := time.Now()
-	oc := lv.cluster(costs1)
+	oc := lv.cluster()
 	wall1 := time.Since(t0)
 
 	initialL := initialCodelengthOf(lv)
@@ -265,7 +246,8 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	}
 
 	// ---- Stage 2: merge, then parallel clustering without delegates ----
-	costs2 := make(phaseCosts)
+	// From the first merge shuffle on, every level costs into stage 2.
+	costs2 := new(PhaseCosts)
 	t0 = time.Now()
 	prevL := oc.finalL
 	prevLive := oc.numModules
@@ -278,10 +260,12 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		if prevLive <= 1 {
 			break
 		}
-		arcs := cur.mergeShuffle(costs2)
+		cur.costs = costs2
+		arcs := cur.mergeShuffle()
 		merged := newMergedLevel(c, cfg, idSpace, arcs, vertexTerm, cfg.Seed, outer)
 		merged.jlog, merged.jstage, merged.jouter = jlog, 2, uint16(outer)
-		oc = merged.cluster(costs2)
+		merged.costs = costs2
+		oc = merged.cluster()
 		iters2 += oc.iterations
 		deltaEvals += merged.deltaEvals
 		minLabel[1].RefusedReturns += merged.refusedReturns
@@ -332,16 +316,8 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	// Publish per-rank measurements through the shared runState (each
 	// rank writes only its own slot; rank 0 additionally writes the
 	// rank-identical outputs).
-	rs.perRankPhase[rank] = costs1
-	rs.perRankStage2Phase[rank] = costs2
-	var stage2Total trace.RankCost
-	//dinfomap:unordered-ok integer counter sums; addition order cannot change the totals
-	for _, c := range costs2 {
-		stage2Total.Ops += c.Ops
-		stage2Total.Msgs += c.Msgs
-		stage2Total.Bytes += c.Bytes
-	}
-	rs.perRankStage2[rank] = stage2Total
+	rs.perRankPhase[rank] = *costs1
+	rs.perRankStage2Phase[rank] = *costs2
 	rs.perRankWall1[rank] = wall1
 	rs.perRankWall2[rank] = wall2
 	rs.perRankEvals[rank] = deltaEvals

@@ -3,7 +3,6 @@ package core
 import (
 	"dinfomap/internal/graph"
 	"dinfomap/internal/obs"
-	"dinfomap/internal/trace"
 )
 
 // BuildReport assembles the structured JSON run report (obs.Report)
@@ -68,20 +67,18 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 	for r := 0; r < cfg.P && r < len(res.PerRankPhase); r++ {
 		rr := obs.RankReport{
 			Rank:   r,
-			Phases: make(map[string]obs.PhaseCost, len(res.PerRankPhase[r])),
+			Phases: make(map[string]obs.PhaseCost, stage1Phases),
 		}
-		//dinfomap:unordered-ok map-to-map copy; encoding/json sorts report map keys on output
-		for ph, c := range res.PerRankPhase[r] {
-			rr.Phases[ph] = phaseCost(c)
+		for ph := obs.PhaseID(0); ph < stage1Phases; ph++ {
+			rr.Phases[ph.Name()] = res.PerRankPhase[r][ph]
 		}
-		if r < len(res.PerRankStage2) {
-			rr.Stage2 = phaseCost(res.PerRankStage2[r])
-		}
-		if r < len(res.PerRankStage2Phase) && len(res.PerRankStage2Phase[r]) > 0 {
-			rr.Stage2Phases = make(map[string]obs.PhaseCost, len(res.PerRankStage2Phase[r]))
-			//dinfomap:unordered-ok map-to-map copy; encoding/json sorts report map keys on output
-			for ph, c := range res.PerRankStage2Phase[r] {
-				rr.Stage2Phases[ph] = phaseCost(c)
+		// A run that never merged recorded no stage 2 and reports none.
+		if r < len(res.PerRankStage2Phase) && res.PerRankStage2Phase[r] != (PhaseCosts{}) {
+			s2 := &res.PerRankStage2Phase[r]
+			rr.Stage2 = s2.Total()
+			rr.Stage2Phases = make(map[string]obs.PhaseCost, stage2Phases)
+			for ph := obs.PhaseID(0); ph < stage2Phases; ph++ {
+				rr.Stage2Phases[ph.Name()] = s2[ph]
 			}
 		}
 		if journaled && r < cfg.Journal.NumRanks() {
@@ -128,8 +125,4 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 	build := obs.ReadBuild()
 	rep.Build = &build
 	return rep
-}
-
-func phaseCost(c trace.RankCost) obs.PhaseCost {
-	return obs.PhaseCost{Ops: c.Ops, Msgs: c.Msgs, Bytes: c.Bytes}
 }

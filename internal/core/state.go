@@ -6,7 +6,6 @@ import (
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/partition"
-	"dinfomap/internal/trace"
 )
 
 // level is one rank's state for one clustering level: the level-0 graph
@@ -136,9 +135,10 @@ type level struct {
 	rsch *refreshScratch
 	dsch *delegateScratch
 
-	timer *trace.Timer
-	// jlog receives this rank's journal events (nil = journaling off);
+	// costs is the stage cost table every span of this level adds to;
+	// jlog receives the spans as journal events (nil = journaling off);
 	// jstage/jouter tag them with the clustering stage and merge round.
+	costs  *PhaseCosts
 	jlog   *obs.RankLog
 	jstage uint8
 	jouter uint16
@@ -387,7 +387,7 @@ func newStage1Level(c *mpi.Comm, cfg *Config, layout *partition.Layout,
 		exitP:      exitP,
 		inv2W:      inv2W,
 		vertexTerm: vertexTerm,
-		timer:      trace.NewTimer(),
+		costs:      new(PhaseCosts),
 		rng:        gen.NewRNG(seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15),
 	}
 	for v := 0; v < lv.idSpace; v++ {
@@ -466,7 +466,7 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 		idSpace: idSpace,
 		p:       c.Size(), rank: rank,
 		vertexTerm: vertexTerm,
-		timer:      trace.NewTimer(),
+		costs:      new(PhaseCosts),
 		rng:        gen.NewRNG(seed ^ (uint64(rank)+7)*0xbf58476d1ce4e5b9 ^ uint64(round)<<32),
 	}
 

@@ -25,12 +25,11 @@ func TestActiveSetMissesFewMoves(t *testing.T) {
 		mpi.Run(1, func(c *mpi.Comm) {
 			lv := newStage1Level(c, &cfg, rs.layout, rs.flow.P, rs.flow.Exit,
 				rs.flow.Norm(), rs.flow.SumPlogpP, cfg.Seed)
-			costs := make(phaseCosts)
-			before = lv.cluster(costs).finalL
+			before = lv.cluster().finalL
 			lv.activateAll()
 			lv.dampP = 0
 			moves, _, _ = lv.sweep(lv.newScratch(), 1)
-			lv.refresh(costs, 0)
+			lv.refresh(0)
 			after = lv.agg.L()
 		})
 		n := g.NumVertices()

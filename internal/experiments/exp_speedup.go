@@ -168,17 +168,8 @@ func RunSpeedup(o Options, dataset string, ps []int) (*SpeedupResult, error) {
 func criticalRankCost(res *core.Result) trace.RankCost {
 	var crit trace.RankCost
 	for r := range res.PerRankPhase {
-		var c trace.RankCost
-		for _, pc := range res.PerRankPhase[r] {
-			c.Ops += pc.Ops
-			c.Msgs += pc.Msgs
-			c.Bytes += pc.Bytes
-		}
-		if r < len(res.PerRankStage2) {
-			c.Ops += res.PerRankStage2[r].Ops
-			c.Msgs += res.PerRankStage2[r].Msgs
-			c.Bytes += res.PerRankStage2[r].Bytes
-		}
+		c := res.PerRankPhase[r].Total()
+		c.Add(res.PerRankStage2Phase[r].Total())
 		if c.Ops > crit.Ops {
 			crit.Ops = c.Ops
 		}

@@ -296,14 +296,6 @@ func (c *Comm) Stats() Stats {
 	return c.stats
 }
 
-// ResetStats zeroes the traffic counters (used to attribute traffic to
-// phases).
-func (c *Comm) ResetStats() {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	c.stats = Stats{}
-}
-
 // SetKind sets the ambient message kind and returns the previous one.
 // Collectives (which carry no tag) and p2p messages whose tag has no
 // kind bits are attributed to the ambient kind. The intended idiom

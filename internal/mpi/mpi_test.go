@@ -271,17 +271,6 @@ func TestStatsCollectiveModel(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	Run(2, func(c *Comm) {
-		c.Send((c.Rank()+1)%2, 0, []byte("x"))
-		c.Recv((c.Rank()+1)%2, 0)
-		c.ResetStats()
-		if s := c.Stats(); s.BytesSent != 0 || s.MsgsRecv != 0 {
-			t.Errorf("stats after reset = %+v", s)
-		}
-	})
-}
-
 func TestStatsAddAndTotal(t *testing.T) {
 	a := Stats{BytesSent: 1, BytesRecv: 2, CollectiveBytes: 3}
 	b := Stats{BytesSent: 10, BytesRecv: 20, CollectiveBytes: 30}

@@ -40,7 +40,8 @@ const (
 	// zero-duration event emitted when a rank finishes one outer
 	// iteration, whose counters carry that iteration's traffic delta.
 	PhaseOuterIter
-	numPhases
+	// NumPhases is the number of phase IDs, for tables indexed by phase.
+	NumPhases
 )
 
 // Name returns the phase name used by package trace and the exporters.
@@ -68,8 +69,8 @@ func (p PhaseID) Name() string {
 
 // PhaseNames lists the journal phase names in PhaseID order.
 func PhaseNames() []string {
-	out := make([]string, numPhases)
-	for p := PhaseID(0); p < numPhases; p++ {
+	out := make([]string, NumPhases)
+	for p := PhaseID(0); p < NumPhases; p++ {
 		out[p] = p.Name()
 	}
 	return out
@@ -296,7 +297,7 @@ func (j *Journal) NumEvents() int {
 
 // PhaseWall sums each phase's measured wall time on rank r.
 func (j *Journal) PhaseWall(r int) map[string]time.Duration {
-	out := make(map[string]time.Duration, numPhases)
+	out := make(map[string]time.Duration, NumPhases)
 	for _, ev := range j.Rank(r).Events() {
 		out[ev.Phase.Name()] += ev.Dur()
 	}

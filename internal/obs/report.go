@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"dinfomap/internal/mpi"
+	"dinfomap/internal/trace"
 )
 
 // ReportSchema identifies the run-report JSON schema. Bump the suffix
@@ -14,11 +15,7 @@ import (
 const ReportSchema = "dinfomap-run-report/v1"
 
 // PhaseCost is one rank's measured work and traffic for one phase.
-type PhaseCost struct {
-	Ops   int64 `json:"ops"`
-	Msgs  int64 `json:"msgs"`
-	Bytes int64 `json:"bytes"`
-}
+type PhaseCost = trace.RankCost
 
 // CommTotals mirrors mpi.Stats with stable JSON names. The wait-state
 // fields (schema addition, v1-compatible) are measured host times whose

@@ -1,21 +1,19 @@
-// Package trace provides the instrumentation behind the paper's
-// performance figures: per-phase wall-clock timers, per-phase operation
-// counters, and an explicit alpha-beta communication cost model that
-// converts measured per-rank work and traffic into modeled execution
-// times.
+// Package trace holds the cost model behind the paper's performance
+// figures: the phase names of the distributed algorithm and an explicit
+// alpha-beta communication model that converts measured per-rank work
+// and traffic into modeled execution times.
 //
-// Why a model: the paper ran on Titan with up to 4,096 physical cores;
-// this reproduction runs all ranks as goroutines in one container, where
-// wall-clock time cannot show parallel speedup. The scalability claims
-// reduce to statements about the *maximum per-rank* computation and
-// communication, which we measure exactly from the real distributed
-// execution and convert to time with fixed machine constants
-// (see DESIGN.md, substitution table).
+// Why a model: the paper ran on Titan with up to 4,096 physical cores.
+// Its scalability claims reduce to statements about the *maximum
+// per-rank* computation and communication, which the core measures
+// exactly from the real distributed execution; the model turns those
+// counts into time with fixed machine constants (see DESIGN.md,
+// substitution table). It is a predictor, not a clock: measured walls
+// come from the multi-process transport and the bench harness.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -50,69 +48,6 @@ const (
 	PhaseOuterIter = "outer-iteration"
 )
 
-// Timer accumulates wall time and operation counts per named phase for
-// one rank. Not safe for concurrent use; each rank keeps its own.
-type Timer struct {
-	wall    map[string]time.Duration
-	ops     map[string]int64
-	started map[string]time.Time
-}
-
-// NewTimer returns an empty Timer.
-func NewTimer() *Timer {
-	return &Timer{
-		wall:    make(map[string]time.Duration),
-		ops:     make(map[string]int64),
-		started: make(map[string]time.Time),
-	}
-}
-
-// Start begins timing phase; pair with Stop. A re-entrant Start (the
-// phase is already running) restarts the span: the earlier, unfinished
-// span is discarded rather than double-counted.
-func (t *Timer) Start(phase string) { t.started[phase] = time.Now() }
-
-// Stop ends timing phase and accumulates the elapsed wall time. Stop
-// without a matching Start is a no-op.
-func (t *Timer) Stop(phase string) {
-	if s, ok := t.started[phase]; ok {
-		t.wall[phase] += time.Since(s)
-		delete(t.started, phase)
-	}
-}
-
-// Running reports whether phase has a Start without a matching Stop.
-func (t *Timer) Running(phase string) bool {
-	_, ok := t.started[phase]
-	return ok
-}
-
-// AddOps adds n operations (e.g. delta-L evaluations) to phase's counter.
-func (t *Timer) AddOps(phase string, n int64) { t.ops[phase] += n }
-
-// Wall returns the accumulated wall time of phase.
-func (t *Timer) Wall(phase string) time.Duration { return t.wall[phase] }
-
-// Ops returns the accumulated operation count of phase.
-func (t *Timer) Ops(phase string) int64 { return t.ops[phase] }
-
-// Phases returns all phase names seen, sorted.
-func (t *Timer) Phases() []string {
-	seen := make(map[string]bool)
-	for p := range t.wall {
-		seen[p] = true
-	}
-	for p := range t.ops {
-		seen[p] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CostModel converts measured counts into modeled times. The defaults
 // are calibrated to commodity-cluster constants: ~50 ns per delta-L
 // evaluation class operation (a handful of map lookups plus floating-
@@ -139,9 +74,16 @@ func DefaultCostModel() CostModel {
 // RankCost is one rank's measured work and traffic for one phase or one
 // whole run.
 type RankCost struct {
-	Ops   int64 // counted compute operations
-	Msgs  int64 // messages sent (p2p + modeled collective steps)
-	Bytes int64 // bytes sent (p2p + modeled collective payloads)
+	Ops   int64 `json:"ops"`   // counted compute operations
+	Msgs  int64 `json:"msgs"`  // messages sent (p2p + modeled collective steps)
+	Bytes int64 `json:"bytes"` // bytes sent (p2p + modeled collective payloads)
+}
+
+// Add accumulates o into c.
+func (c *RankCost) Add(o RankCost) {
+	c.Ops += o.Ops
+	c.Msgs += o.Msgs
+	c.Bytes += o.Bytes
 }
 
 // Time returns the modeled time of this rank's cost under m.

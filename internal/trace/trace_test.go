@@ -6,85 +6,6 @@ import (
 	"time"
 )
 
-func TestTimerStartStopAccumulates(t *testing.T) {
-	tm := NewTimer()
-	tm.Start("a")
-	time.Sleep(time.Millisecond)
-	tm.Stop("a")
-	first := tm.Wall("a")
-	if first <= 0 {
-		t.Fatalf("Wall(a) = %v, want > 0", first)
-	}
-	tm.Start("a")
-	time.Sleep(time.Millisecond)
-	tm.Stop("a")
-	if tm.Wall("a") <= first {
-		t.Fatalf("Wall(a) did not accumulate: %v -> %v", first, tm.Wall("a"))
-	}
-}
-
-func TestTimerStopWithoutStartIsNoop(t *testing.T) {
-	tm := NewTimer()
-	tm.Stop("never")
-	if tm.Wall("never") != 0 {
-		t.Fatalf("Wall = %v, want 0", tm.Wall("never"))
-	}
-}
-
-func TestTimerReentrantStartRestartsSpan(t *testing.T) {
-	tm := NewTimer()
-	tm.Start("a")
-	time.Sleep(30 * time.Millisecond)
-	// Re-entrant Start discards the unfinished 30ms span and restarts.
-	tm.Start("a")
-	tm.Stop("a")
-	if w := tm.Wall("a"); w >= 15*time.Millisecond {
-		t.Fatalf("re-entrant Start double-counted: Wall = %v", w)
-	}
-	// The phase is fully stopped: another Stop stays a no-op.
-	before := tm.Wall("a")
-	tm.Stop("a")
-	if tm.Wall("a") != before {
-		t.Fatalf("Stop after Stop changed Wall: %v -> %v", before, tm.Wall("a"))
-	}
-}
-
-func TestTimerRunning(t *testing.T) {
-	tm := NewTimer()
-	if tm.Running("a") {
-		t.Fatal("phase running before Start")
-	}
-	tm.Start("a")
-	if !tm.Running("a") {
-		t.Fatal("phase not running after Start")
-	}
-	tm.Stop("a")
-	if tm.Running("a") {
-		t.Fatal("phase still running after Stop")
-	}
-}
-
-func TestTimerOps(t *testing.T) {
-	tm := NewTimer()
-	tm.AddOps("x", 10)
-	tm.AddOps("x", 5)
-	tm.AddOps("y", 1)
-	if tm.Ops("x") != 15 || tm.Ops("y") != 1 {
-		t.Fatalf("ops = %d, %d", tm.Ops("x"), tm.Ops("y"))
-	}
-}
-
-func TestTimerPhasesSorted(t *testing.T) {
-	tm := NewTimer()
-	tm.AddOps("zeta", 1)
-	tm.Start("alpha")
-	tm.Stop("alpha")
-	phases := tm.Phases()
-	if len(phases) != 2 || phases[0] != "alpha" || phases[1] != "zeta" {
-		t.Fatalf("Phases = %v", phases)
-	}
-}
-
 func TestCostModelTime(t *testing.T) {
 	m := CostModel{TimePerOp: 2 * time.Nanosecond, Alpha: time.Microsecond, BetaPerByte: time.Nanosecond}
 	c := RankCost{Ops: 1000, Msgs: 3, Bytes: 500}
