@@ -44,14 +44,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"dinfomap"
+	"dinfomap/internal/launch"
 	"dinfomap/internal/trace"
 )
 
 func main() {
+	launch.ServeChild()
 	var (
 		p         = flag.Int("p", 4, "number of ranks")
 		dHigh     = flag.Int("dhigh", 0, "delegate degree threshold (0 = auto; ignored with -p 1, which delegates nothing)")
@@ -73,16 +74,6 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and the live /debug/dinfomap/ endpoints on this address (e.g. localhost:6060)")
 		version     = flag.Bool("version", false, "print build provenance and exit")
-
-		// Internal child-mode flags set by the -transport=proc launcher
-		// when it re-executes this binary as one rank; never set by hand.
-		mpiChild    = flag.Bool("mpi-child", false, "internal: run as one rank of a -transport=proc launch")
-		mpiRank     = flag.Int("mpi-rank", 0, "internal: this child's rank id")
-		mpiAddrs    = flag.String("mpi-addrs", "", "internal: comma-separated rank address table")
-		mpiNet      = flag.String("mpi-net", "tcp", "internal: mesh network (tcp or unix)")
-		mpiEpoch    = flag.Int64("mpi-epoch", 0, "internal: shared wall-clock epoch, unix nanoseconds")
-		mpiArtifact = flag.String("mpi-artifact", "", "internal: rank artifact output path")
-		mpiUplink   = flag.String("mpi-uplink", "", "internal: parent telemetry uplink address")
 	)
 	flag.Parse()
 	if *version {
@@ -90,25 +81,6 @@ func main() {
 		return
 	}
 
-	launch := procLaunch{
-		p: *p, dHigh: *dHigh, seed: *seed,
-		dataset: *dataset, scale: *scale, graphPath: flag.Arg(0),
-		tracePath: *tracePath, connectTimeout: *connectTimeout,
-	}
-	if *mpiChild {
-		if err := runChildRank(childConfig{
-			rank:         *mpiRank,
-			addrs:        strings.Split(*mpiAddrs, ","),
-			network:      *mpiNet,
-			epochNano:    *mpiEpoch,
-			artifactPath: *mpiArtifact,
-			uplink:       *mpiUplink,
-			launch:       launch,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	multiproc := false
 	switch *transport {
 	case "goroutine":
@@ -119,7 +91,8 @@ func main() {
 	}
 	// A bad input fails here, before any rank process starts: with
 	// -transport=proc the launcher itself never reads the graph.
-	if err := checkInput(*dataset, flag.Arg(0)); err != nil {
+	in := launch.Input{Dataset: *dataset, Scale: *scale, Path: flag.Arg(0)}
+	if err := in.Check(); err != nil {
 		fatal(err)
 	}
 
@@ -130,7 +103,6 @@ func main() {
 	// parent's journal receives them over the telemetry uplink, aligned
 	// to one epoch, so the same endpoints and outputs cover the mesh.
 	epoch := time.Now()
-	launch.epoch = epoch
 	var journal *dinfomap.RunJournal
 	var liveMetrics *dinfomap.RunLiveMetrics
 	if *tracePath != "" || *pprofAddr != "" || *metricsPath != "" {
@@ -168,7 +140,7 @@ func main() {
 	var g *dinfomap.Graph
 	var err error
 	if !multiproc {
-		g, err = loadGraph(*dataset, *scale, flag.Arg(0))
+		g, err = in.Load()
 		if err != nil {
 			fatal(err)
 		}
@@ -180,27 +152,30 @@ func main() {
 	}
 	start := time.Now()
 	var res *dinfomap.DistributedResult
-	var mesh *meshTelemetry
 	if multiproc {
 		fmt.Printf("transport: proc (%d rank processes over TCP loopback)\n", *p)
-		res, mesh, err = launchProcRanks(launch, journal, liveMetrics)
+		var tel *launch.Telemetry
+		res, tel, err = launch.Run(launch.Spec{
+			Input: in, P: *p, DHigh: *dHigh, Seed: *seed,
+			TracePath: *tracePath, ConnectTimeout: *connectTimeout, Epoch: epoch,
+		}, journal, liveMetrics)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("graph: %d vertices, %d edges\n", len(res.Communities), res.NumEdges)
-		if mesh != nil {
+		if tel != nil {
 			// Report building reads span timings from the journal; hand it
 			// the merged clock-aligned one so the proc-mode report carries
 			// the same wait-state and critical-path sections as in-process
 			// runs (res already carries the recorder and clock estimates).
-			cfg.Journal = mesh.journal
+			cfg.Journal = tel.Journal
 		}
 	} else {
 		res = dinfomap.RunDistributed(g, cfg)
 	}
 	wall := time.Since(start)
 	if g == nil && (*top > 0 || *metricsPath != "" || *dotPath != "") {
-		if g, err = loadGraph(*dataset, *scale, flag.Arg(0)); err != nil {
+		if g, err = in.Load(); err != nil {
 			fatal(err)
 		}
 	}
@@ -280,59 +255,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dinfomap:", err)
 	os.Exit(1)
-}
-
-// checkInput reports, without reading the graph, why loadGraph could
-// not load it: an unknown dataset name, a missing input, a path that
-// does not exist, or a directory.
-func checkInput(dataset, path string) error {
-	if dataset != "" {
-		_, err := dinfomap.LookupDataset(dataset)
-		return err
-	}
-	if path == "" {
-		return fmt.Errorf("need an edge-list file or -dataset (known: %v)", dinfomap.Datasets())
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if fi.IsDir() {
-		return fmt.Errorf("%s is a directory, not an edge-list file", path)
-	}
-	return nil
-}
-
-func loadGraph(dataset string, scale float64, path string) (*dinfomap.Graph, error) {
-	if dataset != "" {
-		d, err := dinfomap.LookupDataset(dataset)
-		if err != nil {
-			return nil, err
-		}
-		//dinfomap:float-ok flag sentinel: 1.0 is the literal "no scaling" default
-		if scale != 1.0 {
-			d.N = int(float64(d.N) * scale)
-			d.RMATEdges = int(float64(d.RMATEdges) * scale)
-			if d.NumComms > 1 {
-				d.NumComms = int(float64(d.NumComms) * scale)
-				if d.NumComms < 2 {
-					d.NumComms = 2
-				}
-			}
-		}
-		g, _ := d.Generate()
-		return g, nil
-	}
-	if err := checkInput("", path); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	//dinfomap:close-ok read-only file; close errors cannot lose data
-	defer f.Close()
-	return dinfomap.ReadEdgeList(f)
 }
 
 // writeFile creates path, streams fn's output through a buffered

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dinfomap/internal/launch"
 )
 
 // runMainEnv makes the test binary act as the dinfomap command: a test
@@ -41,14 +43,14 @@ func TestCheckInput(t *testing.T) {
 		{name: "unknown dataset", dataset: "no-such-dataset", wantErr: "no-such-dataset"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkInput(tc.dataset, tc.path)
+			err := launch.Input{Dataset: tc.dataset, Path: tc.path}.Check()
 			switch {
 			case tc.wantErr == "" && err != nil:
-				t.Fatalf("checkInput: %v", err)
+				t.Fatalf("Check: %v", err)
 			case tc.wantErr != "" && err == nil:
-				t.Fatalf("checkInput accepted the input, want an error containing %q", tc.wantErr)
+				t.Fatalf("Check accepted the input, want an error containing %q", tc.wantErr)
 			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
-				t.Fatalf("checkInput: %v, want an error containing %q", err, tc.wantErr)
+				t.Fatalf("Check: %v, want an error containing %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -56,20 +58,20 @@ func TestCheckInput(t *testing.T) {
 
 // TestLoadGraphRejectsWhatCheckInputRejects pins that both transports
 // fail on the same inputs with the same error: the in-process path
-// reaches the check through loadGraph, the launcher calls it directly.
+// reaches the check through Input.Load, the launcher calls it directly.
 func TestLoadGraphRejectsWhatCheckInputRejects(t *testing.T) {
 	dir := t.TempDir()
-	for _, in := range []struct{ dataset, path string }{
-		{path: filepath.Join(dir, "absent")},
-		{path: dir},
-		{dataset: "no-such-dataset"},
+	for _, in := range []launch.Input{
+		{Path: filepath.Join(dir, "absent")},
+		{Path: dir},
+		{Dataset: "no-such-dataset"},
 	} {
-		want := checkInput(in.dataset, in.path)
+		want := in.Check()
 		if want == nil {
-			t.Fatalf("checkInput(%q, %q) accepted a bad input", in.dataset, in.path)
+			t.Fatalf("%+v.Check() accepted a bad input", in)
 		}
-		if _, err := loadGraph(in.dataset, 1, in.path); err == nil || err.Error() != want.Error() {
-			t.Fatalf("loadGraph(%q, %q) = %v, want %v", in.dataset, in.path, err, want)
+		if _, err := in.Load(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%+v.Load() = %v, want %v", in, err, want)
 		}
 	}
 }

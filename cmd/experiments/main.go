@@ -10,9 +10,9 @@
 //
 // Experiments: table1 fig4 fig5 table2 fig6 fig7 fig8 fig9 fig10
 // table3 ablations comms waitstates all, plus the measured-wall
-// experiment speedup (proc-mesh runs; excluded from "all" because its
-// numbers depend on the host's real clock, not the deterministic cost
-// model). Output is the same rows/series the paper reports, as
+// experiment speedup (one OS process per rank; excluded from "all"
+// because its numbers depend on the host's real clock, not the
+// deterministic cost model). Output is the same rows/series the paper reports, as
 // fixed-width text tables; with -json DIR each experiment
 // additionally writes a machine-readable sibling DIR/<id>.json so
 // trajectory tooling can consume the numbers without parsing the text.
@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"dinfomap/internal/experiments"
+	"dinfomap/internal/launch"
 )
 
 // envelope wraps one experiment's structured rows for the JSON sibling
@@ -49,6 +50,7 @@ type envelope struct {
 const envelopeSchema = "dinfomap-experiment/v1"
 
 func main() {
+	launch.ServeChild()
 	var (
 		exp      = flag.String("exp", "all", "experiment id (table1 fig4 fig5 table2 fig6 fig7 fig8 fig9 fig10 table3 ablations comms waitstates speedup all)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor")

@@ -241,21 +241,6 @@ func NewRunJournalAt(p int, epoch time.Time) *RunJournal {
 	return obs.NewJournalAt(p, epoch)
 }
 
-// NewRankJournal returns a p-rank journal allocating only rank's own
-// row — the shape a child process of a multi-process run uses (foreign
-// rows are valid no-op sinks).
-func NewRankJournal(rank, p int, epoch time.Time) *RunJournal {
-	return obs.NewRankJournal(rank, p, epoch)
-}
-
-// NewWaitRecorder returns a wait-state recorder for a world of the
-// given rank count, anchored to epoch (zero means now). Assign it to
-// DistributedConfig.Recorder to record raw wait events explicitly —
-// multi-process children do, so the launcher can merge them.
-func NewWaitRecorder(ranks int, epoch time.Time) *WaitRecorder {
-	return mpi.NewRecorder(ranks, epoch)
-}
-
 // WriteChromeTrace exports a run journal as Chrome trace-event JSON
 // (one timeline row per rank), viewable in Perfetto or chrome://tracing.
 func WriteChromeTrace(w io.Writer, j *RunJournal) error {
@@ -299,80 +284,6 @@ type RunLiveMetrics = obs.Metrics
 // returned metrics handle may be ignored.
 func RegisterRunDebugHandlers(mux *http.ServeMux, j *RunJournal) *RunLiveMetrics {
 	return obs.RegisterDebugHandlers(mux, j)
-}
-
-// ---- Multi-process telemetry ----
-
-// TransportStats is one rank's wire-level transport counter snapshot
-// (frames/bytes per peer, connect retries, handshake latency, poison
-// events) on a multi-process run.
-type TransportStats = mpi.TransportStats
-
-// ClockEstimate is the launcher's per-rank clock-offset estimate on a
-// multi-process run; see the report's clocks section and
-// dinfomap-analyze's residual check.
-type ClockEstimate = obs.ClockEstimate
-
-// TelemetryUplink is the child-process end of the launcher's telemetry
-// side channel: journal events, live stats snapshots, and the final
-// telemetry section flow through it without ever blocking the rank.
-type TelemetryUplink = mpi.Uplink
-
-// TelemetryUplinkConfig wires one rank's telemetry uplink.
-type TelemetryUplinkConfig = mpi.UplinkConfig
-
-// DialTelemetryUplink connects a rank process to the launcher's
-// telemetry listener.
-func DialTelemetryUplink(network, addr string, cfg TelemetryUplinkConfig) (*TelemetryUplink, error) {
-	return mpi.DialUplink(network, addr, cfg)
-}
-
-// TelemetryUplinkPeer is the launcher end of one child's uplink.
-type TelemetryUplinkPeer = mpi.UplinkPeer
-
-// AcceptTelemetryUplink handshakes an accepted uplink connection.
-func AcceptTelemetryUplink(conn net.Conn, size int, epoch time.Time, version string, timeout time.Duration) (*TelemetryUplinkPeer, error) {
-	return mpi.AcceptUplink(conn, size, epoch, version, timeout)
-}
-
-// TelemetryRelay forwards a child's live journal flow onto its uplink.
-type TelemetryRelay = obs.Relay
-
-// StartTelemetryRelay starts forwarding journal events and periodic
-// stats snapshots from j over up; see obs.StartRelay.
-func StartTelemetryRelay(j *RunJournal, rank int, up *TelemetryUplink, transport func() *TransportStats, statsEvery time.Duration) *TelemetryRelay {
-	return obs.StartRelay(j, rank, up, transport, statsEvery)
-}
-
-// RankTelemetry is one rank's complete post-run telemetry section.
-type RankTelemetry = obs.RankTelemetry
-
-// CaptureRankTelemetry packages a finished rank's telemetry section.
-func CaptureRankTelemetry(j *RunJournal, rank int, rec *WaitRecorder, ts *TransportStats, liveDrops int64) *RankTelemetry {
-	return obs.CaptureTelemetry(j, rank, rec, ts, liveDrops)
-}
-
-// SendRankTelemetry ships the final section over the uplink, blocking.
-func SendRankTelemetry(up *TelemetryUplink, rt *RankTelemetry) error {
-	return obs.SendTelemetry(up, rt)
-}
-
-// MeshCollector is the launcher-side sink for all ranks' uplinks: live
-// events feed a parent journal, clock offsets are estimated from
-// ping/pong samples, and the final sections merge into one aligned
-// journal + wait recorder.
-type MeshCollector = obs.Collector
-
-// NewMeshCollector returns a collector for a p-rank world feeding the
-// given live journal and metrics (each may be nil).
-func NewMeshCollector(p int, j *RunJournal, m *RunLiveMetrics) *MeshCollector {
-	return obs.NewCollector(p, j, m)
-}
-
-// MergeRankTelemetry assembles per-rank telemetry sections into one
-// clock-aligned journal and wait recorder on the launcher timeline.
-func MergeRankTelemetry(p int, epoch time.Time, sections []*RankTelemetry, clocks []ClockEstimate) (*RunJournal, *WaitRecorder) {
-	return obs.MergeTelemetry(p, epoch, sections, clocks)
 }
 
 // RunReport is the structured, stable-schema JSON report of one

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dinfomap/internal/core"
+	"dinfomap/internal/gen"
 	"dinfomap/internal/infomap"
 	"dinfomap/internal/metrics"
 	"dinfomap/internal/partition"
@@ -27,7 +28,7 @@ type AblationRow struct {
 // of it, and "infinite" (no delegates, pure 1D-with-owner layout).
 func RunAblationThreshold(o Options, dataset string, p int) ([]AblationRow, error) {
 	o = o.withDefaults()
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func RunAblationThreshold(o Options, dataset string, p int) ([]AblationRow, erro
 // and off (Section 3.4's vertex bouncing problem).
 func RunAblationMinLabel(o Options, dataset string, p int) ([]AblationRow, error) {
 	o = o.withDefaults()
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +89,7 @@ func RunAblationMinLabel(o Options, dataset string, p int) ([]AblationRow, error
 // off (the duplicated-information problem of Figure 3).
 func RunAblationDedup(o Options, dataset string, p int) ([]AblationRow, error) {
 	o = o.withDefaults()
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +114,7 @@ func RunAblationDedup(o Options, dataset string, p int) ([]AblationRow, error) {
 // the imbalance-correction pass (preprocessing step 4 of Section 3.3).
 func RunAblationRebalance(o Options, dataset string, p int) ([]AblationRow, error) {
 	o = o.withDefaults()
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +141,7 @@ func RunAblationRebalance(o Options, dataset string, p int) ([]AblationRow, erro
 // broadcast; see DESIGN.md "Known deviations".
 func RunAblationApproxDelegates(o Options, dataset string, p int) ([]AblationRow, error) {
 	o = o.withDefaults()
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func RunAblationApproxDelegates(o Options, dataset string, p int) ([]AblationRow
 // round and over-merge (see DESIGN.md §6).
 func RunAblationDamping(o Options, dataset string, p int) ([]AblationRow, error) {
 	o = o.withDefaults()
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"dinfomap/internal/gen"
 	"dinfomap/internal/partition"
 )
 
@@ -35,7 +36,7 @@ func RunBalance(o Options, datasets []string, ps []int) ([]BalanceRow, error) {
 	}
 	var rows []BalanceRow
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}

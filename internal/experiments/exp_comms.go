@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dinfomap/internal/core"
+	"dinfomap/internal/gen"
 	"dinfomap/internal/mpi"
 )
 
@@ -51,7 +52,7 @@ func RunComms(o Options, datasets []string, ps []int) ([]CommsRow, error) {
 	}
 	var rows []CommsRow
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}

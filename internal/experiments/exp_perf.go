@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dinfomap/internal/core"
+	"dinfomap/internal/gen"
 	"dinfomap/internal/gossip"
 	"dinfomap/internal/trace"
 )
@@ -23,7 +24,7 @@ func RunFig8(o Options, dataset string, ps []int) ([]trace.Breakdown, error) {
 	if len(ps) == 0 {
 		ps = []int{4, 8, 16, 32}
 	}
-	g, _, err := loadDataset(dataset, o)
+	g, _, err := gen.Load(dataset, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func RunFig9(o Options, datasets []string, ps []int) ([]ScalabilityRow, error) {
 	}
 	var rows []ScalabilityRow
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +196,7 @@ func RunTable3(o Options, datasets []string, p int) ([]Table3Row, error) {
 	}
 	var rows []Table3Row
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}

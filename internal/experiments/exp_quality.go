@@ -30,7 +30,7 @@ func RunTable1(o Options) ([]Table1Row, error) {
 	o = o.withDefaults()
 	var rows []Table1Row
 	for _, name := range gen.Names() {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func RunFig4(o Options, p int, datasets []string) ([]ConvergenceResult, error) {
 	}
 	var out []ConvergenceResult
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func RunFig5(o Options, p int, datasets []string) ([]MergeRateResult, error) {
 	}
 	var out []MergeRateResult
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func RunTable2(o Options, p int, datasets []string) ([]Table2Row, error) {
 	}
 	var out []Table2Row
 	for _, name := range datasets {
-		g, truth, err := loadDataset(name, o)
+		g, truth, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -4,61 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"sync"
 	"time"
 
 	"dinfomap/internal/core"
-	"dinfomap/internal/graph"
-	"dinfomap/internal/mpi"
+	"dinfomap/internal/launch"
 	"dinfomap/internal/trace"
 )
-
-// runProcMesh runs the full algorithm over the proc backend — one
-// RunRank per rank, connected through real unix sockets — and
-// assembles the result. It is the measured-wall counterpart of
-// core.Run: the goroutine transport shares one address space and
-// scheduler, while this path exercises the same socket framing, codec,
-// and drain behavior as the multi-process launcher, so its wall clocks
-// reflect real transport latency.
-func runProcMesh(g *graph.Graph, cfg core.Config) (*core.Result, error) {
-	dir, err := os.MkdirTemp("", "mpi")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	listeners, addrs, err := mpi.ListenRanks("unix", cfg.P, dir)
-	if err != nil {
-		return nil, err
-	}
-	epoch := time.Now()
-	arts := make([]*core.RankArtifact, cfg.P)
-	errs := make([]error, cfg.P)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.P; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			tr, err := mpi.DialProc(mpi.ProcConfig{
-				Rank: rank, Size: cfg.P,
-				Listener: listeners[rank], Addrs: addrs, Network: "unix",
-				Epoch: epoch,
-			})
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			arts[rank], errs[rank] = core.RunRank(g, cfg, tr)
-		}(r)
-	}
-	wg.Wait()
-	for r, e := range errs {
-		if e != nil {
-			return nil, fmt.Errorf("rank %d: %w", r, e)
-		}
-	}
-	return core.Assemble(cfg, arts)
-}
 
 // measuredWall is the run's end-to-end measured time: the slowest
 // rank's stage-1 wall plus the slowest rank's stage-2 wall.
@@ -98,13 +49,14 @@ type SpeedupResult struct {
 }
 
 // RunSpeedup validates the alpha-beta cost model against measured
-// multi-process speedup (the ROADMAP open item): the same graph is
-// clustered over the proc mesh at p = 1..N, the measured walls are
+// multi-process speedup: the same graph is clustered with one OS
+// process per rank (launch.Run) at p = 1..N, the measured walls are
 // least-squares fitted to wall ~= t_op*ops + alpha*msgs + beta*bytes
 // using each run's critical-rank counters, and the fitted curve is
 // reported next to the default-constant modeled curve. The point is
 // the shape comparison — absolute constants absorb host speed, socket
-// stack, and scheduler noise of the machine that ran the sweep.
+// stack, and scheduler noise of the machine that ran the sweep. The
+// calling binary must call launch.ServeChild first thing in main.
 func RunSpeedup(o Options, dataset string, ps []int) (*SpeedupResult, error) {
 	o = o.withDefaults()
 	if dataset == "" {
@@ -114,16 +66,13 @@ func RunSpeedup(o Options, dataset string, ps []int) (*SpeedupResult, error) {
 		ps = []int{1, 2, 3, 4}
 	}
 	const reps = 3
-	g, _, err := loadDataset(dataset, o)
-	if err != nil {
-		return nil, err
-	}
+	in := launch.Input{Dataset: dataset, Scale: o.Scale, SeedOffset: o.Seed}
 	out := &SpeedupResult{}
 	for _, p := range ps {
 		var best *core.Result
 		var bestWall time.Duration
 		for rep := 0; rep < reps; rep++ {
-			res, err := runProcMesh(g, core.Config{P: p, Seed: o.Seed + 12})
+			res, _, err := launch.Run(launch.Spec{Input: in, P: p, Seed: o.Seed + 12}, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("p=%d: %w", p, err)
 			}

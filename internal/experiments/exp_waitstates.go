@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dinfomap/internal/core"
+	"dinfomap/internal/gen"
 	"dinfomap/internal/obs"
 )
 
@@ -63,7 +64,7 @@ func RunWaitStates(o Options, datasets []string, ps []int) ([]WaitRow, error) {
 	}
 	var rows []WaitRow
 	for _, name := range datasets {
-		g, _, err := loadDataset(name, o)
+		g, _, err := gen.Load(name, o.Scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}

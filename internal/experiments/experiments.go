@@ -10,9 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"dinfomap/internal/gen"
-	"dinfomap/internal/graph"
 )
 
 // Options configures an experiment run.
@@ -29,46 +26,6 @@ func (o Options) withDefaults() Options {
 		o.Scale = 1
 	}
 	return o
-}
-
-// loadDataset generates the named stand-in at the requested scale.
-func loadDataset(name string, o Options) (*graph.Graph, []int, error) {
-	d, err := gen.Lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	//dinfomap:float-ok option sentinel: 1 is the literal "no scaling" default set by withDefaults
-	if o.Scale != 1 {
-		d.N = scaleInt(d.N, o.Scale)
-		d.RMATEdges = scaleInt(d.RMATEdges, o.Scale)
-		if d.RMATScale > 0 && o.Scale < 1 {
-			// Halve the vertex space roughly log2-proportionally.
-			for s := o.Scale; s < 0.6 && d.RMATScale > 8; s *= 2 {
-				d.RMATScale--
-			}
-		}
-		if d.NumComms > 0 {
-			d.NumComms = max(2, scaleInt(d.NumComms, o.Scale))
-		}
-	}
-	d.Seed += o.Seed
-	g, truth := d.Generate()
-	return g, truth, nil
-}
-
-func scaleInt(v int, s float64) int {
-	out := int(float64(v) * s)
-	if out < 16 {
-		out = 16
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeHeader renders a section header for an experiment report.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"dinfomap/internal/gen"
 )
 
 // Small scale keeps the full-suite runtime reasonable while still
@@ -219,7 +221,7 @@ func TestAblations(t *testing.T) {
 
 func TestScaledDatasetLoads(t *testing.T) {
 	for _, name := range []string{"amazon", "ndweb", "uk-2007"} {
-		g, _, err := loadDataset(name, Options{Scale: 0.05})
+		g, _, err := gen.Load(name, 0.05, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +229,8 @@ func TestScaledDatasetLoads(t *testing.T) {
 			t.Errorf("%s at scale 0.05 is empty", name)
 		}
 	}
-	if _, _, err := loadDataset("bogus", testOpts); err == nil {
-		t.Error("loadDataset accepted bogus name")
+	if _, _, err := gen.Load("bogus", testOpts.Scale, testOpts.Seed); err == nil {
+		t.Error("gen.Load accepted bogus name")
 	}
 }
 

@@ -184,3 +184,37 @@ func Lookup(name string) (Dataset, error) {
 	}
 	return d, nil
 }
+
+// Load generates the named stand-in at the given scale, with
+// seedOffset added to its registry seed. It is the one "dataset at
+// scale" rule every tool shares: scale 1 and offset 0 give exactly
+// Lookup(name).Generate(). Other scales multiply the vertex, edge and
+// community counts (each floored at 16) and, for RMAT stand-ins below
+// scale 0.6, shrink the vertex space about log2-proportionally. truth
+// is non-nil only for planted datasets.
+func Load(name string, scale float64, seedOffset uint64) (g *graph.Graph, truth []int, err error) {
+	d, err := Lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	//dinfomap:float-ok sentinel: 1 is the literal "no scaling" default
+	if scale != 1 {
+		d.N = scaleInt(d.N, scale)
+		d.RMATEdges = scaleInt(d.RMATEdges, scale)
+		if d.RMATScale > 0 && scale < 1 {
+			for s := scale; s < 0.6 && d.RMATScale > 8; s *= 2 {
+				d.RMATScale--
+			}
+		}
+		if d.NumComms > 0 {
+			d.NumComms = scaleInt(d.NumComms, scale)
+		}
+	}
+	d.Seed += seedOffset
+	g, truth = d.Generate()
+	return g, truth, nil
+}
+
+func scaleInt(v int, s float64) int {
+	return max(16, int(float64(v)*s))
+}

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -277,5 +279,65 @@ func TestPropertyGeometric(t *testing.T) {
 	}
 	if NewRNG(1).Geometric(0) != math.MaxInt32 {
 		t.Error("Geometric(0) should be effectively infinite")
+	}
+}
+
+// edgeHash digests g's vertex count and edge list, weights included.
+func edgeHash(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	put(uint64(g.NumVertices()))
+	g.Edges(func(u, v int, w float64) {
+		put(uint64(u))
+		put(uint64(v))
+		put(math.Float64bits(w))
+	})
+	return h.Sum64()
+}
+
+// TestLoadPinsRegistryGraphs pins the one "dataset at scale" rule: at
+// scale 1 with no seed offset, Load builds exactly the registry graph
+// (the benchmark inputs and the default CLI graphs), and each rule
+// where it differs from plain multiplication shows in its own row.
+func TestLoadPinsRegistryGraphs(t *testing.T) {
+	type row struct {
+		name   string
+		scale  float64
+		offset uint64
+		want   func(d *Dataset) // edits the registry entry into the expected one
+	}
+	var rows []row
+	for _, name := range Names() {
+		rows = append(rows, row{name: name, scale: 1, want: func(*Dataset) {}})
+	}
+	rows = append(rows,
+		// RMAT stand-ins below scale 0.6 also lose a vertex-space bit.
+		row{"ndweb", 0.3, 0, func(d *Dataset) { d.RMATEdges, d.RMATScale = 4500, 11 }},
+		// Community counts floor at 16, not at 2 (int(120*0.1) = 12).
+		row{"amazon", 0.1, 0, func(d *Dataset) { d.N, d.NumComms = 330, 16 }},
+		// The seed offset adds to the registry seed.
+		row{"amazon", 0.3, 5, func(d *Dataset) { d.N, d.NumComms, d.Seed = 990, 36, 106 }},
+	)
+	for _, r := range rows {
+		g, truth, err := Load(r.name, r.scale, r.offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := Lookup(r.name)
+		r.want(&d)
+		wantG, wantTruth := d.Generate()
+		if edgeHash(g) != edgeHash(wantG) {
+			t.Errorf("Load(%q, %v, %d) differs from %+v.Generate()", r.name, r.scale, r.offset, d)
+		}
+		if (truth == nil) != (wantTruth == nil) || len(truth) != len(wantTruth) {
+			t.Errorf("Load(%q, %v, %d): ground truth of %d vertices, want %d", r.name, r.scale, r.offset, len(truth), len(wantTruth))
+		}
+	}
+	if _, _, err := Load("nope", 1, 0); err == nil {
+		t.Error(`Load("nope") succeeded`)
 	}
 }

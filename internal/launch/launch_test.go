@@ -1,0 +1,299 @@
+package launch
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"dinfomap/internal/core"
+	"dinfomap/internal/gen"
+	"dinfomap/internal/graph"
+	"dinfomap/internal/obs"
+)
+
+// TestMain lets Run re-execute this test binary as its rank processes.
+func TestMain(m *testing.M) {
+	ServeChild()
+	os.Exit(m.Run())
+}
+
+// testInput is a small planted stand-in with hubs at every p >= 2.
+var testInput = Input{Dataset: "amazon", Scale: 0.2}
+
+// runBoth clusters in on the goroutine transport and with one OS
+// process per rank.
+func runBoth(t *testing.T, in Input, cfg core.Config) (g *graph.Graph, inproc, multi *core.Result) {
+	t.Helper()
+	g, err := in.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, _, err = Run(Spec{Input: in, P: cfg.P, DHigh: cfg.DHigh, Seed: cfg.Seed}, nil, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return g, core.Run(g, cfg), multi
+}
+
+// TestTransportParity is the cross-backend determinism contract: the
+// same graph, config, and seed must produce bit-identical partitions,
+// codelengths, and deterministic counters whether the ranks are
+// goroutines sharing memory slots or OS processes exchanging frames
+// over sockets. This is what lets CI diff a multi-process run report
+// against the in-process golden.
+func TestTransportParity(t *testing.T) {
+	_, inproc, multi := runBoth(t, testInput, core.Config{P: 4, Seed: 42})
+	requireSameRun(t, inproc, multi)
+}
+
+// TestTransportParitySingleRank pins transport parity at p = 1, where
+// the layout delegates nothing: the graph has hubs at p = 2, yet the
+// one-rank run on either backend reports none.
+func TestTransportParitySingleRank(t *testing.T) {
+	g, inproc, multi := runBoth(t, testInput, core.Config{P: 1, Seed: 42})
+	if hubs := core.Run(g, core.Config{P: 2, Seed: 42}).Partition.NumHubs; hubs == 0 {
+		t.Fatal("the graph has no hubs at p = 2; it cannot show the p = 1 rule")
+	}
+	requireSameRun(t, inproc, multi)
+	if inproc.Partition.NumHubs != 0 || multi.Partition.NumHubs != 0 {
+		t.Fatalf("p = 1 runs delegated %d (goroutine) and %d (proc) hubs, want 0",
+			inproc.Partition.NumHubs, multi.Partition.NumHubs)
+	}
+}
+
+// TestResultCarriesGraphSize pins that the launcher learns the graph's
+// size from the rank processes alone: NumEdges rides in rank 0's
+// artifact and the vertex count is the length of the partition. The
+// input is an edge-list file the launcher never parses.
+func TestResultCarriesGraphSize(t *testing.T) {
+	g, _ := gen.PlantedPartition(7, gen.PlantedConfig{
+		N: 600, NumComms: 12, AvgDegree: 8, Mixing: 0.2, DegreeGamma: 2.5,
+	})
+	path := filepath.Join(t.TempDir(), "g.txt")
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := Run(Spec{Input: Input{Path: path}, P: 3, Seed: 42}, nil, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.NumEdges != g.NumEdges() {
+		t.Errorf("NumEdges = %d, graph has %d", res.NumEdges, g.NumEdges())
+	}
+	if len(res.Communities) != g.NumVertices() {
+		t.Errorf("%d communities, graph has %d vertices", len(res.Communities), g.NumVertices())
+	}
+}
+
+// TestProcReportParity is the observability half of the transport
+// parity contract: a multi-process run whose telemetry flowed through
+// rank journals, the uplink, clock alignment, and the collector merge
+// must produce a report that (a) carries the same analysis sections as
+// an in-process journaled run — wait states and a critical path — and
+// (b) is byte-identical on every deterministic field once volatile
+// wall-clock data is scrubbed. This is the same comparison
+// dinfomap-diff -parity performs in CI.
+func TestProcReportParity(t *testing.T) {
+	g, err := testInput.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{P: 4, Seed: 42}
+	epoch := time.Now()
+
+	inCfg := cfg
+	inCfg.Journal = obs.NewJournalAt(cfg.P, epoch)
+	inRep := core.BuildReport(g, inCfg, core.Run(g, inCfg))
+
+	procRes, tel, err := Run(Spec{Input: testInput, P: cfg.P, Seed: cfg.Seed, Epoch: epoch},
+		obs.NewJournalAt(cfg.P, epoch), nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if tel == nil {
+		t.Fatal("an observed run returned no telemetry")
+	}
+	procCfg := cfg
+	procCfg.Journal = tel.Journal
+	procRep := core.BuildReport(g, procCfg, procRes)
+
+	// The proc report must carry the full analysis surface, not a
+	// degraded subset: dinfomap-analyze consumes these unchanged.
+	if procRep.WaitStates == nil {
+		t.Fatal("proc report has no waitstates section")
+	}
+	if len(procRep.CriticalPath) == 0 {
+		t.Fatal("proc report has no critical path")
+	}
+	if len(procRep.Clocks) != cfg.P {
+		t.Fatalf("proc report carries %d clock estimates, want %d", len(procRep.Clocks), cfg.P)
+	}
+	for _, c := range tel.Clocks {
+		if c.Samples == 0 {
+			t.Errorf("rank %d clock estimate has no samples", c.Rank)
+		}
+	}
+	for r, rr := range procRep.Ranks {
+		if rr.Transport == nil {
+			t.Errorf("proc report rank %d has no transport counters", r)
+		}
+	}
+
+	obs.ScrubVolatile(inRep)
+	obs.ScrubVolatile(procRep)
+	a, err := json.MarshalIndent(inRep, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.MarshalIndent(procRep, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		// Find the first differing line for a readable failure.
+		al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+		for i := 0; i < len(al) && i < len(bl); i++ {
+			if !bytes.Equal(al[i], bl[i]) {
+				t.Fatalf("scrubbed reports differ at line %d:\n  in-process: %s\n  proc:       %s", i+1, al[i], bl[i])
+			}
+		}
+		t.Fatalf("scrubbed reports differ in length: %d vs %d lines", len(al), len(bl))
+	}
+}
+
+// TestRunRejectsBadInputBeforeSpawn pins that a launch with an input
+// the ranks could not load fails in the launcher, with Check's error.
+func TestRunRejectsBadInputBeforeSpawn(t *testing.T) {
+	in := Input{Dataset: "no-such-dataset"}
+	want := in.Check()
+	if want == nil {
+		t.Fatal("Check accepted an unknown dataset")
+	}
+	if _, _, err := Run(Spec{Input: in, P: 2}, nil, nil); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run = %v, want %v", err, want)
+	}
+}
+
+// TestReadChildSpecRejectsHostileInput pins that a rank process turns
+// every malformed launcher-to-child value or spec file into an error,
+// never a panic.
+func TestReadChildSpecRejectsHostileInput(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	encode := func(cs childSpec) []byte {
+		data, err := json.Marshal(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	good := childSpec{Spec: Spec{Input: testInput, P: 2, Seed: 1, Epoch: time.Now()},
+		Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}}
+	goodPath := write("good.json", encode(good))
+
+	rank, cs, artifact, err := readChildSpec("1:" + goodPath)
+	if err != nil {
+		t.Fatalf("a well-formed spec: %v", err)
+	}
+	if rank != 1 || cs.P != 2 || cs.Input != testInput || !cs.Epoch.Equal(good.Epoch) ||
+		artifact != filepath.Join(dir, "rank1.json") {
+		t.Fatalf("decoded rank %d, spec %+v, artifact %s", rank, cs, artifact)
+	}
+
+	full := encode(good)
+	oneAddr := good
+	oneAddr.Addrs = good.Addrs[:1]
+	threeAddrs := good
+	threeAddrs.Addrs = append([]string{"127.0.0.1:3"}, good.Addrs...)
+	noRanks := good
+	noRanks.P, noRanks.Addrs = 0, nil
+	for _, tc := range []struct {
+		name, value, wantErr string
+	}{
+		{"empty value", "", "malformed"},
+		{"no separator", "1", "malformed"},
+		{"no path", "1:", "malformed"},
+		{"garbled rank", "x1:" + goodPath, "malformed"},
+		{"missing file", "0:" + filepath.Join(dir, "absent.json"), "no such file"},
+		{"directory", "0:" + dir, "launch spec"},
+		{"truncated file", "0:" + write("truncated.json", full[:len(full)/2]), "unexpected end"},
+		{"empty file", "0:" + write("empty.json", nil), "unexpected end"},
+		{"not an object", "0:" + write("array.json", []byte("[1,2]")), "launch spec"},
+		{"negative rank", "-1:" + goodPath, "outside a world of 2"},
+		{"rank equal to P", "2:" + goodPath, "outside a world of 2"},
+		{"huge rank", fmt.Sprintf("%d:%s", 1<<62, goodPath), "outside a world of 2"},
+		{"zero ranks", "0:" + write("p0.json", encode(noRanks)), "outside a world of 0"},
+		{"too few addresses", "0:" + write("short.json", encode(oneAddr)), "1 addresses for 2 ranks"},
+		{"too many addresses", "0:" + write("long.json", encode(threeAddrs)), "3 addresses for 2 ranks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, err := readChildSpec(tc.value)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("readChildSpec(%q) = %v, want an error containing %q", tc.value, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// requireSameRun fails t unless the two results carry bit-identical
+// partitions, codelengths, MDL traces and deterministic comm counters.
+func requireSameRun(t *testing.T, inproc, multi *core.Result) {
+	t.Helper()
+	if inproc.Codelength != multi.Codelength {
+		t.Errorf("codelength differs: goroutine %v vs proc %v",
+			inproc.Codelength, multi.Codelength)
+	}
+	if inproc.InitialCodelength != multi.InitialCodelength {
+		t.Errorf("initial codelength differs: %v vs %v",
+			inproc.InitialCodelength, multi.InitialCodelength)
+	}
+	if inproc.NumModules != multi.NumModules {
+		t.Errorf("module count differs: %d vs %d", inproc.NumModules, multi.NumModules)
+	}
+	if len(inproc.Communities) != len(multi.Communities) {
+		t.Fatalf("partition sizes differ: %d vs %d", len(inproc.Communities), len(multi.Communities))
+	}
+	for u := range inproc.Communities {
+		if inproc.Communities[u] != multi.Communities[u] {
+			t.Fatalf("community of vertex %d differs: %d vs %d",
+				u, inproc.Communities[u], multi.Communities[u])
+		}
+	}
+	if len(inproc.MDLTrace) != len(multi.MDLTrace) {
+		t.Fatalf("MDL trace length differs: %d vs %d",
+			len(inproc.MDLTrace), len(multi.MDLTrace))
+	}
+	for k := range inproc.MDLTrace {
+		if inproc.MDLTrace[k] != multi.MDLTrace[k] {
+			t.Errorf("MDL trace[%d] differs: %v vs %v",
+				k, inproc.MDLTrace[k], multi.MDLTrace[k])
+		}
+	}
+	// Deterministic communication counters must agree rank for rank:
+	// traffic is counted above the transport, and each collective is
+	// billed as exactly two synchronization points on every backend.
+	for r := range inproc.CommStats {
+		a, b := inproc.CommStats[r], multi.CommStats[r]
+		if a.BytesSent != b.BytesSent || a.MsgsSent != b.MsgsSent ||
+			a.Collectives != b.Collectives || a.BarrierSyncs != b.BarrierSyncs {
+			t.Errorf("rank %d deterministic comm counters differ:\n  goroutine: bytes=%d msgs=%d coll=%d syncs=%d\n  proc:      bytes=%d msgs=%d coll=%d syncs=%d",
+				r, a.BytesSent, a.MsgsSent, a.Collectives, a.BarrierSyncs,
+				b.BytesSent, b.MsgsSent, b.Collectives, b.BarrierSyncs)
+		}
+	}
+}
