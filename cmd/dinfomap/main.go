@@ -195,7 +195,7 @@ func main() {
 		for _, ph := range []string{
 			trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
 			trace.PhaseSwapBoundary, trace.PhaseRefreshRound1,
-			trace.PhaseRefreshRound2, trace.PhaseOther,
+			trace.PhaseRefreshRound2,
 		} {
 			fmt.Printf("  %-20s %v\n", ph, res.PhaseModeled[ph].Round(time.Microsecond))
 		}

@@ -61,6 +61,9 @@ type RankOutput struct {
 	InitialCodelength float64   `json:"initial_codelength"`
 	Stage1Iterations  int       `json:"stage1_iterations"`
 	Stage2Iterations  int       `json:"stage2_iterations"`
+	// RoundSyncs counts the synchronizing calls of the round loops,
+	// stage 1 then stage 2.
+	RoundSyncs [2]int64 `json:"round_syncs"`
 }
 
 // RunRank executes one rank of the distributed algorithm over an
@@ -146,6 +149,10 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	res.OuterIterations = len(o.MDLTrace)
 	res.Stage1Iterations = o.Stage1Iterations
 	res.Stage2Iterations = o.Stage2Iterations
+	res.CollectivesPerRound = obs.RoundCollectives{
+		Stage1: perRound(o.RoundSyncs[0], o.Stage1Iterations),
+		Stage2: perRound(o.RoundSyncs[1], o.Stage2Iterations),
+	}
 	res.Partition = artifacts[0].Partition
 
 	// Publish the raw per-rank measurements (telemetry consumers build
@@ -210,6 +217,14 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	return res, nil
 }
 
+// perRound returns calls/rounds, 0 for a stage without rounds.
+func perRound(calls int64, rounds int) float64 {
+	if rounds == 0 {
+		return 0
+	}
+	return float64(calls) / float64(rounds)
+}
+
 // fillArtifact packages rank r's slots of this runState into a.
 // partStats is computed once in newRunState; rank 0's identical outputs
 // ride along. Filling in place lets Run lay out its P artifacts in one
@@ -237,6 +252,7 @@ func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 			InitialCodelength: o.initialL,
 			Stage1Iterations:  o.stage1Iters,
 			Stage2Iterations:  o.stage2Iters,
+			RoundSyncs:        o.roundSyncs,
 		}
 	}
 }

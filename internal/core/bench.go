@@ -30,7 +30,7 @@ func NewBenchLevel(g *graph.Graph, seed uint64) *BenchLevel {
 			flow.SumPlogpP, cfg.Seed)
 	})
 	b := &BenchLevel{lv: lv, s: lv.newScratch()}
-	b.lv.refresh(-1)
+	b.lv.refresh(-1, 0)
 	return b
 }
 

@@ -55,17 +55,12 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) (conve
 		mu.Lock()
 		visLists[c.Rank()] = lv.visList
 		mu.Unlock()
-		lv.refresh(-1)
+		lv.refresh(-1, 0)
 		s := lv.newScratch()
 		for iter := 0; iter < 12; iter++ {
-			lv.dampP = dampProb(iter)
-			moves, deferred, cands := lv.sweep(s, passBudget(iter))
-			hubMoves := lv.broadcastDelegates(cands)
-			lv.swapGhostComms()
-			lv.refresh(-1)
-			// The same convergence vote as cluster(): deferred moves
-			// keep the loop alive.
-			total := c.AllreduceI64(int64(moves+hubMoves+deferred), mpi.OpSum)
+			// The same round and convergence vote as cluster(): deferred
+			// moves keep the loop alive.
+			total, _ := lv.round(iter, s)
 
 			// Publish this rank's state and check on rank 0.
 			snap := make([]int, n)

@@ -116,6 +116,10 @@ type Result struct {
 	PhaseModeled map[string]time.Duration
 	// Stage1Iterations / Stage2Iterations count synchronized sweeps.
 	Stage1Iterations, Stage2Iterations int
+	// CollectivesPerRound is the number of synchronizing calls
+	// (collectives and Alltoallvs) a rank enters per synchronized round
+	// of each stage; every rank enters the same calls.
+	CollectivesPerRound obs.RoundCollectives
 
 	// PerRankPhase[r] is rank r's measured stage-1 cost per phase (the
 	// raw inputs behind PhaseModeled, before the max-over-ranks).
@@ -294,6 +298,9 @@ type rankOutput struct {
 	mergeRate                []float64
 	initialL                 float64
 	stage1Iters, stage2Iters int
+	// roundSyncs counts the synchronizing calls of the round loops,
+	// stage 1 then stage 2.
+	roundSyncs [2]int64
 }
 
 func ownerOf(v, p int) int { return v % p }

@@ -9,78 +9,132 @@ import (
 	"dinfomap/internal/obs"
 )
 
-// broadcastDelegates runs the BroadcastDelegates phase (Algorithm 2,
-// line 4). Round A gathers every rank's best local delegate move and
-// selects, per hub, the candidate with the minimum local delta-L
-// (deterministic tie-breaks: lower target, then lower proposing rank).
+// swapBoundary runs the round's one boundary exchange, the
+// SwapBoundaryInfo phase with round A of BroadcastDelegates (Algorithm
+// 2, line 4) folded in: a single Alltoallv carries the current
+// community of each owned boundary vertex to the ranks ghosting it
+// (every round; the paper observes this traffic is stable across
+// iterations, Figure 8) and, at levels with delegates, this rank's best
+// local delegate moves to every rank, self included.
 //
-// By default a second round then makes the decision *exact*: every rank
-// contributes its local link weight between the hub and the winning
-// target (and the hub's current module), and the proposing rank ships
-// the target module's statistics, so all ranks evaluate the same global
-// delta-L from identical inputs and apply the move only when it truly
-// improves the codelength. With Config.ApproxDelegates the round-A
-// winner is applied directly on its local delta-L, which is the paper's
-// literal scheme; the ablation benches show it degrades quality when a
-// delegate's adjacency is spread thinly over many ranks.
+// Every payload of a delegate level opens with the sender's proposal
+// block (a count, then the candidates), so every rank decodes the same
+// proposals in source-rank order — the order an allgather would deliver
+// them in — and selects, per hub, the candidate with the minimum local
+// delta-L (deterministic tie-breaks: lower target, then lower proposing
+// rank). Winners are kept in the per-hub-position delegate scratch,
+// stamped per round, for broadcastDelegates.
 //
-// Winners are kept in the per-hub-position delegate scratch (stamped
-// per round) and walked by ascending position — hubs is sorted, so that
-// is ascending hub-id order with no key collection or sort.
+// The received ghost updates are held in lv.ghostIn, not applied: round
+// B reads the ghosts' communities (localHubWeights) and must see the
+// values it saw before the fold. Both are decoded out of the pooled
+// result here, before the next collective reuses it.
+func (lv *level) swapBoundary(cands []hubCandidate) {
+	prevKind := lv.c.SetKind(mpi.KindGhostUpdate)
+	defer lv.c.SetKind(prevKind)
+	delegates := len(lv.hubs) > 0
+	sb := lv.sendBufs
+	sb.Reset()
+	if delegates {
+		for r := 0; r < lv.p; r++ {
+			e := sb.For(r)
+			e.PutInt(len(cands))
+			for _, hc := range cands {
+				hc.encode(e)
+			}
+		}
+	}
+	for i, v := range lv.subVerts {
+		gu := ghostUpdate{Vertex: v, Comm: lv.comm[v]}
+		for _, dstRank := range lv.subRanks[lv.subOff[i]:lv.subOff[i+1]] {
+			gu.encode(sb.For(int(dstRank)))
+		}
+	}
+	recv := lv.c.Alltoallv(sb.Bufs())
+
+	if delegates {
+		lv.dsch.round++
+		lv.dsch.nWin = 0
+	}
+	lv.ghostIn = lv.ghostIn[:0]
+	d := &lv.dec
+	for src, b := range recv {
+		d.Reset(b)
+		if delegates {
+			for k := d.Int(); k > 0; k-- {
+				lv.propose(src, decodeHubCandidate(d))
+			}
+		}
+		for d.Remaining() > 0 {
+			// Ghosts are never hubs, so no delegate move of this round
+			// touches them: an update that matches now still matches
+			// when the held updates are applied.
+			if gu := decodeGhostUpdate(d); lv.comm[gu.Vertex] != gu.Comm {
+				lv.ghostIn = append(lv.ghostIn, gu)
+			}
+		}
+	}
+}
+
+// propose records src's round-A candidate hc if it beats the hub's
+// current winner.
+func (lv *level) propose(src int, hc hubCandidate) {
+	ds := lv.dsch
+	pos := lv.hubIndex[hc.Hub]
+	if ds.stamp[pos] != ds.round {
+		ds.stamp[pos] = ds.round
+		ds.cand[pos] = hc
+		ds.proposer[pos] = int32(src)
+		ds.nWin++
+		return
+	}
+	cur := ds.cand[pos]
+	// The tie-break must use exact bit equality: every rank decodes the
+	// same candidate bytes, so equal means identical, and an epsilon
+	// would merge near-ties differently than the (target, rank)
+	// ordering resolves them.
+	if hc.DeltaL < cur.DeltaL ||
+		//dinfomap:float-ok deterministic tie-break on bit-identical decoded values
+		(hc.DeltaL == cur.DeltaL && (hc.Target < cur.Target ||
+			(hc.Target == cur.Target && src < int(ds.proposer[pos])))) {
+		ds.cand[pos] = hc
+		ds.proposer[pos] = int32(src)
+	}
+}
+
+// applyGhostUpdates applies the ghost communities swapBoundary held
+// back, once round B is done reading the old ones.
+func (lv *level) applyGhostUpdates() {
+	for _, gu := range lv.ghostIn {
+		lv.comm[gu.Vertex] = gu.Comm
+		lv.movedV[gu.Vertex] = true
+	}
+}
+
+// broadcastDelegates finishes the BroadcastDelegates phase on the
+// round-A winners swapBoundary selected.
+//
+// By default a second round (round B) makes the decision *exact*: every
+// rank contributes its local link weight between the hub and the
+// winning target (and the hub's current module), and the proposing
+// rank ships the target module's statistics, so all ranks evaluate the
+// same global delta-L from identical inputs and apply the move only
+// when it truly improves the codelength. Every rank decoded the same
+// proposals, so when no hub has one every rank skips round B together.
+// With Config.ApproxDelegates the round-A winner is applied directly on
+// its local delta-L, which is the paper's literal scheme; the ablation
+// benches show it degrades quality when a delegate's adjacency is
+// spread thinly over many ranks.
+//
+// Winners are walked by ascending hub position — hubs is sorted, so
+// that is ascending hub-id order with no key collection or sort.
 //
 // Improving moves are applied through the hub swap rule (see
 // applyDelegateMoves). Returns the number of hub moves applied
 // (identical on every rank).
-func (lv *level) broadcastDelegates(cands []hubCandidate) int {
-	if lv.isHub == nil {
-		return 0
-	}
-	// Both allgather rounds carry delegate-move traffic.
-	prevKind := lv.c.SetKind(mpi.KindHubCandidate)
-	defer lv.c.SetKind(prevKind)
+func (lv *level) broadcastDelegates() int {
 	ds := lv.dsch
-	ds.round++
-	// ---- Round A: propose ----
-	e := lv.enc
-	e.Reset()
-	for _, hc := range cands {
-		hc.encode(e)
-	}
-	parts := lv.c.AllgatherBytes(e.Bytes())
-	nWin := 0
-	d := &lv.dec
-	for src, b := range parts {
-		d.Reset(b)
-		for d.Remaining() > 0 {
-			hc := decodeHubCandidate(d)
-			pos := lv.hubIndex[hc.Hub]
-			if ds.stamp[pos] != ds.round {
-				ds.stamp[pos] = ds.round
-				ds.cand[pos] = hc
-				ds.proposer[pos] = int32(src)
-				nWin++
-				continue
-			}
-			cur := ds.cand[pos]
-			// The tie-break must use exact bit equality: every rank decodes
-			// the same candidate bytes, so equal means identical, and an
-			// epsilon would merge near-ties differently than the (target,
-			// rank) ordering resolves them.
-			if hc.DeltaL < cur.DeltaL ||
-				//dinfomap:float-ok deterministic tie-break on bit-identical decoded values
-				(hc.DeltaL == cur.DeltaL && (hc.Target < cur.Target ||
-					(hc.Target == cur.Target && src < int(ds.proposer[pos])))) {
-				ds.cand[pos] = hc
-				ds.proposer[pos] = int32(src)
-			}
-		}
-	}
-	if nWin == 0 {
-		// Keep the collective schedule aligned across ranks: round B
-		// always happens (empty) so no rank waits on a missing barrier.
-		if !lv.cfg.ApproxDelegates {
-			lv.c.AllgatherBytes(nil)
-		}
+	if len(lv.hubs) == 0 || ds.nWin == 0 {
 		return 0
 	}
 	ds.sel = ds.sel[:0]
@@ -105,6 +159,9 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 	// ---- Round B: exact evaluation ----
 	// Fixed-order weight block (2 float64 per winner hub), then the
 	// proposer-supplied target module stats.
+	prevKind := lv.c.SetKind(mpi.KindHubCandidate)
+	defer lv.c.SetKind(prevKind)
+	e := lv.enc
 	e.Reset()
 	for _, pos := range ds.sel {
 		h := lv.hubs[pos]
@@ -124,9 +181,10 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 			e.PutInt(m.Members)
 		}
 	}
-	parts = lv.c.AllgatherBytes(e.Bytes())
+	parts := lv.c.AllgatherBytes(e.Bytes())
 	ds.sumTo = growF64(ds.sumTo, len(ds.sel))
 	ds.sumFrom = growF64(ds.sumFrom, len(ds.sel))
+	d := &lv.dec
 	for _, b := range parts {
 		d.Reset(b)
 		for i := range ds.sel {
@@ -250,59 +308,32 @@ func (lv *level) localHubWeights(h, target, from int) (wTo, wFrom float64) {
 	return wTo, wFrom
 }
 
-// swapGhostComms runs the community-id half of the SwapBoundaryInfo
-// phase: every rank sends the current community of each owned boundary
-// vertex to the ranks ghosting it, every iteration (the paper observes
-// this traffic is stable across iterations, Figure 8).
-func (lv *level) swapGhostComms() {
-	prevKind := lv.c.SetKind(mpi.KindGhostUpdate)
-	defer lv.c.SetKind(prevKind)
-	sb := lv.sendBufs
-	sb.Reset()
-	for i, v := range lv.subVerts {
-		gu := ghostUpdate{Vertex: v, Comm: lv.comm[v]}
-		for _, dstRank := range lv.subRanks[lv.subOff[i]:lv.subOff[i+1]] {
-			gu.encode(sb.For(int(dstRank)))
-		}
-	}
-	recv := lv.c.Alltoallv(sb.Bufs())
-	d := &lv.dec
-	for _, b := range recv {
-		d.Reset(b)
-		for d.Remaining() > 0 {
-			gu := decodeGhostUpdate(d)
-			if lv.comm[gu.Vertex] != gu.Comm {
-				lv.comm[gu.Vertex] = gu.Comm
-				lv.movedV[gu.Vertex] = true
-			}
-		}
-	}
-}
-
 // refresh rebuilds authoritative module statistics and the global Eq. 3
-// aggregates (the Module_Info exchange of Algorithm 3 plus the MDL
-// Allreduce). After refresh, every rank's module table is exact for all
-// modules of its visible vertices, lv.agg holds the exact global
-// aggregates, and the returned count is the global number of non-empty
-// modules. Full (non-isSent) records mark their modules changed, and the
-// closing reactivate call turns those marks and the moves recorded since
-// the previous refresh into the next sweep's active set.
+// aggregates (the Module_Info exchange of Algorithm 3 with the MDL
+// reduction and the round's move vote folded into round 2). After
+// refresh, every rank's module table is exact for all modules of its
+// visible vertices, lv.agg holds the exact global aggregates, and the
+// returned counts are the global number of non-empty modules and the
+// global sum of vote (each rank's moves, hub moves and deferrals this
+// round). Full (non-isSent) records mark their modules changed, and the
+// closing reactivate call turns those marks and the moves recorded
+// since the previous refresh into the next sweep's active set.
 //
 // The two Algorithm 3 rounds are journaled and costed as first-class
 // spans (refresh-round1: local partials + shuffle to module homes +
-// owner-side summation; refresh-round2: authoritative replies + local
-// table rebuild + MDL allreduce) instead of folding into Other. iter
-// tags the spans with the synchronized sweep (-1 = setup refresh).
+// owner-side summation; refresh-round2: authoritative replies with the
+// MDL partials + local table rebuild + aggregate sums). iter tags the
+// spans with the synchronized sweep (-1 = setup refresh).
 //
 // Partials accumulate into stamp-guarded dense arrays by module id and
 // are encoded by one ascending id scan (identical bytes to the old
 // sorted-key encode); owner-side sums accumulate by owned slot and are
 // walked by ascending slot, which is ascending module-id order. No step
 // hashes, sorts, or allocates in the steady state.
-func (lv *level) refresh(iter int32) (numModules int64) {
+func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 	sp := lv.span(obs.PhaseRefreshRound1, iter)
 	// Round 1 ships module partials; round 2 answers with authoritative
-	// Module_Info; the closing MDL reduction is a control collective.
+	// Module_Info.
 	prevKind := lv.c.SetKind(mpi.KindModulePartial)
 	defer lv.c.SetKind(prevKind)
 
@@ -415,12 +446,15 @@ func (lv *level) refresh(iter int32) (numModules int64) {
 			}
 		}
 	}
-	// Detect stat changes and count live modules, walking owned slots
-	// ascending (= sorted module-id order). Versions are monotone
+	// Detect stat changes, count live modules and sum this rank's MDL
+	// partials, walking owned slots ascending (= sorted module-id
+	// order), which keeps the global aggregates bit-reproducible.
+	// Versions are monotone
 	// across the level's lifetime: a module that vanishes and reappears
 	// must NOT restart at an old version number, or a subscriber whose
 	// sentVersion matches the recycled number would keep stale
 	// statistics after an isSent short-form response.
+	var part [4]float64
 	slots := len(rs.oStamp)
 	for slot := 0; slot < slots; slot++ {
 		if rs.oStamp[slot] != round {
@@ -436,8 +470,12 @@ func (lv *level) refresh(iter int32) (numModules int64) {
 		}
 		if mod.Members > 0 {
 			numModules++
+			part[0] += mod.ExitPr
+			part[1] += mapeq.PlogP(mod.ExitPr)
+			part[2] += mapeq.PlogP(mod.ExitPr + mod.SumPr)
 		}
 	}
+	part[3] = float64(numModules)
 	// Clean up modules that vanished since the previous refresh: zero
 	// the slot (the dense table's "missing" value) and treat the next
 	// reappearance as changed.
@@ -455,7 +493,17 @@ func (lv *level) refresh(iter int32) (numModules int64) {
 	lv.c.SetKind(mpi.KindModuleInfo)
 
 	// ---- Round 2: authoritative stats back to subscribers ----
+	// Every payload, self included, opens with this rank's MDL partials
+	// and its vote: round 2 doubles as the MDL reduction and the
+	// convergence vote.
 	sb.Reset()
+	for r := 0; r < lv.p; r++ {
+		e := sb.For(r)
+		for _, x := range part {
+			e.PutF64(x)
+		}
+		e.PutI64(vote)
+	}
 	rs.newOwned = rs.newOwned[:0]
 	for slot := 0; slot < slots; slot++ {
 		if rs.oStamp[slot] != round {
@@ -498,8 +546,16 @@ func (lv *level) refresh(iter int32) (numModules int64) {
 	}
 	lv.modList = lv.modList[:0]
 	r2Ops := int64(0)
+	// The partials are summed from zero in source-rank order, the order
+	// a fixed-order allreduce uses, so every rank gets bit-identical
+	// aggregates.
+	var tot [4]float64
 	for _, b := range recv {
 		d.Reset(b)
+		for i := range tot {
+			tot[i] += d.F64()
+		}
+		total += d.I64()
 		for d.Remaining() > 0 {
 			mi := decodeModuleInfoMaybeShort(d)
 			r2Ops++
@@ -528,23 +584,7 @@ func (lv *level) refresh(iter int32) (numModules int64) {
 		}
 	}
 
-	// ---- Global aggregates and module count (MDL Allreduce) ----
-	// Summation walks owned slots ascending (= sorted module-id order),
-	// which with the fixed-order Allreduce keeps the global aggregates
-	// bit-reproducible.
-	var part [4]float64
-	for _, slot := range lv.ownedList {
-		mod := lv.ownedStats[slot]
-		if mod.Members == 0 {
-			continue
-		}
-		part[0] += mod.ExitPr
-		part[1] += mapeq.PlogP(mod.ExitPr)
-		part[2] += mapeq.PlogP(mod.ExitPr + mod.SumPr)
-	}
-	part[3] = float64(numModules)
-	lv.c.SetKind(mpi.KindCollective)
-	tot := lv.c.AllreduceSumF64s(part[:])
+	// ---- Global aggregates and module count ----
 	lv.agg = mapeq.Aggregates{
 		QTotal:     tot[0],
 		SumQLogQ:   tot[1],
@@ -561,9 +601,9 @@ func (lv *level) refresh(iter int32) (numModules int64) {
 	lv.reactivate()
 
 	// Round-2 span: authoritative replies delivered, table rebuilt,
-	// aggregates reduced.
+	// aggregates summed.
 	lv.end(sp, r2Ops, 0, 0)
-	return numModules
+	return numModules, total
 }
 
 func dst(m, p int) int { return ownerOf(m, p) }

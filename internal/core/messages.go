@@ -4,21 +4,33 @@
 //
 // # Protocol overview
 //
-// The algorithm is bulk-synchronous. Each clustering iteration on each
-// rank runs four phases, matching the paper's Figure 8 breakdown:
+// The algorithm is bulk-synchronous. Each clustering iteration (round)
+// on each rank runs the paper's Figure 8 phases, with the Module_Info
+// refresh that the figure counts as Other split into its two rounds:
 //
 //	FindBestModule      sweep local vertices, evaluate delta-L against the
 //	                    locally known module table, apply low-degree moves
 //	                    (minimum-label rule for boundary targets), record
 //	                    the best local candidate move of each delegate
-//	BroadcastDelegates  allgather delegate candidates; every rank applies,
-//	                    per hub, the move with the global minimum delta-L
-//	SwapBoundaryInfo    alltoallv (a) updated community ids of owned
-//	                    boundary vertices to the ranks that ghost them and
-//	                    (b) Module_Info records (List 1) so each rank's
-//	                    module table becomes globally consistent again
-//	Other               apply received updates, rebuild authoritative
-//	                    module statistics, Allreduce the global MDL
+//	SwapBoundaryInfo    one alltoallv carries the updated community ids of
+//	                    owned boundary vertices to the ranks that ghost
+//	                    them and, at levels with delegates, every rank's
+//	                    delegate candidates to every rank (round A)
+//	BroadcastDelegates  every rank picks, per hub, the candidate with the
+//	                    minimum local delta-L; round B (an allgather, made
+//	                    only when some hub has a candidate) sums the exact
+//	                    global delta-L; then the held ghost updates apply
+//	refresh round 1     alltoallv module partials to their home ranks
+//	refresh round 2     alltoallv authoritative Module_Info records (List
+//	                    1) back to subscribers; every payload opens with
+//	                    the sender's MDL partial sums and its move vote,
+//	                    so round 2 is also the MDL reduction and the
+//	                    convergence vote
+//
+// A round thus enters three synchronizing calls, four when round B
+// runs: the boundary exchange and the paper's two Module_Info rounds
+// (Algorithm 3), the second of which also does the MDL reduction.
+// Merged levels have no delegates and always enter three.
 //
 // Module statistics are made exact at every iteration boundary: each
 // rank computes partial (sumPr, exitPr, members) for the modules its

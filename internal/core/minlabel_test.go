@@ -23,7 +23,7 @@ func withTwoRankLevels(g *graph.Graph, cfg Config, comm []int, fn func(lv *level
 		lv := newStage1Level(c, &cfg, rs.layout, rs.flow.P, rs.flow.Exit,
 			rs.flow.Norm(), rs.flow.SumPlogpP, cfg.Seed)
 		copy(lv.comm, comm)
-		lv.refresh(-1)
+		lv.refresh(-1, 0)
 		fn(lv)
 	})
 }
@@ -83,7 +83,8 @@ func TestHubSwapRule(t *testing.T) {
 				if lv.rank == 0 {
 					cands = []hubCandidate{{Hub: 24, Target: 12, DeltaL: -1}, {Hub: 25, Target: 0, DeltaL: -1}}
 				}
-				moves := lv.broadcastDelegates(cands)
+				lv.swapBoundary(cands)
+				moves := lv.broadcastDelegates()
 				if moves != 2-int(tc.skipped) || lv.skippedSwaps != tc.skipped {
 					t.Errorf("rank %d: %d moves, %d skipped swaps; want %d and %d",
 						lv.rank, moves, lv.skippedSwaps, 2-tc.skipped, tc.skipped)

@@ -70,12 +70,14 @@ type clusterOutcome struct {
 	finalL     float64
 	numModules int64
 	liveBefore int64
+	// roundSyncs counts the synchronizing calls (collectives and
+	// Alltoallvs) the rank entered inside the round loop.
+	roundSyncs int64
 }
 
 // cluster runs the synchronized clustering loop on one level
-// (Algorithm 2, lines 2-7 with delegates, lines 10-14 without):
-// sweep, broadcast delegates, swap boundary info, refresh, until no rank
-// moves a vertex. Each phase is a span costed into lv.costs.
+// (Algorithm 2, lines 2-7 with delegates, lines 10-14 without): rounds
+// until no rank moves a vertex or the codelength stalls.
 func (lv *level) cluster() clusterOutcome {
 	out := clusterOutcome{}
 	prevKind := lv.c.SetKind(mpi.KindCollective)
@@ -83,40 +85,16 @@ func (lv *level) cluster() clusterOutcome {
 	lv.c.SetKind(prevKind)
 
 	// Iteration-0 refresh: exact singleton aggregates everywhere.
-	out.numModules = lv.refresh(-1)
+	out.numModules, _ = lv.refresh(-1, 0)
 
 	s := lv.newScratch()
 	bestL := lv.agg.L()
 	stalled := 0
+	// Each synchronizing call is two synchronization points.
+	syncs := lv.c.Stats().BarrierSyncs
 	for iter := 0; iter < lv.cfg.MaxSweeps; iter++ {
-		it := int32(iter)
-		sp := lv.span(obs.PhaseFindBestModule, it)
-		evalsBefore := lv.deltaEvals
-		lv.dampP = dampProb(iter)
-		moves, deferred, cands := lv.sweep(s, passBudget(iter))
-		lv.end(sp, lv.deltaEvals-evalsBefore, moves, deferred)
-
-		sp = lv.span(obs.PhaseBcastDelegates, it)
-		hubMoves := lv.broadcastDelegates(cands)
-		lv.end(sp, int64(len(cands)), hubMoves, 0)
-
-		// The modeled SwapBoundaryInfo work is one update per ghost.
-		sp = lv.span(obs.PhaseSwapBoundary, it)
-		lv.swapGhostComms()
-		lv.end(sp, int64(len(lv.ghosts)), 0, 0)
-
-		// Module refresh: rounds 1-2 are spans of their own.
-		out.numModules = lv.refresh(it)
-
-		// Other: global move count + convergence vote.
-		sp = lv.span(obs.PhaseOther, it)
-		prevKind := lv.c.SetKind(mpi.KindCollective)
-		total := lv.c.AllreduceI64(int64(moves+hubMoves+deferred), mpi.OpSum)
-		lv.c.SetKind(prevKind)
-		lv.end(sp, 0, 0, 0)
-		// Refresh the live comm snapshot once per synchronized sweep.
-		lv.jlog.PublishComm(lv.c.Stats())
-
+		var total int64
+		total, out.numModules = lv.round(iter, s)
 		out.iterations++
 		if total == 0 {
 			break
@@ -153,8 +131,46 @@ func (lv *level) cluster() clusterOutcome {
 			bestL = l
 		}
 	}
+	out.roundSyncs = (lv.c.Stats().BarrierSyncs - syncs) / 2
 	out.finalL = lv.agg.L()
 	return out
+}
+
+// round runs synchronized round iter of cluster — sweep, swap boundary
+// info, broadcast delegates, refresh — and returns the global move vote
+// and module count. Each phase is a span costed into lv.costs.
+//
+// A round enters three synchronizing calls, four when some hub has a
+// proposal: the boundary Alltoallv (ghost updates and round-A
+// proposals), round B, and refresh rounds 1 and 2, the second of which
+// also carries the MDL partials and the move vote.
+func (lv *level) round(iter int, s *sweepScratch) (total, numModules int64) {
+	it := int32(iter)
+	sp := lv.span(obs.PhaseFindBestModule, it)
+	evalsBefore := lv.deltaEvals
+	lv.dampP = dampProb(iter)
+	moves, deferred, cands := lv.sweep(s, passBudget(iter))
+	lv.end(sp, lv.deltaEvals-evalsBefore, moves, deferred)
+
+	// One Alltoallv ships ghost updates and round-A proposals; the
+	// modeled SwapBoundaryInfo work is one update per ghost.
+	sp = lv.span(obs.PhaseSwapBoundary, it)
+	lv.swapBoundary(cands)
+	lv.end(sp, int64(len(lv.ghosts)), 0, 0)
+
+	// Round B reads the ghosts' old communities, so the received
+	// updates are applied after it.
+	sp = lv.span(obs.PhaseBcastDelegates, it)
+	hubMoves := lv.broadcastDelegates()
+	lv.applyGhostUpdates()
+	lv.end(sp, int64(len(cands)), hubMoves, 0)
+
+	// Module refresh: rounds 1-2 are spans of their own; round 2 also
+	// sums the global move count for the convergence vote.
+	numModules, total = lv.refresh(it, int64(moves+hubMoves+deferred))
+	// Refresh the live comm snapshot once per synchronized sweep.
+	lv.jlog.PublishComm(lv.c.Stats())
+	return total, numModules
 }
 
 // rankMain is the SPMD program each simulated rank executes: the full
@@ -229,6 +245,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	n0 := int64(lv.idSpace)
 	mergeRate := []float64{float64(oc.liveBefore-oc.numModules) / float64(n0)}
 	iters1 := oc.iterations
+	roundSyncs := [2]int64{oc.roundSyncs, 0}
 	deltaEvals := lv.deltaEvals
 	minLabel := [2]obs.MinLabelCounts{{
 		RefusedReturns: lv.refusedReturns, SkippedSwaps: lv.skippedSwaps,
@@ -267,6 +284,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		merged.costs = costs2
 		oc = merged.cluster()
 		iters2 += oc.iterations
+		roundSyncs[1] += oc.roundSyncs
 		deltaEvals += merged.deltaEvals
 		minLabel[1].RefusedReturns += merged.refusedReturns
 		minLabel[1].SkippedSwaps += merged.skippedSwaps
@@ -330,6 +348,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		rs.out.initialL = initialL
 		rs.out.stage1Iters = iters1
 		rs.out.stage2Iters = iters2
+		rs.out.roundSyncs = roundSyncs
 	}
 }
 

@@ -30,12 +30,13 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 			NumModules:        res.NumModules,
 		},
 		Convergence: obs.ConvergenceInfo{
-			MDLTrace:        res.MDLTrace,
-			MergeRate:       res.MergeRate,
-			OuterIterations: res.OuterIterations,
-			Stage1Sweeps:    res.Stage1Iterations,
-			Stage2Sweeps:    res.Stage2Iterations,
-			MinLabel:        res.PerRankMinLabel,
+			MDLTrace:            res.MDLTrace,
+			MergeRate:           res.MergeRate,
+			OuterIterations:     res.OuterIterations,
+			Stage1Sweeps:        res.Stage1Iterations,
+			Stage2Sweeps:        res.Stage2Iterations,
+			MinLabel:            res.PerRankMinLabel,
+			CollectivesPerRound: res.CollectivesPerRound,
 		},
 		Timing: obs.TimingInfo{
 			Stage1WallNs:    res.Stage1Wall.Nanoseconds(),

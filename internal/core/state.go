@@ -56,6 +56,9 @@ type level struct {
 	subVerts []int
 	subOff   []int32
 	subRanks []int32
+	// ghostIn holds the round's received ghost updates that change a
+	// community, from swapBoundary until applyGhostUpdates.
+	ghostIn []ghostUpdate
 
 	// Flow quantities, indexed by vertex id; only visible entries are
 	// read. vertexTerm is the constant original-graph term of Eq. 3.
@@ -176,11 +179,13 @@ type refreshScratch struct {
 	newOwned []int32
 }
 
-// delegateScratch holds broadcastDelegates' per-round state, indexed by
-// hub position (see level.hubIndex). stamp marks positions written this
-// round; sel lists them ascending, which is ascending hub-id order.
+// delegateScratch holds the delegate rounds' per-round state, indexed
+// by hub position (see level.hubIndex). stamp marks positions written
+// this round and nWin counts them; sel lists them ascending, which is
+// ascending hub-id order.
 type delegateScratch struct {
 	round    int32
+	nWin     int
 	stamp    []int32
 	cand     []hubCandidate
 	proposer []int32

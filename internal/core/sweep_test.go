@@ -29,7 +29,7 @@ func TestActiveSetMissesFewMoves(t *testing.T) {
 			lv.activateAll()
 			lv.dampP = 0
 			moves, _, _ = lv.sweep(lv.newScratch(), 1)
-			lv.refresh(0)
+			lv.refresh(0, 0)
 			after = lv.agg.L()
 		})
 		n := g.NumVertices()

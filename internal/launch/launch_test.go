@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,40 @@ func TestTransportParitySingleRank(t *testing.T) {
 		t.Fatalf("p = 1 runs delegated %d (goroutine) and %d (proc) hubs, want 0",
 			inproc.Partition.NumHubs, multi.Partition.NumHubs)
 	}
+}
+
+// TestRankProcessGOMAXPROCS pins the one-core-per-rank rule: every
+// rank process runs with GOMAXPROCS = max(1, NumCPU/P), also when the
+// ranks oversubscribe the host, and a GOMAXPROCS the launcher's
+// environment sets reaches every rank unchanged.
+func TestRankProcessGOMAXPROCS(t *testing.T) {
+	ncpu := runtime.NumCPU()
+	check := func(t *testing.T, p, want int) {
+		t.Helper()
+		res, _, err := Run(Spec{Input: testInput, P: p, Seed: 42}, nil, nil)
+		if err != nil {
+			t.Fatalf("Run at p = %d: %v", p, err)
+		}
+		if len(res.Transports) != p {
+			t.Fatalf("p = %d: %d transport reports", p, len(res.Transports))
+		}
+		for r, ts := range res.Transports {
+			if ts == nil || ts.GOMAXPROCS != want {
+				t.Errorf("p = %d rank %d: transport report %+v, want gomaxprocs %d", p, r, ts, want)
+			}
+		}
+	}
+	t.Run("default", func(t *testing.T) {
+		// An empty value is unset to the Go runtime, and to the launcher.
+		t.Setenv("GOMAXPROCS", "")
+		for _, p := range []int{2, ncpu + 1} {
+			check(t, p, max(1, ncpu/p))
+		}
+	})
+	t.Run("user set", func(t *testing.T) {
+		t.Setenv("GOMAXPROCS", "3")
+		check(t, 2, 3)
+	})
 }
 
 // TestResultCarriesGraphSize pins that the launcher learns the graph's

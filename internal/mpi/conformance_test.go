@@ -22,7 +22,7 @@ import (
 // shortTempDir returns a freshly created short-pathed directory for
 // unix sockets: t.TempDir can exceed the ~100-byte sun_path limit on
 // deeply nested test names.
-func shortTempDir(t *testing.T) string {
+func shortTempDir(t testing.TB) string {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "mpi")
 	if err != nil {

@@ -25,13 +25,15 @@ const (
 	// KindOther is unclassified traffic (zero value; legacy tags).
 	KindOther Kind = iota
 	// KindModuleInfo is authoritative module statistics delivered to
-	// subscribers (the paper's List 1 / Module_Info interface).
+	// subscribers (the paper's List 1 / Module_Info interface), with the
+	// MDL partial sums and move vote every payload opens with.
 	KindModuleInfo
-	// KindHubCandidate is delegate move proposals and their exact
-	// delta-L evaluation round (BroadcastDelegates).
+	// KindHubCandidate is the exact delta-L evaluation round of delegate
+	// moves (BroadcastDelegates round B).
 	KindHubCandidate
 	// KindGhostUpdate is boundary-vertex community updates shipped to
-	// ghosting ranks (SwapBoundaryInfo).
+	// ghosting ranks, and the delegate move proposals that ride in the
+	// same exchange (SwapBoundaryInfo).
 	KindGhostUpdate
 	// KindModulePartial is per-module partial statistics shuffled to
 	// module home ranks (Algorithm 3 round 1).
@@ -45,8 +47,8 @@ const (
 	// KindSetup is preprocessing exchanges: ghost registration and the
 	// flow/strength gathers that build a level.
 	KindSetup
-	// KindCollective is control collectives: barriers, convergence
-	// votes, and the MDL reduction.
+	// KindCollective is control collectives: barriers and the live
+	// vertex count that opens a level.
 	KindCollective
 	// NumKinds is the number of kinds; Stats.ByKind has this length.
 	NumKinds int = iota

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +181,9 @@ type PeerTraffic struct {
 // traffic.
 type TransportStats struct {
 	Network string `json:"network"`
+	// GOMAXPROCS is the rank process's runtime.GOMAXPROCS(0): the cores
+	// its Go runtime schedules on.
+	GOMAXPROCS int `json:"gomaxprocs"`
 	// ConnectRetries counts dial attempts beyond the first across all
 	// peers during mesh establishment.
 	ConnectRetries int64 `json:"connect_retries"`
@@ -203,6 +207,7 @@ type TransportStats struct {
 func (t *ProcTransport) Telemetry() *TransportStats {
 	ts := &TransportStats{
 		Network:         t.network,
+		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		ConnectRetries:  t.tstats.connectRetries.Load(),
 		HandshakeWallNs: t.tstats.handshakeNs.Load(),
 		PoisonsSent:     t.tstats.poisonsSent.Load(),

@@ -25,6 +25,9 @@ const (
 	helperRankEnv = "DINFOMAP_MPI_RANK"
 	helperSizeEnv = "DINFOMAP_MPI_SIZE"
 	helperDirEnv  = "DINFOMAP_MPI_DIR"
+	// helperOpsEnv, when set, switches the helper to the latency
+	// benchmark's body: that many gap-then-allreduce rounds.
+	helperOpsEnv = "DINFOMAP_MPI_OPS"
 )
 
 // TestMain reroutes re-executions of the test binary into the helper
@@ -37,10 +40,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// helperRankMain is one rank of the fault-injection world: bind this
-// rank's socket, dial the mesh, then sweep collectives until poisoned.
-// Ranks print marker lines the parent test parses; a clean poison is
-// the expected outcome and exits 0.
+// helperCommand returns the command that runs the test binary as rank
+// rank of a size-rank helper world meshed over unix sockets in dir.
+func helperCommand(exe string, rank, size int, dir string, extraEnv ...string) *exec.Cmd {
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(),
+		helperEnv+"=1",
+		fmt.Sprintf("%s=%d", helperRankEnv, rank),
+		fmt.Sprintf("%s=%d", helperSizeEnv, size),
+		helperDirEnv+"="+dir,
+	)
+	cmd.Env = append(cmd.Env, extraEnv...)
+	return cmd
+}
+
+// helperRankMain is one rank of a helper world: bind this rank's
+// socket, dial the mesh, then run the body. The fault-injection body
+// sweeps collectives until poisoned; ranks print marker lines the
+// parent test parses, and a clean poison is the expected outcome and
+// exits 0. With helperOpsEnv set, the body is the latency benchmark's
+// (see BenchmarkProcAllreduceAfterGap).
 func helperRankMain() {
 	rank, _ := strconv.Atoi(os.Getenv(helperRankEnv))
 	size, _ := strconv.Atoi(os.Getenv(helperSizeEnv))
@@ -64,6 +83,13 @@ func helperRankMain() {
 	if err != nil {
 		fmt.Println("HELPER-SETUP-ERR:", err)
 		os.Exit(3)
+	}
+	if ops, err := strconv.Atoi(os.Getenv(helperOpsEnv)); err == nil {
+		if _, err := RunRank(tr, nil, func(c *Comm) { allreduceAfterGap(c, ops) }); err != nil {
+			fmt.Println("HELPER-ERR:", err)
+			os.Exit(3)
+		}
+		os.Exit(0)
 	}
 	body := func(c *Comm) {
 		for i := 0; ; i++ {
@@ -129,13 +155,7 @@ func TestProcRankProcessKilledMidSweep(t *testing.T) {
 	outs := make([]*lockedBuffer, size)
 	midsweep := make(chan struct{})
 	for r := 0; r < size; r++ {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			helperEnv+"=1",
-			fmt.Sprintf("%s=%d", helperRankEnv, r),
-			fmt.Sprintf("%s=%d", helperSizeEnv, size),
-			helperDirEnv+"="+dir,
-		)
+		cmd := helperCommand(exe, r, size, dir)
 		buf := &lockedBuffer{}
 		if r == victim {
 			// Watch the victim's stdout for the mid-sweep marker.

@@ -27,8 +27,8 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []chromeEvent {
 func TestChromeTraceWaitOverlays(t *testing.T) {
 	j := NewJournal(2)
 	rec := mpi.NewRecorder(2, j.Epoch())
-	j.Rank(0).Emit(Event{Phase: PhaseOther, Start: 0, End: 400})
-	j.Rank(1).Emit(Event{Phase: PhaseOther, Start: 0, End: 400})
+	j.Rank(0).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: 400})
+	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: 400})
 
 	// Rank 1 receives a message rank 0 sent at t=50; the receive blocks
 	// from 30 to 120 (late sender). Both ranks then sync: rank 1 waits
@@ -110,7 +110,7 @@ func TestChromeTraceWaitOverlays(t *testing.T) {
 // no flow or counter events — the plain WriteChromeTrace shape.
 func TestChromeTraceNilRecorder(t *testing.T) {
 	j := NewJournal(1)
-	j.Rank(0).Emit(Event{Phase: PhaseOther, Start: 0, End: time.Duration(100)})
+	j.Rank(0).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: time.Duration(100)})
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, j); err != nil {
 		t.Fatal(err)

@@ -26,10 +26,10 @@ func craftedRun() (*Journal, *mpi.Recorder) {
 		rec.AddBarrier(r, mpi.BarrierEvent{Arrive: arrive1[r], Release: 505})
 	}
 
-	// Spans for phase attribution: rank 1 computes Other up to its gen-0
-	// arrival; rank 0 computes FindBestModule between the barriers; rank
-	// 2's final span defines the run end.
-	j.Rank(1).Emit(Event{Phase: PhaseOther, Start: 0, End: 200})
+	// Spans for phase attribution: rank 1 computes refresh-round2 up to
+	// its gen-0 arrival; rank 0 computes FindBestModule between the
+	// barriers; rank 2's final span defines the run end.
+	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: 200})
 	j.Rank(0).Emit(Event{Phase: PhaseFindBestModule, Start: 250, End: 450})
 	j.Rank(2).Emit(Event{Phase: PhaseRefreshRound1, Start: 550, End: 600})
 	return j, rec
@@ -67,8 +67,8 @@ func TestCriticalPathStragglerChain(t *testing.T) {
 	}
 
 	// Phase attribution: overlap of each segment with its rank's spans.
-	if got := path[0].ByPhaseWallNs[PhaseOther.Name()]; got != 200 {
-		t.Errorf("segment 0 Other attribution = %d, want 200", got)
+	if got := path[0].ByPhaseWallNs[PhaseRefreshRound2.Name()]; got != 200 {
+		t.Errorf("segment 0 refresh-round2 attribution = %d, want 200", got)
 	}
 	if got := path[1].ByPhaseWallNs[PhaseFindBestModule.Name()]; got != 200 {
 		t.Errorf("segment 1 FindBestModule attribution = %d, want 200 (span clipped to segment)", got)
@@ -88,7 +88,7 @@ func TestCriticalPathCoalescesSameRank(t *testing.T) {
 	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 100, Release: 105})
 	rec.AddBarrier(0, mpi.BarrierEvent{Arrive: 150, Release: 305})
 	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 300, Release: 305})
-	j.Rank(1).Emit(Event{Phase: PhaseOther, Start: 305, End: 400})
+	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Start: 305, End: 400})
 
 	path := CriticalPath(j, rec)
 	if len(path) != 1 {

@@ -25,14 +25,14 @@ import (
 // records these instead of strings.
 type PhaseID uint8
 
-// The four Figure-8 phases of the synchronized clustering loop, plus
-// the Algorithm 3 / Section 3.5 stage internals split out of Other
-// (refresh rounds 1-2 and the merge shuffle).
+// The Figure-8 phases of the synchronized clustering loop, then the
+// Algorithm 3 / Section 3.5 stage internals: refresh rounds 1-2, which
+// the figure's Other bucket sums (round 2 also carries the MDL
+// reduction and the convergence vote), and the merge shuffle.
 const (
 	PhaseFindBestModule PhaseID = iota
 	PhaseBcastDelegates
 	PhaseSwapBoundary
-	PhaseOther
 	PhaseRefreshRound1
 	PhaseRefreshRound2
 	PhaseMergeShuffle
@@ -53,8 +53,6 @@ func (p PhaseID) Name() string {
 		return trace.PhaseBcastDelegates
 	case PhaseSwapBoundary:
 		return trace.PhaseSwapBoundary
-	case PhaseOther:
-		return trace.PhaseOther
 	case PhaseRefreshRound1:
 		return trace.PhaseRefreshRound1
 	case PhaseRefreshRound2:

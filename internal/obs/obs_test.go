@@ -18,7 +18,7 @@ func TestNilJournalIsValidSink(t *testing.T) {
 		t.Fatalf("nil journal Rank(0) = %v, want nil", rl)
 	}
 	// All of these must be no-ops, not panics.
-	rl.Emit(Event{Phase: PhaseOther})
+	rl.Emit(Event{Phase: PhaseRefreshRound2})
 	if rl.Now() != 0 {
 		t.Fatalf("nil log Now = %v, want 0", rl.Now())
 	}
@@ -33,13 +33,13 @@ func TestJournalRankIsolationAndOrder(t *testing.T) {
 		t.Fatalf("NumRanks = %d, want 3", j.NumRanks())
 	}
 	j.Rank(1).Emit(Event{Phase: PhaseFindBestModule, Iter: 0, Start: 1, End: 2})
-	j.Rank(1).Emit(Event{Phase: PhaseOther, Iter: 0, Start: 2, End: 5})
+	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Iter: 0, Start: 2, End: 5})
 	j.Rank(2).Emit(Event{Phase: PhaseSwapBoundary, Iter: 0, Start: 1, End: 4})
 	if n := len(j.Rank(0).Events()); n != 0 {
 		t.Fatalf("rank 0 has %d events, want 0", n)
 	}
 	evs := j.Rank(1).Events()
-	if len(evs) != 2 || evs[0].Phase != PhaseFindBestModule || evs[1].Phase != PhaseOther {
+	if len(evs) != 2 || evs[0].Phase != PhaseFindBestModule || evs[1].Phase != PhaseRefreshRound2 {
 		t.Fatalf("rank 1 events out of order: %+v", evs)
 	}
 	if j.NumEvents() != 3 {
@@ -53,7 +53,7 @@ func TestJournalRankIsolationAndOrder(t *testing.T) {
 func TestPhaseNames(t *testing.T) {
 	names := PhaseNames()
 	want := []string{
-		"FindBestModule", "BroadcastDelegates", "SwapBoundaryInfo", "Other",
+		"FindBestModule", "BroadcastDelegates", "SwapBoundaryInfo",
 		"refresh-round1", "refresh-round2", "merge-shuffle", "outer-iteration",
 	}
 	if len(names) != len(want) {
@@ -73,13 +73,13 @@ func TestPhaseWall(t *testing.T) {
 	j := NewJournal(1)
 	j.Rank(0).Emit(Event{Phase: PhaseFindBestModule, Start: 0, End: 3 * time.Millisecond})
 	j.Rank(0).Emit(Event{Phase: PhaseFindBestModule, Start: 5 * time.Millisecond, End: 6 * time.Millisecond})
-	j.Rank(0).Emit(Event{Phase: PhaseOther, Start: 6 * time.Millisecond, End: 7 * time.Millisecond})
+	j.Rank(0).Emit(Event{Phase: PhaseRefreshRound2, Start: 6 * time.Millisecond, End: 7 * time.Millisecond})
 	w := j.PhaseWall(0)
 	if w["FindBestModule"] != 4*time.Millisecond {
 		t.Fatalf("FindBestModule wall = %v, want 4ms", w["FindBestModule"])
 	}
-	if w["Other"] != time.Millisecond {
-		t.Fatalf("Other wall = %v, want 1ms", w["Other"])
+	if w["refresh-round2"] != time.Millisecond {
+		t.Fatalf("refresh-round2 wall = %v, want 1ms", w["refresh-round2"])
 	}
 }
 
@@ -98,7 +98,7 @@ type chromeDoc struct {
 
 func TestWriteChromeTraceStructure(t *testing.T) {
 	j := NewJournal(2)
-	j.Rank(0).Emit(Event{Stage: 1, Iter: -1, Phase: PhaseOther, Start: 0, End: time.Millisecond})
+	j.Rank(0).Emit(Event{Stage: 1, Iter: -1, Phase: PhaseRefreshRound2, Start: 0, End: time.Millisecond})
 	j.Rank(0).Emit(Event{Stage: 1, Iter: 0, Phase: PhaseFindBestModule,
 		Start: time.Millisecond, End: 2 * time.Millisecond, Moves: 7, Ops: 40})
 	j.Rank(1).Emit(Event{Stage: 2, Outer: 1, Iter: 0, Phase: PhaseSwapBoundary,

@@ -231,6 +231,19 @@ type ConvergenceInfo struct {
 	// MinLabel[r] holds rank r's minimum-label refusals, stage 1 then
 	// stage 2. Schema addition (v1-compatible); deterministic.
 	MinLabel [][2]MinLabelCounts `json:"min_label,omitempty"`
+	// CollectivesPerRound is the synchronizing calls per synchronized
+	// round of each stage. Schema addition (v1-compatible);
+	// deterministic.
+	CollectivesPerRound RoundCollectives `json:"collectives_per_round"`
+}
+
+// RoundCollectives is the number of synchronizing calls (collectives
+// and Alltoallvs) a rank enters inside the clustering round loop,
+// divided by the number of rounds, for each stage (0 for a stage
+// without rounds).
+type RoundCollectives struct {
+	Stage1 float64 `json:"stage1"`
+	Stage2 float64 `json:"stage2"`
 }
 
 // MinLabelCounts counts one rank's minimum-label refusals in one

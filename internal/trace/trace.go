@@ -19,7 +19,8 @@ import (
 )
 
 // Phase names used by the distributed algorithm, matching the paper's
-// Figure 8 breakdown.
+// Figure 8 breakdown. No span is named Other: the figure's Other bucket
+// is the sum of the two refresh rounds below.
 const (
 	PhaseFindBestModule = "FindBestModule"
 	PhaseBcastDelegates = "BroadcastDelegates"
@@ -35,8 +36,9 @@ const (
 	// module's home rank and the owner-side summation.
 	PhaseRefreshRound1 = "refresh-round1"
 	// PhaseRefreshRound2 is the authoritative reply: owners answer
-	// subscribers (isSent-deduplicated), local module tables rebuild,
-	// and the MDL aggregates allreduce.
+	// subscribers (isSent-deduplicated), every payload leading with the
+	// sender's MDL partials and move vote; local module tables rebuild
+	// and the global aggregates are summed.
 	PhaseRefreshRound2 = "refresh-round2"
 	// PhaseMergeShuffle is the distributed graph contraction: local arc
 	// contraction plus the alltoallv redistributing merged arcs to their
