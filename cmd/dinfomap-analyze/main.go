@@ -159,6 +159,15 @@ type analysis struct {
 	// one clock by construction).
 	Clocks           []obs.ClockEstimate `json:"clocks,omitempty"`
 	ClockAlignmentOK bool                `json:"clock_alignment_ok"`
+	// Ingest holds each rank's rank-local ingest report, in rank order,
+	// when the ranks read an edge-list file themselves.
+	Ingest []rankIngest `json:"ingest,omitempty"`
+}
+
+// rankIngest is one rank's row of the ingest table.
+type rankIngest struct {
+	Rank int `json:"rank"`
+	obs.IngestReport
 }
 
 // analyze distills the report into the ranked bottleneck analysis.
@@ -171,6 +180,11 @@ func analyze(rep *obs.Report, maxSkew time.Duration) *analysis {
 		Build:            rep.Build,
 		Clocks:           rep.Clocks,
 		ClockAlignmentOK: true,
+	}
+	for _, r := range rep.Ranks {
+		if r.Ingest != nil {
+			a.Ingest = append(a.Ingest, rankIngest{Rank: r.Rank, IngestReport: *r.Ingest})
+		}
 	}
 	for _, c := range rep.Clocks {
 		if c.ResidualNs > maxSkew.Nanoseconds() {
@@ -274,6 +288,14 @@ func (a *analysis) writeText(w *os.File, topN int) {
 	fmt.Fprintf(w, "run: %s, p=%d\n", a.Source, a.P)
 	if a.Build != nil {
 		fmt.Fprintf(w, "build: %s\n", a.Build.String())
+	}
+
+	if len(a.Ingest) > 0 {
+		fmt.Fprintln(w, "\ningest: each rank read its 1/p of the edge list")
+		for _, in := range a.Ingest {
+			fmt.Fprintf(w, "  rank %2d  %10d bytes read  %9d arcs sent  %9d arcs kept  %10v\n",
+				in.Rank, in.BytesRead, in.ArcsSent, in.ArcsKept, dur(in.WallNs))
+		}
 	}
 
 	if len(a.Path) == 0 {

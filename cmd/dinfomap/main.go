@@ -134,12 +134,13 @@ func main() {
 		}()
 	}
 
-	// With -transport=proc the rank processes load the graph; the
-	// launcher parses it only after they exit, and only for outputs
-	// that need it, so it never competes with the ranks for the cores.
+	// The ranks read a file input themselves, each its 1/P (a dataset
+	// is generated whole). The launcher parses the file only after the
+	// run, and only for outputs that need it, so it never competes with
+	// the ranks for the cores or holds the graph beside them.
 	var g *dinfomap.Graph
 	var err error
-	if !multiproc {
+	if !multiproc && in.Dataset != "" {
 		g, err = in.Load()
 		if err != nil {
 			fatal(err)
@@ -170,8 +171,13 @@ func main() {
 			// runs (res already carries the recorder and clock estimates).
 			cfg.Journal = tel.Journal
 		}
-	} else {
+	} else if g != nil {
 		res = dinfomap.RunDistributed(g, cfg)
+	} else {
+		if res, err = dinfomap.RunDistributedFile(in.Path, cfg); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("graph: %d vertices, %d edges\n", len(res.Communities), res.NumEdges)
 	}
 	wall := time.Since(start)
 	if g == nil && (*top > 0 || *metricsPath != "" || *dotPath != "") {

@@ -132,6 +132,14 @@ func RunDistributed(g *Graph, cfg DistributedConfig) *DistributedResult {
 	return core.Run(g, cfg)
 }
 
+// RunDistributedFile executes the distributed Infomap algorithm on the
+// edge-list file at path without building the whole graph: each rank
+// reads and keeps only its share of the file. The partition equals
+// RunDistributed's on the graph ReadEdgeList builds from the file.
+func RunDistributedFile(path string, cfg DistributedConfig) (*DistributedResult, error) {
+	return core.RunFile(path, cfg)
+}
+
 // ---- Multi-process transport ----
 
 // Transport is the message-passing backend a distributed rank runs

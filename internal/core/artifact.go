@@ -36,10 +36,14 @@ type RankArtifact struct {
 	Iterations []obs.IterationReport `json:"iterations,omitempty"`
 
 	// Partition is the delegate-layout balance summary. Every rank
-	// computes the identical layout during preprocessing, so every
+	// derives the identical summary during preprocessing, so every
 	// artifact carries the same value; shipping it here spares Assemble
 	// from re-running the partitioner.
 	Partition partition.BalanceStats `json:"partition"`
+
+	// Ingest reports the rank's share of reading an edge-list file; nil
+	// when the rank cut its rows from an in-memory graph.
+	Ingest *obs.IngestReport `json:"ingest,omitempty"`
 
 	// Output holds the rank-identical algorithm outputs; only rank 0's
 	// artifact carries it (mirroring runState.out).
@@ -67,11 +71,9 @@ type RankOutput struct {
 }
 
 // RunRank executes one rank of the distributed algorithm over an
-// explicit transport and returns this rank's artifact. Preprocessing
-// (delegate partitioning, flow initialization) is recomputed locally —
-// it is deterministic in (g, cfg), so all ranks derive the identical
-// layout without communicating, exactly as Run's simulated ranks share
-// one. cfg.P must equal t.Size().
+// explicit transport and returns this rank's artifact. The rank cuts
+// its own rows out of g and preprocesses them with the other ranks
+// exactly as Run's simulated ranks do. cfg.P must equal t.Size().
 //
 // The algorithm body is the same rankMain that Run executes, so a
 // partition assembled from RunRank artifacts is bit-identical to the
@@ -85,24 +87,31 @@ type RankOutput struct {
 // wire-level counters (the multi-process mesh's Telemetry method) have
 // them snapshotted into the artifact.
 func RunRank(g *graph.Graph, cfg Config, t mpi.Transport) (*RankArtifact, error) {
-	cfg = cfg.withDefaults()
-	if t.Size() != cfg.P {
-		return nil, fmt.Errorf("core: RunRank config has P=%d but transport world has %d ranks", cfg.P, t.Size())
-	}
 	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
 	if g.NumVertices() == 0 || g.TotalWeight() == 0 {
 		return nil, fmt.Errorf("core: RunRank needs a non-empty graph")
 	}
-	runner := newRunState(g, &cfg)
-	// This process runs one rank: the other ranks' arc lists were only
-	// needed to place this rank's arcs and to summarize the layout.
-	for r := range runner.layout.RankArcs {
-		if r != t.Rank() {
-			runner.layout.RankArcs[r] = nil
-		}
+	return runRank(source{g: g}, cfg, t)
+}
+
+// RunRankFile is RunRank for the edge-list file at path: the rank reads
+// only its 1/P of the file and never builds the graph (see ingestFile).
+// A malformed file fails every rank with the same line-numbered error.
+func RunRankFile(path string, cfg Config, t mpi.Transport) (*RankArtifact, error) {
+	return runRank(source{path: path}, cfg, t)
+}
+
+func runRank(src source, cfg Config, t mpi.Transport) (*RankArtifact, error) {
+	cfg = cfg.withDefaults()
+	if t.Size() != cfg.P {
+		return nil, fmt.Errorf("core: RunRank config has P=%d but transport world has %d ranks", cfg.P, t.Size())
 	}
+	runner := newRunState(src, &cfg)
 	stats, err := mpi.RunRank(t, cfg.Recorder, runner.rankMain)
 	if err != nil {
+		return nil, err
+	}
+	if err := runner.err(); err != nil {
 		return nil, err
 	}
 	art := runner.artifact(t.Rank(), stats)
@@ -166,6 +175,12 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	res.PerRankIterations = make([][]obs.IterationReport, cfg.P)
 	res.CommStats = make([]mpi.Stats, cfg.P)
 	for r, a := range artifacts {
+		if a.Ingest != nil {
+			if res.PerRankIngest == nil {
+				res.PerRankIngest = make([]*obs.IngestReport, cfg.P)
+			}
+			res.PerRankIngest[r] = a.Ingest
+		}
 		if a.Transport != nil {
 			if res.Transports == nil {
 				res.Transports = make([]*mpi.TransportStats, cfg.P)
@@ -225,10 +240,9 @@ func perRound(calls int64, rounds int) float64 {
 	return float64(calls) / float64(rounds)
 }
 
-// fillArtifact packages rank r's slots of this runState into a.
-// partStats is computed once in newRunState; rank 0's identical outputs
-// ride along. Filling in place lets Run lay out its P artifacts in one
-// backing array instead of one allocation each.
+// fillArtifact packages rank r's slots of this runState into a; rank
+// 0's identical outputs ride along. Filling in place lets Run lay out
+// its P artifacts in one backing array instead of one allocation each.
 func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 	*a = RankArtifact{
 		Rank:        rank,
@@ -240,13 +254,14 @@ func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
 		Evals:       rs.perRankEvals[rank],
 		MinLabel:    rs.perRankMinLabel[rank],
 		Iterations:  rs.perRankIters[rank],
-		Partition:   rs.partStats,
+		Partition:   rs.perRankPart[rank],
+		Ingest:      rs.perRankIngest[rank],
 	}
 	if rank == 0 {
 		o := &rs.out
 		a.Output = &RankOutput{
 			Communities:       o.communities,
-			NumEdges:          rs.g.NumEdges(),
+			NumEdges:          o.numEdges,
 			MDLTrace:          o.mdlTrace,
 			MergeRate:         o.mergeRate,
 			InitialCodelength: o.initialL,

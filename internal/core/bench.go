@@ -2,9 +2,7 @@ package core
 
 import (
 	"dinfomap/internal/graph"
-	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
-	"dinfomap/internal/partition"
 )
 
 // BenchLevel is a retained single-rank stage-1 level used by the
@@ -22,13 +20,8 @@ type BenchLevel struct {
 // calls. Like every single-rank level it has no hubs.
 func NewBenchLevel(g *graph.Graph, seed uint64) *BenchLevel {
 	cfg := Config{P: 1, Seed: seed}.withDefaults()
-	layout := partition.Delegate(g, 1, partition.DelegateOptions{})
-	flow := mapeq.NewVertexFlow(g)
 	var lv *level
-	mpi.Run(1, func(c *mpi.Comm) {
-		lv = newStage1Level(c, &cfg, layout, flow.P, flow.Exit, flow.Norm(),
-			flow.SumPlogpP, cfg.Seed)
-	})
+	mpi.Run(1, func(c *mpi.Comm) { lv = stage1LevelOf(c, &cfg, g) })
 	b := &BenchLevel{lv: lv, s: lv.newScratch()}
 	b.lv.refresh(-1, 0)
 	return b

@@ -23,7 +23,6 @@ import (
 	"dinfomap/internal/graph"
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
-	"dinfomap/internal/partition"
 )
 
 // runStage1WithChecks executes stage-1 clustering while verifying the
@@ -33,11 +32,6 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) (conve
 	t.Helper()
 	cfgv := (&cfg).withDefaults()
 	cfgv.P = p
-	// The layout a run of cfg would use: the scaled default threshold
-	// unless cfg.DHigh is set.
-	layout := partition.Delegate(g, p, partition.DelegateOptions{
-		DHigh: delegateThreshold(g, &cfgv),
-	})
 	flow := mapeq.NewVertexFlow(g)
 	n := g.NumVertices()
 
@@ -50,8 +44,7 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) (conve
 
 	mpi.Run(p, func(c *mpi.Comm) {
 		defer func() {}()
-		lv := newStage1Level(c, &cfgv, layout, flow.P, flow.Exit, flow.Norm(),
-			flow.SumPlogpP, cfgv.Seed)
+		lv := stage1LevelOf(c, &cfgv, g)
 		mu.Lock()
 		visLists[c.Rank()] = lv.visList
 		mu.Unlock()

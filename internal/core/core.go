@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dinfomap/internal/graph"
-	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/partition"
@@ -142,6 +141,9 @@ type Result struct {
 	// full-assignment gather happens after the last iteration, so the
 	// slices sum to slightly less than CommStats[r].
 	PerRankIterations [][]obs.IterationReport
+	// PerRankIngest[r] is rank r's ingest report when the ranks read an
+	// edge-list file themselves (RunFile, RunRankFile); nil otherwise.
+	PerRankIngest []*obs.IngestReport
 
 	// CommStats is each rank's cumulative traffic.
 	CommStats []mpi.Stats
@@ -169,7 +171,9 @@ type Result struct {
 func (r *Result) TotalModeled() time.Duration { return r.Stage1Modeled + r.Stage2Modeled }
 
 // Run executes the distributed Infomap algorithm on g with cfg.P
-// simulated ranks and returns the combined result.
+// simulated ranks and returns the combined result. Each rank cuts its
+// own rows out of g and preprocesses them like a rank that never saw
+// the rest of the graph (see preprocess).
 func Run(g *graph.Graph, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	n := g.NumVertices()
@@ -181,8 +185,26 @@ func Run(g *graph.Graph, cfg Config) *Result {
 		}
 		return res
 	}
+	res, err := runInProcess(source{g: g}, cfg)
+	if err != nil {
+		panicf("in-process run: %v", err)
+	}
+	return res
+}
 
-	runner := newRunState(g, &cfg)
+// RunFile is Run on the edge-list file at path without building the
+// graph: each simulated rank reads its 1/P of the file (see
+// ingestFile), exactly as the ranks of a multi-process run do, so the
+// two report the same deterministic counters. A malformed file fails
+// every rank with the same line-numbered error. The partition equals
+// Run's on the graph graph.ReadEdgeList builds from the file.
+func RunFile(path string, cfg Config) (*Result, error) {
+	return runInProcess(source{path: path}, cfg.withDefaults())
+}
+
+// runInProcess runs cfg.P goroutine ranks on src and assembles them.
+func runInProcess(src source, cfg Config) (*Result, error) {
+	runner := newRunState(src, &cfg)
 
 	// Journaled runs also record raw wait-state events (anchored to the
 	// journal epoch so they compare with span times) for the wait-state
@@ -201,6 +223,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	defer cfg.Journal.Finish()
 	stats := mpi.Run(cfg.P, runner.rankMain, runOpts...)
 	cfg.Journal.Finish()
+	if err := runner.err(); err != nil {
+		return nil, err
+	}
 
 	// Package each simulated rank's slots as an artifact and assemble —
 	// the same path the multi-process driver takes with one artifact per
@@ -213,27 +238,36 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	}
 	res, err := Assemble(cfg, arts)
 	if err != nil {
-		panicf("assembling in-process run: %v", err)
+		return nil, fmt.Errorf("assembling in-process run: %w", err)
 	}
 	res.WaitRecorder = rec
-	return res
+	return res, nil
 }
 
-// newRunState runs preprocessing (Algorithm 2, line 1) and sizes the
-// per-rank slots. Delegate partitioning and flow initialization are
-// deterministic in (g, cfg), which is what lets every process of a
-// multi-process run recompute the identical layout without
-// communicating. The flow arrays are the product of the distributed
-// degree computation described in Section 3.3; ranks only ever read
-// entries of vertices they see.
-func newRunState(g *graph.Graph, cfg *Config) *runState {
-	layout := partition.Delegate(g, cfg.P, partition.DelegateOptions{
-		DHigh:       delegateThreshold(g, cfg),
-		NoRebalance: cfg.NoRebalance,
-	})
+// source is where the ranks' rows come from: an in-memory graph each
+// rank cuts its rows from, or an edge-list file each rank reads its
+// part of.
+type source struct {
+	g    *graph.Graph
+	path string
+}
+
+// rows returns rank c's rows, and the ingest report when they came
+// from a file.
+func (src source) rows(c *mpi.Comm, sb *mpi.SendBuffers) (*graph.Rows, *obs.IngestReport, error) {
+	if src.g != nil {
+		return src.g.Rows(c.Rank(), c.Size()), nil, nil
+	}
+	return ingestFile(c, src.path, sb)
+}
+
+// newRunState sizes the per-rank slots of a run of cfg on src.
+func newRunState(src source, cfg *Config) *runState {
 	return &runState{
-		g: g, cfg: cfg, layout: layout, flow: mapeq.NewVertexFlow(g),
-		partStats:          layout.Stats(),
+		src: src, cfg: cfg,
+		errs:               make([]error, cfg.P),
+		perRankPart:        make([]partition.BalanceStats, cfg.P),
+		perRankIngest:      make([]*obs.IngestReport, cfg.P),
 		perRankPhase:       make([]PhaseCosts, cfg.P),
 		perRankStage2Phase: make([]PhaseCosts, cfg.P),
 		perRankWall1:       make([]time.Duration, cfg.P),
@@ -244,41 +278,22 @@ func newRunState(g *graph.Graph, cfg *Config) *runState {
 	}
 }
 
-// delegateThreshold returns the d_high a run of cfg uses on g:
-// cfg.DHigh when set, else the scaled default. The paper uses
-// d_high = p, which on Titan (p in the thousands) delegates only the
-// extreme tail. At this reproduction's processor counts (2-64) a
-// literal d_high = p would delegate most vertices — delegates get only
-// one coordinated move per synchronized round, so quality and
-// convergence collapse. The default therefore keeps delegates in the
-// tail: at least p, and at least several times the average degree (see
-// DESIGN.md). At p = 1 the threshold is ignored: partition.Delegate
-// delegates nothing on one rank, so hubs move in every local pass like
-// any owned vertex.
-func delegateThreshold(g *graph.Graph, cfg *Config) int {
-	if cfg.DHigh > 0 {
-		return cfg.DHigh
-	}
-	avgDeg := 2 * g.NumEdges() / maxInt(1, g.NumVertices())
-	return maxInt(cfg.P, 4*avgDeg)
-}
-
 // runState carries inputs and cross-rank outputs of one run. In-process
 // runs share one across all simulated ranks; a multi-process rank has
 // its own and only ever fills its slot. The output fields are written by
 // rank 0 only (all ranks hold identical copies at the end, a property
 // the tests assert).
 type runState struct {
-	g      *graph.Graph
-	cfg    *Config
-	layout *partition.Layout
-	flow   *mapeq.VertexFlow
+	src source
+	cfg *Config
 
-	// partStats is the layout's balance summary, computed once and
-	// stamped into every artifact.
-	partStats partition.BalanceStats
-
-	// Per-rank measurement slots; each rank writes only its own index.
+	// Per-rank slots; each rank writes only its own index. errs holds a
+	// rank's input error (every rank reports the same one), perRankPart
+	// the layout summary (identical on every rank), perRankIngest the
+	// rank's ingest report (nil for in-memory inputs).
+	errs               []error
+	perRankPart        []partition.BalanceStats
+	perRankIngest      []*obs.IngestReport
 	perRankPhase       []PhaseCosts
 	perRankStage2Phase []PhaseCosts
 	perRankWall1       []time.Duration
@@ -290,10 +305,21 @@ type runState struct {
 	out rankOutput
 }
 
+// err returns the first rank's input error, if any.
+func (rs *runState) err() error {
+	for _, err := range rs.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // rankOutput is what rank 0 publishes back to Run (these values are
 // identical on every rank by construction; tests assert this).
 type rankOutput struct {
 	communities              []int
+	numEdges                 int
 	mdlTrace                 []float64
 	mergeRate                []float64
 	initialL                 float64

@@ -294,15 +294,15 @@ func (lv *level) localHubWeights(h, target, from int) (wTo, wFrom float64) {
 		return 0, 0
 	}
 	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-		v := lv.adjV[j]
+		v := int(lv.adj[j].V)
 		if v == h {
 			continue
 		}
 		switch lv.comm[v] {
 		case target:
-			wTo += lv.adjW[j] * lv.inv2W
+			wTo += lv.adj[j].W * lv.inv2W
 		case from:
-			wFrom += lv.adjW[j] * lv.inv2W
+			wFrom += lv.adj[j].W * lv.inv2W
 		}
 	}
 	return wTo, wFrom
@@ -364,9 +364,9 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 		m := lv.comm[u]
 		var exit float64
 		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-			v := lv.adjV[j]
+			v := int(lv.adj[j].V)
 			if v != u && lv.comm[v] != m {
-				exit += lv.adjW[j]
+				exit += lv.adj[j].W
 			}
 		}
 		//dinfomap:float-ok skip-empty guard: exit is a sum of strictly positive weights, exactly 0 iff none

@@ -23,25 +23,26 @@ func (lv *level) mergeShuffle() []mergedArc {
 	// Contract local arcs and pre-accumulate per (cu, cv) pair to keep
 	// the shuffle payload small. The adjacency is walked in CSR order,
 	// each arc j mapping to the contracted pair (aU[j], aV[j]) with
-	// weight lv.adjW[j]; a stable two-pass counting sort (by cv, then
+	// weight lv.adj[j].W; a stable two-pass counting sort (by cv, then
 	// cu) then makes equal pairs adjacent with ties in walk order, so
 	// the run-merge below sums parallel-arc weights in exactly the walk
 	// order — the float order the golden results were produced with —
 	// and emits runs ascending by (cu, cv), byte-identical to the old
 	// sorted-key encode with no map and no comparison sort.
-	m := len(lv.adjV)
-	aU := make([]int, m)
-	aV := make([]int, m)
+	m := len(lv.adj)
+	mem := lv.mem
+	aU := reuse(&mem.aU, m)
+	aV := reuse(&mem.aV, m)
 	k := 0
 	for i, u := range lv.evalVerts {
-		cu := lv.comm[u]
+		cu := int32(lv.comm[u])
 		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
 			aU[k] = cu
-			aV[k] = lv.comm[lv.adjV[j]]
+			aV[k] = int32(lv.comm[int(lv.adj[j].V)])
 			k++
 		}
 	}
-	cnt := make([]int, lv.idSpace)
+	cnt := reuse(&mem.cnt, lv.idSpace)
 	for _, v := range aV {
 		cnt[v]++
 	}
@@ -51,12 +52,12 @@ func (lv *level) mergeShuffle() []mergedArc {
 		cnt[v] = sum
 		sum += n
 	}
-	ordV := make([]int32, m)
+	ordV := reuse(&mem.ordV, m)
 	for idx, v := range aV {
 		ordV[cnt[v]] = int32(idx)
 		cnt[v]++
 	}
-	cnt2 := make([]int, lv.idSpace)
+	cnt2 := reuse(&mem.cnt2, lv.idSpace)
 	for _, u := range aU {
 		cnt2[u]++
 	}
@@ -66,7 +67,7 @@ func (lv *level) mergeShuffle() []mergedArc {
 		cnt2[u] = sum
 		sum += n
 	}
-	ord := make([]int32, m)
+	ord := reuse(&mem.ord, m)
 	for _, idx := range ordV {
 		u := aU[idx]
 		ord[cnt2[u]] = idx
@@ -75,28 +76,28 @@ func (lv *level) mergeShuffle() []mergedArc {
 
 	sb := lv.sendBufs
 	sb.Reset()
-	selfSeen := make([]bool, lv.idSpace)
+	selfSeen := reuse(&mem.marks, lv.idSpace)
 	ops := int64(0)
 	for s := 0; s < m; {
 		idx := ord[s]
 		u, v := aU[idx], aV[idx]
-		w := lv.adjW[idx]
+		w := lv.adj[idx].W
 		t := s + 1
 		for ; t < m; t++ {
 			j := ord[t]
 			if aU[j] != u || aV[j] != v {
 				break
 			}
-			w += lv.adjW[j]
+			w += lv.adj[j].W
 		}
 		s = t
 		ops++
 		if u == v {
 			selfSeen[u] = true
 		}
-		e := sb.For(ownerOf(u, lv.p))
-		e.PutInt(u)
-		e.PutInt(v)
+		e := sb.For(ownerOf(int(u), lv.p))
+		e.PutInt(int(u))
+		e.PutInt(int(v))
 		e.PutF64(w)
 	}
 	// Isolated owned vertices have no arcs but must survive as vertices
@@ -104,7 +105,7 @@ func (lv *level) mergeShuffle() []mergedArc {
 	// owner so the community remains live. The ascending scan processes
 	// marker communities in sorted order for the same reproducibility
 	// reason.
-	marked := make([]bool, lv.idSpace)
+	marked := reuse(&mem.live, lv.idSpace)
 	for _, u := range lv.ownedActive {
 		marked[lv.comm[u]] = true
 	}
@@ -119,18 +120,25 @@ func (lv *level) mergeShuffle() []mergedArc {
 	}
 
 	recv := lv.c.Alltoallv(sb.Bufs())
-	var arcs []mergedArc
+	size := 0
+	for _, b := range recv {
+		size += len(b) / mergedArcBytes
+	}
+	arcs := reuse(&mem.merged, size)[:0]
 	d := &lv.dec
 	for _, b := range recv {
 		d.Reset(b)
 		for d.Remaining() > 0 {
-			arcs = append(arcs, mergedArc{U: d.Int(), V: d.Int(), W: d.F64()})
+			arcs = append(arcs, mergedArc{U: int32(d.Int()), V: int32(d.Int()), W: d.F64()})
 		}
 	}
 
 	lv.end(sp, ops, 0, 0)
 	return arcs
 }
+
+// mergedArcBytes is the wire size of one contracted arc.
+const mergedArcBytes = 3 * 8
 
 // gatherAssignments allgathers (vertex, community) for this rank's
 // owned live vertices, so every rank can project the level's result

@@ -32,6 +32,19 @@
 // (Algorithm 3), the second of which also does the MDL reduction.
 // Merged levels have no delegates and always enter three.
 //
+// # Preprocessing
+//
+// No rank holds the whole graph. A rank starts from its rows, the
+// adjacency of the vertices it owns (id mod p): it cuts them from an
+// in-memory graph (Run, RunRank) or reads them rank-locally from an
+// edge-list file, parsing only its 1/p of the bytes and routing each
+// arc to its owner (RunFile, RunRankFile; see ingestFile). Collectives
+// over per-vertex sums then give every rank the global quantities, and
+// the per-rank steps of partition.Delegate give it its arcs of the
+// delegate layout (see preprocess). Levels share one rankMem per rank,
+// so merged levels reuse the id-space arrays instead of allocating
+// them anew.
+//
 // Module statistics are made exact at every iteration boundary: each
 // rank computes partial (sumPr, exitPr, members) for the modules its
 // arcs and owned vertices touch, sends the partials to the module's home

@@ -18,10 +18,8 @@ import (
 func withTwoRankLevels(g *graph.Graph, cfg Config, comm []int, fn func(lv *level)) {
 	cfg.P = 2
 	cfg = cfg.withDefaults()
-	rs := newRunState(g, &cfg)
 	mpi.Run(2, func(c *mpi.Comm) {
-		lv := newStage1Level(c, &cfg, rs.layout, rs.flow.P, rs.flow.Exit,
-			rs.flow.Norm(), rs.flow.SumPlogpP, cfg.Seed)
+		lv := stage1LevelOf(c, &cfg, g)
 		copy(lv.comm, comm)
 		lv.refresh(-1, 0)
 		fn(lv)

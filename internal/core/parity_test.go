@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"dinfomap/internal/graph"
 	"dinfomap/internal/mpi"
+	"dinfomap/internal/partition"
 )
 
 // TestResultCarriesGraphSize pins that a Result reports the input
@@ -35,24 +37,31 @@ func TestResultCarriesGraphSize(t *testing.T) {
 }
 
 // TestRanksReleaseArcLists pins the memory contract of rank set-up:
-// each rank drops its arc list once its stage-1 level holds the arcs in
-// CSR form, and the layout summary that every artifact carries is taken
-// before any list is dropped.
+// no rank holds the graph or another rank's arcs. Each rank's
+// preprocessing builds exactly its own list of the delegate layout
+// (partition.Delegate's list for that rank, order included) from its
+// own rows, the run state keeps no list once the levels hold the arcs,
+// and every rank reports Delegate's layout summary.
 func TestRanksReleaseArcLists(t *testing.T) {
 	g, _ := planted(3, 400, 8, 0.2)
 	cfg := Config{P: 3, Seed: 1}.withDefaults()
-	rs := newRunState(g, &cfg)
-	want := rs.layout.Stats()
-	if rs.partStats != want {
-		t.Fatalf("partStats = %+v, layout has %+v", rs.partStats, want)
+	layout := partition.Delegate(g, cfg.P, partition.DelegateOptions{
+		DHigh: defaultDHigh(cfg.P, g.NumVertices(), g.NumEdges()),
+	})
+	want := layout.Stats()
+	lists := make([][]partition.Arc, cfg.P)
+	mpi.Run(cfg.P, func(c *mpi.Comm) {
+		in := preprocess(c, &cfg, g.Rows(c.Rank(), c.Size()), c.NewSendBuffers())
+		lists[c.Rank()] = in.arcs
+	})
+	if !reflect.DeepEqual(lists, layout.RankArcs) {
+		t.Fatal("the ranks' preprocessed lists differ from partition.Delegate's")
 	}
+	rs := newRunState(source{g: g}, &cfg)
 	mpi.Run(cfg.P, rs.rankMain)
-	for r, arcs := range rs.layout.RankArcs {
-		if arcs != nil {
-			t.Errorf("rank %d still holds %d arcs after the run", r, len(arcs))
+	for r, st := range rs.perRankPart {
+		if st != want {
+			t.Errorf("rank %d layout summary %+v, Delegate has %+v", r, st, want)
 		}
-	}
-	if rs.partStats != want {
-		t.Errorf("partStats changed during the run: %+v, want %+v", rs.partStats, want)
 	}
 }

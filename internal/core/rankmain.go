@@ -226,13 +226,39 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		jlog.PublishComm(cum)
 	}
 
+	// ---- Preprocessing: this rank's rows, then its stage-1 input ----
+	// One pooled send set serves the ingest, the preprocessing
+	// exchanges and every level.
+	mem := newRankMem(c)
+	rows, ingest, err := rs.src.rows(c, mem.sb)
+	rs.perRankIngest[rank] = ingest
+	if err != nil {
+		rs.errs[rank] = err
+		return
+	}
+	in := preprocess(c, cfg, rows, mem.sb)
+	rs.perRankPart[rank] = in.part
+	if rank == 0 {
+		rs.out.numEdges = in.numEdges
+	}
+	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
+	if in.flow.TotalWeight == 0 {
+		// No edges: every vertex is its own module, as Run answers an
+		// edgeless graph without running ranks.
+		if rank == 0 {
+			rs.out.communities = make([]int, in.n)
+			for u := range rs.out.communities {
+				rs.out.communities[u] = u
+			}
+		}
+		return
+	}
+
 	// ---- Stage 1: parallel clustering with delegates ----
-	flow := rs.flow
-	lv := newStage1Level(c, cfg, rs.layout, flow.P, flow.Exit, flow.Norm(),
-		flow.SumPlogpP, cfg.Seed)
+	lv := newStage1Level(c, cfg, in, mem, cfg.Seed)
 	// The level holds this rank's arcs in CSR form now; nothing reads
 	// the arc list again, so let it go for the rest of the run.
-	rs.layout.RankArcs[rank] = nil
+	in.arcs = nil
 	lv.jlog, lv.jstage = jlog, 1
 
 	costs1 := lv.costs
@@ -279,7 +305,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		}
 		cur.costs = costs2
 		arcs := cur.mergeShuffle()
-		merged := newMergedLevel(c, cfg, idSpace, arcs, vertexTerm, cfg.Seed, outer)
+		merged := newMergedLevel(c, cfg, idSpace, arcs, vertexTerm, cfg.Seed, outer, mem)
 		merged.jlog, merged.jstage, merged.jouter = jlog, 2, uint16(outer)
 		merged.costs = costs2
 		oc = merged.cluster()

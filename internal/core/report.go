@@ -111,6 +111,9 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 		if r < len(res.PerRankIterations) {
 			rr.Iterations = res.PerRankIterations[r]
 		}
+		if r < len(res.PerRankIngest) {
+			rr.Ingest = res.PerRankIngest[r]
+		}
 		if r < len(res.Transports) {
 			rr.Transport = res.Transports[r]
 		}

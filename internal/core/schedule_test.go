@@ -22,7 +22,6 @@ func TestRoundSchedule(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			cfg := Config{P: p, Seed: 7}.withDefaults()
-			rs := newRunState(g, &cfg)
 			var mu sync.Mutex
 			var bRounds int
 			mpi.Run(p, func(c *mpi.Comm) {
@@ -58,8 +57,7 @@ func TestRoundSchedule(t *testing.T) {
 						}
 					}
 				}
-				lv := newStage1Level(c, &cfg, rs.layout, rs.flow.P, rs.flow.Exit,
-					rs.flow.Norm(), rs.flow.SumPlogpP, cfg.Seed)
+				lv := stage1LevelOf(c, &cfg, g)
 				if p > 1 && len(lv.hubs) == 0 {
 					bad("no hubs at p = %d", p)
 				}
@@ -73,7 +71,7 @@ func TestRoundSchedule(t *testing.T) {
 					bad("exchange without proposals entered %d synchronizing calls, want 1", calls)
 				}
 				merged := newMergedLevel(c, &cfg, lv.idSpace, lv.mergeShuffle(),
-					lv.vertexTerm, cfg.Seed, 1)
+					lv.vertexTerm, cfg.Seed, 1, lv.mem)
 				rounds(merged, 2, func() bool { return false })
 			})
 			if p > 1 && bRounds == 0 {

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"dinfomap/internal/gen"
+	"dinfomap/internal/graph"
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
@@ -31,11 +35,11 @@ type level struct {
 	p, rank int
 
 	// Local evaluation adjacency in CSR form: vertex evalVerts[i]
-	// evaluates neighbors adjV[evalOff[i]:evalOff[i+1]].
+	// evaluates the arcs adj[evalOff[i]:evalOff[i+1]] (neighbour V,
+	// weight W; U is evalVerts[i]).
 	evalVerts []int
 	evalOff   []int
-	adjV      []int
-	adjW      []float64
+	adj       []partition.Arc
 
 	// isHub marks delegated vertices; nil at delegate-free levels.
 	isHub []bool
@@ -126,9 +130,11 @@ type level struct {
 	modVersion  []int32
 	sentVersion [][]int32
 
-	// sendBufs is the pooled per-destination encoder set reused by
-	// every alltoallv-style exchange on this level; enc and dec are the
-	// pooled single-payload encoder and decoder for allgather rounds.
+	// mem is the rank's memory every level reuses (see rankMem).
+	mem *rankMem
+	// sendBufs is the rank's pooled per-destination encoder set, reused
+	// by every alltoallv-style exchange; enc and dec are the pooled
+	// single-payload encoder and decoder for allgather rounds.
 	sendBufs *mpi.SendBuffers
 	enc      *mpi.Encoder
 	dec      mpi.Decoder
@@ -159,6 +165,50 @@ type level struct {
 	// the level's lifetime.
 	refusedReturns int64
 	skippedSwaps   int64
+}
+
+// rankMem is the memory one rank's levels share: the id-space arrays
+// (and the arc-sized ones of the merge) are allocated by the first level
+// that needs them and handed, cleared, to every later level, so a run
+// of several merged levels allocates them once. Only one level is live
+// at a time: a level's successor is built from the arcs its merge
+// shuffle returned, after which nothing reads the old level.
+type rankMem struct {
+	sb  *mpi.SendBuffers
+	enc *mpi.Encoder
+
+	comm                                   []int
+	mods, delivered                        []mapeq.Module
+	modTracked, deliveredOk, movedV, marks []bool
+	changedM, remote, live                 []bool
+	evalIndexOf, counts, subPos            []int32
+	visit, exitP, wTo                      []float64
+	rsch                                   refreshScratch
+
+	// The merge's counting-sort arrays.
+	cnt, cnt2 []int
+	aU, aV    []int32
+	ordV, ord []int32
+	merged    []mergedArc
+	evalOff   []int
+	adj       []partition.Arc
+}
+
+// newRankMem returns the memory of one rank, with its send set.
+func newRankMem(c *mpi.Comm) *rankMem {
+	return &rankMem{sb: c.NewSendBuffers(), enc: mpi.NewEncoder(256)}
+}
+
+// reuse returns *buf resliced to n and cleared, reallocating only when
+// its capacity is short.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
 }
 
 // refreshScratch holds refresh's per-round accumulators. The p* arrays
@@ -201,13 +251,7 @@ type delegateScratch struct {
 
 // ownedSlots returns the number of owner-side slots on this rank: the
 // count of ids in [0, idSpace) with id mod P == rank.
-func (lv *level) ownedSlots() int {
-	n := lv.idSpace - lv.rank
-	if n <= 0 {
-		return 0
-	}
-	return (n + lv.p - 1) / lv.p
-}
+func (lv *level) ownedSlots() int { return graph.OwnedCount(lv.idSpace, lv.rank, lv.p) }
 
 // trackMod marks module m as possibly non-zero in the local table so
 // the next refresh clears it.
@@ -226,12 +270,13 @@ func (lv *level) initLocalState() {
 	// Visible vertices: eval vertices, their neighbors, owned vertices,
 	// and hubs. One ascending scan over the mark array yields the
 	// sorted list directly — no collect-then-sort.
-	seen := make([]bool, n)
+	m := lv.mem
+	seen := reuse(&m.marks, n)
 	for _, u := range lv.evalVerts {
 		seen[u] = true
 	}
-	for _, v := range lv.adjV {
-		seen[v] = true
+	for _, a := range lv.adj {
+		seen[a.V] = true
 	}
 	for _, u := range lv.ownedActive {
 		seen[u] = true
@@ -246,20 +291,20 @@ func (lv *level) initLocalState() {
 		}
 	}
 
-	lv.comm = make([]int, n)
+	lv.comm = reuse(&m.comm, n)
 	for v := range lv.comm {
 		lv.comm[v] = v
 	}
-	lv.mods = make([]mapeq.Module, n)
-	lv.modTracked = make([]bool, n)
+	lv.mods = reuse(&m.mods, n)
+	lv.modTracked = reuse(&m.modTracked, n)
 	lv.modList = make([]int, 0, len(lv.visList))
 	for _, v := range lv.visList {
 		lv.mods[v] = mapeq.Module{SumPr: lv.visit[v], ExitPr: lv.exitP[v], Members: 1}
 		lv.modList = append(lv.modList, v)
 		lv.modTracked[v] = true
 	}
-	lv.delivered = make([]mapeq.Module, n)
-	lv.deliveredOk = make([]bool, n)
+	lv.delivered = reuse(&m.delivered, n)
+	lv.deliveredOk = reuse(&m.deliveredOk, n)
 
 	slots := lv.ownedSlots()
 	lv.ownedStats = make([]mapeq.Module, slots)
@@ -271,7 +316,7 @@ func (lv *level) initLocalState() {
 		lv.sentVersion[r] = make([]int32, slots)
 	}
 
-	lv.evalIndexOf = make([]int32, n)
+	lv.evalIndexOf = reuse(&m.evalIndexOf, n)
 	for v := range lv.evalIndexOf {
 		lv.evalIndexOf[v] = -1
 	}
@@ -284,8 +329,8 @@ func (lv *level) initLocalState() {
 	for i := range lv.lastFrom {
 		lv.lastFrom[i] = -1
 	}
-	lv.movedV = make([]bool, n)
-	lv.changedM = make([]bool, n)
+	lv.movedV = reuse(&m.movedV, n)
+	lv.changedM = reuse(&m.changedM, n)
 	if lv.isHub != nil {
 		lv.hubIndex = make([]int32, n)
 		for v := range lv.hubIndex {
@@ -305,21 +350,25 @@ func (lv *level) initLocalState() {
 			pairs:    make([]modPair, 0, len(lv.hubs)),
 		}
 	}
-	lv.rsch = &refreshScratch{
-		pSumPr:   make([]float64, n),
-		pExit:    make([]float64, n),
-		pMembers: make([]int32, n),
-		pStamp:   make([]int32, n),
-		oSumPr:   make([]float64, slots),
-		oExit:    make([]float64, slots),
-		oMembers: make([]int32, slots),
-		oStamp:   make([]int32, slots),
-		oSubs:    make([][]int32, slots),
-		newOwned: make([]int32, 0, slots),
+	// The refresh scratch: stamps restart with the level's rounds, and
+	// each slot's subscriber list is truncated when first stamped.
+	rs := &m.rsch
+	rs.round = 0
+	reuse(&rs.pSumPr, n)
+	reuse(&rs.pExit, n)
+	reuse(&rs.pMembers, n)
+	reuse(&rs.pStamp, n)
+	reuse(&rs.oSumPr, slots)
+	reuse(&rs.oExit, slots)
+	reuse(&rs.oMembers, slots)
+	reuse(&rs.oStamp, slots)
+	if cap(rs.oSubs) < slots {
+		rs.oSubs = make([][]int32, slots)
 	}
-	// Comm-registered so a world failure invalidates in-flight rounds.
-	lv.sendBufs = lv.c.NewSendBuffers()
-	lv.enc = mpi.NewEncoder(256)
+	rs.oSubs = rs.oSubs[:slots]
+	rs.newOwned = rs.newOwned[:0]
+	lv.rsch = rs
+	lv.sendBufs, lv.enc = m.sb, m.enc
 
 	// Ghosts: visible, not owned, not a hub. visList is sorted, so the
 	// ghost list comes out sorted too.
@@ -344,8 +393,8 @@ func (lv *level) initLocalState() {
 	// Build the subscription CSR: count per vertex, prefix offsets,
 	// then a second decode pass filling ranks. Sources arrive in rank
 	// order, so each vertex's rank list is ascending.
-	counts := make([]int32, n)
-	subPos := make([]int32, n)
+	counts := reuse(&m.counts, n)
+	subPos := reuse(&m.subPos, n)
 	total := int32(0)
 	d := &lv.dec
 	for _, b := range recv {
@@ -377,26 +426,25 @@ func (lv *level) initLocalState() {
 	}
 }
 
-// newStage1Level builds the delegate-partitioned level from the global
-// layout and flow (preprocessing products).
-func newStage1Level(c *mpi.Comm, cfg *Config, layout *partition.Layout,
-	visit, exitP []float64, inv2W, vertexTerm float64, seed uint64) *level {
-
+// newStage1Level builds the delegate-partitioned level from this
+// rank's preprocessing product, in the rank's memory mem.
+func newStage1Level(c *mpi.Comm, cfg *Config, in *stage1Input, mem *rankMem, seed uint64) *level {
 	rank := c.Rank()
 	lv := &level{
 		c: c, cfg: cfg,
-		idSpace: len(layout.Owner),
+		idSpace: in.n,
 		p:       c.Size(), rank: rank,
-		isHub:      layout.IsHub,
-		visit:      visit,
-		exitP:      exitP,
-		inv2W:      inv2W,
-		vertexTerm: vertexTerm,
+		isHub:      in.isHub,
+		visit:      in.flow.P,
+		exitP:      in.flow.Exit,
+		inv2W:      in.flow.Norm(),
+		vertexTerm: in.flow.SumPlogpP,
+		mem:        mem,
 		costs:      new(PhaseCosts),
 		rng:        gen.NewRNG(seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15),
 	}
 	for v := 0; v < lv.idSpace; v++ {
-		if layout.IsHub[v] {
+		if in.isHub[v] {
 			lv.hubs = append(lv.hubs, v)
 		}
 		if ownerOf(v, lv.p) == rank {
@@ -404,58 +452,56 @@ func newStage1Level(c *mpi.Comm, cfg *Config, layout *partition.Layout,
 		}
 	}
 
-	// Group this rank's arcs by evaluation vertex into CSR. Degrees are
-	// counted into a dense array and eval vertices collected by one
-	// ascending scan, so they come out sorted without a sort pass.
-	arcs := layout.RankArcs[rank]
-	deg := make([]int32, lv.idSpace)
-	for _, a := range arcs {
-		deg[a.U]++
+	// This rank's list, grouped by evaluation vertex in list order, is
+	// the level's adjacency. The list is sorted by evaluation vertex
+	// unless rebalancing moved arcs in or out of it; a stable sort then
+	// groups it in place, so the arcs are never copied.
+	arcs := in.arcs
+	byU := func(a, b partition.Arc) int { return cmp.Compare(a.U, b.U) }
+	if !slices.IsSortedFunc(arcs, byU) {
+		slices.SortStableFunc(arcs, byU)
 	}
 	nEval := 0
-	for u := 0; u < lv.idSpace; u++ {
-		if deg[u] > 0 {
+	for j := range arcs {
+		if j == 0 || arcs[j].U != arcs[j-1].U {
 			nEval++
 		}
 	}
 	lv.evalVerts = make([]int, 0, nEval)
-	index := make([]int32, lv.idSpace)
-	lv.evalOff = make([]int, 1, nEval+1)
-	for u := 0; u < lv.idSpace; u++ {
-		if deg[u] == 0 {
-			continue
+	lv.evalOff = make([]int, 0, nEval+1)
+	for j := range arcs {
+		a := &arcs[j]
+		if j == 0 || a.U != arcs[j-1].U {
+			lv.evalVerts = append(lv.evalVerts, int(a.U))
+			lv.evalOff = append(lv.evalOff, j)
 		}
-		index[u] = int32(len(lv.evalVerts))
-		lv.evalVerts = append(lv.evalVerts, u)
-		lv.evalOff = append(lv.evalOff, lv.evalOff[len(lv.evalOff)-1]+int(deg[u]))
-	}
-	lv.adjV = make([]int, len(arcs))
-	lv.adjW = make([]float64, len(arcs))
-	cursor := make([]int, len(lv.evalVerts))
-	copy(cursor, lv.evalOff[:len(lv.evalVerts)])
-	for _, a := range arcs {
-		i := index[a.U]
-		w := a.W
 		if a.U == a.V {
 			// Level-0 self-loops are stored once in the input graph;
 			// merged levels store self-arcs with twice the intra
 			// weight (both contraction directions land on the same
 			// arc). Doubling here unifies the convention, so flow and
 			// merge code treat every level identically.
-			w *= 2
+			a.W *= 2
 		}
-		lv.adjV[cursor[i]] = a.V
-		lv.adjW[cursor[i]] = w
-		cursor[i]++
 	}
+	lv.evalOff = append(lv.evalOff, len(arcs))
+	lv.adj = arcs
 
 	lv.initLocalState()
 	return lv
 }
 
+// stage1LevelOf preprocesses rank c's rows of g and builds its stage-1
+// level: the in-memory entry tests and BenchLevel use.
+func stage1LevelOf(c *mpi.Comm, cfg *Config, g *graph.Graph) *level {
+	mem := newRankMem(c)
+	in := preprocess(c, cfg, g.Rows(c.Rank(), c.Size()), mem.sb)
+	return newStage1Level(c, cfg, in, mem, cfg.Seed)
+}
+
 // mergedArc is one contracted arc received during distributed merging.
 type mergedArc struct {
-	U, V int
+	U, V int32
 	W    float64
 }
 
@@ -463,7 +509,7 @@ type mergedArc struct {
 // this rank received in the merge shuffle (owned vertex u -> full
 // adjacency of u, self-arcs carrying twice the intra weight).
 func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
-	vertexTerm float64, seed uint64, round int) *level {
+	vertexTerm float64, seed uint64, round int, mem *rankMem) *level {
 
 	rank := c.Rank()
 	lv := &level{
@@ -471,6 +517,7 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 		idSpace: idSpace,
 		p:       c.Size(), rank: rank,
 		vertexTerm: vertexTerm,
+		mem:        mem,
 		costs:      new(PhaseCosts),
 		rng:        gen.NewRNG(seed ^ (uint64(rank)+7)*0xbf58476d1ce4e5b9 ^ uint64(round)<<32),
 	}
@@ -483,7 +530,7 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	// were produced with — and emits merged arcs in ascending (u, v)
 	// order with no comparison sort.
 	m := len(arcs)
-	cnt := make([]int, idSpace)
+	cnt := reuse(&mem.cnt, idSpace)
 	for _, a := range arcs {
 		cnt[a.V]++
 	}
@@ -493,12 +540,12 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 		cnt[v] = sum
 		sum += k
 	}
-	ordV := make([]int32, m)
+	ordV := reuse(&mem.ordV, m)
 	for idx, a := range arcs {
 		ordV[cnt[a.V]] = int32(idx)
 		cnt[a.V]++
 	}
-	cnt2 := make([]int, idSpace)
+	cnt2 := reuse(&mem.cnt2, idSpace)
 	for _, a := range arcs {
 		cnt2[a.U]++
 	}
@@ -508,7 +555,7 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 		cnt2[u] = sum
 		sum += k
 	}
-	ord := make([]int32, m)
+	ord := reuse(&mem.ord, m)
 	for _, idx := range ordV {
 		u := arcs[idx].U
 		ord[cnt2[u]] = idx
@@ -516,7 +563,8 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	}
 	// Run-merge into CSR: runs of equal (u, v) collapse to one arc; a
 	// change of u opens the next eval vertex.
-	lv.evalOff = make([]int, 1, 16)
+	lv.evalOff = append(mem.evalOff[:0], 0)
+	lv.adj = mem.adj[:0]
 	for s := 0; s < m; {
 		a := arcs[ord[s]]
 		w := a.W
@@ -529,14 +577,14 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 			w += b.W
 		}
 		s = t
-		if len(lv.evalVerts) == 0 || lv.evalVerts[len(lv.evalVerts)-1] != a.U {
-			lv.evalVerts = append(lv.evalVerts, a.U)
+		if u := int(a.U); len(lv.evalVerts) == 0 || lv.evalVerts[len(lv.evalVerts)-1] != u {
+			lv.evalVerts = append(lv.evalVerts, u)
 			lv.evalOff = append(lv.evalOff, lv.evalOff[len(lv.evalOff)-1])
 		}
 		lv.evalOff[len(lv.evalOff)-1]++
-		lv.adjV = append(lv.adjV, a.V)
-		lv.adjW = append(lv.adjW, w)
+		lv.adj = append(lv.adj, partition.Arc{U: a.U, V: a.V, W: w})
 	}
+	mem.evalOff, mem.adj = lv.evalOff, lv.adj
 	lv.ownedActive = append(lv.ownedActive, lv.evalVerts...)
 
 	// Flow exchange: every owner knows the full adjacency of its
@@ -545,15 +593,16 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	// flow of its ghosts. The merged graph is orders of magnitude
 	// smaller than the original (paper Section 3.2), so this collective
 	// is cheap.
-	e := mpi.NewEncoder(len(lv.evalVerts) * 24)
+	e := mem.enc
+	e.Reset()
 	for i, u := range lv.evalVerts {
 		strength, selfW := 0.0, 0.0
 		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-			if lv.adjV[j] == u {
-				selfW += lv.adjW[j] / 2 // self-arc accumulated both directions
-				strength += lv.adjW[j]
+			if int(lv.adj[j].V) == u {
+				selfW += lv.adj[j].W / 2 // self-arc accumulated both directions
+				strength += lv.adj[j].W
 			} else {
-				strength += lv.adjW[j]
+				strength += lv.adj[j].W
 			}
 		}
 		e.PutInt(u)
@@ -566,8 +615,8 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	// Stash (strength, selfW) in the flow arrays during decode, then
 	// normalize in place once totalStrength (= 2W of the merged graph,
 	// = 2W of the original) is known. Dead ids stay exactly zero.
-	lv.visit = make([]float64, idSpace)
-	lv.exitP = make([]float64, idSpace)
+	lv.visit = reuse(&mem.visit, idSpace)
+	lv.exitP = reuse(&mem.exitP, idSpace)
 	totalStrength := 0.0
 	d := &lv.dec
 	for _, b := range parts {

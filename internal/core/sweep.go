@@ -15,8 +15,8 @@ type sweepScratch struct {
 
 func (lv *level) newScratch() *sweepScratch {
 	return &sweepScratch{
-		wTo:    make([]float64, lv.idSpace),
-		remote: make([]bool, lv.idSpace),
+		wTo:    reuse(&lv.mem.wTo, lv.idSpace),
+		remote: reuse(&lv.mem.remote, lv.idSpace),
 		visit:  make([]int, 0, len(lv.evalVerts)),
 	}
 }
@@ -146,7 +146,7 @@ func (lv *level) reactivate() {
 		}
 		hit := lv.changedM[lv.comm[u]]
 		for j := lv.evalOff[i]; !hit && j < lv.evalOff[i+1]; j++ {
-			v := lv.adjV[j]
+			v := int(lv.adj[j].V)
 			hit = lv.movedV[v] || lv.changedM[lv.comm[v]]
 		}
 		lv.active[i] = hit
@@ -167,7 +167,7 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 	from := lv.comm[u]
 	s.touched = s.touched[:0]
 	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-		v := lv.adjV[j]
+		v := int(lv.adj[j].V)
 		if v == u {
 			continue
 		}
@@ -177,7 +177,7 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 			s.touched = append(s.touched, cv)
 			s.remote[cv] = false
 		}
-		s.wTo[cv] += lv.adjW[j] * lv.inv2W
+		s.wTo[cv] += lv.adj[j].W * lv.inv2W
 		if ownerOf(v, lv.p) != lv.rank || (lv.isHub != nil && lv.isHub[v]) {
 			s.remote[cv] = true
 		}
@@ -302,7 +302,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	// evaluations while keeping codelength closer to the full re-scan
 	// (largest scale-0.3 golden increase +0.16% with it, +0.23% without).
 	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-		if k := lv.evalIndexOf[lv.adjV[j]]; k >= 0 {
+		if k := lv.evalIndexOf[int(lv.adj[j].V)]; k >= 0 {
 			lv.active[k] = true
 		}
 	}

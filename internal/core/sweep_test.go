@@ -19,12 +19,10 @@ func TestActiveSetMissesFewMoves(t *testing.T) {
 			N: 3000, NumComms: 40, AvgDegree: 10, Mixing: 0.3,
 		})
 		cfg := Config{P: 1, Seed: seed}.withDefaults()
-		rs := newRunState(g, &cfg)
 		var moves int
 		var before, after float64
 		mpi.Run(1, func(c *mpi.Comm) {
-			lv := newStage1Level(c, &cfg, rs.layout, rs.flow.P, rs.flow.Exit,
-				rs.flow.Norm(), rs.flow.SumPlogpP, cfg.Seed)
+			lv := stage1LevelOf(c, &cfg, g)
 			before = lv.cluster().finalL
 			lv.activateAll()
 			lv.dampP = 0

@@ -150,7 +150,7 @@ func propagate(g *graph.Graph, cfg Config, salt uint64) ([]int, time.Duration) {
 		ghostSet := map[int]bool{}
 		for _, a := range arcs {
 			if layout.Owner[a.V] != rank {
-				ghostSet[a.V] = true
+				ghostSet[int(a.V)] = true
 			}
 		}
 		encs := make([]*mpi.Encoder, p)
@@ -184,12 +184,12 @@ func propagate(g *graph.Graph, cfg Config, salt uint64) ([]int, time.Duration) {
 			// neighbor label with maximum incident flow.
 			i := 0
 			for i < len(arcs) {
-				u := arcs[i].U
+				u := int(arcs[i].U)
 				for k := range wTo {
 					delete(wTo, k)
 				}
-				for i < len(arcs) && arcs[i].U == u {
-					if arcs[i].V != u {
+				for i < len(arcs) && int(arcs[i].U) == u {
+					if int(arcs[i].V) != u {
 						wTo[comm[arcs[i].V]] += arcs[i].W
 					}
 					ops++

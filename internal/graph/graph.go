@@ -298,18 +298,30 @@ func (b *Builder) Build() *Graph {
 	weights = weights[:out:out]
 
 	g := &Graph{offsets: newOffsets, targets: targets, weights: weights}
-	for u := 0; u < n; u++ {
-		for i := newOffsets[u]; i < newOffsets[u+1]; i++ {
-			if v := targets[i]; u <= v {
-				g.numEdges++
-				g.totalWeight += weights[i]
-			}
-		}
-	}
 	if b.unitW && allUnit(weights) {
 		g.weights = nil // common unweighted case: drop the weight array
 	}
+	g.countEdges()
 	return g
+}
+
+// countEdges sets the derived counters numEdges and totalWeight. The
+// total is summed per vertex first (its arcs (u, v) with u <= v, in
+// adjacency order), then over vertices in id order: the order in which
+// ranks that each hold some vertices' rows reproduce it bit for bit
+// from per-vertex partials (see UpperWeight).
+func (g *Graph) countEdges() {
+	g.numEdges, g.totalWeight = 0, 0
+	for u := 0; u < g.NumVertices(); u++ {
+		s := 0.0
+		for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
+			if g.targets[i] >= u {
+				g.numEdges++
+				s += g.arcWeight(i)
+			}
+		}
+		g.totalWeight += s
+	}
 }
 
 func allUnit(ws []float64) bool {
@@ -322,19 +334,22 @@ func allUnit(ws []float64) bool {
 	return true
 }
 
-// sortAdj sorts parallel slices (targets, weights) by target.
-func sortAdj(t []int, w []float64) {
-	sort.Sort(&adjSorter{t, w})
+// sortAdj sorts parallel slices (targets, weights) by target. The
+// sort is not stable, but its permutation depends only on the sequence
+// of comparisons, so a row sorted as []int32 comes out in exactly the
+// order the same row sorted as []int does.
+func sortAdj[T int | int32](t []T, w []float64) {
+	sort.Sort(&adjSorter[T]{t, w})
 }
 
-type adjSorter struct {
-	t []int
+type adjSorter[T int | int32] struct {
+	t []T
 	w []float64
 }
 
-func (s *adjSorter) Len() int           { return len(s.t) }
-func (s *adjSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
-func (s *adjSorter) Swap(i, j int) {
+func (s *adjSorter[T]) Len() int           { return len(s.t) }
+func (s *adjSorter[T]) Less(i, j int) bool { return s.t[i] < s.t[j] }
+func (s *adjSorter[T]) Swap(i, j int) {
 	s.t[i], s.t[j] = s.t[j], s.t[i]
 	s.w[i], s.w[j] = s.w[j], s.w[i]
 }

@@ -5,69 +5,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// ReadEdgeList parses a whitespace-separated edge list: one edge per line
-// as "u v" or "u v w". Lines beginning with '#' or '%' are comments.
-// Vertex IDs must be non-negative integers; the vertex count is
-// 1 + the maximum ID seen, or the value of a "# vertices=N ..." header
-// comment (which WriteEdgeList emits) when that is larger — without it,
-// trailing isolated vertices would be lost in the round trip. Parallel
-// edges are merged (weights summed).
+// ReadEdgeList parses a whitespace-separated edge list (see
+// ParseEdgeList for the format) and builds the graph. The vertex count
+// is 1 + the maximum ID seen, or the value of a "# vertices=N ..."
+// header comment (which WriteEdgeList emits) when that is larger —
+// without it, trailing isolated vertices would be lost in the round
+// trip. Parallel edges are merged (weights summed).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	b := NewBuilder(0)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineno := 0
-	declaredN := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			for _, field := range strings.Fields(line) {
-				if v, ok := strings.CutPrefix(field, "vertices="); ok {
-					if n, err := strconv.Atoi(v); err == nil && n > declaredN {
-						declaredN = n
-					}
-				}
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %q", lineno, line)
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", lineno, fields[0], err)
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad target %q: %v", lineno, fields[1], err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineno)
-		}
-		w := 1.0
-		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineno, fields[2], err)
-			}
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: line %d: non-positive weight %v", lineno, w)
-			}
-		}
-		b.AddWeightedEdge(u, v, w)
+	info, err := ParseEdgeList(r, b.AddWeightedEdge)
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: read: %v", err)
-	}
-	if declaredN > 0 {
-		b.EnsureVertices(declaredN)
-	}
+	b.EnsureVertices(info.NumVertices())
 	return b.Build(), nil
 }
 
@@ -174,15 +126,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: weights: %v", err)
 		}
 	}
-	// Recompute derived counters.
-	for u := 0; u < int(n); u++ {
-		for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
-			if v := g.targets[i]; u <= v {
-				g.numEdges++
-				g.totalWeight += g.arcWeight(i)
-			}
-		}
-	}
+	g.countEdges()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: binary payload invalid: %v", err)
 	}

@@ -158,10 +158,3 @@ func PowerLawExponentMLE(g *Graph, dmin int) float64 {
 	}
 	return 1 + float64(n)/sum
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

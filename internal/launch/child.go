@@ -98,9 +98,19 @@ func runChild(v string) error {
 		return fmt.Errorf("rank %d: inherited listener: %w", rank, err)
 	}
 
-	g, err := cs.Input.Load()
-	if err != nil {
-		return fmt.Errorf("rank %d: %w", rank, err)
+	// A file input is read rank-locally during the run (each rank parses
+	// its 1/P of the file); a dataset is generated whole and cut.
+	run := func(cfg core.Config, t mpi.Transport) (*core.RankArtifact, error) {
+		return core.RunRankFile(cs.Input.Path, cfg, t)
+	}
+	if cs.Input.Dataset != "" {
+		g, err := cs.Input.Load()
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", rank, err)
+		}
+		run = func(cfg core.Config, t mpi.Transport) (*core.RankArtifact, error) {
+			return core.RunRank(g, cfg, t)
+		}
 	}
 
 	// Rank-scoped journal: sized for the world (instrumentation indexes
@@ -143,7 +153,7 @@ func runChild(v string) error {
 
 	cfg := cs.config()
 	cfg.Journal, cfg.Recorder = journal, rec
-	art, runErr := core.RunRank(g, cfg, tr)
+	art, runErr := run(cfg, tr)
 
 	// Telemetry teardown, on success and failure alike. Finish ends the
 	// live stream (the relay drains and sends its last snapshot), then

@@ -4,9 +4,11 @@
 // rank (the rank's listener passed as fd 3), and assembles the
 // children's artifact files into the same core.Result an in-process
 // run produces: bit-identical for the same graph, config and seed,
-// because every child rebuilds the graph from the same Input,
-// recomputes the partitioning deterministically and runs the identical
-// rank program.
+// because the children run the identical rank program on the same
+// Input. A file input is read rank-locally: each child parses only the
+// lines that start in its 1/P of the file's bytes and never builds the
+// whole graph (core.RunRankFile); a dataset is generated whole by every
+// child, which cuts its own rows from it (core.RunRank).
 //
 // Each rank process runs with GOMAXPROCS = max(1, NumCPU/P), one core
 // per rank the way MPI places its ranks, unless the launcher's own
@@ -49,9 +51,10 @@ import (
 	"dinfomap/internal/obs"
 )
 
-// Input names the graph every rank process rebuilds: a registry
-// dataset at a scale (gen.Load) when Dataset is set, else the edge-list
-// file at Path.
+// Input names the graph of a launch: a registry dataset at a scale
+// (gen.Load) when Dataset is set, which every rank process generates,
+// else the edge-list file at Path, which the rank processes read 1/P
+// each.
 type Input struct {
 	Dataset    string
 	Scale      float64

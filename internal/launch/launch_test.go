@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -330,5 +332,131 @@ func requireSameRun(t *testing.T, inproc, multi *core.Result) {
 				r, a.BytesSent, a.MsgsSent, a.Collectives, a.BarrierSyncs,
 				b.BytesSent, b.MsgsSent, b.Collectives, b.BarrierSyncs)
 		}
+	}
+}
+
+// writeHostileFile writes a weighted edge list meant to trip rank-local
+// ingest: CRLF line ends, comments between edges, float weights,
+// self-loops, every edge repeated in the other half of the file (so
+// each pair of parallel edges straddles the range boundaries at p = 2,
+// 3 and 4), and a header declaring trailing isolated vertices.
+func writeHostileFile(t *testing.T) (string, *graph.Graph) {
+	t.Helper()
+	g, _ := gen.PlantedPartition(4, gen.PlantedConfig{N: 300, NumComms: 6, AvgDegree: 8, Mixing: 0.2})
+	var b strings.Builder
+	fmt.Fprintf(&b, "# vertices=%d planted\r\n", g.NumVertices()+7)
+	var lines []string
+	i := 0
+	g.Edges(func(u, v int, _ float64) {
+		i++
+		w := 0.25 + float64(i%7)*0.5
+		if i%23 == 0 {
+			lines = append(lines, fmt.Sprintf("%d %d %g", u, u, w))
+		}
+		lines = append(lines, fmt.Sprintf("%d\t%d %g", u, v, w))
+	})
+	half := len(lines) / 2
+	for k, l := range append(append([]string{}, lines...), lines[half:]...) {
+		if k%40 == 0 {
+			b.WriteString("% comment\r\n\r\n")
+		}
+		b.WriteString(l + "\r\n")
+		if k == len(lines)-1 {
+			// Repeat the first half's edges (weights halved) after the
+			// whole list, so they too have parallel copies far away.
+			for _, r := range lines[:half] {
+				f := strings.Fields(r)
+				w, _ := strconv.ParseFloat(f[2], 64)
+				fmt.Fprintf(&b, "%s %s %g\r\n", f[1], f[0], w/2)
+			}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "hostile.txt")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := graph.ReadEdgeList(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, want
+}
+
+// TestRankLocalIngestMatchesRun pins rank-local ingest: rank processes
+// that each read 1/p of a file give the partition, graph size and
+// codelength core.Run gives on the whole graph, and their bytes_read
+// tile the file with no part over ⌈size/p⌉ plus one line.
+func TestRankLocalIngestMatchesRun(t *testing.T) {
+	path, g := writeHostileFile(t)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 307 {
+		t.Fatalf("the header's isolated vertices are missing: %d vertices", g.NumVertices())
+	}
+	for _, p := range []int{1, 2, 3, 4} {
+		cfg := core.Config{P: p, Seed: 42}
+		want := core.Run(g, cfg)
+		got, _, err := Run(Spec{Input: Input{Path: path}, P: p, Seed: cfg.Seed}, nil, nil)
+		if err != nil {
+			t.Fatalf("p=%d: Run: %v", p, err)
+		}
+		if got.NumEdges != g.NumEdges() || len(got.Communities) != g.NumVertices() {
+			t.Fatalf("p=%d: graph %d vertices, %d edges; file has %d, %d",
+				p, len(got.Communities), got.NumEdges, g.NumVertices(), g.NumEdges())
+		}
+		if !slices.Equal(got.Communities, want.Communities) || got.Codelength != want.Codelength {
+			t.Fatalf("p=%d: rank-local ingest differs from core.Run (L %v vs %v)", p, got.Codelength, want.Codelength)
+		}
+		if got.Partition != want.Partition {
+			t.Fatalf("p=%d: layout %+v, core.Run has %+v", p, got.Partition, want.Partition)
+		}
+		total := int64(0)
+		for r, in := range got.PerRankIngest {
+			if in == nil {
+				t.Fatalf("p=%d: rank %d has no ingest report", p, r)
+			}
+			if limit := (st.Size()+int64(p)-1)/int64(p) + 64; in.BytesRead > limit {
+				t.Errorf("p=%d: rank %d read %d bytes, limit %d", p, r, in.BytesRead, limit)
+			}
+			total += in.BytesRead
+		}
+		if total != st.Size() {
+			t.Fatalf("p=%d: ranks read %d bytes of %d", p, total, st.Size())
+		}
+		// The in-process file run reports the same counters.
+		inproc, err := core.RunFile(path, cfg)
+		if err != nil {
+			t.Fatalf("p=%d: RunFile: %v", p, err)
+		}
+		requireSameRun(t, inproc, got)
+	}
+}
+
+// TestRankLocalIngestBadLine pins that a bad line fails every rank with
+// the file's line number, wherever it falls among the ranks' parts: the
+// rank processes exit with it (each prints it), and the in-process file
+// run, whose ranks run the same ingest, returns it.
+func TestRankLocalIngestBadLine(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&b, "%d %d\n", i, i+1)
+	}
+	b.WriteString("7 9999999999\n")
+	path := filepath.Join(t.TempDir(), "bad.txt")
+	if err := os.WriteFile(path, []byte(b.String()+"1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Run(Spec{Input: Input{Path: path}, P: 3, Seed: 1}, nil, nil); err == nil {
+		t.Fatal("Run succeeded on a bad file")
+	}
+	if _, err := core.RunFile(path, core.Config{P: 3}); err == nil || err.Error() != "graph: line 201: vertex id 9999999999 exceeds 2147483646" {
+		t.Fatalf("RunFile = %v, want the line-201 error", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoder builds binary message payloads (little-endian, fixed-width).
@@ -23,9 +24,20 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset clears the encoder for reuse without reallocating.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Grow makes room for n more bytes without a later reallocation.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// Append appends raw bytes.
+func (e *Encoder) Append(b []byte) { e.buf = append(e.buf, b...) }
+
 // PutU64 appends a uint64.
 func (e *Encoder) PutU64(v uint64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+// PutU32 appends a uint32.
+func (e *Encoder) PutU32(v uint32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
 // PutI64 appends an int64.
@@ -78,6 +90,14 @@ func (d *Decoder) U64() uint64 {
 	d.need(8)
 	v := binary.LittleEndian.Uint64(d.buf[d.off:])
 	d.off += 8
+	return v
+}
+
+// U32 reads a uint32.
+func (d *Decoder) U32() uint32 {
+	d.need(4)
+	v := binary.LittleEndian.Uint32(d.buf[d.off:])
+	d.off += 4
 	return v
 }
 

@@ -194,6 +194,21 @@ type RankReport struct {
 	// poison events). Schema addition (v1-compatible); absent on
 	// in-process runs, which have no wire.
 	Transport *mpi.TransportStats `json:"transport,omitempty"`
+	// Ingest reports the rank's share of reading an edge-list file when
+	// the ranks read it themselves. Schema addition (v1-compatible);
+	// absent when the ranks cut their rows from an in-memory graph.
+	Ingest *IngestReport `json:"ingest,omitempty"`
+}
+
+// IngestReport is one rank's rank-local ingest: it parsed BytesRead
+// bytes of the edge list (its line-aligned 1/p), routed ArcsSent arcs
+// to other ranks and kept ArcsKept, in WallNs of measured wall time
+// (parse, routing exchange and row build).
+type IngestReport struct {
+	BytesRead int64 `json:"bytes_read"`
+	ArcsSent  int64 `json:"arcs_sent"`
+	ArcsKept  int64 `json:"arcs_kept"`
+	WallNs    int64 `json:"wall_ns"`
 }
 
 // GraphInfo summarizes the input graph.

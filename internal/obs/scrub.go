@@ -31,6 +31,11 @@ func ScrubVolatile(rep *Report) {
 		r.Wall2Ns = 0
 		r.PhaseWallNs = nil
 		r.Transport = nil
+		if r.Ingest != nil {
+			in := *r.Ingest
+			in.WallNs = 0
+			r.Ingest = &in
+		}
 		scrubCommTotals(&r.Comm)
 		scrubCommTotalsMap(r.CommByKind)
 		for k := range r.Iterations {

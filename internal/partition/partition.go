@@ -14,15 +14,17 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dinfomap/internal/graph"
 )
 
 // Arc is one directed evaluation edge: the rank holding it evaluates
-// vertex U against neighbor V with edge weight W.
+// vertex U against neighbor V with edge weight W. Ids are 32-bit, as
+// edge-list ids are (graph.MaxID), which keeps an arc at 16 bytes.
 type Arc struct {
-	U, V int
+	U, V int32
 	W    float64
 }
 
@@ -88,7 +90,7 @@ func OneD(g *graph.Graph, p int) *Layout {
 	for u := 0; u < n; u++ {
 		r := l.Owner[u]
 		g.Neighbors(u, func(v int, w float64) {
-			l.RankArcs[r] = append(l.RankArcs[r], Arc{U: u, V: v, W: w})
+			l.RankArcs[r] = append(l.RankArcs[r], Arc{U: int32(u), V: int32(v), W: w})
 		})
 	}
 	return l
@@ -121,17 +123,16 @@ type DelegateOptions struct {
 // whatever opts.DHigh is, and the layout records DHigh = 0 like a 1D
 // layout. A hub would only cost the run: a delegate moves once per
 // synchronized round, an owned vertex in every local pass.
+//
+// Delegate is the in-memory composition of the per-rank steps a
+// distributed run takes with each rank holding only its own rows:
+// HubThreshold, PlaceRow over every row in vertex order (the order a
+// rank's received arcs are merged in), RebalancePlan and TakeHubArcs.
 func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 	if p < 1 {
 		panic(fmt.Sprintf("partition: Delegate with p=%d", p))
 	}
-	dHigh := opts.DHigh
-	switch {
-	case p == 1:
-		dHigh = 0
-	case dHigh <= 0:
-		dHigh = p
-	}
+	dHigh := HubThreshold(p, opts.DHigh)
 	n := g.NumVertices()
 	l := &Layout{
 		P:        p,
@@ -157,7 +158,7 @@ func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 		l.RankArcs[r] = make([]Arc, 0, max(c, mean+1))
 	}
 	l.placeArcs(g, func(r, u, v int, w float64) {
-		l.RankArcs[r] = append(l.RankArcs[r], Arc{U: u, V: v, W: w})
+		l.RankArcs[r] = append(l.RankArcs[r], Arc{U: int32(u), V: int32(v), W: w})
 	})
 	if !opts.NoRebalance {
 		l.rebalance()
@@ -165,88 +166,164 @@ func Delegate(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 	return l
 }
 
-// placeArcs applies Delegate's placement rule to every arc of g in
-// adjacency order, calling put with the arc's rank. The rule is
-// deterministic, so repeated calls place every arc identically.
+// HubThreshold returns the d_high a delegate layout over p ranks uses
+// when asked for dHigh: 0 (nothing delegated) at p = 1, p when dHigh
+// <= 0, dHigh otherwise. Vertices with degree > d_high are hubs.
+func HubThreshold(p, dHigh int) int {
+	switch {
+	case p == 1:
+		return 0
+	case dHigh <= 0:
+		return p
+	}
+	return dHigh
+}
+
+// placeArcs applies the placement rule to every row of g in vertex
+// order, calling put with each arc's rank. The rule is deterministic,
+// so repeated calls place every arc identically.
 func (l *Layout) placeArcs(g *graph.Graph, put func(r, u, v int, w float64)) {
 	rr := 0 // round-robin cursor for hub-hub arcs
 	for u := range l.Owner {
-		uHub := l.IsHub[u]
 		targets, weights := g.NeighborSlice(u)
-		for i, v := range targets {
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
-			var r int
-			switch {
-			case !uHub:
-				r = l.Owner[u] // low-degree: stay with owner
-			case !l.IsHub[v]:
-				r = l.Owner[v] // hub evaluated where its target lives
-			default:
-				r = rr % l.P // hub-hub: anywhere; start round-robin
-				rr++
-			}
-			put(r, u, v, w)
-		}
+		PlaceRow(u, targets, weights, l.IsHub, l.P, &rr, put)
 	}
 }
 
-// rebalance moves hub-sourced arcs from overloaded ranks to underloaded
-// ranks. Only arcs whose evaluation vertex is a hub are movable: the hub
-// is present everywhere, so its partial adjacency can live on any rank,
-// whereas a low-degree vertex's arcs must stay with its owner.
-func (l *Layout) rebalance() {
-	total := 0
-	for _, arcs := range l.RankArcs {
-		total += len(arcs)
+// PlaceRow is Delegate's placement rule for the arcs (u, v, w) of one
+// row, in row order: an arc of a low-degree u stays with u's owner, an
+// arc from a hub to a low-degree v goes to v's owner, and hub-hub arcs
+// go round-robin from the cursor *rr, which advances once per such arc.
+// Over a whole layout the cursor starts at 0 and runs through the rows
+// in vertex order, so a hub's row starts at the number of hub-hub arcs
+// of the hubs below it (see HubHubArcs). weights nil means all 1.
+func PlaceRow[T int | int32](u int, targets []T, weights []float64, isHub []bool, p int, rr *int, put func(r, u, v int, w float64)) {
+	uHub := isHub[u]
+	for i, t := range targets {
+		v := int(t)
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		var r int
+		switch {
+		case !uHub:
+			r = u % p // low-degree: stay with owner
+		case !isHub[v]:
+			r = v % p // hub evaluated where its target lives
+		default:
+			r = *rr % p // hub-hub: anywhere; start round-robin
+			*rr++
+		}
+		put(r, u, v, w)
 	}
-	mean := total / l.P
+}
+
+// HubHubArcs counts the arcs of a row whose target is a hub: for a hub
+// row, how far the row advances PlaceRow's cursor.
+func HubHubArcs[T int | int32](targets []T, isHub []bool) int {
+	k := 0
+	for _, v := range targets {
+		if isHub[v] {
+			k++
+		}
+	}
+	return k
+}
+
+// Move is one step of a rebalance plan: rank Src hands Count of its
+// hub-sourced arcs to rank Dst.
+type Move struct{ Src, Dst, Count int }
+
+// RebalancePlan computes the fourth preprocessing step, moving
+// hub-sourced arcs from overloaded to underloaded ranks, from each
+// rank's list length and hub-sourced arc count alone. Only arcs whose
+// evaluation vertex is a hub are movable: the hub is present
+// everywhere, so its partial adjacency can live on any rank, whereas a
+// low-degree vertex's arcs must stay with its owner. Every rank that
+// knows the p (length, hub count) pairs computes the same plan; a
+// source applies its moves with TakeHubArcs, and a destination appends
+// what it receives in plan order. Sources and destinations are
+// disjoint: a source never drops below the mean, a destination never
+// rises above it.
+func RebalancePlan(lens, hubArcs []int) []Move {
+	p := len(lens)
+	state := make([]int, 3*p)
+	lens = append(state[:0:p], lens...)
+	hubs := append(state[p:p:2*p], hubArcs...)
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	mean := total / p
 	// Ranks sorted by load, heaviest first.
-	order := make([]int, l.P)
+	order := state[2*p:]
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return len(l.RankArcs[order[a]]) > len(l.RankArcs[order[b]])
-	})
-	light := l.P - 1 // index into order from the light end
+	sort.Slice(order, func(a, b int) bool { return lens[order[a]] > lens[order[b]] })
+	plan := make([]Move, 0, p)
+	light := p - 1 // index into order from the light end
 	for _, heavy := range order {
-		for len(l.RankArcs[heavy]) > mean+1 && light >= 0 {
+		for lens[heavy] > mean+1 && light >= 0 {
 			dst := order[light]
-			if dst == heavy || len(l.RankArcs[dst]) >= mean {
+			if dst == heavy || lens[dst] >= mean {
 				light--
 				continue
 			}
-			need := mean - len(l.RankArcs[dst])
-			spare := len(l.RankArcs[heavy]) - mean
-			moved := l.moveHubArcs(heavy, dst, minInt(need, spare))
-			if moved == 0 {
+			k := min(mean-lens[dst], lens[heavy]-mean, hubs[heavy])
+			if k == 0 {
 				break // no movable arcs remain on this rank
 			}
+			plan = append(plan, Move{Src: heavy, Dst: dst, Count: k})
+			lens[heavy] -= k
+			hubs[heavy] -= k
+			lens[dst] += k
+			hubs[dst] += k
 		}
+	}
+	return plan
+}
+
+// TakeHubArcs removes k hub-sourced arcs from arcs, scanning from the
+// end and filling each hole with the current last arc, and appends each
+// removed arc to moved in removal order. The list must hold at least k
+// such arcs (RebalancePlan guarantees it). It returns the shortened
+// list, which keeps its backing array, and the extended moved.
+func TakeHubArcs(arcs []Arc, isHub []bool, k int, moved []Arc) (rest, movedOut []Arc) {
+	for i := len(arcs) - 1; i >= 0 && k > 0; i-- {
+		if isHub[arcs[i].U] {
+			moved = append(moved, arcs[i])
+			arcs[i] = arcs[len(arcs)-1]
+			arcs = arcs[:len(arcs)-1]
+			k--
+		}
+	}
+	return arcs, moved
+}
+
+// rebalance applies RebalancePlan to the layout's lists in place.
+func (l *Layout) rebalance() {
+	lens := l.EdgeCounts()
+	hubArcs := make([]int, l.P)
+	for r, arcs := range l.RankArcs {
+		hubArcs[r] = CountHubArcs(arcs, l.IsHub)
+	}
+	for _, m := range RebalancePlan(lens, hubArcs) {
+		l.RankArcs[m.Src], l.RankArcs[m.Dst] = TakeHubArcs(l.RankArcs[m.Src], l.IsHub, m.Count, l.RankArcs[m.Dst])
 	}
 }
 
-// moveHubArcs moves up to k hub-sourced arcs from rank src to rank dst,
-// returning how many were moved.
-func (l *Layout) moveHubArcs(src, dst, k int) int {
-	if k <= 0 {
-		return 0
-	}
-	arcs := l.RankArcs[src]
-	moved := 0
-	for i := len(arcs) - 1; i >= 0 && moved < k; i-- {
-		if l.IsHub[arcs[i].U] {
-			l.RankArcs[dst] = append(l.RankArcs[dst], arcs[i])
-			arcs[i] = arcs[len(arcs)-1]
-			arcs = arcs[:len(arcs)-1]
-			moved++
+// CountHubArcs counts the hub-sourced arcs of a list: what a rank
+// contributes, beside its list length, to RebalancePlan.
+func CountHubArcs(arcs []Arc, isHub []bool) int {
+	k := 0
+	for _, a := range arcs {
+		if isHub[a.U] {
+			k++
 		}
 	}
-	l.RankArcs[src] = arcs
-	return moved
+	return k
 }
 
 // EdgeCounts returns the number of arcs on each rank — the workload
@@ -289,10 +366,22 @@ func (l *Layout) GhostCounts() []int {
 // markGhosts sets seen[x] for every ghost vertex x of rank r and returns
 // how many it newly marked. seen is indexed by vertex.
 func (l *Layout) markGhosts(r int, seen []bool) int {
+	return markGhosts(l.RankArcs[r], l.IsHub, func(x int) int { return l.Owner[x] }, r, seen)
+}
+
+// GhostCount is Layout.GhostCounts for one rank of a delegate layout
+// (round-robin ownership over p ranks) that holds only its own arcs.
+// seen is a cleared scratch array indexed by vertex; it comes back
+// marked.
+func GhostCount(arcs []Arc, isHub []bool, p, r int, seen []bool) int {
+	return markGhosts(arcs, isHub, func(x int) int { return x % p }, r, seen)
+}
+
+func markGhosts(arcs []Arc, isHub []bool, owner func(int) int, r int, seen []bool) int {
 	count := 0
-	for _, a := range l.RankArcs[r] {
-		for _, x := range [2]int{a.U, a.V} {
-			if !seen[x] && !l.IsHub[x] && l.Owner[x] != r {
+	for _, a := range arcs {
+		for _, x := range [2]int{int(a.U), int(a.V)} {
+			if !seen[x] && !isHub[x] && owner(x) != r {
 				seen[x] = true
 				count++
 			}
@@ -312,21 +401,25 @@ type BalanceStats struct {
 
 // Stats computes the balance summary of l.
 func (l *Layout) Stats() BalanceStats {
-	edges := l.EdgeCounts()
-	ghosts := l.GhostCounts()
+	return BalanceOf(l.EdgeCounts(), l.GhostCounts(), l.NumHubs)
+}
+
+// BalanceOf is the balance summary of a layout with the given per-rank
+// arc and ghost counts.
+func BalanceOf(edges, ghosts []int, numHubs int) BalanceStats {
 	st := BalanceStats{
-		MinEdges:  minSlice(edges),
-		MaxEdges:  maxSlice(edges),
-		MinGhosts: minSlice(ghosts),
-		MaxGhosts: maxSlice(ghosts),
-		NumHubs:   l.NumHubs,
+		MinEdges:  slices.Min(edges),
+		MaxEdges:  slices.Max(edges),
+		MinGhosts: slices.Min(ghosts),
+		MaxGhosts: slices.Max(ghosts),
+		NumHubs:   numHubs,
 	}
 	total := 0
 	for _, e := range edges {
 		total += e
 	}
 	if total > 0 {
-		st.EdgeImbalance = float64(st.MaxEdges) * float64(l.P) / float64(total)
+		st.EdgeImbalance = float64(st.MaxEdges) * float64(len(edges)) / float64(total)
 	}
 	return st
 }
@@ -345,13 +438,13 @@ func (l *Layout) Validate(g *graph.Graph) error {
 	assigned := make(map[key]int)
 	for r, arcs := range l.RankArcs {
 		for _, a := range arcs {
-			assigned[key{a.U, a.V}]++
+			assigned[key{int(a.U), int(a.V)}]++
 			if !l.IsHub[a.U] && l.Owner[a.U] != r {
 				return fmt.Errorf("partition: low-degree arc (%d,%d) on rank %d, owner is %d",
 					a.U, a.V, r, l.Owner[a.U])
 			}
 			//dinfomap:float-ok invariant check: rank arcs store bit-identical copies of graph weights
-			if w := g.EdgeWeight(a.U, a.V); w != a.W {
+			if w := g.EdgeWeight(int(a.U), int(a.V)); w != a.W {
 				return fmt.Errorf("partition: arc (%d,%d) weight %v, graph has %v", a.U, a.V, a.W, w)
 			}
 		}
@@ -376,31 +469,4 @@ func (l *Layout) Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minSlice(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxSlice(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

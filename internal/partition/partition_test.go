@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -108,7 +109,7 @@ func TestDelegateSingleRank(t *testing.T) {
 	var want []Arc
 	for u := 0; u < g.NumVertices(); u++ {
 		g.Neighbors(u, func(v int, w float64) {
-			want = append(want, Arc{U: u, V: v, W: w})
+			want = append(want, Arc{U: int32(u), V: int32(v), W: w})
 		})
 	}
 	for _, dHigh := range []int{0, 1, 3, 1 << 30} {
@@ -327,7 +328,7 @@ func delegateByAppend(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 					r = l.Owner[v]
 				}
 			}
-			l.RankArcs[r] = append(l.RankArcs[r], Arc{U: u, V: v, W: w})
+			l.RankArcs[r] = append(l.RankArcs[r], Arc{U: int32(u), V: int32(v), W: w})
 		})
 	}
 	if !opts.NoRebalance {
@@ -340,7 +341,7 @@ func delegateByAppend(g *graph.Graph, p int, opts DelegateOptions) *Layout {
 func bruteGhosts(l *Layout, r int) []int {
 	seen := make(map[int]bool)
 	for _, a := range l.RankArcs[r] {
-		for _, x := range [2]int{a.U, a.V} {
+		for _, x := range [2]int{int(a.U), int(a.V)} {
 			if !l.IsHub[x] && l.Owner[x] != r {
 				seen[x] = true
 			}
@@ -422,5 +423,131 @@ func TestDelegateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { Delegate(g, p, DelegateOptions{}) })
 	if allocs > p+12 {
 		t.Fatalf("Delegate at p=%d made %v allocations, want <= %d", p, allocs, p+12)
+	}
+}
+
+// perRankLayout runs the per-rank steps of a distributed run on g, each
+// rank seeing only its own rows: PlaceRow over its rows with cursors
+// from the hub-hub prefix, a per-destination merge by evaluation vertex,
+// RebalancePlan from the (length, hub arcs) pairs with TakeHubArcs at the
+// sources and plan-order appends at the destinations, and the balance
+// summary from per-rank ghost counts.
+func perRankLayout(g *graph.Graph, p int, opts DelegateOptions) ([][]Arc, BalanceStats) {
+	dHigh := HubThreshold(p, opts.DHigh)
+	n := g.NumVertices()
+	isHub := make([]bool, n)
+	numHubs := 0
+	for u := 0; u < n; u++ {
+		if dHigh > 0 && g.Degree(u) > dHigh {
+			isHub[u] = true
+			numHubs++
+		}
+	}
+	rrStart := make([]int, n)
+	rr := 0
+	for u := 0; u < n; u++ {
+		if isHub[u] {
+			rrStart[u] = rr
+			t, _ := g.NeighborSlice(u)
+			rr += HubHubArcs(t, isHub)
+		}
+	}
+	streams := make([][][]Arc, p) // streams[src][dst]
+	for src := range streams {
+		streams[src] = make([][]Arc, p)
+		rows := g.Rows(src, p)
+		for i := 0; i < rows.NumRows(); i++ {
+			u := rows.Vertex(i)
+			t, w := rows.Row(i)
+			cursor := rrStart[u]
+			PlaceRow(u, t, w, isHub, p, &cursor, func(r, u, v int, w float64) {
+				streams[src][r] = append(streams[src][r], Arc{U: int32(u), V: int32(v), W: w})
+			})
+		}
+	}
+	lists := make([][]Arc, p)
+	for dst := range lists {
+		pos := make([]int, p)
+		for u := 0; u < n; u++ {
+			s := streams[u%p][dst]
+			for pos[u%p] < len(s) && int(s[pos[u%p]].U) == u {
+				lists[dst] = append(lists[dst], s[pos[u%p]])
+				pos[u%p]++
+			}
+		}
+	}
+	if !opts.NoRebalance {
+		lens, hubArcs := make([]int, p), make([]int, p)
+		for r, l := range lists {
+			lens[r], hubArcs[r] = len(l), CountHubArcs(l, isHub)
+		}
+		plan := RebalancePlan(lens, hubArcs)
+		sent := make([][]Arc, len(plan))
+		for src := range lists {
+			for k, m := range plan {
+				if m.Src == src {
+					lists[src], sent[k] = TakeHubArcs(lists[src], isHub, m.Count, nil)
+				}
+			}
+		}
+		for dst := range lists {
+			for k, m := range plan {
+				if m.Dst == dst {
+					lists[dst] = append(lists[dst], sent[k]...)
+				}
+			}
+		}
+	}
+	edges, ghosts := make([]int, p), make([]int, p)
+	for r, l := range lists {
+		edges[r] = len(l)
+		ghosts[r] = GhostCount(l, isHub, p, r, make([]bool, n))
+	}
+	return lists, BalanceOf(edges, ghosts, numHubs)
+}
+
+// hubbyGraph is a random weighted graph with hubs, hub-hub edges,
+// parallel edges and self-loops.
+func hubbyGraph(rng *rand.Rand, n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	hubs := 1 + rng.Intn(6)
+	for i := 0; i < 6*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(3) == 0 {
+			u = rng.Intn(hubs)
+		}
+		if rng.Intn(6) == 0 {
+			v = rng.Intn(hubs)
+		}
+		if rng.Intn(20) == 0 {
+			v = u
+		}
+		b.AddWeightedEdge(u, v, float64(1+rng.Intn(4)))
+	}
+	return b.Build()
+}
+
+func TestPerRankStepsMatchDelegate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 12; trial++ {
+		g := hubbyGraph(rng, 30+rng.Intn(300))
+		for _, p := range []int{1, 2, 3, 4, 8} {
+			for _, noRebalance := range []bool{false, true} {
+				opts := DelegateOptions{DHigh: 2 + rng.Intn(8), NoRebalance: noRebalance}
+				want := Delegate(g, p, opts)
+				lists, st := perRankLayout(g, p, opts)
+				for r := range lists {
+					if !slices.Equal(lists[r], want.RankArcs[r]) {
+						t.Fatalf("trial %d p=%d %+v: rank %d's list differs from Delegate's", trial, p, opts, r)
+					}
+				}
+				if st != want.Stats() {
+					t.Fatalf("trial %d p=%d %+v: stats %+v, Delegate has %+v", trial, p, opts, st, want.Stats())
+				}
+				if p > 1 && want.NumHubs == 0 {
+					t.Fatalf("trial %d p=%d: no hubs", trial, p)
+				}
+			}
+		}
 	}
 }
