@@ -16,15 +16,8 @@
 // without them the tool still re-checks conservation and prints the
 // modeled communication table.
 //
-// Reports from multi-process runs additionally carry the launcher's
-// per-rank clock-offset estimates; the tool prints them and checks the
-// alignment residual of every rank against -max-clock-skew, so a report
-// whose cross-process wait attribution rests on a shaky clock alignment
-// fails loudly instead of quietly misattributing blame.
-//
 // Exit status: 0 clean, 1 conservation violation between the per-kind
-// splits and the totals or clock residual above -max-clock-skew,
-// 2 usage, I/O, or parse error.
+// splits and the totals, 2 usage, I/O, or parse error.
 package main
 
 import (
@@ -43,7 +36,6 @@ func main() {
 	var (
 		topN    = flag.Int("top", 8, "critical-path segments and straggler rows to print")
 		jsonOut = flag.Bool("json", false, "emit the analysis as JSON instead of text")
-		maxSkew = flag.Duration("max-clock-skew", 50*time.Millisecond, "fail (exit 1) when any rank's clock-alignment residual exceeds this")
 		version = flag.Bool("version", false, "print build provenance and exit")
 	)
 	flag.Usage = func() {
@@ -70,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 
-	a := analyze(rep, *maxSkew)
+	a := analyze(rep)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -83,10 +75,6 @@ func main() {
 	code := 0
 	if !a.ConservationOK {
 		fmt.Fprintln(os.Stderr, "dinfomap-analyze: per-kind communication splits do not sum to the totals")
-		code = 1
-	}
-	if !a.ClockAlignmentOK {
-		fmt.Fprintf(os.Stderr, "dinfomap-analyze: clock-alignment residual exceeds -max-clock-skew=%v; cross-process wait attribution is unreliable\n", *maxSkew)
 		code = 1
 	}
 	os.Exit(code)
@@ -152,13 +140,6 @@ type analysis struct {
 	LostFractionWall float64     `json:"lost_fraction_wall"`
 	Kinds            []kindModel `json:"kinds,omitempty"`
 	ConservationOK   bool        `json:"conservation_ok"`
-	// Clocks echoes the report's per-rank clock-offset estimates
-	// (multi-process runs only). ClockAlignmentOK is false when any
-	// rank's residual exceeds the -max-clock-skew threshold; it stays
-	// true on reports without clock estimates (in-process runs share
-	// one clock by construction).
-	Clocks           []obs.ClockEstimate `json:"clocks,omitempty"`
-	ClockAlignmentOK bool                `json:"clock_alignment_ok"`
 	// Ingest holds each rank's rank-local ingest report, in rank order,
 	// when the ranks read an edge-list file themselves.
 	Ingest []rankIngest `json:"ingest,omitempty"`
@@ -171,24 +152,15 @@ type rankIngest struct {
 }
 
 // analyze distills the report into the ranked bottleneck analysis.
-// maxSkew is the clock-alignment residual above which the analysis
-// flags the report's cross-process timings as unreliable.
-func analyze(rep *obs.Report, maxSkew time.Duration) *analysis {
+func analyze(rep *obs.Report) *analysis {
 	a := &analysis{
-		Source:           fmt.Sprintf("%d vertices, %d edges", rep.Graph.Vertices, rep.Graph.Edges),
-		P:                rep.Config.P,
-		Build:            rep.Build,
-		Clocks:           rep.Clocks,
-		ClockAlignmentOK: true,
+		Source: fmt.Sprintf("%d vertices, %d edges", rep.Graph.Vertices, rep.Graph.Edges),
+		P:      rep.Config.P,
+		Build:  rep.Build,
 	}
 	for _, r := range rep.Ranks {
 		if r.Ingest != nil {
 			a.Ingest = append(a.Ingest, rankIngest{Rank: r.Rank, IngestReport: *r.Ingest})
-		}
-	}
-	for _, c := range rep.Clocks {
-		if c.ResidualNs > maxSkew.Nanoseconds() {
-			a.ClockAlignmentOK = false
 		}
 	}
 	if rep.WaitStates != nil {
@@ -341,21 +313,6 @@ func (a *analysis) writeText(w *os.File, topN int) {
 		for _, k := range a.Kinds {
 			fmt.Fprintf(w, "  %-16s  %12v  %12v  %12d  %12d\n",
 				k.Kind, dur(k.BlockedWallNs), dur(k.ModeledNs), k.Msgs, k.BytesSent)
-		}
-	}
-
-	if len(a.Clocks) > 0 {
-		fmt.Fprintln(w, "\nclock alignment (launcher's per-rank offset estimates):")
-		fmt.Fprintf(w, "  %-4s  %12s  %12s  %12s  %s\n",
-			"rank", "offset", "rtt", "residual", "samples")
-		for _, c := range a.Clocks {
-			fmt.Fprintf(w, "  %-4d  %12v  %12v  %12v  %d\n",
-				c.Rank, dur(c.OffsetNs), dur(c.RTTNs), dur(c.ResidualNs), c.Samples)
-		}
-		if a.ClockAlignmentOK {
-			fmt.Fprintln(w, "  alignment: ok")
-		} else {
-			fmt.Fprintln(w, "  alignment: UNRELIABLE (residual above threshold)")
 		}
 	}
 

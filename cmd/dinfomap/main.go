@@ -15,22 +15,16 @@
 // Observability: -trace writes a Chrome trace-event JSON timeline (one
 // row per rank; open in Perfetto or chrome://tracing), -metrics writes
 // the structured JSON run report, and -cpuprofile / -memprofile /
-// -pprof wire in the standard Go profilers. The -pprof listener also
-// serves the live run endpoints: /debug/dinfomap/events streams journal
-// events as they happen (Server-Sent Events), /debug/dinfomap/status
-// returns a JSON snapshot of per-rank progress, and
-// /debug/dinfomap/metrics exposes per-rank span and per-kind traffic
-// counters in Prometheus text format. CPU profiles are labeled per
-// simulated rank; isolate one with go tool pprof -tagfocus rank=3.
+// -pprof wire in the standard Go profilers. CPU profiles are labeled
+// per simulated rank; isolate one with go tool pprof -tagfocus rank=3.
 //
-// With -transport=proc the same surface is mesh-wide: each rank process
-// streams its telemetry to the launcher over a side channel, the
-// launcher aligns all timestamps using per-rank clock-offset estimates,
-// and -pprof/-trace/-metrics then serve or write one unified view — a
-// single merged trace with one row per rank process and cross-process
-// message flow arrows, and a run report carrying the same wait-state
-// and critical-path sections as in-process runs (plus per-rank
-// transport counters and the clock estimates themselves).
+// With -transport=proc, -trace and -metrics cover the whole mesh: each
+// rank process ships its journal events and wait records in the
+// artifact it writes, and the launcher merges them into one view — a
+// single trace with one row per rank process and cross-process message
+// flow arrows, and a run report carrying the same wait-state and
+// critical-path sections as in-process runs (plus per-rank transport
+// counters).
 package main
 
 import (
@@ -68,11 +62,11 @@ func main() {
 		top     = flag.Int("top", 0, "print a report of the top N communities")
 		quiet   = flag.Bool("q", false, "suppress the breakdown report")
 
-		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-transport=proc writes one merged clock-aligned timeline plus per-rank fragments suffixed .rank<r>)")
+		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-transport=proc merges every rank process onto one timeline)")
 		metricsPath = flag.String("metrics", "", "write the structured JSON run report to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and the live /debug/dinfomap/ endpoints on this address (e.g. localhost:6060)")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		version     = flag.Bool("version", false, "print build provenance and exit")
 	)
 	flag.Parse()
@@ -96,27 +90,23 @@ func main() {
 		fatal(err)
 	}
 
-	// The journal feeds -trace, the live -pprof debug endpoints, and the
-	// wait-state sections of the -metrics report (the critical path needs
-	// span timings, so a report without a journal would ship without it).
-	// With -transport=proc the events happen in the child processes; the
-	// parent's journal receives them over the telemetry uplink, aligned
-	// to one epoch, so the same endpoints and outputs cover the mesh.
-	epoch := time.Now()
+	// The journal feeds -trace and the wait-state sections of the
+	// -metrics report (the critical path needs span timings, so a report
+	// without a journal would ship without it). With -transport=proc the
+	// events happen in the rank processes, and the launcher returns the
+	// journal it merges from their artifacts.
+	observe := *tracePath != "" || *metricsPath != ""
 	var journal *dinfomap.RunJournal
-	var liveMetrics *dinfomap.RunLiveMetrics
-	if *tracePath != "" || *pprofAddr != "" || *metricsPath != "" {
-		journal = dinfomap.NewRunJournalAt(*p, epoch)
+	if observe && !multiproc {
+		journal = dinfomap.NewRunJournal(*p)
 	}
 	if *pprofAddr != "" {
-		liveMetrics = dinfomap.RegisterRunDebugHandlers(http.DefaultServeMux, journal)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "dinfomap: pprof listener:", err)
 			}
 		}()
 		fmt.Printf("pprof:  http://%s/debug/pprof/\n", *pprofAddr)
-		fmt.Printf("live:   http://%s/debug/dinfomap/events (SSE), .../status (JSON), .../metrics (Prometheus)\n", *pprofAddr)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -155,22 +145,18 @@ func main() {
 	var res *dinfomap.DistributedResult
 	if multiproc {
 		fmt.Printf("transport: proc (%d rank processes over TCP loopback)\n", *p)
-		var tel *launch.Telemetry
-		res, tel, err = launch.Run(launch.Spec{
+		// Report building reads span timings from the journal; the
+		// merged one gives the proc-mode report the same wait-state and
+		// critical-path sections as in-process runs (res carries the
+		// merged recorder).
+		res, cfg.Journal, err = launch.Run(launch.Spec{
 			Input: in, P: *p, DHigh: *dHigh, Seed: *seed,
-			TracePath: *tracePath, ConnectTimeout: *connectTimeout, Epoch: epoch,
-		}, journal, liveMetrics)
+			Observe: observe, ConnectTimeout: *connectTimeout,
+		})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("graph: %d vertices, %d edges\n", len(res.Communities), res.NumEdges)
-		if tel != nil {
-			// Report building reads span timings from the journal; hand it
-			// the merged clock-aligned one so the proc-mode report carries
-			// the same wait-state and critical-path sections as in-process
-			// runs (res already carries the recorder and clock estimates).
-			cfg.Journal = tel.Journal
-		}
 	} else if g != nil {
 		res = dinfomap.RunDistributed(g, cfg)
 	} else {
@@ -221,10 +207,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d events; open in https://ui.perfetto.dev)\n",
 			*tracePath, cfg.Journal.NumEvents())
-		if multiproc {
-			fmt.Printf("wrote %s.rank0 .. .rank%d (raw per-process fragments)\n",
-				*tracePath, *p-1)
-		}
 	}
 	if *metricsPath != "" {
 		rep := dinfomap.BuildRunReport(g, cfg, res)

@@ -20,7 +20,6 @@ package dinfomap
 import (
 	"io"
 	"net"
-	"net/http"
 	"time"
 
 	"dinfomap/internal/core"
@@ -242,13 +241,6 @@ type RunJournal = obs.Journal
 // NewRunJournal returns an event journal for p ranks.
 func NewRunJournal(p int) *RunJournal { return obs.NewJournal(p) }
 
-// NewRunJournalAt returns an event journal for p ranks anchored to an
-// explicit epoch (zero means now). A multi-process launcher shares its
-// epoch with every child so all stamps live on one timeline.
-func NewRunJournalAt(p int, epoch time.Time) *RunJournal {
-	return obs.NewJournalAt(p, epoch)
-}
-
 // WriteChromeTrace exports a run journal as Chrome trace-event JSON
 // (one timeline row per rank), viewable in Perfetto or chrome://tracing.
 func WriteChromeTrace(w io.Writer, j *RunJournal) error {
@@ -276,23 +268,6 @@ type BuildProvenance = obs.BuildInfo
 
 // ReadBuildProvenance reads the binary's build info via runtime/debug.
 func ReadBuildProvenance() BuildProvenance { return obs.ReadBuild() }
-
-// RunLiveMetrics is the live Prometheus aggregation of a run journal;
-// RegisterRunDebugHandlers returns it so multi-process launchers can
-// feed it cross-process transport counters.
-type RunLiveMetrics = obs.Metrics
-
-// RegisterRunDebugHandlers mounts the live observability endpoints for
-// j on mux: an SSE stream of journal events as they are emitted
-// (/debug/dinfomap/events), a JSON status snapshot
-// (/debug/dinfomap/status), and a Prometheus text exposition of
-// per-rank span and per-kind traffic counters
-// (/debug/dinfomap/metrics). All are safe to hit while RunDistributed
-// is executing; a slow or stalled consumer never blocks the ranks. The
-// returned metrics handle may be ignored.
-func RegisterRunDebugHandlers(mux *http.ServeMux, j *RunJournal) *RunLiveMetrics {
-	return obs.RegisterDebugHandlers(mux, j)
-}
 
 // RunReport is the structured, stable-schema JSON report of one
 // distributed run; see BuildRunReport.

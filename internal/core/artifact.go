@@ -53,6 +53,10 @@ type RankArtifact struct {
 	// ran over a transport that has a wire (the multi-process mesh);
 	// nil for in-process transports.
 	Transport *mpi.TransportStats `json:"transport,omitempty"`
+
+	// Telemetry carries the rank's journal events and raw wait records
+	// when a multi-process run is observed; nil otherwise.
+	Telemetry *obs.RankTelemetry `json:"telemetry,omitempty"`
 }
 
 // RankOutput is the algorithm's result proper: identical on every rank

@@ -156,9 +156,6 @@ type Result struct {
 	// multi-process runs (nil entries where a rank reported none; nil
 	// slice on in-process runs, which have no wire).
 	Transports []*mpi.TransportStats
-	// Clocks holds the launcher's per-rank clock-offset estimates on
-	// telemetry-enabled multi-process runs; nil otherwise.
-	Clocks []obs.ClockEstimate
 	// MaxRankBytes is the largest per-rank total byte count.
 	MaxRankBytes int64
 	// DeltaEvaluations is the global number of delta-L evaluations.
@@ -217,12 +214,7 @@ func runInProcess(src source, cfg Config) (*Result, error) {
 	if rec != nil {
 		runOpts = append(runOpts, mpi.WithRecorder(rec))
 	}
-	// End the live stream when the run ends, however it ends: deferred
-	// so a panicking rank still leaves subscribers a terminal status
-	// frame instead of a stream that never closes.
-	defer cfg.Journal.Finish()
 	stats := mpi.Run(cfg.P, runner.rankMain, runOpts...)
-	cfg.Journal.Finish()
 	if err := runner.err(); err != nil {
 		return nil, err
 	}

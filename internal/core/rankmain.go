@@ -168,8 +168,6 @@ func (lv *level) round(iter int, s *sweepScratch) (total, numModules int64) {
 	// Module refresh: rounds 1-2 are spans of their own; round 2 also
 	// sums the global move count for the convergence vote.
 	numModules, total = lv.refresh(it, int64(moves+hubMoves+deferred))
-	// Refresh the live comm snapshot once per synchronized sweep.
-	lv.jlog.PublishComm(lv.c.Stats())
 	return total, numModules
 }
 
@@ -190,11 +188,10 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	jlog := cfg.Journal.Rank(rank)
 
 	// Per-outer-iteration slices: cumulative counters snapshotted at
-	// iteration boundaries and diffed (never reset — live observers keep
-	// seeing monotone totals). Outer 0 is stage 1 and includes its
-	// preprocessing exchanges; each merged level adds one slice through
-	// its assignment projection. The final full-assignment gather falls
-	// after the last slice.
+	// iteration boundaries and diffed (never reset). Outer 0 is stage 1
+	// and includes its preprocessing exchanges; each merged level adds
+	// one slice through its assignment projection. The final
+	// full-assignment gather falls after the last slice.
 	var iterRecs []obs.IterationReport
 	var commMark mpi.Stats
 	var evalMark int64
@@ -223,7 +220,6 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 			Bytes:  d.BytesSent + d.CollectiveBytes,
 			WaitNs: d.BlockedNs(),
 		})
-		jlog.PublishComm(cum)
 	}
 
 	// ---- Preprocessing: this rank's rows, then its stage-1 input ----
@@ -346,8 +342,6 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	}
 	parts := c.AllgatherBytes(e.Bytes())
 	c.SetKind(prevKind)
-	// Final cumulative snapshot for live observers (metrics scrape).
-	jlog.PublishComm(c.Stats())
 	full := make([]int, idSpace)
 	for _, b := range parts {
 		d := mpi.NewDecoder(b)

@@ -125,7 +125,6 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 		rep.LostTime = obs.BuildLostTime(res.CommStats, cfg.Journal)
 		rep.CriticalPath = obs.CriticalPath(cfg.Journal, res.WaitRecorder)
 	}
-	rep.Clocks = res.Clocks
 	build := obs.ReadBuild()
 	rep.Build = &build
 	return rep

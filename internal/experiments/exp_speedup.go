@@ -72,7 +72,7 @@ func RunSpeedup(o Options, dataset string, ps []int) (*SpeedupResult, error) {
 		var best *core.Result
 		var bestWall time.Duration
 		for rep := 0; rep < reps; rep++ {
-			res, _, err := launch.Run(launch.Spec{Input: in, P: p, Seed: o.Seed + 12}, nil, nil)
+			res, _, err := launch.Run(launch.Spec{Input: in, P: p, Seed: o.Seed + 12})
 			if err != nil {
 				return nil, fmt.Errorf("p=%d: %w", p, err)
 			}

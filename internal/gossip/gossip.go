@@ -146,7 +146,7 @@ func propagate(g *graph.Graph, cfg Config, salt uint64) ([]int, time.Duration) {
 		arcs := layout.RankArcs[rank]
 		var ops int64
 
-		// Subscribers for boundary sync (same registration as core).
+		// Ghosts to register for boundary sync (the same registration as core).
 		ghostSet := map[int]bool{}
 		for _, a := range arcs {
 			if layout.Owner[a.V] != rank {

@@ -23,8 +23,7 @@ const childEnv = "DINFOMAP_LAUNCH_RANK"
 // launch's Spec plus the mesh coordinates Run picked.
 type childSpec struct {
 	Spec
-	Addrs  []string // Addrs[r] is rank r's listen address
-	Uplink string   // launcher's telemetry listener; "" = no telemetry
+	Addrs []string // Addrs[r] is rank r's listen address
 }
 
 // ServeChild turns the process into one rank of a launch when Run
@@ -76,12 +75,9 @@ func artifactPath(specPath string, rank int) string {
 	return filepath.Join(filepath.Dir(specPath), fmt.Sprintf("rank%d.json", rank))
 }
 
-// runChild is one rank: dial the mesh (and the telemetry uplink when
-// the launcher offers one), run this rank, write the artifact file (and,
-// when tracing, this rank's timeline). The telemetry flush runs on
-// failure paths too: the journal finishes (terminal status frame for
-// any subscriber) and the final section ships with whatever the rank
-// recorded before dying.
+// runChild is one rank: dial the mesh, run this rank, write the
+// artifact file, with the rank's telemetry section when the run is
+// observed.
 func runChild(v string) error {
 	rank, cs, artifact, err := readChildSpec(v)
 	if err != nil {
@@ -118,60 +114,29 @@ func runChild(v string) error {
 	// the launcher's epoch so stamps from every process are comparable.
 	var journal *obs.Journal
 	var rec *mpi.Recorder
-	if cs.TracePath != "" || cs.Uplink != "" {
+	if cs.Observe {
 		journal = obs.NewRankJournal(rank, cs.P, cs.Epoch)
 		rec = mpi.NewRecorder(cs.P, cs.Epoch)
 	}
 
-	version := obs.ReadBuild().String()
 	tr, err := mpi.DialProc(mpi.ProcConfig{
 		Rank: rank, Size: cs.P,
 		Listener: ln, Addrs: cs.Addrs, Network: "tcp",
 		Epoch:   cs.Epoch,
-		Version: version,
+		Version: obs.ReadBuild().String(),
 	}, mpi.WithConnectTimeout(cs.ConnectTimeout))
 	if err != nil {
 		return fmt.Errorf("rank %d: %w", rank, err)
 	}
 
-	// The uplink is an observer: failing to reach it degrades telemetry,
-	// never the run.
-	var up *mpi.Uplink
-	var relay *obs.Relay
-	if cs.Uplink != "" {
-		up, err = mpi.DialUplink("tcp", cs.Uplink, mpi.UplinkConfig{
-			Rank: rank, Size: cs.P, Epoch: cs.Epoch,
-			Version: version, DialTimeout: cs.ConnectTimeout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dinfomap: rank %d: telemetry uplink: %v (continuing without)\n", rank, err)
-			up = nil
-		} else {
-			relay = obs.StartRelay(journal, rank, up, tr.Telemetry, 0)
-		}
-	}
-
 	cfg := cs.config()
 	cfg.Journal, cfg.Recorder = journal, rec
-	art, runErr := run(cfg, tr)
-
-	// Telemetry teardown, on success and failure alike. Finish ends the
-	// live stream (the relay drains and sends its last snapshot), then
-	// the lossless section ships blocking and the bye frame closes the
-	// channel.
-	journal.Finish()
-	if up != nil {
-		if relay != nil {
-			relay.Wait()
-		}
-		tel := obs.CaptureTelemetry(journal, rank, rec, tr.Telemetry(), up.Drops())
-		if err := obs.SendTelemetry(up, tel); err != nil {
-			fmt.Fprintf(os.Stderr, "dinfomap: rank %d: telemetry section: %v\n", rank, err)
-		}
-		up.Close()
+	art, err := run(cfg, tr)
+	if err != nil {
+		return fmt.Errorf("rank %d: %w", rank, err)
 	}
-	if runErr != nil {
-		return fmt.Errorf("rank %d: %w", rank, runErr)
+	if cs.Observe {
+		art.Telemetry = obs.CaptureTelemetry(journal, rank, rec)
 	}
 
 	if err := writeFile(artifact, func(w io.Writer) error {
@@ -179,19 +144,11 @@ func runChild(v string) error {
 	}); err != nil {
 		return fmt.Errorf("rank %d: %w", rank, err)
 	}
-	if journal != nil && cs.TracePath != "" {
-		path := fmt.Sprintf("%s.rank%d", cs.TracePath, rank)
-		if err := writeFile(path, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, journal)
-		}); err != nil {
-			return fmt.Errorf("rank %d: %w", rank, err)
-		}
-	}
 	return nil
 }
 
 // writeFile creates path and writes fn's output into it, reporting the
-// first of fn's and Close's errors. Both callers encode JSON, which
+// first of fn's and Close's errors. The caller encodes JSON, which
 // reaches the file as one Write.
 func writeFile(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)

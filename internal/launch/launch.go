@@ -19,15 +19,12 @@
 // exists before spawning, and the graph's size rides in rank 0's
 // artifact (Result.NumEdges).
 //
-// When the run is observed (a non-nil journal), the launcher also binds
-// a telemetry uplink listener, and each child streams its journal
-// events, periodic comm-stats snapshots and a final lossless telemetry
-// section back over that side channel. The launcher estimates each
-// child's clock offset from ping/pong samples, feeds the live flow into
-// its own journal (so a live debug surface is mesh-wide), and merges
-// the final sections into one aligned journal and wait recorder: the
-// inputs of a merged Chrome trace and of the report's wait-state and
-// critical-path sections.
+// When the run is observed (Spec.Observe), each child journals and
+// records its rank against the launcher's epoch and ships the result as
+// the telemetry section of its artifact. The launcher merges the
+// sections into one journal and wait recorder: the inputs of a merged
+// Chrome trace and of the report's wait-state and critical-path
+// sections.
 package launch
 
 import (
@@ -41,7 +38,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dinfomap/internal/core"
@@ -107,26 +103,16 @@ type Spec struct {
 	Input    Input
 	P, DHigh int
 	Seed     uint64
-	// TracePath, when set, makes each rank write its own timeline to
-	// TracePath.rank<r>.
-	TracePath string
 	// ConnectTimeout bounds mesh establishment; 0 keeps
 	// mpi.DefaultConnectTimeout.
 	ConnectTimeout time.Duration
 	// Epoch is the shared wall-clock zero point of the whole run: the
-	// mesh's stamps, every child journal and the launcher's journal all
-	// anchor to it, so cross-process offsets are small residuals. Zero
-	// means the time of launch.
+	// mesh's stamps, every child journal and the merged journal all
+	// anchor to it. Zero means the time of launch.
 	Epoch time.Time
-}
-
-// Telemetry is what the telemetry uplink recovers from a finished run:
-// the merged clock-aligned journal and wait recorder, plus the per-rank
-// clock estimates behind the alignment.
-type Telemetry struct {
-	Journal  *obs.Journal
-	Recorder *mpi.Recorder
-	Clocks   []obs.ClockEstimate
+	// Observe makes every rank journal and record its run and ship that
+	// telemetry in its artifact; Run then returns the merged journal.
+	Observe bool
 }
 
 // Run runs spec with one OS process per rank and returns the assembled
@@ -134,17 +120,10 @@ type Telemetry struct {
 // in main (or TestMain): the ranks are the running binary, re-executed
 // without arguments.
 //
-// journal, when non-nil, is the launcher's live journal: a telemetry
-// uplink is offered to every child, live events land in the journal as
-// they stream in (clock-aligned with the running estimate), lm (which
-// may be nil) receives transport counters, and the returned Telemetry
-// carries the merged post-run view. The journal finishes when Run
-// returns, whatever the outcome. With a nil journal the children run
-// unobserved and the Telemetry is nil.
-func Run(spec Spec, journal *obs.Journal, lm *obs.Metrics) (*core.Result, *Telemetry, error) {
-	if journal != nil {
-		defer journal.Finish()
-	}
+// When spec.Observe is set, Run also returns the journal merged from
+// the ranks' telemetry sections, and the result carries the merged wait
+// recorder; otherwise the journal is nil.
+func Run(spec Spec) (*core.Result, *obs.Journal, error) {
 	if err := spec.Input.Check(); err != nil {
 		return nil, nil, err
 	}
@@ -168,65 +147,8 @@ func Run(spec Spec, journal *obs.Journal, lm *obs.Metrics) (*core.Result, *Telem
 		spec.Epoch = time.Now()
 	}
 
-	// Telemetry uplink: bind the side-channel listener and collect every
-	// child's stream.
-	var coll *obs.Collector
-	var upAddr string
-	var upLn net.Listener
-	var upWG sync.WaitGroup
-	if journal != nil {
-		upLn, err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, fmt.Errorf("telemetry uplink listener: %w", err)
-		}
-		upAddr = upLn.Addr().String()
-		coll = obs.NewCollector(spec.P, journal, lm)
-		version := obs.ReadBuild().String()
-		upWG.Add(1)
-		go func() {
-			defer upWG.Done()
-			var conns sync.WaitGroup
-			defer conns.Wait()
-			for {
-				conn, err := upLn.Accept()
-				if err != nil {
-					return // listener closed: launch is over
-				}
-				conns.Add(1)
-				go func(conn net.Conn) {
-					defer conns.Done()
-					peer, err := mpi.AcceptUplink(conn, spec.P, spec.Epoch, version, spec.ConnectTimeout)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "dinfomap: telemetry uplink:", err)
-						//dinfomap:close-ok rejected handshake; telemetry is best-effort
-						conn.Close()
-						return
-					}
-					// A read error here means the child died mid-stream;
-					// its exit status reports the failure, telemetry
-					// just ends early.
-					if err := peer.Serve(coll, 0); err != nil {
-						fmt.Fprintf(os.Stderr, "dinfomap: telemetry uplink rank %d: %v\n", peer.Rank(), err)
-					}
-					peer.Close()
-				}(conn)
-			}
-		}()
-	}
-	// The uplink listener closes (and its goroutines drain) before any
-	// return below; LIFO ordering runs this ahead of journal.Finish.
-	stopUplink := func() {
-		if upLn != nil {
-			//dinfomap:close-ok run is over; children already said bye or died
-			upLn.Close()
-			upWG.Wait()
-			upLn = nil
-		}
-	}
-	defer stopUplink()
-
 	specPath := filepath.Join(dir, "spec.json")
-	data, err := json.Marshal(childSpec{Spec: spec, Addrs: addrs, Uplink: upAddr})
+	data, err := json.Marshal(childSpec{Spec: spec, Addrs: addrs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -266,10 +188,6 @@ func Run(spec Spec, journal *obs.Journal, lm *obs.Metrics) (*core.Result, *Telem
 			errs = append(errs, fmt.Errorf("rank %d process: %w", r, err))
 		}
 	}
-	// Children are gone; their uplink streams have ended. Drain the
-	// collector before merging (or before reporting failure, so the
-	// launcher's journal still finishes with whatever telemetry arrived).
-	stopUplink()
 	if len(errs) > 0 {
 		return nil, nil, errors.Join(errs...)
 	}
@@ -290,14 +208,16 @@ func Run(spec Spec, journal *obs.Journal, lm *obs.Metrics) (*core.Result, *Telem
 		return nil, nil, err
 	}
 
-	var tel *Telemetry
-	if coll != nil {
-		merged, rec := coll.Merge(spec.Epoch)
-		tel = &Telemetry{Journal: merged, Recorder: rec, Clocks: coll.Clocks()}
-		res.WaitRecorder = rec
-		res.Clocks = tel.Clocks
+	if !spec.Observe {
+		return res, nil, nil
 	}
-	return res, tel, nil
+	sections := make([]*obs.RankTelemetry, spec.P)
+	for r, a := range arts {
+		sections[r] = a.Telemetry
+	}
+	journal, rec := obs.MergeTelemetry(spec.P, spec.Epoch, sections)
+	res.WaitRecorder = rec
+	return res, journal, nil
 }
 
 // childEnviron returns the environment of a p-rank run's children on a

@@ -36,7 +36,7 @@ func runBoth(t *testing.T, in Input, cfg core.Config) (g *graph.Graph, inproc, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, _, err = Run(Spec{Input: in, P: cfg.P, DHigh: cfg.DHigh, Seed: cfg.Seed}, nil, nil)
+	multi, _, err = Run(Spec{Input: in, P: cfg.P, DHigh: cfg.DHigh, Seed: cfg.Seed})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestRankProcessGOMAXPROCS(t *testing.T) {
 	ncpu := runtime.NumCPU()
 	check := func(t *testing.T, p, want int) {
 		t.Helper()
-		res, _, err := Run(Spec{Input: testInput, P: p, Seed: 42}, nil, nil)
+		res, _, err := Run(Spec{Input: testInput, P: p, Seed: 42})
 		if err != nil {
 			t.Fatalf("Run at p = %d: %v", p, err)
 		}
@@ -119,7 +119,7 @@ func TestResultCarriesGraphSize(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := Run(Spec{Input: Input{Path: path}, P: 3, Seed: 42}, nil, nil)
+	res, _, err := Run(Spec{Input: Input{Path: path}, P: 3, Seed: 42})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -133,10 +133,10 @@ func TestResultCarriesGraphSize(t *testing.T) {
 
 // TestProcReportParity is the observability half of the transport
 // parity contract: a multi-process run whose telemetry flowed through
-// rank journals, the uplink, clock alignment, and the collector merge
-// must produce a report that (a) carries the same analysis sections as
-// an in-process journaled run — wait states and a critical path — and
-// (b) is byte-identical on every deterministic field once volatile
+// rank journals, the artifacts' telemetry sections and the merge must
+// produce a report that (a) carries the same analysis sections as an
+// in-process journaled run — wait states and a critical path — and (b)
+// is byte-identical on every deterministic field once volatile
 // wall-clock data is scrubbed. This is the same comparison
 // dinfomap-diff -parity performs in CI.
 func TestProcReportParity(t *testing.T) {
@@ -151,16 +151,20 @@ func TestProcReportParity(t *testing.T) {
 	inCfg.Journal = obs.NewJournalAt(cfg.P, epoch)
 	inRep := core.BuildReport(g, inCfg, core.Run(g, inCfg))
 
-	procRes, tel, err := Run(Spec{Input: testInput, P: cfg.P, Seed: cfg.Seed, Epoch: epoch},
-		obs.NewJournalAt(cfg.P, epoch), nil)
+	procRes, journal, err := Run(Spec{Input: testInput, P: cfg.P, Seed: cfg.Seed, Observe: true, Epoch: epoch})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if tel == nil {
-		t.Fatal("an observed run returned no telemetry")
+	if journal == nil {
+		t.Fatal("an observed run returned no journal")
+	}
+	for r := 0; r < cfg.P; r++ {
+		if len(journal.Rank(r).Events()) == 0 {
+			t.Errorf("merged journal's rank %d row has no events", r)
+		}
 	}
 	procCfg := cfg
-	procCfg.Journal = tel.Journal
+	procCfg.Journal = journal
 	procRep := core.BuildReport(g, procCfg, procRes)
 
 	// The proc report must carry the full analysis surface, not a
@@ -170,14 +174,6 @@ func TestProcReportParity(t *testing.T) {
 	}
 	if len(procRep.CriticalPath) == 0 {
 		t.Fatal("proc report has no critical path")
-	}
-	if len(procRep.Clocks) != cfg.P {
-		t.Fatalf("proc report carries %d clock estimates, want %d", len(procRep.Clocks), cfg.P)
-	}
-	for _, c := range tel.Clocks {
-		if c.Samples == 0 {
-			t.Errorf("rank %d clock estimate has no samples", c.Rank)
-		}
 	}
 	for r, rr := range procRep.Ranks {
 		if rr.Transport == nil {
@@ -215,7 +211,7 @@ func TestRunRejectsBadInputBeforeSpawn(t *testing.T) {
 	if want == nil {
 		t.Fatal("Check accepted an unknown dataset")
 	}
-	if _, _, err := Run(Spec{Input: in, P: 2}, nil, nil); err == nil || err.Error() != want.Error() {
+	if _, _, err := Run(Spec{Input: in, P: 2}); err == nil || err.Error() != want.Error() {
 		t.Fatalf("Run = %v, want %v", err, want)
 	}
 }
@@ -403,7 +399,7 @@ func TestRankLocalIngestMatchesRun(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4} {
 		cfg := core.Config{P: p, Seed: 42}
 		want := core.Run(g, cfg)
-		got, _, err := Run(Spec{Input: Input{Path: path}, P: p, Seed: cfg.Seed}, nil, nil)
+		got, _, err := Run(Spec{Input: Input{Path: path}, P: p, Seed: cfg.Seed})
 		if err != nil {
 			t.Fatalf("p=%d: Run: %v", p, err)
 		}
@@ -453,7 +449,7 @@ func TestRankLocalIngestBadLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte(b.String()+"1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(Spec{Input: Input{Path: path}, P: 3, Seed: 1}, nil, nil); err == nil {
+	if _, _, err := Run(Spec{Input: Input{Path: path}, P: 3, Seed: 1}); err == nil {
 		t.Fatal("Run succeeded on a bad file")
 	}
 	if _, err := core.RunFile(path, core.Config{P: 3}); err == nil || err.Error() != "graph: line 201: vertex id 9999999999 exceeds 2147483646" {

@@ -504,3 +504,78 @@ func TestSendBuffersInvalidatedOnPoison(t *testing.T) {
 		t.Errorf("post-Reset round has %d bytes, want 8", len(got))
 	}
 }
+
+// TestProcTransportTelemetry checks the wire counters against each
+// other: what rank 0 counts as sent to rank 1 must be exactly what
+// rank 1 counts as received from rank 0, and the handshake wall time
+// and peer table must be populated.
+func TestProcTransportTelemetry(t *testing.T) {
+	const size = 2
+	dir := shortTempDir(t)
+	listeners, addrs, err := ListenRanks("unix", size, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Now()
+	stats := make([]*TransportStats, size)
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	for r := 0; r < size; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			tr, err := DialProc(ProcConfig{
+				Rank: rank, Size: size,
+				Listener: listeners[rank], Addrs: addrs, Network: "unix",
+				Epoch: epoch,
+			})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			_, errs[rank] = RunRank(tr, nil, func(c *Comm) {
+				for i := 0; i < 20; i++ {
+					c.Send(1-c.Rank(), 7+i, bytes.Repeat([]byte{byte(i)}, 100+i))
+					c.Recv(1-c.Rank(), 7+i)
+				}
+				c.Barrier()
+			})
+			stats[rank] = tr.Telemetry()
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r, ts := range stats {
+		if ts.Network != "unix" {
+			t.Errorf("rank %d network = %q", r, ts.Network)
+		}
+		if ts.HandshakeWallNs <= 0 {
+			t.Errorf("rank %d handshake wall = %d, want > 0", r, ts.HandshakeWallNs)
+		}
+		if len(ts.Peers) != size {
+			t.Fatalf("rank %d peer table has %d entries, want %d", r, len(ts.Peers), size)
+		}
+		if ts.PoisonsSent != 0 || ts.PoisonsRecv != 0 {
+			t.Errorf("rank %d counted poisons (%d sent, %d recv) on a clean run", r, ts.PoisonsSent, ts.PoisonsRecv)
+		}
+	}
+	// Conservation: sent(0→1) == recv(1←0) and vice versa, frames and
+	// bytes alike. Finish/barrier traffic is included on both sides, so
+	// the totals still balance.
+	for r := 0; r < size; r++ {
+		peer := 1 - r
+		sent := stats[r].Peers[peer]
+		recv := stats[peer].Peers[r]
+		if sent.FramesSent == 0 {
+			t.Fatalf("rank %d sent no frames to rank %d", r, peer)
+		}
+		if sent.FramesSent != recv.FramesRecv || sent.BytesSent != recv.BytesRecv {
+			t.Errorf("conservation broken %d→%d: sent %d frames/%d bytes, peer received %d frames/%d bytes",
+				r, peer, sent.FramesSent, sent.BytesSent, recv.FramesRecv, recv.BytesRecv)
+		}
+	}
+}

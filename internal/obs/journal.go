@@ -13,11 +13,8 @@
 package obs
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"dinfomap/internal/mpi"
 	"dinfomap/internal/trace"
 )
 
@@ -102,25 +99,10 @@ func (e Event) Dur() time.Duration { return e.End - e.Start }
 
 // RankLog is one rank's append-only event buffer. Only that rank writes
 // to it during a run; Events readers must wait until the run finishes.
-// Live observers use the journal's Subscribe tap and Status snapshot
-// instead, which read only the atomically-published fields.
 type RankLog struct {
 	rank   int
 	epoch  time.Time
 	events []Event
-
-	// j points back at the owning journal so Emit can publish to live
-	// subscribers; nil for standalone logs (exporter tests).
-	j *Journal
-	// emitted counts events atomically so Status can be read mid-run
-	// (len(events) is owned by the rank goroutine alone).
-	emitted atomic.Int64
-	// last publishes a copy of the most recent event for Status.
-	last atomic.Pointer[Event]
-	// comm publishes the rank's latest cumulative mpi.Stats snapshot so
-	// live observers (the metrics exposition) can read per-kind traffic
-	// without touching the Comm from another goroutine mid-increment.
-	comm atomic.Pointer[mpi.Stats]
 }
 
 // Now returns the current offset from the journal epoch; 0 on a nil log.
@@ -131,50 +113,16 @@ func (rl *RankLog) Now() time.Duration {
 	return time.Since(rl.epoch)
 }
 
-// Emit appends ev to the log; no-op on a nil log. When the owning
-// journal has live subscribers the event is also offered to each tap,
-// without ever blocking: a slow consumer's ring fills and further
-// events are counted as dropped instead.
+// Emit appends ev to the log; no-op on a nil log.
 func (rl *RankLog) Emit(ev Event) {
 	if rl == nil {
 		return
 	}
 	rl.events = append(rl.events, ev)
-	seq := rl.emitted.Add(1)
-	evCopy := ev
-	rl.last.Store(&evCopy)
-	if rl.j != nil {
-		rl.j.publish(StreamEvent{Rank: rl.rank, Seq: seq, Event: ev})
-	}
 }
 
 // Rank returns the owning rank id.
 func (rl *RankLog) Rank() int { return rl.rank }
-
-// PublishComm publishes a cumulative mpi.Stats snapshot for live
-// observers. The rank calls it at sweep and iteration boundaries; the
-// store is one atomic pointer swap, so it never blocks the rank.
-// No-op on a nil log.
-func (rl *RankLog) PublishComm(s mpi.Stats) {
-	if rl == nil {
-		return
-	}
-	cp := s
-	rl.comm.Store(&cp)
-}
-
-// CommSnapshot returns the most recently published cumulative comm
-// stats and whether any snapshot has been published yet. Safe from any
-// goroutine at any time.
-func (rl *RankLog) CommSnapshot() (mpi.Stats, bool) {
-	if rl == nil {
-		return mpi.Stats{}, false
-	}
-	if p := rl.comm.Load(); p != nil {
-		return *p, true
-	}
-	return mpi.Stats{}, false
-}
 
 // Events returns the recorded events in emission order.
 func (rl *RankLog) Events() []Event {
@@ -186,24 +134,10 @@ func (rl *RankLog) Events() []Event {
 
 // Journal collects the per-rank logs of one run. Ranks never share a
 // buffer, so appends need no synchronization; the epoch is read-only
-// after construction, and the live-streaming subscriber list (see
-// stream.go) is touched on the hot path only as one atomic pointer
-// load, nil when nobody is watching.
+// after construction.
 type Journal struct {
 	epoch time.Time
 	ranks []*RankLog
-
-	// taps is the current subscriber list; Emit loads it once per event.
-	// Subscribe/Unsubscribe swap in a fresh slice under tapMu.
-	taps atomic.Pointer[[]*Tap]
-	// tapMu serializes subscriber-list mutation and Finish.
-	tapMu sync.Mutex
-	// finished flips once when the run completes (Finish); taps close
-	// and later subscribers observe an immediately-closed stream.
-	finished atomic.Bool
-	// dropped counts events lost to slow subscribers across all taps
-	// over the journal's lifetime.
-	dropped atomic.Int64
 }
 
 // initialEventCap preallocates each rank's buffer; a typical run emits
@@ -225,7 +159,7 @@ func NewJournalAt(p int, epoch time.Time) *Journal {
 	}
 	j := &Journal{epoch: epoch, ranks: make([]*RankLog, p)}
 	for r := range j.ranks {
-		j.ranks[r] = &RankLog{rank: r, epoch: j.epoch, j: j, events: make([]Event, 0, initialEventCap)}
+		j.ranks[r] = &RankLog{rank: r, epoch: j.epoch, events: make([]Event, 0, initialEventCap)}
 	}
 	return j
 }
@@ -234,14 +168,14 @@ func NewJournalAt(p int, epoch time.Time) *Journal {
 // log: the shape a child process of a multi-process run needs, where
 // instrumented code indexes by global rank but only one rank lives in
 // the process. The other slots stay nil, which every RankLog method
-// treats as a valid no-op sink; Status reports them as empty.
+// treats as a valid no-op sink.
 func NewRankJournal(r, p int, epoch time.Time) *Journal {
 	if epoch.IsZero() {
 		epoch = time.Now()
 	}
 	j := &Journal{epoch: epoch, ranks: make([]*RankLog, p)}
 	if r >= 0 && r < p {
-		j.ranks[r] = &RankLog{rank: r, epoch: j.epoch, j: j, events: make([]Event, 0, initialEventCap)}
+		j.ranks[r] = &RankLog{rank: r, epoch: j.epoch, events: make([]Event, 0, initialEventCap)}
 	}
 	return j
 }
@@ -262,17 +196,6 @@ func (j *Journal) Epoch() time.Time {
 		return time.Time{}
 	}
 	return j.epoch
-}
-
-// Subscribers returns the number of live taps currently attached.
-func (j *Journal) Subscribers() int {
-	if j == nil {
-		return 0
-	}
-	if taps := j.taps.Load(); taps != nil {
-		return len(*taps)
-	}
-	return 0
 }
 
 // Rank returns rank r's log. Nil-safe: a nil journal yields a nil log,

@@ -321,14 +321,8 @@ type Report struct {
 	LostTime     *LostTimeReport   `json:"lost_time,omitempty"`
 	// Build records the binary's provenance. Schema addition
 	// (v1-compatible).
-	Build *BuildInfo `json:"build,omitempty"`
-	// Clocks holds the per-rank clock-offset estimates of a
-	// multi-process run — the corrections already applied to every
-	// cross-process timestamp in this report. Schema addition
-	// (v1-compatible); absent on in-process runs (one clock). All
-	// measured ("wall") fields.
-	Clocks []ClockEstimate `json:"clocks,omitempty"`
-	Ranks  []RankReport    `json:"ranks"`
+	Build *BuildInfo   `json:"build,omitempty"`
+	Ranks []RankReport `json:"ranks"`
 }
 
 // WriteJSON writes r as indented JSON.

@@ -2,7 +2,7 @@ package obs
 
 // ScrubVolatile zeroes every nondeterministic field of a run report —
 // measured host times, journal-only analysis sections, build
-// provenance, clock estimates, transport wire counters — so two
+// provenance, transport wire counters — so two
 // scrubbed reports of the same graph, config, and seed are
 // byte-comparable regardless of transport or host. This is the single
 // definition of "deterministic field" that dinfomap-diff -parity and
@@ -20,7 +20,6 @@ func ScrubVolatile(rep *Report) {
 	rep.CriticalPath = nil
 	rep.LostTime = nil
 	rep.Build = nil
-	rep.Clocks = nil
 	if rep.Comms != nil {
 		scrubCommTotals(&rep.Comms.Totals)
 		scrubCommTotalsMap(rep.Comms.ByKind)
