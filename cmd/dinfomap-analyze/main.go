@@ -143,6 +143,15 @@ type analysis struct {
 	// Ingest holds each rank's rank-local ingest report, in rank order,
 	// when the ranks read an edge-list file themselves.
 	Ingest []rankIngest `json:"ingest,omitempty"`
+	// PeakRSS holds each rank process's peak resident set size, in rank
+	// order, on multi-process runs.
+	PeakRSS []rankPeakRSS `json:"peak_rss,omitempty"`
+}
+
+// rankPeakRSS is one rank's row of the memory table.
+type rankPeakRSS struct {
+	Rank  int   `json:"rank"`
+	Bytes int64 `json:"peak_rss_bytes"`
 }
 
 // rankIngest is one rank's row of the ingest table.
@@ -161,6 +170,9 @@ func analyze(rep *obs.Report) *analysis {
 	for _, r := range rep.Ranks {
 		if r.Ingest != nil {
 			a.Ingest = append(a.Ingest, rankIngest{Rank: r.Rank, IngestReport: *r.Ingest})
+		}
+		if r.PeakRSSBytes != 0 {
+			a.PeakRSS = append(a.PeakRSS, rankPeakRSS{Rank: r.Rank, Bytes: r.PeakRSSBytes})
 		}
 	}
 	if rep.WaitStates != nil {
@@ -267,6 +279,12 @@ func (a *analysis) writeText(w *os.File, topN int) {
 		for _, in := range a.Ingest {
 			fmt.Fprintf(w, "  rank %2d  %10d bytes read  %9d arcs sent  %9d arcs kept  %10v\n",
 				in.Rank, in.BytesRead, in.ArcsSent, in.ArcsKept, dur(in.WallNs))
+		}
+	}
+	if len(a.PeakRSS) > 0 {
+		fmt.Fprintln(w, "\nmemory: each rank process's peak resident set")
+		for _, m := range a.PeakRSS {
+			fmt.Fprintf(w, "  rank %2d  %8.1f MB peak RSS\n", m.Rank, float64(m.Bytes)/(1<<20))
 		}
 	}
 

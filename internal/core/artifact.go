@@ -57,6 +57,11 @@ type RankArtifact struct {
 	// Telemetry carries the rank's journal events and raw wait records
 	// when a multi-process run is observed; nil otherwise.
 	Telemetry *obs.RankTelemetry `json:"telemetry,omitempty"`
+
+	// PeakRSSBytes is the rank process's peak resident set size, as
+	// getrusage reports it when the rank is done; 0 when the rank is
+	// not a process of its own.
+	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 }
 
 // RankOutput is the algorithm's result proper: identical on every rank
@@ -190,6 +195,12 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 				res.Transports = make([]*mpi.TransportStats, cfg.P)
 			}
 			res.Transports[r] = a.Transport
+		}
+		if a.PeakRSSBytes != 0 {
+			if res.PerRankPeakRSS == nil {
+				res.PerRankPeakRSS = make([]int64, cfg.P)
+			}
+			res.PerRankPeakRSS[r] = a.PeakRSSBytes
 		}
 		res.PerRankPhase[r] = a.Phase
 		res.PerRankStage2Phase[r] = a.Stage2Phase

@@ -156,6 +156,10 @@ type Result struct {
 	// multi-process runs (nil entries where a rank reported none; nil
 	// slice on in-process runs, which have no wire).
 	Transports []*mpi.TransportStats
+	// PerRankPeakRSS[r] is rank r's peak resident set size in bytes on
+	// multi-process runs; nil on in-process runs, whose ranks share one
+	// process.
+	PerRankPeakRSS []int64
 	// MaxRankBytes is the largest per-rank total byte count.
 	MaxRankBytes int64
 	// DeltaEvaluations is the global number of delta-L evaluations.

@@ -117,6 +117,9 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 		if r < len(res.Transports) {
 			rr.Transport = res.Transports[r]
 		}
+		if r < len(res.PerRankPeakRSS) {
+			rr.PeakRSSBytes = res.PerRankPeakRSS[r]
+		}
 		rep.Ranks = append(rep.Ranks, rr)
 	}
 	rep.Comms = obs.BuildComms(res.CommStats)

@@ -168,7 +168,7 @@ type level struct {
 }
 
 // rankMem is the memory one rank's levels share: the id-space arrays
-// (and the arc-sized ones of the merge) are allocated by the first level
+// (and the merged level's arc arrays) are allocated by the first level
 // that needs them and handed, cleared, to every later level, so a run
 // of several merged levels allocates them once. Only one level is live
 // at a time: a level's successor is built from the arcs its merge
@@ -185,13 +185,14 @@ type rankMem struct {
 	visit, exitP, wTo                      []float64
 	rsch                                   refreshScratch
 
-	// The merge's counting-sort arrays.
-	cnt, cnt2 []int
-	aU, aV    []int32
-	ordV, ord []int32
-	merged    []mergedArc
-	evalOff   []int
-	adj       []partition.Arc
+	// The contraction's buckets (cnt, byRow) and row accumulator, and
+	// the merged level's arcs and CSR.
+	cnt     []int
+	byRow   []int32
+	rs      rowSum
+	merged  []mergedArc
+	evalOff []int
+	adj     []partition.Arc
 }
 
 // newRankMem returns the memory of one rank, with its send set.
@@ -523,66 +524,30 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	}
 
 	// Accumulate parallel arcs: (u, v) pairs may arrive from several
-	// source ranks. A stable two-pass counting sort (by v, then by u)
-	// makes duplicates adjacent while keeping ties in arrival order, so
-	// the run-merging pass below accumulates weights in exactly the
-	// order they arrived — the float-summation order the golden results
-	// were produced with — and emits merged arcs in ascending (u, v)
-	// order with no comparison sort.
-	m := len(arcs)
-	cnt := reuse(&mem.cnt, idSpace)
-	for _, a := range arcs {
-		cnt[a.V]++
-	}
-	sum := 0
-	for v := 0; v < idSpace; v++ {
-		k := cnt[v]
-		cnt[v] = sum
-		sum += k
-	}
-	ordV := reuse(&mem.ordV, m)
-	for idx, a := range arcs {
-		ordV[cnt[a.V]] = int32(idx)
-		cnt[a.V]++
-	}
-	cnt2 := reuse(&mem.cnt2, idSpace)
-	for _, a := range arcs {
-		cnt2[a.U]++
-	}
-	sum = 0
-	for u := 0; u < idSpace; u++ {
-		k := cnt2[u]
-		cnt2[u] = sum
-		sum += k
-	}
-	ord := reuse(&mem.ord, m)
-	for _, idx := range ordV {
-		u := arcs[idx].U
-		ord[cnt2[u]] = idx
-		cnt2[u]++
-	}
-	// Run-merge into CSR: runs of equal (u, v) collapse to one arc; a
-	// change of u opens the next eval vertex.
+	// source ranks. A stable counting sort buckets the arcs by u in
+	// arrival order; each u's row then sums its arcs per v in arrival
+	// order — the float-summation order the golden results were
+	// produced with — and emits them ascending by v, so the CSR comes
+	// out ascending by (u, v) with no comparison sort over the arcs.
+	byU, end := mem.buckets(idSpace, len(arcs), func(i int) int { return int(arcs[i].U) })
+	row := mem.row(idSpace)
 	lv.evalOff = append(mem.evalOff[:0], 0)
 	lv.adj = mem.adj[:0]
-	for s := 0; s < m; {
-		a := arcs[ord[s]]
-		w := a.W
-		t := s + 1
-		for ; t < m; t++ {
-			b := arcs[ord[t]]
-			if b.U != a.U || b.V != a.V {
-				break
-			}
-			w += b.W
+	lo := 0
+	for u := 0; u < idSpace; u++ {
+		hi := end[u]
+		for _, idx := range byU[lo:hi] {
+			row.add(arcs[idx].V, arcs[idx].W)
 		}
-		s = t
-		if u := int(a.U); len(lv.evalVerts) == 0 || lv.evalVerts[len(lv.evalVerts)-1] != u {
-			lv.evalVerts = append(lv.evalVerts, u)
-			lv.evalOff = append(lv.evalOff, lv.evalOff[len(lv.evalOff)-1])
+		lo = hi
+		if row.empty() {
+			continue
 		}
-		lv.evalOff[len(lv.evalOff)-1]++
-		lv.adj = append(lv.adj, partition.Arc{U: a.U, V: a.V, W: w})
+		for _, v := range row.sorted() {
+			lv.adj = append(lv.adj, partition.Arc{U: int32(u), V: v, W: row.take(v)})
+		}
+		lv.evalVerts = append(lv.evalVerts, u)
+		lv.evalOff = append(lv.evalOff, len(lv.adj))
 	}
 	mem.evalOff, mem.adj = lv.evalOff, lv.adj
 	lv.ownedActive = append(lv.ownedActive, lv.evalVerts...)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"dinfomap/internal/core"
 	"dinfomap/internal/mpi"
@@ -138,6 +139,7 @@ func runChild(v string) error {
 	if cs.Observe {
 		art.Telemetry = obs.CaptureTelemetry(journal, rank, rec)
 	}
+	art.PeakRSSBytes = peakRSS()
 
 	if err := writeFile(artifact, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(art)
@@ -145,6 +147,16 @@ func runChild(v string) error {
 		return fmt.Errorf("rank %d: %w", rank, err)
 	}
 	return nil
+}
+
+// peakRSS returns this process's peak resident set size in bytes, 0 if
+// the kernel does not report it.
+func peakRSS() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return ru.Maxrss * 1024 // KiB on Linux
 }
 
 // writeFile creates path and writes fn's output into it, reporting the

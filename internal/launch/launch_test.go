@@ -179,6 +179,14 @@ func TestProcReportParity(t *testing.T) {
 		if rr.Transport == nil {
 			t.Errorf("proc report rank %d has no transport counters", r)
 		}
+		if rr.PeakRSSBytes < 1<<20 {
+			t.Errorf("proc report rank %d peak RSS = %d bytes, want the process's own (at least 1 MiB)", r, rr.PeakRSSBytes)
+		}
+	}
+	for r, rr := range inRep.Ranks {
+		if rr.PeakRSSBytes != 0 {
+			t.Errorf("in-process report rank %d peak RSS = %d, want 0 (ranks share a process)", r, rr.PeakRSSBytes)
+		}
 	}
 
 	obs.ScrubVolatile(inRep)

@@ -24,7 +24,8 @@ const (
 //
 // On the goroutine backend both phases are barriers over shared slots,
 // mirroring MPI's blocking collectives; the proc backend exchanges
-// sequence-tagged messages instead and releases for free. Either way
+// sequence-tagged messages instead, and its release only recycles the
+// received frames without synchronizing. Either way
 // each collective is billed as exactly two synchronization points, so
 // BarrierSyncs counts match bit-for-bit across backends.
 //

@@ -44,6 +44,18 @@ const frameHeader = 24
 // or hostile stream and poisons the world instead of allocating.
 const maxFrame = 1 << 31
 
+// frameChunk is how far a payload buffer may grow ahead of the bytes
+// that have arrived: a payload larger than the buffer at hand is read
+// in pieces of at most this size, so a forged length followed by EOF
+// costs one chunk, not the length it claims.
+const frameChunk = 1 << 20
+
+// framePool bounds the recycled receive buffers each peer's reader
+// keeps (see ProcTransport.ReleaseSlots). Two lets a peer that ran one
+// collective ahead have its frame read into a recycled buffer while the
+// rank still holds the current one; more would only hold memory.
+const framePool = 2
+
 // Control tags live in the negative tag space. Barrier tokens and
 // collective frames are sequence-numbered (SPMD order makes the
 // sequences identical on every rank), so early arrivals from a rank
@@ -86,30 +98,107 @@ type ProcConfig struct {
 }
 
 // peerConn is one established connection to a peer rank. The write
-// side stages header+payload into one reusable buffer so each frame is
-// a single Write (readers on the other end never see torn headers from
-// interleaved writers; wmu serializes the rank goroutine with the
-// abort path's poison broadcast).
+// side hands header and payload to the socket as one vectored write,
+// without copying the payload; wmu serializes the rank goroutine with
+// the abort path's poison broadcast, so frames never interleave. free
+// holds the receive buffers the rank has handed back for this peer's
+// reader to fill again.
 type peerConn struct {
 	c    net.Conn
 	wmu  sync.Mutex
-	wbuf []byte
+	whdr [frameHeader]byte
+	wvec [2][]byte
+	wout net.Buffers
+	free chan []byte
+}
+
+func newPeerConn(c net.Conn) *peerConn {
+	return &peerConn{c: c, free: make(chan []byte, framePool)}
 }
 
 func (pc *peerConn) writeFrame(tag int, sentAt time.Duration, payload []byte) error {
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	need := frameHeader + len(payload)
-	if cap(pc.wbuf) < need {
-		pc.wbuf = make([]byte, need)
-	}
-	b := pc.wbuf[:need]
-	binary.LittleEndian.PutUint64(b[0:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(b[8:], uint64(int64(tag)))
-	binary.LittleEndian.PutUint64(b[16:], uint64(int64(sentAt)))
-	copy(b[frameHeader:], payload)
-	_, err := pc.c.Write(b)
+	binary.LittleEndian.PutUint64(pc.whdr[0:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(pc.whdr[8:], uint64(int64(tag)))
+	binary.LittleEndian.PutUint64(pc.whdr[16:], uint64(int64(sentAt)))
+	pc.wvec = [2][]byte{pc.whdr[:], payload}
+	pc.wout = pc.wvec[:]
+	_, err := pc.wout.WriteTo(pc.c)
+	pc.wvec[1] = nil // hold no reference to the caller's payload
 	return err
+}
+
+// recycle hands a received payload back to the reader's free list, or
+// drops it when the list is full.
+func (pc *peerConn) recycle(b []byte) {
+	select {
+	case pc.free <- b:
+	default:
+	}
+}
+
+// frame is one decoded wire frame.
+type frame struct {
+	tag    int
+	sentAt time.Duration
+	data   []byte
+}
+
+// frameSizeError reports a frame whose header claims a payload beyond
+// the reader's limit.
+type frameSizeError struct {
+	tag int
+	n   uint64
+}
+
+func (e *frameSizeError) Error() string {
+	return fmt.Sprintf("frame of %d bytes exceeds limit", e.n)
+}
+
+// readFrame reads one frame from r, using hdr (frameHeader bytes) as
+// header scratch. The payload lands in buf when its capacity suffices;
+// a larger one is read in frameChunk pieces into a buffer grown only as
+// bytes arrive. A header claiming more than limit bytes is a
+// *frameSizeError and its payload is not read. A zero-length payload
+// comes back nil, leaving buf unused.
+func readFrame(r io.Reader, hdr, buf []byte, limit uint64) (frame, error) {
+	if _, err := io.ReadFull(r, hdr[:frameHeader]); err != nil {
+		return frame{}, err
+	}
+	n := binary.LittleEndian.Uint64(hdr[0:])
+	f := frame{
+		tag:    int(int64(binary.LittleEndian.Uint64(hdr[8:]))),
+		sentAt: time.Duration(int64(binary.LittleEndian.Uint64(hdr[16:]))),
+	}
+	if n > limit {
+		return f, &frameSizeError{tag: f.tag, n: n}
+	}
+	if n == 0 {
+		return f, nil
+	}
+	if n <= uint64(cap(buf)) {
+		f.data = buf[:n]
+		_, err := io.ReadFull(r, f.data)
+		return f, err
+	}
+	data := buf[:0]
+	for got := uint64(0); got < n; {
+		k := min(n-got, frameChunk)
+		if uint64(cap(data))-got < k {
+			grown := make([]byte, got, min(n, max(2*uint64(cap(data)), got+k)))
+			copy(grown, data)
+			data = grown
+		}
+		m, err := io.ReadFull(r, data[got:got+k])
+		got += uint64(m)
+		data = data[:got]
+		if err != nil {
+			return f, err
+		}
+	}
+	f.data = data
+	return f, nil
 }
 
 // ProcTransport is the multi-process Transport: this process's endpoint
@@ -333,7 +422,7 @@ func (t *ProcTransport) acceptPeers(cfg ProcConfig, deadline time.Time) error {
 			conn.Close()
 			return fmt.Errorf("unexpected hello from rank %d", peer)
 		}
-		t.conns[peer] = &peerConn{c: conn}
+		t.conns[peer] = newPeerConn(conn)
 	}
 	return nil
 }
@@ -350,7 +439,7 @@ func (t *ProcTransport) dialPeers(cfg ProcConfig, deadline time.Time) error {
 			if err == nil {
 				got, herr := t.handshake(conn, cfg, peer, deadline)
 				if herr == nil && got == peer {
-					t.conns[peer] = &peerConn{c: conn}
+					t.conns[peer] = newPeerConn(conn)
 					break
 				}
 				//dinfomap:close-ok handshake already failed; the close error cannot add anything
@@ -403,23 +492,21 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 	e.PutInt(cfg.Rank)
 	e.PutInt(len(cfg.Version))
 	hello := append(e.Bytes(), cfg.Version...)
-	pc := &peerConn{c: conn}
-	if err := pc.writeFrame(tagHello, 0, hello); err != nil {
+	if err := newPeerConn(conn).writeFrame(tagHello, 0, hello); err != nil {
 		return 0, fmt.Errorf("sending hello: %w", err)
 	}
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, fmt.Errorf("reading hello header: %w", err)
+	f, err := readFrame(conn, make([]byte, frameHeader), nil, 4096)
+	var big *frameSizeError
+	if errors.As(err, &big) {
+		return 0, &handshakeMismatch{fmt.Sprintf("bad hello frame (tag=%d, len=%d): not a dinfomap mesh peer?", big.tag, big.n)}
 	}
-	n := binary.LittleEndian.Uint64(hdr[0:])
-	tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-	if tag != tagHello || n > 4096 {
-		return 0, &handshakeMismatch{fmt.Sprintf("bad hello frame (tag=%d, len=%d): not a dinfomap mesh peer?", tag, n)}
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("reading hello: %w", err)
 	}
+	if f.tag != tagHello {
+		return 0, &handshakeMismatch{fmt.Sprintf("bad hello frame (tag=%d, len=%d): not a dinfomap mesh peer?", f.tag, len(f.data))}
+	}
+	buf := f.data
 	d := NewDecoder(buf)
 	if magic := d.U64(); magic != handshakeMagic {
 		return 0, &handshakeMismatch{fmt.Sprintf("bad hello magic %#x", magic)}
@@ -442,38 +529,38 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 }
 
 // reader drains one peer connection into the inbox for the life of the
-// world. A poison frame carries a failed peer's cause; a bare
-// connection loss (crash, kill) becomes one. After a clean Finish both
-// are expected and ignored.
+// world. Payloads are read into buffers the rank recycled (see
+// ReleaseSlots) when there is one. A poison frame carries a failed
+// peer's cause; a bare connection loss (crash, kill) becomes one. After
+// a clean Finish both are expected and ignored.
 func (t *ProcTransport) reader(peer int, pc *peerConn) {
 	defer t.readers.Done()
 	hdr := make([]byte, frameHeader)
+	var spare []byte
 	for {
-		if _, err := io.ReadFull(pc.c, hdr); err != nil {
+		if spare == nil {
+			select {
+			case spare = <-pc.free:
+			default:
+			}
+		}
+		f, err := readFrame(pc.c, hdr, spare, maxFrame)
+		if err != nil {
 			t.readFailed(peer, err)
 			return
 		}
-		n := binary.LittleEndian.Uint64(hdr[0:])
-		tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-		sentAt := time.Duration(int64(binary.LittleEndian.Uint64(hdr[16:])))
-		if n > maxFrame {
-			t.readFailed(peer, fmt.Errorf("frame of %d bytes exceeds limit", n))
-			return
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(pc.c, data); err != nil {
-			t.readFailed(peer, err)
-			return
+		if f.data != nil {
+			spare = nil // the frame owns it (or outgrew it) now
 		}
 		pcnt := &t.tstats.peers[peer]
 		pcnt.framesRecv.Add(1)
-		pcnt.bytesRecv.Add(int64(frameHeader) + int64(n))
-		if tag == tagPoison {
+		pcnt.bytesRecv.Add(int64(frameHeader) + int64(len(f.data)))
+		if f.tag == tagPoison {
 			t.tstats.poisonsRecv.Add(1)
-			t.fail.poisonWith(fmt.Errorf("poisoned by rank %d: %s", peer, data))
+			t.fail.poisonWith(fmt.Errorf("poisoned by rank %d: %s", peer, f.data))
 			return
 		}
-		t.ib.put(message{src: peer, tag: tag, data: data, sentAt: sentAt})
+		t.ib.put(message{src: peer, tag: f.tag, data: f.data, sentAt: f.sentAt})
 	}
 }
 
@@ -672,12 +759,21 @@ func (t *ProcTransport) BcastSlot(root int, data []byte) []byte {
 	return m.data
 }
 
-// ReleaseSlots is free on this backend: every collective's frames carry
-// a unique sequence tag, so a rank that runs ahead and republishes
-// cannot overwrite anything — early frames just queue in the inbox.
-// The view slices themselves are reused by the next Publish, which is
-// exactly the pooling contract Comm already exposes to its callers.
-func (t *ProcTransport) ReleaseSlots() {}
+// ReleaseSlots synchronizes nothing on this backend: every collective's
+// frames carry a unique sequence tag, so a rank that runs ahead and
+// republishes cannot overwrite anything — early frames just queue in
+// the inbox. It hands the received frames that GatherSlots and
+// ScatterSlots lent out back to their peers' readers, whose next
+// payloads fill them again (Comm has copied them into its slab by now).
+// BcastSlot's frame and p2p Recv payloads stay with their callers.
+func (t *ProcTransport) ReleaseSlots() {
+	for src, b := range t.views {
+		if src != t.rank && b != nil {
+			t.conns[src].recycle(b)
+		}
+		t.views[src] = nil
+	}
+}
 
 // Abort poisons the world with err and broadcasts it to every peer as a
 // poison frame, so remote ranks unwind with the originating cause

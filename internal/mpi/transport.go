@@ -32,8 +32,9 @@ import (
 // copies what it needs out of the returned views, and ReleaseSlots
 // closes the window (the returned views are invalid after that). Both
 // phases are full synchronization points on the goroutine backend; the
-// proc backend's ReleaseSlots is free because its per-message sequence
-// tags make early re-publication safe.
+// proc backend's ReleaseSlots does not synchronize, because its
+// per-message sequence tags make early re-publication safe, and only
+// hands the received frames back to its readers.
 type Transport interface {
 	// Rank returns this rank's id in [0, Size()).
 	Rank() int

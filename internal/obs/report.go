@@ -198,6 +198,10 @@ type RankReport struct {
 	// the ranks read it themselves. Schema addition (v1-compatible);
 	// absent when the ranks cut their rows from an in-memory graph.
 	Ingest *IngestReport `json:"ingest,omitempty"`
+	// PeakRSSBytes is the rank process's peak resident set size on
+	// multi-process runs. Schema addition (v1-compatible); absent on
+	// in-process runs, whose ranks share one process.
+	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 }
 
 // IngestReport is one rank's rank-local ingest: it parsed BytesRead

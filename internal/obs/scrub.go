@@ -2,7 +2,7 @@ package obs
 
 // ScrubVolatile zeroes every nondeterministic field of a run report —
 // measured host times, journal-only analysis sections, build
-// provenance, transport wire counters — so two
+// provenance, transport wire counters, process memory — so two
 // scrubbed reports of the same graph, config, and seed are
 // byte-comparable regardless of transport or host. This is the single
 // definition of "deterministic field" that dinfomap-diff -parity and
@@ -30,6 +30,7 @@ func ScrubVolatile(rep *Report) {
 		r.Wall2Ns = 0
 		r.PhaseWallNs = nil
 		r.Transport = nil
+		r.PeakRSSBytes = 0
 		if r.Ingest != nil {
 			in := *r.Ingest
 			in.WallNs = 0
