@@ -6,8 +6,7 @@
 //
 // It prints the cross-rank critical path (which rank gated which
 // stretch of the run, and in which phase), the per-rank lost-time
-// straggler table (late-sender / late-receiver / barrier-skew /
-// imbalance attribution), and a comparison of the measured blocked time
+// straggler table (barrier-skew / imbalance attribution), and a comparison of the measured blocked time
 // against the alpha-beta modeled communication time per message kind —
 // the measured counterpart of the model the experiments report.
 //
@@ -105,21 +104,20 @@ type kindModel struct {
 	// beta*(bytes_sent+collective_bytes), summed over ranks.
 	ModeledNs int64 `json:"modeled_ns"`
 	// BlockedWallNs is the measured blocked time charged to the kind
-	// (late-sender receives plus barrier skew), summed over ranks.
+	// (collective synchronization skew), summed over ranks.
 	BlockedWallNs int64 `json:"blocked_wall_ns"`
 	BytesSent     int64 `json:"bytes_sent"`
 	Msgs          int64 `json:"msgs"`
 }
 
-// straggler is one row of the lost-time table, ranked by blocked time.
+// straggler is one row of the lost-time table, ranked by blocked time
+// (barrier skew: the only way a rank of the collectives-only core
+// blocks).
 type straggler struct {
-	Rank               int    `json:"rank"`
-	BlockedWallNs      int64  `json:"blocked_wall_ns"`
-	LateSenderWallNs   int64  `json:"late_sender_wall_ns"`
-	LateReceiverWallNs int64  `json:"late_receiver_wall_ns"`
-	BarrierSkewWallNs  int64  `json:"barrier_skew_wall_ns"`
-	ImbalanceWallNs    int64  `json:"imbalance_wall_ns"`
-	TopPhase           string `json:"top_phase,omitempty"`
+	Rank              int    `json:"rank"`
+	BarrierSkewWallNs int64  `json:"barrier_skew_wall_ns"`
+	ImbalanceWallNs   int64  `json:"imbalance_wall_ns"`
+	TopPhase          string `json:"top_phase,omitempty"`
 }
 
 // analysis is the machine-readable output of dinfomap-analyze.
@@ -205,17 +203,14 @@ func analyze(rep *obs.Report) *analysis {
 		a.LostFractionWall = rep.LostTime.LostFractionWall
 		for _, rl := range rep.LostTime.Ranks {
 			a.Stragglers = append(a.Stragglers, straggler{
-				Rank:               rl.Rank,
-				BlockedWallNs:      rl.LateSenderWallNs + rl.BarrierSkewWallNs,
-				LateSenderWallNs:   rl.LateSenderWallNs,
-				LateReceiverWallNs: rl.LateReceiverWallNs,
-				BarrierSkewWallNs:  rl.BarrierSkewWallNs,
-				ImbalanceWallNs:    rl.ImbalanceWallNs,
-				TopPhase:           dominantPhase(rl.ByPhaseWallNs),
+				Rank:              rl.Rank,
+				BarrierSkewWallNs: rl.BarrierSkewWallNs,
+				ImbalanceWallNs:   rl.ImbalanceWallNs,
+				TopPhase:          dominantPhase(rl.ByPhaseWallNs),
 			})
 		}
 		sort.SliceStable(a.Stragglers, func(i, j int) bool {
-			return a.Stragglers[i].BlockedWallNs > a.Stragglers[j].BlockedWallNs
+			return a.Stragglers[i].BarrierSkewWallNs > a.Stragglers[j].BarrierSkewWallNs
 		})
 	}
 
@@ -236,7 +231,7 @@ func analyze(rep *obs.Report) *analysis {
 			a.Kinds = append(a.Kinds, kindModel{
 				Kind:          name,
 				ModeledNs:     (time.Duration(msgs)*m.Alpha + time.Duration(bytes)*m.BetaPerByte).Nanoseconds(),
-				BlockedWallNs: kt.RecvBlockedWallNs + kt.BarrierWaitWallNs,
+				BlockedWallNs: kt.BarrierWaitWallNs,
 				BytesSent:     bytes,
 				Msgs:          msgs,
 			})
@@ -311,16 +306,15 @@ func (a *analysis) writeText(w *os.File, topN int) {
 	if len(a.Stragglers) > 0 {
 		fmt.Fprintf(w, "\nlost time: %v blocked across ranks (%.1f%% of total rank-time)\n",
 			dur(a.TotalLostWallNs), 100*a.LostFractionWall)
-		fmt.Fprintf(w, "  %-4s  %10s  %12s  %12s  %12s  %12s  %s\n",
-			"rank", "blocked", "late-sender", "late-recv", "barrier-skew", "imbalance", "top phase")
+		fmt.Fprintf(w, "  %-4s  %12s  %12s  %s\n",
+			"rank", "barrier-skew", "imbalance", "top phase")
 		for i, s := range a.Stragglers {
 			if i >= topN {
 				fmt.Fprintf(w, "  ... %d more ranks\n", len(a.Stragglers)-topN)
 				break
 			}
-			fmt.Fprintf(w, "  %-4d  %10v  %12v  %12v  %12v  %12v  %s\n",
-				s.Rank, dur(s.BlockedWallNs), dur(s.LateSenderWallNs), dur(s.LateReceiverWallNs),
-				dur(s.BarrierSkewWallNs), dur(s.ImbalanceWallNs), s.TopPhase)
+			fmt.Fprintf(w, "  %-4d  %12v  %12v  %s\n",
+				s.Rank, dur(s.BarrierSkewWallNs), dur(s.ImbalanceWallNs), s.TopPhase)
 		}
 	}
 

@@ -248,15 +248,15 @@ func WriteChromeTrace(w io.Writer, j *RunJournal) error {
 }
 
 // WaitRecorder holds the raw wait-state events of a journaled
-// distributed run (matched p2p receives and barrier arrival/release
-// times); RunDistributed fills DistributedResult.WaitRecorder whenever
+// distributed run (barrier arrival/release times, and on the proc
+// transport the collectives' frame matches); RunDistributed fills DistributedResult.WaitRecorder whenever
 // DistributedConfig.Journal is set.
 type WaitRecorder = mpi.Recorder
 
 // WriteChromeTraceWith exports a run journal together with the run's
 // wait-state events: Perfetto flow arrows for every matched send->recv
-// pair and a "blocked ranks" counter track showing how many ranks sit
-// in a blocked receive or barrier wait at each instant. rec may be nil,
+// frame pair and a "blocked ranks" counter track showing how many
+// ranks sit in a blocked receive or barrier wait at each instant. rec may be nil,
 // which reduces to WriteChromeTrace.
 func WriteChromeTraceWith(w io.Writer, j *RunJournal, rec *WaitRecorder) error {
 	return obs.WriteChromeTraceWith(w, j, rec)

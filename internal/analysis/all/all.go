@@ -5,7 +5,6 @@ package all
 
 import (
 	"dinfomap/internal/analysis"
-	"dinfomap/internal/analysis/anysource"
 	"dinfomap/internal/analysis/bufalias"
 	"dinfomap/internal/analysis/closecheck"
 	"dinfomap/internal/analysis/codecsym"
@@ -25,7 +24,6 @@ func Analyzers() []*analysis.Analyzer {
 		closecheck.Analyzer,
 		rankshare.Analyzer,
 		bufalias.Analyzer,
-		anysource.Analyzer,
 		codecsym.Analyzer,
 	}
 }

@@ -1,7 +1,6 @@
 // Package bufalias enforces the pooled-buffer lifetime contract of
-// internal/mpi (pool.go): the results of Comm.Alltoallv,
-// Comm.AllgatherBytes, and Comm.AllreduceSumF64s — and the encoder
-// slabs handed out by SendBuffers.For / SendBuffers.Bufs — are slices
+// internal/mpi (pool.go): the results of Comm.Alltoallv and
+// Comm.AllgatherBytes — and the encoder slabs handed out by SendBuffers.For / SendBuffers.Bufs — are slices
 // into per-communicator pools that every subsequent collective (or
 // SendBuffers.Reset) overwrites. Holding such a value across the next
 // collective silently reads (or corrupts) recycled memory; the
@@ -20,9 +19,8 @@
 // liveness can no longer be bounded by this function's collectives.
 //
 // Domains: Comm results are invalidated by any Comm collective
-// (Alltoallv, AllgatherBytes, AllreduceSumF64s, BcastBytes,
-// AllreduceF64, AllreduceI64, AllreduceMinLoc, Barrier); SendBuffers
-// slabs are invalidated by SendBuffers.Reset. Method matching is by
+// (Alltoallv, AllgatherBytes, AllreduceI64); SendBuffers slabs are
+// invalidated by SendBuffers.Reset. Method matching is by
 // receiver type name (Comm, SendBuffers), so testdata can stub the mpi
 // surface; package mpi itself is exempt — it implements the pool.
 //
@@ -60,9 +58,8 @@ const (
 
 var producers = map[string]map[string]int{
 	"Comm": {
-		"Alltoallv":        domComm,
-		"AllgatherBytes":   domComm,
-		"AllreduceSumF64s": domComm,
+		"Alltoallv":      domComm,
+		"AllgatherBytes": domComm,
 	},
 	"SendBuffers": {
 		"Bufs": domSend,
@@ -72,14 +69,9 @@ var producers = map[string]map[string]int{
 
 var invalidators = map[string]map[string]int{
 	"Comm": {
-		"Alltoallv":        domComm,
-		"AllgatherBytes":   domComm,
-		"AllreduceSumF64s": domComm,
-		"BcastBytes":       domComm,
-		"AllreduceF64":     domComm,
-		"AllreduceI64":     domComm,
-		"AllreduceMinLoc":  domComm,
-		"Barrier":          domComm,
+		"Alltoallv":      domComm,
+		"AllgatherBytes": domComm,
+		"AllreduceI64":   domComm,
 	},
 	"SendBuffers": {
 		"Reset": domSend,

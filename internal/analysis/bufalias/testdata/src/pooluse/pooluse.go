@@ -6,11 +6,9 @@ package pooluse
 
 type Comm struct{}
 
-func (*Comm) AllgatherBytes(data []byte) [][]byte     { return nil }
-func (*Comm) Alltoallv(bufs [][]byte) [][]byte        { return nil }
-func (*Comm) AllreduceSumF64s(xs []float64) []float64 { return nil }
-func (*Comm) BcastBytes(root int, data []byte) []byte { return nil }
-func (*Comm) Barrier()                                {}
+func (*Comm) AllgatherBytes(data []byte) [][]byte { return nil }
+func (*Comm) Alltoallv(bufs [][]byte) [][]byte    { return nil }
+func (*Comm) AllreduceI64(x int64, op int) int64  { return x }
 
 type SendBuffers struct{}
 
@@ -31,8 +29,8 @@ func consume(b []byte) int { return len(b) }
 // memory.
 func retained(c *Comm, payload []byte) int {
 	parts := c.AllgatherBytes(payload)
-	c.Barrier()
-	return consume(parts[0]) // want `use of pooled AllgatherBytes result after Barrier recycled the buffer`
+	c.AllreduceI64(0, 0)
+	return consume(parts[0]) // want `use of pooled AllgatherBytes result after AllreduceI64 recycled the buffer`
 }
 
 // decodeFirst is the sanctioned idiom: consume the result before the
@@ -48,8 +46,8 @@ func decodeFirst(c *Comm, payload []byte) int {
 func aliased(c *Comm, payload []byte) int {
 	parts := c.AllgatherBytes(payload)
 	first := parts[0]
-	c.BcastBytes(0, payload)
-	return consume(first) // want `use of pooled AllgatherBytes result after BcastBytes recycled the buffer`
+	c.Alltoallv([][]byte{payload})
+	return consume(first) // want `use of pooled AllgatherBytes result after Alltoallv recycled the buffer`
 }
 
 // ranged: the per-iteration binding aliases the pooled result, but the
@@ -67,8 +65,8 @@ func ranged(c *Comm, bufs [][]byte) int {
 func rangedStale(c *Comm, bufs [][]byte, payload []byte) int {
 	n := 0
 	for _, b := range c.Alltoallv(bufs) {
-		c.BcastBytes(0, payload)
-		n += consume(b) // want `use of pooled Alltoallv result after BcastBytes recycled the buffer`
+		c.AllgatherBytes(payload)
+		n += consume(b) // want `use of pooled Alltoallv result after AllgatherBytes recycled the buffer`
 	}
 	return n
 }
@@ -76,7 +74,7 @@ func rangedStale(c *Comm, bufs [][]byte, payload []byte) int {
 // sendSlab: encoder slabs die on Reset, not on collectives.
 func sendSlab(sb *SendBuffers, c *Comm, bufs [][]byte) {
 	e := sb.For(0)
-	c.Barrier() // collectives do not recycle send buffers
+	c.AllreduceI64(0, 0) // collectives do not recycle send buffers
 	e.PutInt(1)
 	sb.Reset()
 	e.PutInt(2) // want `use of pooled For result after Reset recycled the buffer`
@@ -102,14 +100,14 @@ func copied(c *Comm, payload []byte) []byte {
 	parts := c.AllgatherBytes(payload)
 	own := make([]byte, len(parts[0]))
 	copy(own, parts[0])
-	c.Barrier()
+	c.AllreduceI64(0, 0)
 	return own
 }
 
 // justified carries the suppression comment: no diagnostic.
 func justified(c *Comm, payload []byte) int {
 	parts := c.AllgatherBytes(payload)
-	c.Barrier()
-	//dinfomap:bufalias-ok single-rank world: the barrier is a no-op and nothing recycles the pool
+	c.AllreduceI64(0, 0)
+	//dinfomap:bufalias-ok single-rank world: the allreduce is a no-op and nothing recycles the pool
 	return consume(parts[0])
 }

@@ -122,9 +122,6 @@ func addCommTotals(a, b obs.CommTotals) obs.CommTotals {
 		CollectiveBytes: a.CollectiveBytes + b.CollectiveBytes,
 		CollectiveMsgs:  a.CollectiveMsgs + b.CollectiveMsgs,
 
-		RecvBlockedWallNs: a.RecvBlockedWallNs + b.RecvBlockedWallNs,
-		RecvQueueWallNs:   a.RecvQueueWallNs + b.RecvQueueWallNs,
-		RecvsBlockedWall:  a.RecvsBlockedWall + b.RecvsBlockedWall,
 		BarrierWaitWallNs: a.BarrierWaitWallNs + b.BarrierWaitWallNs,
 		BarrierSyncs:      a.BarrierSyncs + b.BarrierSyncs,
 	}

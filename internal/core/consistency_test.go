@@ -66,12 +66,12 @@ func runStage1WithChecks(t *testing.T, g *graph.Graph, p int, cfg Config) (conve
 			snaps[c.Rank()] = snap
 			modSnaps[c.Rank()] = mods
 			mu.Unlock()
-			c.Barrier()
+			c.AllgatherBytes(nil) // barrier
 			if c.Rank() == 0 {
 				violations = append(violations,
 					checkInvariants(g, flow, iter, p, snaps, visLists, modSnaps, lv.agg)...)
 			}
-			c.Barrier()
+			c.AllgatherBytes(nil) // barrier
 			if total == 0 {
 				// (4) The active set left no improving move behind: a
 				// pass over the still-active non-hub vertices, damping

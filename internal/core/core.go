@@ -55,11 +55,12 @@ type Config struct {
 	// phase of every synchronized sweep (see package obs). It must have
 	// at least P rank slots; nil disables journaling at zero cost.
 	Journal *obs.Journal
-	// Recorder, when non-nil, receives the raw wait-state events (p2p
-	// matches, barrier passages) of this process's ranks. Run creates
-	// one itself when Journal is set and Recorder is nil; RunRank (one
-	// rank per process) uses it as given, so a multi-process child can
-	// record its rank's events and ship them to the launcher.
+	// Recorder, when non-nil, receives the raw wait-state events
+	// (collective frame matches, barrier passages) of this process's
+	// ranks. Run creates one itself when Journal is set and Recorder is
+	// nil; RunRank (one rank per process) uses it as given, so a
+	// multi-process child can record its rank's events and ship them to
+	// the launcher.
 	Recorder *mpi.Recorder
 }
 
@@ -147,8 +148,9 @@ type Result struct {
 
 	// CommStats is each rank's cumulative traffic.
 	CommStats []mpi.Stats
-	// WaitRecorder holds the run's raw wait-state events (p2p matches
-	// and barrier arrival/release times) for critical-path analysis.
+	// WaitRecorder holds the run's raw wait-state events (collective
+	// frame matches and barrier arrival/release times) for
+	// critical-path analysis.
 	// Non-nil only when the run journaled (Config.Journal set):
 	// recording is kept out of benchmarked paths.
 	WaitRecorder *mpi.Recorder

@@ -40,11 +40,8 @@ func stripWallTimes(rep *obs.Report) {
 	}
 }
 
-// stripWait zeroes the measured wait-state fields of one comm record.
+// stripWait zeroes the measured wait field of one comm record.
 func stripWait(c *obs.CommTotals) {
-	c.RecvBlockedWallNs = 0
-	c.RecvQueueWallNs = 0
-	c.RecvsBlockedWall = 0
 	c.BarrierWaitWallNs = 0
 }
 

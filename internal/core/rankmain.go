@@ -47,10 +47,10 @@ func (lv *level) span(phase obs.PhaseID, iter int32) span {
 	return span{phase: phase, iter: iter, start: lv.jlog.Now(), stats: lv.c.Stats()}
 }
 
-// end closes sp. The traffic sent since the span opened (p2p plus
-// modeled collective steps) and ops go to the level's cost table, and
-// the same counters, the move counts and the blocked time go to the
-// journal as one event.
+// end closes sp. The traffic sent since the span opened (Alltoallv
+// payloads plus modeled collective steps) and ops go to the level's
+// cost table, and the same counters, the move counts and the blocked
+// time go to the journal as one event.
 func (lv *level) end(sp span, ops int64, moves, deferred int) {
 	d := lv.c.Stats().Sub(sp.stats)
 	c := trace.RankCost{Ops: ops, Msgs: d.MsgsSent + d.CollectiveMsgs, Bytes: d.BytesSent + d.CollectiveBytes}

@@ -18,12 +18,10 @@ import (
 type WaitWallProfile struct {
 	// RunNs is the journal-measured run wall.
 	RunNs int64
-	// LateSenderNs / LateReceiverNs / BarrierSkewNs / ImbalanceNs are
-	// the lost-time attribution totals summed over ranks.
-	LateSenderNs   int64
-	LateReceiverNs int64
-	BarrierSkewNs  int64
-	ImbalanceNs    int64
+	// BarrierSkewNs / ImbalanceNs are the lost-time attribution totals
+	// summed over ranks.
+	BarrierSkewNs int64
+	ImbalanceNs   int64
 	// LostFraction is blocked time over total rank-time.
 	LostFraction float64
 	// CritSegments counts critical-path segments; CritCoverage is the
@@ -86,8 +84,6 @@ func RunWaitStates(o Options, datasets []string, ps []int) ([]WaitRow, error) {
 			}
 			if lt := obs.BuildLostTime(res.CommStats, cfg.Journal); lt != nil {
 				for _, rl := range lt.Ranks {
-					row.WallProfile.LateSenderNs += rl.LateSenderWallNs
-					row.WallProfile.LateReceiverNs += rl.LateReceiverWallNs
 					row.WallProfile.BarrierSkewNs += rl.BarrierSkewWallNs
 					row.WallProfile.ImbalanceNs += rl.ImbalanceWallNs
 				}
@@ -119,9 +115,8 @@ func FormatWaitStates(w io.Writer, rows []WaitRow) {
 		fmt.Fprintf(w, "%-14s p=%-3d recvs %d, collectives %d, syncs %d, %d B, conservation %s\n",
 			r.Dataset, r.P, r.Recvs, r.Collectives, r.BarrierSyncs, r.TotalBytes, ok)
 		wp := r.WallProfile
-		fmt.Fprintf(w, "  wall: run %s; lost late-sender %s, late-recv %s, barrier-skew %s, imbalance %s (%.1f%% lost)\n",
-			ns(wp.RunNs), ns(wp.LateSenderNs), ns(wp.LateReceiverNs),
-			ns(wp.BarrierSkewNs), ns(wp.ImbalanceNs), 100*wp.LostFraction)
+		fmt.Fprintf(w, "  wall: run %s; lost barrier-skew %s, imbalance %s (%.1f%% lost)\n",
+			ns(wp.RunNs), ns(wp.BarrierSkewNs), ns(wp.ImbalanceNs), 100*wp.LostFraction)
 		fmt.Fprintf(w, "  critical path: %d segments covering %.1f%% of run wall\n",
 			wp.CritSegments, 100*wp.CritCoverage)
 	}

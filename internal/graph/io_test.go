@@ -69,34 +69,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddWeightedEdge(0, 1, 2)
-	b.AddWeightedEdge(1, 2, 1)
-	b.AddWeightedEdge(2, 2, 3) // self-loop
-	g := b.Build()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("binary round trip changed the graph")
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all, sorry"))); err == nil {
-		t.Fatal("ReadBinary accepted garbage")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Fatal("ReadBinary accepted empty input")
-	}
-}
-
 func graphsEqual(a, b *Graph) bool {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return false
@@ -126,18 +98,17 @@ func graphsEqual(a, b *Graph) bool {
 	return true
 }
 
-// Property: text and binary round trips are lossless for random graphs.
+// Property: text round trips are lossless for random graphs.
 func TestPropertyIORoundTrips(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 20, 50)
-		var tb, bb bytes.Buffer
-		if WriteEdgeList(&tb, g) != nil || WriteBinary(&bb, g) != nil {
+		var tb bytes.Buffer
+		if WriteEdgeList(&tb, g) != nil {
 			return false
 		}
-		g1, err1 := ReadEdgeList(&tb)
-		g2, err2 := ReadBinary(&bb)
-		return err1 == nil && err2 == nil && graphsEqual(g, g1) && graphsEqual(g, g2)
+		g1, err := ReadEdgeList(&tb)
+		return err == nil && graphsEqual(g, g1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

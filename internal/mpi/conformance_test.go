@@ -2,14 +2,15 @@
 // backends — the in-process goroutine transport and the multi-process
 // proc transport (exercised in-process as one ProcTransport per rank
 // goroutine over real unix sockets, so -race sees the full wire path).
-// The suite pins the Transport contract: p2p ordering and tag matching,
-// every collective, bit-identical reductions across backends, the
-// kind-conservation invariant, wait-state classification, and clean
-// poison propagation with the cause preserved.
+// The suite pins the Transport contract: every collective, bit-identical
+// reductions across backends, the kind-conservation invariant,
+// synchronization-skew accounting, and clean poison propagation with the
+// cause preserved.
 package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -35,7 +36,9 @@ func shortTempDir(t testing.TB) string {
 // runProcWorld runs fn as an SPMD program over the proc backend, one
 // ProcTransport per rank goroutine connected over unix sockets. It
 // fails the test on any rank error and returns per-rank stats, making
-// it signature-compatible with Run for the conformance table.
+// it signature-compatible with Run for the conformance table. A
+// WithRecorder option records every rank into the one recorder (each
+// rank appends only to its own slot), like Run does.
 func runProcWorld(t *testing.T, size int, fn func(c *Comm), opts ...RunOpt) []Stats {
 	t.Helper()
 	stats, errs := runProcWorldErrs(t, size, fn, opts...)
@@ -51,12 +54,19 @@ func runProcWorld(t *testing.T, size int, fn func(c *Comm), opts ...RunOpt) []St
 // tests that expect rank errors (poison propagation).
 func runProcWorldErrs(t *testing.T, size int, fn func(c *Comm), opts ...RunOpt) ([]Stats, []error) {
 	t.Helper()
+	var bag World
+	for _, opt := range opts {
+		opt(&bag)
+	}
 	dir := shortTempDir(t)
 	listeners, addrs, err := ListenRanks("unix", size, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	epoch := time.Now()
+	if bag.rec != nil {
+		epoch = bag.rec.Epoch()
+	}
 	stats := make([]Stats, size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -73,7 +83,7 @@ func runProcWorldErrs(t *testing.T, size int, fn func(c *Comm), opts ...RunOpt) 
 				errs[rank] = err
 				return
 			}
-			stats[rank], errs[rank] = RunRank(tr, nil, fn)
+			stats[rank], errs[rank] = RunRank(tr, bag.rec, fn)
 		}(r)
 	}
 	wg.Wait()
@@ -97,50 +107,6 @@ func backendRunners() []struct {
 	}
 }
 
-func TestConformanceP2POrdering(t *testing.T) {
-	for _, b := range backendRunners() {
-		t.Run(b.name, func(t *testing.T) {
-			b.run(t, 2, func(c *Comm) {
-				const n = 50
-				if c.Rank() == 0 {
-					for i := 0; i < n; i++ {
-						c.Send(1, 7, []byte{byte(i)})
-					}
-					return
-				}
-				for i := 0; i < n; i++ {
-					data, from := c.Recv(0, 7)
-					if from != 0 || len(data) != 1 || data[0] != byte(i) {
-						t.Errorf("message %d: got %v from %d", i, data, from)
-					}
-				}
-			}, WithTimeout(10*time.Second))
-		})
-	}
-}
-
-func TestConformanceTagMatching(t *testing.T) {
-	for _, b := range backendRunners() {
-		t.Run(b.name, func(t *testing.T) {
-			b.run(t, 2, func(c *Comm) {
-				if c.Rank() == 0 {
-					c.Send(1, 1, []byte("one"))
-					c.Send(1, 2, []byte("two"))
-					c.Send(1, 3, []byte("three"))
-					return
-				}
-				// Ask out of send order: matching is by tag, not arrival.
-				three, _ := c.Recv(0, 3)
-				one, _ := c.Recv(0, 1)
-				two, _ := c.Recv(0, 2)
-				if string(one) != "one" || string(two) != "two" || string(three) != "three" {
-					t.Errorf("tag matching broke: %q %q %q", one, two, three)
-				}
-			}, WithTimeout(10*time.Second))
-		})
-	}
-}
-
 func TestConformanceCollectives(t *testing.T) {
 	const p = 4
 	for _, b := range backendRunners() {
@@ -155,32 +121,14 @@ func TestConformanceCollectives(t *testing.T) {
 					}
 				}
 
-				var payload []byte
-				if r == 2 {
-					payload = []byte("broadcast")
-				}
-				if got := c.BcastBytes(2, payload); string(got) != "broadcast" {
-					t.Errorf("bcast = %q", got)
-				}
-
-				if got := c.AllreduceF64(float64(r+1), OpSum); got != 10 {
+				if got := c.AllreduceI64(int64(r+1), OpSum); got != 10 {
 					t.Errorf("allreduce sum = %v, want 10", got)
 				}
-				if got := c.AllreduceF64(float64(r), OpMax); got != p-1 {
+				if got := c.AllreduceI64(int64(r), OpMax); got != p-1 {
 					t.Errorf("allreduce max = %v, want %d", got, p-1)
 				}
 				if got := c.AllreduceI64(int64(r), OpMin); got != 0 {
 					t.Errorf("allreduce min = %v, want 0", got)
-				}
-
-				vec := c.AllreduceSumF64s([]float64{float64(r), 1})
-				if vec[0] != 6 || vec[1] != p {
-					t.Errorf("sumf64s = %v", vec)
-				}
-
-				ml := c.AllreduceMinLoc(float64((r+2)%p) + 0.5)
-				if ml.Rank != p-2 || ml.Value != 0.5 {
-					t.Errorf("minloc = %+v", ml)
 				}
 
 				bufs := make([][]byte, p)
@@ -198,8 +146,6 @@ func TestConformanceCollectives(t *testing.T) {
 						t.Errorf("alltoallv[%d] = %v", src, recv[src])
 					}
 				}
-
-				c.Barrier()
 			}, WithTimeout(10*time.Second))
 		})
 	}
@@ -207,24 +153,47 @@ func TestConformanceCollectives(t *testing.T) {
 
 // TestConformanceReductionParity pins the cross-backend determinism
 // contract: the same SPMD reduction produces bit-identical results on
-// both transports (fixed rank-order summation, independent of message
-// arrival order).
+// both transports. Float partials are gathered and summed in fixed rank
+// order — the reduction the core applies to its gathered partials — so
+// the result cannot depend on frame arrival order.
 func TestConformanceReductionParity(t *testing.T) {
 	const p = 4
+	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 	results := map[string][]byte{}
 	for _, b := range backendRunners() {
 		var mu sync.Mutex
 		var encoded []byte
 		b.run(t, p, func(c *Comm) {
-			acc := c.AllreduceF64(math.Sqrt(float64(c.Rank())+0.1)*1e-3, OpSum)
-			vec := c.AllreduceSumF64s([]float64{acc, acc * math.Pi})
-			e := NewEncoder(32)
-			e.PutF64(acc)
-			e.PutF64(vec[0])
-			e.PutF64(vec[1])
-			if c.Rank() == 0 {
+			r := c.Rank()
+			e := NewEncoder(16)
+			e.PutF64(math.Sqrt(float64(r)+0.1) * 1e-3)
+			e.PutF64(math.Sqrt(float64(r)+0.1) * math.Pi)
+			var vec [2]float64
+			for _, part := range c.AllgatherBytes(e.Bytes()) {
+				vec[0] += f64(part)
+				vec[1] += f64(part[8:])
+			}
+			// What a rank receives from each source depends on both
+			// ends; it is summed in source order.
+			bufs := make([][]byte, p)
+			for dst := range bufs {
+				be := NewEncoder(8)
+				be.PutF64(vec[0] * math.Sqrt(float64(1+r*p+dst)))
+				bufs[dst] = be.Bytes()
+			}
+			var col float64
+			for _, part := range c.Alltoallv(bufs) {
+				col += f64(part)
+			}
+			max := c.AllreduceI64(int64(math.Float64bits(col)), OpMax)
+			out := NewEncoder(32)
+			out.PutF64(vec[0])
+			out.PutF64(vec[1])
+			out.PutF64(col)
+			out.PutI64(max)
+			if r == 0 {
 				mu.Lock()
-				encoded = append([]byte(nil), e.Bytes()...)
+				encoded = append([]byte(nil), out.Bytes()...)
 				mu.Unlock()
 			}
 		}, WithTimeout(10*time.Second))
@@ -236,70 +205,77 @@ func TestConformanceReductionParity(t *testing.T) {
 	}
 }
 
-// TestConformanceKindConservation drives mixed kinded traffic and
-// asserts the per-kind buckets still sum to the totals on both
-// backends.
+// TestConformanceKindConservation drives collectives under several
+// ambient kinds and asserts the per-kind buckets still sum to the
+// totals on both backends.
 func TestConformanceKindConservation(t *testing.T) {
 	const p = 3
 	for _, b := range backendRunners() {
 		t.Run(b.name, func(t *testing.T) {
 			stats := b.run(t, p, func(c *Comm) {
 				r := c.Rank()
-				prev := c.SetKind(KindGhostUpdate)
-				c.Send((r+1)%p, TagFor(KindModuleInfo, 5), []byte("info"))
-				c.Recv((r+p-1)%p, TagFor(KindModuleInfo, 5))
-				c.AllreduceF64(float64(r), OpSum)
+				prev := c.SetKind(KindModuleInfo)
+				bufs := make([][]byte, p)
+				for dst := range bufs {
+					if dst != r {
+						bufs[dst] = []byte("info")
+					}
+				}
+				c.Alltoallv(bufs)
+				c.SetKind(KindGhostUpdate)
+				c.AllreduceI64(int64(r), OpSum)
 				c.SetKind(KindMergeShuffle)
-				c.Barrier()
+				c.AllgatherBytes([]byte{byte(r)})
 				c.SetKind(prev)
 			}, WithTimeout(10*time.Second))
 			for r, s := range stats {
 				if !s.Conserved() {
 					t.Errorf("rank %d: kind buckets do not sum to totals: %+v", r, s)
 				}
-				if s.ByKind[KindModuleInfo].MsgsSent != 1 || s.ByKind[KindModuleInfo].MsgsRecv != 1 {
-					t.Errorf("rank %d: ModuleInfo msgs = %d/%d, want 1/1",
-						r, s.ByKind[KindModuleInfo].MsgsSent, s.ByKind[KindModuleInfo].MsgsRecv)
+				if s.ByKind[KindModuleInfo].MsgsSent != p-1 || s.ByKind[KindModuleInfo].MsgsRecv != p-1 {
+					t.Errorf("rank %d: ModuleInfo msgs = %d/%d, want %d/%d",
+						r, s.ByKind[KindModuleInfo].MsgsSent, s.ByKind[KindModuleInfo].MsgsRecv, p-1, p-1)
+				}
+				if s.ByKind[KindGhostUpdate].Collectives != 1 || s.ByKind[KindMergeShuffle].Collectives != 1 {
+					t.Errorf("rank %d: ghost_update/merge_shuffle collectives = %d/%d, want 1/1",
+						r, s.ByKind[KindGhostUpdate].Collectives, s.ByKind[KindMergeShuffle].Collectives)
 				}
 			}
 		})
 	}
 }
 
-// TestConformanceWaitStates pins wait-state classification on both
-// backends: a late sender charges blocked wait, an early sender whose
-// receiver dawdles charges queue residency. The proc backend's send
-// stamps cross process-comparable clocks (the shared epoch), so the
-// same classification must hold there.
+// TestConformanceWaitStates pins wait accounting on both backends: a
+// rank that reaches a collective late charges the arrival-to-release
+// skew to the prompt rank, under the ambient kind of the collective,
+// and barely any to itself. The proc backend's stamps share the
+// launcher's epoch, so the same attribution must hold there.
 func TestConformanceWaitStates(t *testing.T) {
 	const lag = 30 * time.Millisecond
 	for _, b := range backendRunners() {
 		t.Run(b.name, func(t *testing.T) {
 			stats := b.run(t, 2, func(c *Comm) {
+				c.SetKind(KindModulePartial)
 				if c.Rank() == 0 {
-					time.Sleep(lag) // late sender for tag 1
-					c.Send(1, 1, []byte("late"))
-					c.Send(1, 2, []byte("early"))
-					c.Barrier()
-					return
+					time.Sleep(lag) // late to the collective
 				}
-				c.Recv(0, 1) // blocks on the late sender
-				c.Barrier()  // tag-2 message now sits queued
-				time.Sleep(lag)
-				c.Recv(0, 2) // late receiver
+				c.AllreduceI64(1, OpSum)
 			}, WithTimeout(10*time.Second))
-			s := stats[1]
-			if s.RecvsBlocked != 1 {
-				t.Errorf("RecvsBlocked = %d, want 1", s.RecvsBlocked)
+			fast, slow := stats[1], stats[0]
+			if fast.BarrierWaitNs < int64(lag/2) {
+				t.Errorf("prompt rank BarrierWaitNs = %d, want >= %d", fast.BarrierWaitNs, int64(lag/2))
 			}
-			if s.RecvBlockedNs < int64(lag/2) {
-				t.Errorf("RecvBlockedNs = %d, want >= %d", s.RecvBlockedNs, int64(lag/2))
+			if slow.BarrierWaitNs >= fast.BarrierWaitNs {
+				t.Errorf("late rank waited %dns, prompt rank %dns: skew charged to the wrong side",
+					slow.BarrierWaitNs, fast.BarrierWaitNs)
 			}
-			if s.RecvQueueNs < int64(lag/2) {
-				t.Errorf("RecvQueueNs = %d, want >= %d", s.RecvQueueNs, int64(lag/2))
+			if got := fast.ByKind[KindModulePartial].BarrierWaitNs; got != fast.BarrierWaitNs {
+				t.Errorf("module_partial BarrierWaitNs = %d, want all %d", got, fast.BarrierWaitNs)
 			}
-			if !s.Conserved() {
-				t.Errorf("wait-state counters broke conservation: %+v", s)
+			for r, s := range stats {
+				if !s.Conserved() {
+					t.Errorf("rank %d: wait counters broke conservation: %+v", r, s)
+				}
 			}
 		})
 	}
@@ -307,24 +283,22 @@ func TestConformanceWaitStates(t *testing.T) {
 
 // TestConformanceBarrierSyncCounts pins the accounting parity that the
 // CI diff job relies on: every backend bills a collective as exactly
-// two synchronization points and a barrier as one, so BarrierSyncs (a
-// deterministic counter) must be identical across transports.
+// two synchronization points, so BarrierSyncs (a deterministic counter)
+// must be identical across transports.
 func TestConformanceBarrierSyncCounts(t *testing.T) {
 	counts := map[string]int64{}
 	for _, b := range backendRunners() {
 		stats := b.run(t, 3, func(c *Comm) {
-			c.Barrier()
 			c.AllgatherBytes([]byte{byte(c.Rank())})
-			c.AllreduceF64(1, OpSum)
+			c.AllreduceI64(1, OpSum)
 			c.Alltoallv(make([][]byte, 3))
-			c.BcastBytes(0, []byte("x"))
 		}, WithTimeout(10*time.Second))
 		counts[b.name] = stats[0].BarrierSyncs
 	}
 	if counts["goroutine"] != counts["proc"] {
 		t.Fatalf("BarrierSyncs differ: goroutine %d, proc %d", counts["goroutine"], counts["proc"])
 	}
-	if want := int64(1 + 2*4); counts["goroutine"] != want {
+	if want := int64(2 * 3); counts["goroutine"] != want {
 		t.Fatalf("BarrierSyncs = %d, want %d", counts["goroutine"], want)
 	}
 }
@@ -341,7 +315,7 @@ func TestProcPoisonPropagatesCause(t *testing.T) {
 			panic("injected fault on rank 2")
 		}
 		for i := 0; ; i++ {
-			c.AllreduceF64(float64(i), OpSum)
+			c.AllreduceI64(int64(i), OpSum)
 		}
 	}, WithTimeout(30*time.Second))
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
@@ -357,17 +331,20 @@ func TestProcPoisonPropagatesCause(t *testing.T) {
 	}
 }
 
-// TestConformancePoisonDiagnostics pins satellite-1's failure
-// diagnostics on both backends: a rank blocked in Recv when the world
-// is poisoned unwinds with the cause, the time it spent blocked, and a
-// pending-inbox summary — not the old bare "world poisoned" message.
+// TestConformancePoisonDiagnostics pins the failure diagnostics on
+// both backends: a rank blocked in a collective when the world is
+// poisoned unwinds with the cause and the time it spent blocked — not a
+// bare "world poisoned" message. On the proc backend the message also
+// names the frame it waited for and summarizes the pending inbox: rank
+// 2's allgather frame has arrived, rank 1's never will.
 func TestConformancePoisonDiagnostics(t *testing.T) {
 	for _, b := range backendRunners() {
 		t.Run(b.name, func(t *testing.T) {
 			var msg string
 			var mu sync.Mutex
 			fn := func(c *Comm) {
-				if c.Rank() == 0 {
+				switch c.Rank() {
+				case 0:
 					defer func() {
 						if p := recover(); p != nil {
 							mu.Lock()
@@ -376,26 +353,32 @@ func TestConformancePoisonDiagnostics(t *testing.T) {
 							panic(p)
 						}
 					}()
-					c.Send(0, 9, []byte("pending-self")) // sits unmatched in our inbox
-					c.Recv(1, 42)                        // blocks forever
-					return
+					c.AllgatherBytes([]byte("r0")) // blocks on rank 1 forever
+				case 1:
+					time.Sleep(20 * time.Millisecond)
+					panic("boom with context")
+				default:
+					c.AllgatherBytes([]byte("r2"))
 				}
-				time.Sleep(20 * time.Millisecond)
-				panic("boom with context")
 			}
 			if b.name == "goroutine" {
 				func() {
 					defer func() { recover() }()
-					Run(2, fn, WithTimeout(10*time.Second))
+					Run(3, fn, WithTimeout(10*time.Second))
 				}()
 			} else {
-				runProcWorldErrs(t, 2, fn, WithTimeout(10*time.Second))
+				runProcWorldErrs(t, 3, fn, WithTimeout(10*time.Second))
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			for _, want := range []string{"boom with context", "Recv(src=1, tag=42)", "cause:", "pending", "src=0 tag=9"} {
-				if !strings.Contains(msg, want) {
-					t.Errorf("poison panic %q missing %q", msg, want)
+			want := []string{"boom with context", "cause:", "world poisoned while waiting in "}
+			if b.name == "proc" {
+				want = append(want, fmt.Sprintf("Allgather(src=1, tag=%d)", tagGather), "1 pending:",
+					fmt.Sprintf("(src=2 tag=%d 2B)", tagGather))
+			}
+			for _, w := range want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("poison panic %q missing %q", msg, w)
 				}
 			}
 		})
@@ -479,7 +462,7 @@ func TestSendBuffersInvalidatedOnPoison(t *testing.T) {
 				mu.Lock()
 				sb = b
 				mu.Unlock()
-				c.Recv(1, 1) // blocks; poisoned by rank 1's panic
+				c.AllgatherBytes(nil) // blocks; poisoned by rank 1's panic
 				return
 			}
 			panic("die mid-round")
@@ -534,11 +517,11 @@ func TestProcTransportTelemetry(t *testing.T) {
 				return
 			}
 			_, errs[rank] = RunRank(tr, nil, func(c *Comm) {
+				bufs := make([][]byte, size)
 				for i := 0; i < 20; i++ {
-					c.Send(1-c.Rank(), 7+i, bytes.Repeat([]byte{byte(i)}, 100+i))
-					c.Recv(1-c.Rank(), 7+i)
+					bufs[1-c.Rank()] = bytes.Repeat([]byte{byte(i)}, 100+i)
+					c.Alltoallv(bufs)
 				}
-				c.Barrier()
 			})
 			stats[rank] = tr.Telemetry()
 		}(r)
@@ -564,8 +547,8 @@ func TestProcTransportTelemetry(t *testing.T) {
 		}
 	}
 	// Conservation: sent(0→1) == recv(1←0) and vice versa, frames and
-	// bytes alike. Finish/barrier traffic is included on both sides, so
-	// the totals still balance.
+	// bytes alike. Finish's barrier traffic is included on both sides,
+	// so the totals still balance.
 	for r := 0; r < size; r++ {
 		peer := 1 - r
 		sent := stats[r].Peers[peer]

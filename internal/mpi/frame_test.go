@@ -122,8 +122,8 @@ func FuzzReadFrame(f *testing.F) {
 // TestProcFrameRecycling runs many Alltoallv and AllgatherBytes rounds
 // over real sockets with payloads that grow past a chunk and shrink
 // again, so received frames are recycled into payloads of other sizes,
-// and checks every received byte. p2p payloads received along the way
-// belong to the caller and must survive every later collective intact.
+// and checks every received byte. Every few rounds an AllreduceI64
+// pushes 8-byte frames through the same recycled buffers.
 func TestProcFrameRecycling(t *testing.T) {
 	const size, rounds = 3, 60
 	fill := func(round, src, dst, n int) []byte {
@@ -145,11 +145,6 @@ func TestProcFrameRecycling(t *testing.T) {
 	}
 	runProcWorld(t, size, func(c *Comm) {
 		me := c.Rank()
-		type kept struct {
-			round int
-			data  []byte
-		}
-		var p2p []kept
 		for round := 0; round < rounds; round++ {
 			bufs := make([][]byte, size)
 			for dst := range bufs {
@@ -169,17 +164,11 @@ func TestProcFrameRecycling(t *testing.T) {
 				}
 			}
 			if round%10 == 5 {
-				next := (me + 1) % size
-				prev := (me + size - 1) % size
-				c.Send(next, 7, fill(round, me, next, 300+round))
-				data, _ := c.Recv(prev, 7)
-				p2p = append(p2p, kept{round, data})
-			}
-		}
-		prev := (me + size - 1) % size
-		for _, k := range p2p {
-			if !bytes.Equal(k.data, fill(k.round, prev, me, 300+k.round)) {
-				panic(fmt.Sprintf("p2p payload of round %d changed after later collectives", k.round))
+				v := int64(round)<<40 | int64(me+1)<<20
+				want := int64(size*round)<<40 | int64(size*(size+1)/2)<<20
+				if got := c.AllreduceI64(v, OpSum); got != want {
+					panic(fmt.Sprintf("round %d: AllreduceI64 = %#x, want %#x", round, got, want))
+				}
 			}
 		}
 	})

@@ -8,21 +8,15 @@ package mpi
 // a flat array, which keeps Stats a comparable value type and makes the
 // conservation invariant (kind sums == totals) cheap to verify.
 //
-// Attribution works two ways:
-//
-//   - point-to-point Send/Recv derive the kind from the message tag
-//     (TagFor packs a Kind into the tag's upper bits; plain small tags
-//     carry kind 0 = KindOther);
-//   - collectives, which have no tag, are charged to the Comm's ambient
-//     kind, set by SetKind at protocol-phase boundaries.
+// Every collective is charged to the Comm's ambient kind, set by
+// SetKind at protocol-phase boundaries.
 type Kind uint8
 
 // The message kinds of the distributed Infomap protocol. KindOther is
-// deliberately the zero value: legacy tags without kind bits and
-// collectives issued before any SetKind land there, never in a named
-// bucket they do not belong to.
+// deliberately the zero value: collectives issued before any SetKind
+// land there, never in a named bucket they do not belong to.
 const (
-	// KindOther is unclassified traffic (zero value; legacy tags).
+	// KindOther is unclassified traffic (zero value).
 	KindOther Kind = iota
 	// KindModuleInfo is authoritative module statistics delivered to
 	// subscribers (the paper's List 1 / Module_Info interface), with the
@@ -47,15 +41,15 @@ const (
 	// KindSetup is preprocessing exchanges: ghost registration and the
 	// flow/strength gathers that build a level.
 	KindSetup
-	// KindCollective is control collectives: barriers and the live
-	// vertex count that opens a level.
+	// KindCollective is control collectives: the live vertex count that
+	// opens a level.
 	KindCollective
 	// NumKinds is the number of kinds; Stats.ByKind has this length.
 	NumKinds int = iota
 )
 
-// kindNames is indexed by Kind; these are the stable wire/label names
-// used by the run report (comms.by_kind) and the Prometheus exposition.
+// kindNames is indexed by Kind; these are the stable label names used
+// by the run report (comms.by_kind and every other per-kind map).
 var kindNames = [NumKinds]string{
 	"other",
 	"module_info",
@@ -84,34 +78,6 @@ func KindNames() []string {
 	return out
 }
 
-// Tag packing: the upper bits of a message tag carry the kind, the low
-// kindShift bits the caller's sequence/tag value. Plain tags below
-// 1<<kindShift have kind bits zero and classify as KindOther, so all
-// pre-existing tag usage keeps its meaning.
-const kindShift = 24
-
-// TagFor packs kind k and a caller tag (0 <= tag < 1<<24) into one
-// wire tag. Send/Recv attribute the message to k.
-func TagFor(k Kind, tag int) int {
-	if tag < 0 || tag >= 1<<kindShift {
-		panic("mpi: TagFor tag out of range")
-	}
-	return int(k)<<kindShift | tag
-}
-
-// KindOfTag extracts the kind packed into tag; tags without valid kind
-// bits (including all plain small tags) classify as KindOther.
-func KindOfTag(tag int) Kind {
-	if tag < 0 {
-		return KindOther
-	}
-	k := tag >> kindShift
-	if k <= 0 || k >= NumKinds {
-		return KindOther
-	}
-	return Kind(k)
-}
-
 // KindStats counts one kind's share of a rank's traffic; the fields
 // mirror Stats' totals. For every field, summing KindStats over all
 // kinds equals the Stats total (the conservation invariant: every
@@ -123,12 +89,8 @@ type KindStats struct {
 	CollectiveBytes      int64
 	CollectiveMsgs       int64
 
-	// Wait-state counters, mirroring Stats: receive waits follow the
-	// message's resolved kind, barrier/collective skew follows the
+	// Wait counters, mirroring Stats: synchronization skew follows the
 	// ambient kind at the synchronization point.
-	RecvBlockedNs int64
-	RecvQueueNs   int64
-	RecvsBlocked  int64
 	BarrierWaitNs int64
 	BarrierSyncs  int64
 }
@@ -142,9 +104,6 @@ func (s *KindStats) add(other KindStats) {
 	s.Collectives += other.Collectives
 	s.CollectiveBytes += other.CollectiveBytes
 	s.CollectiveMsgs += other.CollectiveMsgs
-	s.RecvBlockedNs += other.RecvBlockedNs
-	s.RecvQueueNs += other.RecvQueueNs
-	s.RecvsBlocked += other.RecvsBlocked
 	s.BarrierWaitNs += other.BarrierWaitNs
 	s.BarrierSyncs += other.BarrierSyncs
 }
@@ -159,23 +118,21 @@ func (s KindStats) sub(prev KindStats) KindStats {
 		Collectives:     s.Collectives - prev.Collectives,
 		CollectiveBytes: s.CollectiveBytes - prev.CollectiveBytes,
 		CollectiveMsgs:  s.CollectiveMsgs - prev.CollectiveMsgs,
-		RecvBlockedNs:   s.RecvBlockedNs - prev.RecvBlockedNs,
-		RecvQueueNs:     s.RecvQueueNs - prev.RecvQueueNs,
-		RecvsBlocked:    s.RecvsBlocked - prev.RecvsBlocked,
 		BarrierWaitNs:   s.BarrierWaitNs - prev.BarrierWaitNs,
 		BarrierSyncs:    s.BarrierSyncs - prev.BarrierSyncs,
 	}
 }
 
-// TotalBytes returns all bytes attributed to this kind (p2p + modeled
-// collective traffic), the per-kind counterpart of Stats.TotalBytes.
+// TotalBytes returns all bytes attributed to this kind (Alltoallv
+// payloads + modeled collective traffic), the per-kind counterpart of
+// Stats.TotalBytes.
 func (s KindStats) TotalBytes() int64 {
 	return s.BytesSent + s.BytesRecv + s.CollectiveBytes
 }
 
 // KindSums re-derives the aggregate totals from the per-kind buckets.
 // By the conservation invariant it equals the Stats totals field-for-
-// field; tests and the metrics exposition use it to verify that.
+// field; Conserved and the tests use it to verify that.
 func (s Stats) KindSums() KindStats {
 	var sum KindStats
 	for k := range s.ByKind {
@@ -196,9 +153,6 @@ func (s Stats) Conserved() bool {
 		Collectives:     s.Collectives,
 		CollectiveBytes: s.CollectiveBytes,
 		CollectiveMsgs:  s.CollectiveMsgs,
-		RecvBlockedNs:   s.RecvBlockedNs,
-		RecvQueueNs:     s.RecvQueueNs,
-		RecvsBlocked:    s.RecvsBlocked,
 		BarrierWaitNs:   s.BarrierWaitNs,
 		BarrierSyncs:    s.BarrierSyncs,
 	}

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestTagForKindRoundTrip(t *testing.T) {
-	for k := Kind(0); int(k) < NumKinds; k++ {
-		for _, tag := range []int{0, 1, 7, 1<<kindShift - 1} {
-			packed := TagFor(k, tag)
-			if got := KindOfTag(packed); got != k && !(k == KindOther && got == KindOther) {
-				t.Fatalf("KindOfTag(TagFor(%v, %d)) = %v", k, tag, got)
-			}
-		}
-	}
-	// Plain small tags (no kind bits) classify as KindOther.
-	for _, tag := range []int{0, 1, 42, 99, 1<<kindShift - 1} {
-		if got := KindOfTag(tag); got != KindOther {
-			t.Fatalf("KindOfTag(%d) = %v, want KindOther", tag, got)
-		}
-	}
-	// Out-of-range kind bits fall back to KindOther instead of indexing
-	// past ByKind.
-	if got := KindOfTag(NumKinds << kindShift); got != KindOther {
-		t.Fatalf("KindOfTag(out of range) = %v, want KindOther", got)
-	}
-	if got := KindOfTag(-1); got != KindOther {
-		t.Fatalf("KindOfTag(-1) = %v, want KindOther", got)
-	}
-}
-
 func TestKindNamesStable(t *testing.T) {
 	names := KindNames()
 	if len(names) != NumKinds {
@@ -54,30 +29,33 @@ func TestKindNamesStable(t *testing.T) {
 }
 
 // TestKindConservation is the per-kind conservation property test: on a
-// multi-rank run mixing tagged p2p, ambient-kind p2p, collectives under
-// several ambient kinds, and alltoallv exchanges, every rank's kind
+// multi-rank run mixing collectives under several ambient kinds, alltoallv
+// exchanges, and traffic issued before any SetKind, every rank's kind
 // buckets must sum to its aggregate totals on every field.
 func TestKindConservation(t *testing.T) {
 	const p = 4
 	stats := Run(p, func(c *Comm) {
 		me := c.Rank()
 		next := (me + 1) % p
-		prev := (me + p - 1) % p
+		ring := func(n int) [][]byte {
+			bufs := make([][]byte, p)
+			bufs[next] = make([]byte, n)
+			return bufs
+		}
 
-		// Tag-derived kinds.
-		c.Send(next, TagFor(KindGhostUpdate, 1), make([]byte, 16+me))
-		c.Recv(prev, TagFor(KindGhostUpdate, 1))
+		// Traffic before any SetKind lands in KindOther.
+		c.Alltoallv(ring(5))
 
-		// Ambient-kind p2p (plain tag, kind from SetKind).
-		restore := c.SetKind(KindModuleInfo)
-		c.Send(next, 2, make([]byte, 33))
-		c.Recv(prev, 2)
+		restore := c.SetKind(KindGhostUpdate)
+		c.Alltoallv(ring(16 + me))
+		c.SetKind(KindModuleInfo)
+		c.Alltoallv(ring(33))
 		c.SetKind(restore)
 
 		// Collectives under different ambient kinds.
 		k := c.SetKind(KindCollective)
-		c.Barrier()
 		c.AllreduceI64(int64(me), OpSum)
+		c.AllreduceI64(int64(me), OpMax)
 		c.SetKind(KindModulePartial)
 		bufs := make([][]byte, p)
 		for dst := range bufs {
@@ -89,10 +67,6 @@ func TestKindConservation(t *testing.T) {
 		c.SetKind(KindAssignment)
 		c.AllgatherBytes(make([]byte, 24))
 		c.SetKind(k)
-
-		// Untagged traffic lands in KindOther.
-		c.Send(next, 3, make([]byte, 5))
-		c.Recv(prev, 3)
 	})
 
 	for r, s := range stats {
@@ -100,9 +74,8 @@ func TestKindConservation(t *testing.T) {
 			t.Errorf("rank %d: kind buckets do not sum to totals:\nsums   %+v\ntotals %+v",
 				r, s.KindSums(), s)
 		}
-		// Spot-check attribution: the tagged p2p went to ghost_update,
-		// the ambient p2p to module_info, the alltoallv to
-		// module_partial, and the plain-tag p2p to other.
+		// Spot-check attribution: each exchange went to the kind that
+		// was ambient when it ran.
 		if got := s.ByKind[KindGhostUpdate].MsgsSent; got != 1 {
 			t.Errorf("rank %d: ghost_update MsgsSent = %d, want 1", r, got)
 		}
@@ -113,7 +86,7 @@ func TestKindConservation(t *testing.T) {
 			t.Errorf("rank %d: module_partial MsgsSent = %d, want 3", r, got)
 		}
 		if got := s.ByKind[KindCollective].Collectives; got != 2 {
-			t.Errorf("rank %d: collective Collectives = %d, want 2 (barrier+allreduce)", r, got)
+			t.Errorf("rank %d: collective Collectives = %d, want 2 (two allreduces)", r, got)
 		}
 		if got := s.ByKind[KindAssignment].Collectives; got != 1 {
 			t.Errorf("rank %d: assignment Collectives = %d, want 1", r, got)
@@ -155,11 +128,12 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 	}()
 	Run(p, func(c *Comm) {
 		comms <- c
-		peer := (c.Rank() + 1) % p
-		c.SetKind(KindGhostUpdate)
+		bufs := make([][]byte, p)
+		bufs[(c.Rank()+1)%p] = make([]byte, 64)
 		for i := 0; i < rounds; i++ {
-			c.Send(peer, TagFor(KindModuleInfo, i%16), make([]byte, 64))
-			c.Recv(peer, TagFor(KindModuleInfo, i%16))
+			c.SetKind(KindModuleInfo)
+			c.Alltoallv(bufs)
+			c.SetKind(KindGhostUpdate)
 			c.AllreduceI64(1, OpSum)
 		}
 	})

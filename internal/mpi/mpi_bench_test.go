@@ -5,46 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkSendRecvPingPong(b *testing.B) {
-	payload := make([]byte, 1024)
-	b.ReportAllocs()
-	Run(2, func(c *Comm) {
-		for i := 0; i < b.N; i++ {
-			if c.Rank() == 0 {
-				c.Send(1, 0, payload)
-				c.Recv(1, 1)
-			} else {
-				c.Recv(0, 0)
-				c.Send(0, 1, payload)
-			}
-		}
-	})
-}
-
-func BenchmarkBarrier(b *testing.B) {
-	for _, p := range []int{2, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			Run(p, func(c *Comm) {
-				for i := 0; i < b.N; i++ {
-					c.Barrier()
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkAllreduceF64(b *testing.B) {
-	for _, p := range []int{2, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			Run(p, func(c *Comm) {
-				for i := 0; i < b.N; i++ {
-					c.AllreduceF64(float64(i), OpSum)
-				}
-			})
-		})
-	}
-}
-
 func BenchmarkAlltoallv(b *testing.B) {
 	for _, size := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {

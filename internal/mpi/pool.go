@@ -113,12 +113,11 @@ func (s *SendBuffers) Bufs() [][]byte {
 // contract over the failure path, where "the next collective" never
 // comes.
 type commPool struct {
-	pub     []byte    // outgoing publish buffer (scalar/vector reduces)
-	a2aOut  [][]byte  // Alltoallv result headers
-	a2aSlab []byte    // Alltoallv payload slab backing a2aOut
-	agOut   [][]byte  // allgather result headers
-	agSlab  []byte    // allgather payload slab backing agOut
-	sumOut  []float64 // AllreduceSumF64s result
+	pub     []byte   // outgoing publish buffer (AllreduceI64)
+	a2aOut  [][]byte // Alltoallv result headers
+	a2aSlab []byte   // Alltoallv payload slab backing a2aOut
+	agOut   [][]byte // allgather result headers
+	agSlab  []byte   // allgather payload slab backing agOut
 }
 
 // pubBuf returns the pooled n-byte publish buffer, growing it if
@@ -153,9 +152,6 @@ func (p *commPool) scrub() {
 	}
 	for i := range p.agOut {
 		p.agOut[i] = nil
-	}
-	for i := range p.sumOut[:cap(p.sumOut)] {
-		p.sumOut[i] = 0
 	}
 }
 

@@ -9,10 +9,11 @@
 // until the connect budget (WithConnectTimeout) runs out; each
 // connection is verified by a handshake carrying the world size, both
 // rank ids, and the build version, so a mis-wired or mis-built mesh
-// fails the launch instead of corrupting a run. Collective traffic
-// rides the same frames under sequence-numbered control tags in the
-// negative tag space, which user tags (TagFor packs kinds into
-// non-negative ints) can never collide with.
+// fails the launch instead of corrupting a run. Every frame carries a
+// tag: barrier tokens and collective payloads are sequence-numbered, and
+// each rank's inbox matches them on (source, tag), so a frame from a
+// peer that ran ahead waits until the collective it belongs to asks
+// for it.
 //
 // Failure semantics mirror the goroutine backend's poison protocol
 // across process boundaries: an aborting rank broadcasts a poison frame
@@ -29,6 +30,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,18 +58,21 @@ const frameChunk = 1 << 20
 // rank still holds the current one; more would only hold memory.
 const framePool = 2
 
-// Control tags live in the negative tag space. Barrier tokens and
-// collective frames are sequence-numbered (SPMD order makes the
-// sequences identical on every rank), so early arrivals from a rank
-// that ran ahead queue harmlessly in the inbox until matched.
+// Frame tags. Barrier tokens and collective frames are
+// sequence-numbered (SPMD order makes the sequences identical on every
+// rank), so early arrivals from a rank that ran ahead queue harmlessly
+// in the inbox until matched.
 const (
 	tagPoison = -1         // payload: the originating error text
 	tagHello  = -2         // handshake frame (never enters the inbox)
 	tagBar    = -(1 << 30) // barrier round r of generation g: tagBar - g*64 - r
 	tagGather = -(2 << 30) // allgather seq s: tagGather - s
 	tagScat   = -(3 << 30) // alltoallv seq s: tagScat - s
-	tagBcast  = -(4 << 30) // bcast seq s: tagBcast - s
 )
+
+// anyPeer is the handshake's wantPeer on the accept side: the hello
+// itself says which rank dialed.
+const anyPeer = -1
 
 // handshakeMagic identifies a dinfomap mesh peer; the low bytes spell
 // "dnfomesh".
@@ -201,6 +206,80 @@ func readFrame(r io.Reader, hdr, buf []byte, limit uint64) (frame, error) {
 	return f, nil
 }
 
+// message is one frame waiting in a rank's inbox. sentAt is the
+// sender's epoch-relative stamp, carried in the frame header; recorded
+// runs turn it into the send end of a flow arrow.
+type message struct {
+	src, tag int
+	data     []byte
+	sentAt   time.Duration
+}
+
+// inbox is an unbounded mailbox with (src, tag) matching: the peer
+// readers put every arriving frame here, and the rank's collectives
+// take the one they are waiting for.
+type inbox struct {
+	mu      sync.Mutex
+	queue   []message
+	arrived chan struct{} // 1-buffered doorbell
+}
+
+func newInbox() *inbox {
+	return &inbox{arrived: make(chan struct{}, 1)}
+}
+
+func (ib *inbox) put(m message) {
+	ib.mu.Lock()
+	ib.queue = append(ib.queue, m)
+	ib.mu.Unlock()
+	select {
+	case ib.arrived <- struct{}{}:
+	default:
+	}
+}
+
+// take removes and returns the first message matching (src, tag); ok is
+// false when nothing matches.
+func (ib *inbox) take(src, tag int) (message, bool) {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	for i, m := range ib.queue {
+		if m.src == src && m.tag == tag {
+			// Shift the tail down and zero the vacated slot: a plain
+			// append(queue[:i], queue[i+1:]...) would leave a second
+			// reference to the last message in the backing array,
+			// retaining its payload for the inbox's lifetime.
+			n := len(ib.queue)
+			copy(ib.queue[i:], ib.queue[i+1:])
+			ib.queue[n-1] = message{}
+			ib.queue = ib.queue[:n-1]
+			return m, true
+		}
+	}
+	return message{}, false
+}
+
+// summary describes the pending queue for failure diagnostics: how many
+// messages are waiting and the (src, tag, size) of the first few. It is
+// only called on panic paths.
+func (ib *inbox) summary() string {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	if len(ib.queue) == 0 {
+		return "inbox empty"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d pending:", len(ib.queue))
+	for i, m := range ib.queue {
+		if i == 4 {
+			fmt.Fprintf(&b, " +%d more", len(ib.queue)-i)
+			break
+		}
+		fmt.Fprintf(&b, " (src=%d tag=%d %dB)", m.src, m.tag, len(m.data))
+	}
+	return b.String()
+}
+
 // ProcTransport is the multi-process Transport: this process's endpoint
 // into a world of one-process-per-rank peers. Create one with DialProc
 // and run the rank with RunRank.
@@ -252,9 +331,9 @@ type peerCounters struct {
 
 // PeerTraffic is one peer's share of a rank's wire traffic: whole
 // frames (header included), as put on and taken off the socket. The
-// frame counts are deterministic for a given run — every message,
-// barrier token, and collective frame is one frame — while byte counts
-// include the fixed per-frame header.
+// frame counts are deterministic for a given run — every barrier token
+// and collective frame is one frame — while byte counts include the
+// fixed per-frame header.
 type PeerTraffic struct {
 	FramesSent int64 `json:"frames_sent"`
 	BytesSent  int64 `json:"bytes_sent"`
@@ -411,7 +490,7 @@ func (t *ProcTransport) acceptPeers(cfg ProcConfig, deadline time.Time) error {
 		if err != nil {
 			return fmt.Errorf("accepting peer %d of %d: %w", got+1, want, err)
 		}
-		peer, err := t.handshake(conn, cfg, AnySource, deadline)
+		peer, err := t.handshake(conn, cfg, anyPeer, deadline)
 		if err != nil {
 			//dinfomap:close-ok handshake already failed; the close error cannot add anything
 			conn.Close()
@@ -478,10 +557,9 @@ type handshakeMismatch struct{ msg string }
 func (e *handshakeMismatch) Error() string { return e.msg }
 
 // handshake exchanges and verifies hello frames on a fresh connection.
-// wantPeer is the expected remote rank, or AnySource on the accept side
-// (the hello tells us who dialed). Both sides send first and then read
-// — the frames cross on the wire, so there is no lock-step ordering to
-// deadlock on.
+// wantPeer is the expected remote rank, or anyPeer on the accept side.
+// Both sides send first and then read — the frames cross on the wire,
+// so there is no lock-step ordering to deadlock on.
 func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, deadline time.Time) (int, error) {
 	if err := conn.SetDeadline(deadline); err != nil {
 		return 0, fmt.Errorf("handshake deadline: %w", err)
@@ -516,7 +594,7 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 	if size != cfg.Size {
 		return 0, &handshakeMismatch{fmt.Sprintf("rank %d believes world size is %d, we have %d", peer, size, cfg.Size)}
 	}
-	if wantPeer != AnySource && peer != wantPeer {
+	if wantPeer != anyPeer && peer != wantPeer {
 		return 0, &handshakeMismatch{fmt.Sprintf("dialed rank %d but peer claims rank %d", wantPeer, peer)}
 	}
 	if cfg.Version != "" && version != "" && version != cfg.Version {
@@ -575,26 +653,18 @@ func (t *ProcTransport) Rank() int          { return t.rank }
 func (t *ProcTransport) Size() int          { return t.size }
 func (t *ProcTransport) Now() time.Duration { return time.Since(t.epoch) }
 
-// send writes one frame to peer dst, poisoning the world (and
-// unwinding this rank) if the write fails — buffered semantics hold
-// because the kernel socket buffer and the peer's reader goroutine
-// absorb the payload without the peer's rank code receiving.
+// send writes one frame to peer dst (never this rank), poisoning the
+// world (and unwinding this rank) if the write fails. It does not wait
+// for the peer's rank code: the kernel socket buffer and the peer's
+// reader goroutine absorb the payload.
 func (t *ProcTransport) send(dst, tag int, data []byte) {
-	if dst == t.rank {
-		// Self-sends stay local (the goroutine backend does the same
-		// through its own inbox).
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		t.ib.put(message{src: t.rank, tag: tag, data: cp, sentAt: t.Now()})
-		return
-	}
 	if err := t.conns[dst].writeFrame(tag, t.Now(), data); err != nil {
 		// A failed write is usually the symptom of a peer's abort —
 		// its sockets close a moment before its poison frame is
 		// processed on our side. Give the real cause a moment to
 		// arrive so the unwind names the disease, not the broken pipe.
 		cause := t.awaitCause(fmt.Errorf("rank %d: send to rank %d failed: %v", t.rank, dst, err))
-		panic(fmt.Sprintf("mpi: rank %d: world poisoned in Send(dst=%d, tag=%d): cause: %v", t.rank, dst, tag, cause))
+		panic(fmt.Sprintf("mpi: rank %d: world poisoned sending to rank %d (tag=%d): cause: %v", t.rank, dst, tag, cause))
 	}
 	pcnt := &t.tstats.peers[dst]
 	pcnt.framesSent.Add(1)
@@ -616,8 +686,6 @@ func (t *ProcTransport) awaitCause(fallback error) error {
 	t.fail.poisonWith(fallback)
 	return t.fail.failure()
 }
-
-func (t *ProcTransport) Send(dst, tag int, data []byte) { t.send(dst, tag, data) }
 
 // StampSlotMatches turns per-source match stamping on or off for the
 // slot collectives (the slotStamper capability; see Comm). Called once
@@ -650,8 +718,12 @@ func (t *ProcTransport) collectMatch(src, tag int, op string) message {
 }
 
 // recvMatch blocks until the inbox holds a message matching (src, tag).
-// Same lazy-timer loop as the goroutine backend, with op naming the
-// blocking operation in failure diagnostics.
+// The deadlock timer is created lazily so the already-arrived fast path
+// stays allocation-free, and the blocked-since stamp is taken at the
+// same moment so diagnostics report the time actually spent blocked.
+// A rank woken by poison or the watchdog unwinds with op (the blocking
+// operation), the cause, and what was actually pending — without these
+// a cross-rank failure is undebuggable.
 func (t *ProcTransport) recvMatch(src, tag int, op string) message {
 	var deadline *time.Timer
 	var began time.Duration
@@ -669,16 +741,13 @@ func (t *ProcTransport) recvMatch(src, tag int, op string) message {
 		select {
 		case <-t.ib.arrived:
 		case <-t.fail.poison:
-			poisonRecvPanic(t.rank, op, src, tag, t.Now()-began, t.fail.failure(), t.ib)
+			panic(fmt.Sprintf("mpi: rank %d: world poisoned while waiting in %s(src=%d, tag=%d) after %v: cause: %v; %s",
+				t.rank, op, src, tag, (t.Now() - began).Round(time.Microsecond), t.fail.failure(), t.ib.summary()))
 		case <-deadline.C:
-			deadlockRecvPanic(t.rank, op, src, tag, t.Now()-began, t.ib)
+			panic(fmt.Sprintf("mpi: rank %d deadlocked in %s(src=%d, tag=%d) after %v; %s",
+				t.rank, op, src, tag, (t.Now() - began).Round(time.Millisecond), t.ib.summary()))
 		}
 	}
-}
-
-func (t *ProcTransport) Recv(src, tag int) ([]byte, int, time.Duration) {
-	m := t.recvMatch(src, tag, "Recv")
-	return m.data, m.src, m.sentAt
 }
 
 // Sync is a dissemination barrier: ceil(log2 p) rounds, each sending a
@@ -699,9 +768,9 @@ func (t *ProcTransport) Sync() {
 	}
 }
 
-// GatherSlots is allgather as p2p: send our contribution to every peer
-// under this collective's sequence tag, then collect every peer's in
-// rank order. Completing the collection is itself the synchronization —
+// GatherSlots is allgather over the mesh: send our contribution to
+// every peer under this collective's sequence tag, then collect every
+// peer's in rank order. Completing the collection is itself the synchronization —
 // a rank cannot pass until all have published.
 func (t *ProcTransport) GatherSlots(data []byte) [][]byte {
 	seq := t.collSeq
@@ -743,29 +812,12 @@ func (t *ProcTransport) ScatterSlots(bufs [][]byte) [][]byte {
 	return t.views
 }
 
-func (t *ProcTransport) BcastSlot(root int, data []byte) []byte {
-	seq := t.collSeq
-	t.collSeq++
-	tag := tagBcast - seq
-	if t.rank == root {
-		for dst := 0; dst < t.size; dst++ {
-			if dst != root {
-				t.send(dst, tag, data)
-			}
-		}
-		return data
-	}
-	m := t.collectMatch(root, tag, "Bcast")
-	return m.data
-}
-
 // ReleaseSlots synchronizes nothing on this backend: every collective's
 // frames carry a unique sequence tag, so a rank that runs ahead and
 // republishes cannot overwrite anything — early frames just queue in
 // the inbox. It hands the received frames that GatherSlots and
 // ScatterSlots lent out back to their peers' readers, whose next
 // payloads fill them again (Comm has copied them into its slab by now).
-// BcastSlot's frame and p2p Recv payloads stay with their callers.
 func (t *ProcTransport) ReleaseSlots() {
 	for src, b := range t.views {
 		if src != t.rank && b != nil {

@@ -93,7 +93,7 @@ func helperRankMain() {
 	}
 	body := func(c *Comm) {
 		for i := 0; ; i++ {
-			c.AllreduceF64(float64(c.Rank()*i), OpSum)
+			c.AllreduceI64(int64(c.Rank()*i), OpSum)
 			if i == 10 {
 				// Round 10 completing means every rank contributed to
 				// it: the whole world is provably mid-sweep. The parent

@@ -1,13 +1,13 @@
-// Transport abstracts the wire under the typed p2p/collective layer.
+// Transport abstracts the wire under the collective layer.
 //
-// Comm implements tags, kinds, stats, wait-state classification, and
-// pooled receive storage once; a Transport only moves bytes between
+// Comm implements kinds, stats, wait accounting, and pooled receive
+// storage once; a Transport only moves one collective's bytes between
 // ranks and synchronizes them. Two backends exist:
 //
 //   - the in-process goroutine transport (goroutine.go): ranks are
-//     goroutines in one World, messages cross via shared inboxes.
-//     Fast, deterministic, and allocation-free in steady state — the
-//     backend all tests and determinism goldens run on.
+//     goroutines in one World, payloads cross via shared exchange
+//     slots. Fast and deterministic — the backend all tests and
+//     determinism goldens run on.
 //   - the multi-process transport (proc.go): each rank is an OS
 //     process, peers connect over TCP or unix sockets with
 //     length-prefixed frames. Real parallelism and real wall clock.
@@ -17,8 +17,6 @@
 package mpi
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -41,17 +39,9 @@ type Transport interface {
 	// Size returns the number of ranks in the world.
 	Size() int
 	// Now returns the world's monotonic clock: time since the shared
-	// epoch. Message stamps from all ranks are comparable on it.
+	// epoch. Stamps from all ranks are comparable on it.
 	Now() time.Duration
 
-	// Send delivers data to rank dst with the given tag, buffered
-	// (never blocks on the receiver). The payload is copied or written
-	// out before Send returns, so the caller may reuse the slice.
-	Send(dst, tag int, data []byte)
-	// Recv blocks until a message matching (src, tag) is available and
-	// returns its payload, actual source, and the sender's send stamp.
-	// src may be AnySource. The payload is owned by the caller.
-	Recv(src, tag int) (data []byte, from int, sentAt time.Duration)
 	// Sync blocks until every rank has entered the same synchronization
 	// point. No cost accounting — Comm charges around it.
 	Sync()
@@ -66,10 +56,6 @@ type Transport interface {
 	// result holds the payload received from rank src at index src,
 	// valid only until ReleaseSlots. len(bufs) must equal Size().
 	ScatterSlots(bufs [][]byte) [][]byte
-	// BcastSlot publishes root's data to every rank and returns a view
-	// of it, valid only until ReleaseSlots. Non-root ranks pass their
-	// (ignored) local value, typically nil.
-	BcastSlot(root int, data []byte) []byte
 	// ReleaseSlots closes the collective window opened by the last
 	// Publish call: transport storage becomes reusable and the views
 	// returned by it are dead.
@@ -122,7 +108,7 @@ func (f *failState) failure() error {
 // stopTimer stops t and drains its channel if it already fired, so a
 // timer discarded on the non-timeout path cannot leave a stale tick
 // behind. (The timers here are per-wait and garbage-collected either
-// way; draining keeps tight recv loops from accumulating fired timers
+// way; draining keeps tight wait loops from accumulating fired timers
 // that the runtime must still track until their channels are collected.)
 func stopTimer(t *time.Timer) {
 	if !t.Stop() {
@@ -131,42 +117,4 @@ func stopTimer(t *time.Timer) {
 		default:
 		}
 	}
-}
-
-// summary describes the pending queue for failure diagnostics: how many
-// messages are waiting and the (src, tag, size) of the first few. It is
-// only called on panic paths.
-func (ib *inbox) summary() string {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if len(ib.queue) == 0 {
-		return "inbox empty"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d pending:", len(ib.queue))
-	for i, m := range ib.queue {
-		if i == 4 {
-			fmt.Fprintf(&b, " +%d more", len(ib.queue)-i)
-			break
-		}
-		fmt.Fprintf(&b, " (src=%d tag=%d %dB)", m.src, m.tag, len(m.data))
-	}
-	return b.String()
-}
-
-// poisonRecvPanic unwinds a rank whose blocked receive was woken by
-// world poison, preserving the originating cause, the time spent
-// blocked, and what was actually pending — without these a cross-rank
-// failure is undebuggable (the old message was a bare "world poisoned
-// while waiting in Recv").
-func poisonRecvPanic(rank int, op string, src, tag int, blocked time.Duration, cause error, ib *inbox) {
-	panic(fmt.Sprintf("mpi: rank %d: world poisoned while waiting in %s(src=%d, tag=%d) after %v: cause: %v; %s",
-		rank, op, src, tag, blocked.Round(time.Microsecond), cause, ib.summary()))
-}
-
-// deadlockRecvPanic unwinds a rank whose blocked receive hit the
-// deadlock watchdog.
-func deadlockRecvPanic(rank int, op string, src, tag int, blocked time.Duration, ib *inbox) {
-	panic(fmt.Sprintf("mpi: rank %d deadlocked in %s(src=%d, tag=%d) after %v; %s",
-		rank, op, src, tag, blocked.Round(time.Millisecond), ib.summary()))
 }

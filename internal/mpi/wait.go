@@ -3,40 +3,23 @@
 // path, and lost-time attribution from them).
 //
 // Stats already answers "how long did this rank wait"; the Recorder
-// keeps the individual events — every matched receive with its send
-// stamp and every barrier arrival/release — so an analyzer can answer
-// "waiting on whom": draw matched send->recv flows, find the last
-// arriver of each synchronization point, and walk the straggler chain
-// that bounds wall clock.
+// keeps the individual events — every barrier arrival/release and, on
+// the multi-process mesh, every collective frame matched with its send
+// stamp — so an analyzer can answer "waiting on whom": find the last
+// arriver of each synchronization point, draw matched send->recv flows,
+// and walk the straggler chain that bounds wall clock.
 package mpi
 
 import "time"
 
-// ClassifyRecvWait splits one receive's timing into wait-state
-// components. recvStart is when the receiver asked, recvEnd when the
-// match completed, sentAt the sender's stamp; all on one clock.
-//
-//   - Receiver asked first (sentAt >= recvStart): the whole elapsed
-//     time is blocked wait — the sender was late.
-//   - Message was already queued (sentAt < recvStart): the residency
-//     before the ask is queue time — the receiver was late.
-//
-// Exactly one component is nonzero per receive, so the two buckets
-// partition all receive-side wait.
-func ClassifyRecvWait(recvStart, recvEnd, sentAt time.Duration) (blockedNs, queueNs int64, blocked bool) {
-	if sentAt >= recvStart {
-		return int64(recvEnd - recvStart), 0, true
-	}
-	return 0, int64(recvStart - sentAt), false
-}
-
-// P2PEvent is one matched point-to-point receive as seen by the
-// receiver, with enough timing to reconstruct the send->recv edge.
+// P2PEvent is one frame a collective received from one peer, as seen by
+// the receiver, with enough timing to reconstruct the send->recv edge.
+// Only a transport with a real wire stamps them (see slotStamper).
 // Times are world-epoch relative (Recorder.Epoch).
 type P2PEvent struct {
 	Src   int   // sending rank
-	Tag   int   // wire tag (kind bits included)
-	Kind  Kind  // resolved traffic kind
+	Tag   int   // wire tag (the collective's sequence tag)
+	Kind  Kind  // ambient traffic kind of the collective
 	Bytes int64 // payload size
 
 	SentAt    time.Duration // sender's stamp
@@ -44,7 +27,7 @@ type P2PEvent struct {
 	RecvEnd   time.Duration // when the match completed
 }
 
-// Blocked reports whether this receive blocked on a late sender.
+// Blocked reports whether the receiver asked before the frame was sent.
 func (e P2PEvent) Blocked() bool { return e.SentAt >= e.RecvStart }
 
 // BarrierEvent is one rank's passage through one synchronization point:
@@ -90,15 +73,15 @@ func (r *Recorder) Epoch() time.Time { return r.epoch }
 // NumRanks returns the rank count the recorder was sized for.
 func (r *Recorder) NumRanks() int { return len(r.p2p) }
 
-// P2P returns rank's recorded receives, in receive order. The slice is
-// the recorder's own; treat it as read-only.
+// P2P returns rank's recorded frame matches, in receive order. The
+// slice is the recorder's own; treat it as read-only.
 func (r *Recorder) P2P(rank int) []P2PEvent { return r.p2p[rank] }
 
 // Barriers returns rank's synchronization passages, in sync order.
 func (r *Recorder) Barriers(rank int) []BarrierEvent { return r.bars[rank] }
 
-// AddP2P appends a receive event to rank's log. The runtime calls it
-// from the rank's own goroutine; tests use it to craft scenarios.
+// AddP2P appends a frame-match event to rank's log. The runtime calls
+// it from the rank's own goroutine; tests use it to craft scenarios.
 func (r *Recorder) AddP2P(rank int, ev P2PEvent) {
 	r.p2p[rank] = append(r.p2p[rank], ev)
 }
@@ -108,10 +91,9 @@ func (r *Recorder) AddBarrier(rank int, ev BarrierEvent) {
 	r.bars[rank] = append(r.bars[rank], ev)
 }
 
-// WithRecorder attaches rec to the run: every matched receive and every
-// synchronization passage is recorded, and the world's clock is aligned
-// to rec's epoch so recorded times compare directly with journal spans.
-// Run panics if rec's rank count does not match the world size. A nil
+// WithRecorder attaches rec to the run: every synchronization passage
+// is recorded, and the world's clock is aligned to rec's epoch so
+// recorded times compare directly with journal spans. Run panics if rec's rank count does not match the world size. A nil
 // rec leaves recording off (the default; recording appends per-rank
 // slices and is kept out of benchmarked paths).
 func WithRecorder(rec *Recorder) RunOpt {

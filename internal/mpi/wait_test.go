@@ -5,84 +5,7 @@ import (
 	"time"
 )
 
-func TestClassifyRecvWait(t *testing.T) {
-	cases := []struct {
-		name               string
-		start, end, sentAt time.Duration
-		blockedNs, queueNs int64
-		blocked            bool
-	}{
-		{"late sender", 100, 400, 250, 300, 0, true},
-		{"sent exactly at ask", 100, 400, 100, 300, 0, true},
-		{"late receiver", 300, 310, 100, 0, 200, false},
-		{"instant match", 100, 100, 100, 0, 0, true},
-	}
-	for _, tc := range cases {
-		blockedNs, queueNs, blocked := ClassifyRecvWait(tc.start, tc.end, tc.sentAt)
-		if blockedNs != tc.blockedNs || queueNs != tc.queueNs || blocked != tc.blocked {
-			t.Errorf("%s: ClassifyRecvWait = (%d, %d, %v), want (%d, %d, %v)",
-				tc.name, blockedNs, queueNs, blocked, tc.blockedNs, tc.queueNs, tc.blocked)
-		}
-		if blockedNs != 0 && queueNs != 0 {
-			t.Errorf("%s: both components nonzero", tc.name)
-		}
-	}
-}
-
-// TestDelayedSenderChargesBlockedWait has the receiver ask first and
-// the sender deliver late: the elapsed time must land in RecvBlockedNs
-// and count as a blocked receive, with no queue residency.
-func TestDelayedSenderChargesBlockedWait(t *testing.T) {
-	const delay = 20 * time.Millisecond
-	stats := Run(2, func(c *Comm) {
-		c.Barrier()
-		if c.Rank() == 0 {
-			time.Sleep(delay)
-			c.Send(1, 3, []byte("late"))
-		} else {
-			c.Recv(0, 3)
-		}
-	})
-	s := stats[1]
-	if s.RecvsBlocked != 1 {
-		t.Errorf("RecvsBlocked = %d, want 1", s.RecvsBlocked)
-	}
-	if s.RecvBlockedNs < (delay / 2).Nanoseconds() {
-		t.Errorf("RecvBlockedNs = %d, want >= %d", s.RecvBlockedNs, (delay / 2).Nanoseconds())
-	}
-	if s.RecvQueueNs != 0 {
-		t.Errorf("RecvQueueNs = %d, want 0 (receiver asked first)", s.RecvQueueNs)
-	}
-}
-
-// TestDelayedReceiverChargesQueueResidency sends before the receiver
-// asks: the message's inbox residency must land in RecvQueueNs and the
-// receive must not count as blocked.
-func TestDelayedReceiverChargesQueueResidency(t *testing.T) {
-	const delay = 20 * time.Millisecond
-	stats := Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 3, []byte("early"))
-			c.Barrier()
-		} else {
-			c.Barrier()
-			time.Sleep(delay)
-			c.Recv(0, 3)
-		}
-	})
-	s := stats[1]
-	if s.RecvsBlocked != 0 {
-		t.Errorf("RecvsBlocked = %d, want 0", s.RecvsBlocked)
-	}
-	if s.RecvQueueNs < (delay / 2).Nanoseconds() {
-		t.Errorf("RecvQueueNs = %d, want >= %d", s.RecvQueueNs, (delay / 2).Nanoseconds())
-	}
-	if s.RecvBlockedNs != 0 {
-		t.Errorf("RecvBlockedNs = %d, want 0 (message was queued)", s.RecvBlockedNs)
-	}
-}
-
-// TestBarrierSkewChargedToFastRank delays one rank before a barrier:
+// TestBarrierSkewChargedToFastRank delays one rank before a collective:
 // the prompt rank pays the arrival-to-release skew, the straggler pays
 // (almost) nothing.
 func TestBarrierSkewChargedToFastRank(t *testing.T) {
@@ -91,7 +14,7 @@ func TestBarrierSkewChargedToFastRank(t *testing.T) {
 		if c.Rank() == 0 {
 			time.Sleep(delay)
 		}
-		c.Barrier()
+		c.AllgatherBytes([]byte{byte(c.Rank())})
 	})
 	fast, slow := stats[1], stats[0]
 	if fast.BarrierWaitNs < (delay / 2).Nanoseconds() {
@@ -103,49 +26,46 @@ func TestBarrierSkewChargedToFastRank(t *testing.T) {
 			slow.BarrierWaitNs, fast.BarrierWaitNs)
 	}
 	for r, s := range stats {
-		if s.BarrierSyncs != 1 {
-			t.Errorf("rank %d BarrierSyncs = %d, want 1", r, s.BarrierSyncs)
+		if s.BarrierSyncs != 2 {
+			t.Errorf("rank %d BarrierSyncs = %d, want 2 (one collective)", r, s.BarrierSyncs)
 		}
 	}
 }
 
 // TestWaitConservation runs mixed traffic with deliberate skew and
 // checks that every wait increment landed in the totals and in exactly
-// one kind bucket (Conserved), and that BlockedNs matches its parts.
+// one kind bucket (Conserved), and that BlockedNs is the skew.
 func TestWaitConservation(t *testing.T) {
 	stats := Run(4, func(c *Comm) {
 		prev := c.SetKind(KindModuleInfo)
-		next := (c.Rank() + 1) % c.Size()
 		if c.Rank()%2 == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
-		c.Send(next, 1, []byte("ring"))
-		c.Recv((c.Rank()+3)%c.Size(), 1)
+		bufs := make([][]byte, c.Size())
+		bufs[(c.Rank()+1)%c.Size()] = []byte("ring")
+		c.Alltoallv(bufs)
 		c.SetKind(KindGhostUpdate)
 		c.AllreduceI64(int64(c.Rank()), OpSum)
-		c.Barrier()
 		c.SetKind(prev)
 	})
 	for r, s := range stats {
 		if !s.Conserved() {
 			t.Errorf("rank %d: wait counters not conserved across kind buckets: %+v", r, s)
 		}
-		if got := s.BlockedNs(); got != s.RecvBlockedNs+s.BarrierWaitNs {
-			t.Errorf("rank %d: BlockedNs = %d, want RecvBlockedNs+BarrierWaitNs = %d",
-				r, got, s.RecvBlockedNs+s.BarrierWaitNs)
+		if got := s.BlockedNs(); got != s.BarrierWaitNs {
+			t.Errorf("rank %d: BlockedNs = %d, want BarrierWaitNs = %d", r, got, s.BarrierWaitNs)
 		}
 		var kindSum Stats
 		for k := 0; k < NumKinds; k++ {
-			kindSum.RecvBlockedNs += s.ByKind[k].RecvBlockedNs
-			kindSum.RecvQueueNs += s.ByKind[k].RecvQueueNs
-			kindSum.RecvsBlocked += s.ByKind[k].RecvsBlocked
 			kindSum.BarrierWaitNs += s.ByKind[k].BarrierWaitNs
 			kindSum.BarrierSyncs += s.ByKind[k].BarrierSyncs
 		}
-		if kindSum.RecvBlockedNs != s.RecvBlockedNs || kindSum.RecvQueueNs != s.RecvQueueNs ||
-			kindSum.RecvsBlocked != s.RecvsBlocked || kindSum.BarrierWaitNs != s.BarrierWaitNs ||
-			kindSum.BarrierSyncs != s.BarrierSyncs {
+		if kindSum.BarrierWaitNs != s.BarrierWaitNs || kindSum.BarrierSyncs != s.BarrierSyncs {
 			t.Errorf("rank %d: kind sums %+v do not reproduce totals", r, kindSum)
+		}
+		if s.ByKind[KindModuleInfo].BarrierSyncs != 2 || s.ByKind[KindGhostUpdate].BarrierSyncs != 2 {
+			t.Errorf("rank %d: syncs per kind = %d/%d, want 2/2", r,
+				s.ByKind[KindModuleInfo].BarrierSyncs, s.ByKind[KindGhostUpdate].BarrierSyncs)
 		}
 	}
 }
@@ -153,58 +73,68 @@ func TestWaitConservation(t *testing.T) {
 // TestWaitStatsSub checks the wait counters subtract like the traffic
 // counters, so interval deltas (report iterations) stay meaningful.
 func TestWaitStatsSub(t *testing.T) {
-	a := Stats{RecvBlockedNs: 100, RecvQueueNs: 50, RecvsBlocked: 3, BarrierWaitNs: 70, BarrierSyncs: 9}
-	b := Stats{RecvBlockedNs: 40, RecvQueueNs: 20, RecvsBlocked: 1, BarrierWaitNs: 30, BarrierSyncs: 4}
+	a := Stats{BarrierWaitNs: 70, BarrierSyncs: 9}
+	b := Stats{BarrierWaitNs: 30, BarrierSyncs: 4}
 	d := a.Sub(b)
-	if d.RecvBlockedNs != 60 || d.RecvQueueNs != 30 || d.RecvsBlocked != 2 ||
-		d.BarrierWaitNs != 40 || d.BarrierSyncs != 5 {
+	if d.BarrierWaitNs != 40 || d.BarrierSyncs != 5 {
 		t.Fatalf("Sub = %+v", d)
 	}
 }
 
-// TestRecorderCapturesEvents attaches a Recorder to a run with p2p and
-// barrier traffic and checks the event log matches the counters.
+// TestRecorderCapturesEvents attaches a Recorder to runs on both
+// backends and checks the event log against the counters: one
+// synchronization passage per BarrierSyncs, aligned across ranks, on
+// both; and on the proc backend one stamped frame match per peer per
+// collective, which the goroutine backend (no wire) never records.
 func TestRecorderCapturesEvents(t *testing.T) {
-	const p = 3
-	rec := NewRecorder(p, time.Time{})
-	stats := Run(p, func(c *Comm) {
-		next := (c.Rank() + 1) % c.Size()
-		c.Send(next, 5, []byte{byte(c.Rank())})
-		c.Recv((c.Rank()+p-1)%p, 5)
-		c.Barrier()
-		c.Barrier()
-	}, WithRecorder(rec))
+	const p, collectives = 3, 3
+	for _, b := range backendRunners() {
+		t.Run(b.name, func(t *testing.T) {
+			rec := NewRecorder(p, time.Time{})
+			stats := b.run(t, p, func(c *Comm) {
+				bufs := make([][]byte, p)
+				bufs[(c.Rank()+1)%p] = []byte{byte(c.Rank())}
+				c.Alltoallv(bufs)
+				c.AllgatherBytes([]byte{byte(c.Rank()), 0})
+				c.AllreduceI64(1, OpSum)
+			}, WithTimeout(10*time.Second), WithRecorder(rec))
 
-	for r := 0; r < p; r++ {
-		evs := rec.P2P(r)
-		if int64(len(evs)) != stats[r].MsgsRecv {
-			t.Errorf("rank %d: %d recorded receives, stats say %d", r, len(evs), stats[r].MsgsRecv)
-		}
-		for _, ev := range evs {
-			if ev.Src != (r+p-1)%p || ev.Bytes != 1 {
-				t.Errorf("rank %d: bad p2p event %+v", r, ev)
+			for r := 0; r < p; r++ {
+				evs := rec.P2P(r)
+				want := collectives * (p - 1)
+				if b.name == "goroutine" {
+					want = 0
+				}
+				if len(evs) != want {
+					t.Errorf("rank %d: %d recorded frame matches, want %d", r, len(evs), want)
+				}
+				for _, ev := range evs {
+					if ev.Src == r || ev.Src < 0 || ev.Src >= p {
+						t.Errorf("rank %d: match from bad source: %+v", r, ev)
+					}
+					if ev.RecvEnd < ev.RecvStart || ev.SentAt < 0 {
+						t.Errorf("rank %d: bad match timing: %+v", r, ev)
+					}
+				}
+				bars := rec.Barriers(r)
+				if int64(len(bars)) != stats[r].BarrierSyncs {
+					t.Errorf("rank %d: %d recorded syncs, stats say %d", r, len(bars), stats[r].BarrierSyncs)
+				}
+				for _, b := range bars {
+					if b.Release < b.Arrive {
+						t.Errorf("rank %d: released before arrival: %+v", r, b)
+					}
+				}
 			}
-			if ev.RecvEnd < ev.RecvStart {
-				t.Errorf("rank %d: receive ends before it starts: %+v", r, ev)
+			// Every rank passes the same synchronization points, so the
+			// logs must align generation for generation.
+			for r := 1; r < p; r++ {
+				if len(rec.Barriers(r)) != len(rec.Barriers(0)) {
+					t.Fatalf("ragged barrier logs: rank 0 has %d, rank %d has %d",
+						len(rec.Barriers(0)), r, len(rec.Barriers(r)))
+				}
 			}
-		}
-		bars := rec.Barriers(r)
-		if int64(len(bars)) != stats[r].BarrierSyncs {
-			t.Errorf("rank %d: %d recorded syncs, stats say %d", r, len(bars), stats[r].BarrierSyncs)
-		}
-		for _, b := range bars {
-			if b.Release < b.Arrive {
-				t.Errorf("rank %d: released before arrival: %+v", r, b)
-			}
-		}
-	}
-	// Every rank passes the same synchronization points, so the logs
-	// must align generation for generation.
-	for r := 1; r < p; r++ {
-		if len(rec.Barriers(r)) != len(rec.Barriers(0)) {
-			t.Fatalf("ragged barrier logs: rank 0 has %d, rank %d has %d",
-				len(rec.Barriers(0)), r, len(rec.Barriers(r)))
-		}
+		})
 	}
 }
 
@@ -217,44 +147,4 @@ func TestRecorderSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	Run(2, func(c *Comm) {}, WithRecorder(NewRecorder(3, time.Time{})))
-}
-
-// TestSendRecvRoundAllocs pins the instrumented p2p fast path: a
-// self-send plus an immediate receive allocates exactly once — the
-// Send-side payload copy. The timestamp stamping, wait classification,
-// and stats accounting must stay allocation-free.
-func TestSendRecvRoundAllocs(t *testing.T) {
-	Run(1, func(c *Comm) {
-		payload := make([]byte, 64)
-		// Warm the inbox queue's backing array.
-		c.Send(0, 1, payload)
-		c.Recv(0, 1)
-		avg := testing.AllocsPerRun(100, func() {
-			c.Send(0, 1, payload)
-			c.Recv(0, 1)
-		})
-		if avg != 1 {
-			t.Errorf("send+recv round: %v allocs/op, want exactly 1 (the payload copy)", avg)
-		}
-	})
-}
-
-// TestQueuedRecvAllocFree pins the already-arrived Recv path at zero
-// allocations: the deadlock timer is lazy and the classification is
-// arithmetic only.
-func TestQueuedRecvAllocFree(t *testing.T) {
-	const runs = 100
-	Run(1, func(c *Comm) {
-		payload := make([]byte, 32)
-		// AllocsPerRun invokes the body runs+1 times (one warm-up).
-		for i := 0; i < runs+1; i++ {
-			c.Send(0, 2, payload)
-		}
-		avg := testing.AllocsPerRun(runs, func() {
-			c.Recv(0, 2)
-		})
-		if avg != 0 {
-			t.Errorf("queued Recv: %v allocs/op, want 0", avg)
-		}
-	})
 }

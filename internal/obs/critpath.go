@@ -2,8 +2,7 @@
 //
 // The DAG's nodes are (rank, inter-barrier interval) spans; its edges
 // are the synchronization points every rank passes in identical order
-// (each collective contributes its internal syncs) plus matched p2p
-// receives. Because a barrier releases everyone the instant the last
+// (each collective contributes its internal syncs). Because a barrier releases everyone the instant the last
 // rank arrives, the chain that bounds wall clock is recovered by a
 // backward walk: start at the rank that finishes the run last; at each
 // synchronization generation, jump to the rank that arrived last (the

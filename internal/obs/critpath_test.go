@@ -119,11 +119,7 @@ func TestCriticalPathNilInputs(t *testing.T) {
 // must sum to the rank totals, mirroring the mpi invariant.
 func TestWaitStatesConservation(t *testing.T) {
 	var s mpi.Stats
-	s.RecvBlockedNs, s.RecvQueueNs, s.RecvsBlocked = 300, 120, 2
 	s.BarrierWaitNs, s.BarrierSyncs = 900, 7
-	s.ByKind[mpi.KindModuleInfo].RecvBlockedNs = 300
-	s.ByKind[mpi.KindModuleInfo].RecvQueueNs = 120
-	s.ByKind[mpi.KindModuleInfo].RecvsBlocked = 2
 	s.ByKind[mpi.KindModuleInfo].BarrierWaitNs = 500
 	s.ByKind[mpi.KindModuleInfo].BarrierSyncs = 4
 	s.ByKind[mpi.KindCollective].BarrierWaitNs = 400

@@ -86,11 +86,11 @@ type Event struct {
 	Moves    int32 // vertex moves applied in the span
 	Deferred int32 // cross-boundary moves deferred by damping
 	Ops      int64 // counted work (delta-L evals, candidates, ghosts, modules)
-	Msgs     int64 // messages sent (p2p + modeled collective steps)
-	Bytes    int64 // bytes sent (p2p + modeled collective payloads)
+	Msgs     int64 // messages sent (Alltoallv + modeled collective steps)
+	Bytes    int64 // bytes sent (Alltoallv + modeled collective payloads)
 	// WaitNs is the time this rank spent blocked on communication within
-	// the span (late senders + barrier/collective skew; mpi.Stats
-	// BlockedNs delta). Measured host time, nondeterministic run to run.
+	// the span (collective synchronization skew; mpi.Stats BlockedNs
+	// delta). Measured host time, nondeterministic run to run.
 	WaitNs int64
 }
 

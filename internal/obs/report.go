@@ -17,10 +17,10 @@ const ReportSchema = "dinfomap-run-report/v1"
 // PhaseCost is one rank's measured work and traffic for one phase.
 type PhaseCost = trace.RankCost
 
-// CommTotals mirrors mpi.Stats with stable JSON names. The wait-state
-// fields (schema addition, v1-compatible) are measured host times whose
-// JSON names carry "wall" so run-to-run diffs classify them ignored;
-// omitempty keeps reports from runs without waits unchanged.
+// CommTotals mirrors mpi.Stats with stable JSON names. The wait fields
+// (schema addition, v1-compatible) are omitempty; BarrierWaitWallNs is
+// measured host time whose JSON name carries "wall" so run-to-run diffs
+// classify it ignored.
 type CommTotals struct {
 	BytesSent       int64 `json:"bytes_sent"`
 	BytesRecv       int64 `json:"bytes_recv"`
@@ -30,9 +30,6 @@ type CommTotals struct {
 	CollectiveBytes int64 `json:"collective_bytes"`
 	CollectiveMsgs  int64 `json:"collective_msgs"`
 
-	RecvBlockedWallNs int64 `json:"recv_blocked_wall_ns,omitempty"`
-	RecvQueueWallNs   int64 `json:"recv_queue_wall_ns,omitempty"`
-	RecvsBlockedWall  int64 `json:"recvs_blocked_wall,omitempty"`
 	BarrierWaitWallNs int64 `json:"barrier_wait_wall_ns,omitempty"`
 	BarrierSyncs      int64 `json:"barrier_syncs,omitempty"`
 }
@@ -48,9 +45,6 @@ func CommFromStats(s mpi.Stats) CommTotals {
 		CollectiveBytes: s.CollectiveBytes,
 		CollectiveMsgs:  s.CollectiveMsgs,
 
-		RecvBlockedWallNs: s.RecvBlockedNs,
-		RecvQueueWallNs:   s.RecvQueueNs,
-		RecvsBlockedWall:  s.RecvsBlocked,
 		BarrierWaitWallNs: s.BarrierWaitNs,
 		BarrierSyncs:      s.BarrierSyncs,
 	}
@@ -67,9 +61,6 @@ func commFromKind(k mpi.KindStats) CommTotals {
 		CollectiveBytes: k.CollectiveBytes,
 		CollectiveMsgs:  k.CollectiveMsgs,
 
-		RecvBlockedWallNs: k.RecvBlockedNs,
-		RecvQueueWallNs:   k.RecvQueueNs,
-		RecvsBlockedWall:  k.RecvsBlocked,
 		BarrierWaitWallNs: k.BarrierWaitNs,
 		BarrierSyncs:      k.BarrierSyncs,
 	}
@@ -84,9 +75,6 @@ func (c *CommTotals) Add(o CommTotals) {
 	c.Collectives += o.Collectives
 	c.CollectiveBytes += o.CollectiveBytes
 	c.CollectiveMsgs += o.CollectiveMsgs
-	c.RecvBlockedWallNs += o.RecvBlockedWallNs
-	c.RecvQueueWallNs += o.RecvQueueWallNs
-	c.RecvsBlockedWall += o.RecvsBlockedWall
 	c.BarrierWaitWallNs += o.BarrierWaitWallNs
 	c.BarrierSyncs += o.BarrierSyncs
 }

@@ -46,13 +46,10 @@ func ScrubVolatile(rep *Report) {
 	}
 }
 
-// scrubCommTotals zeroes the wall-clock wait measurements of one comm
+// scrubCommTotals zeroes the wall-clock wait measurement of one comm
 // record. The traffic counters and BarrierSyncs stay: they are
 // deterministic and the parity check's point.
 func scrubCommTotals(c *CommTotals) {
-	c.RecvBlockedWallNs = 0
-	c.RecvQueueWallNs = 0
-	c.RecvsBlockedWall = 0
 	c.BarrierWaitWallNs = 0
 }
 

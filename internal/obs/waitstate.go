@@ -2,16 +2,12 @@
 // counters and the journal's phase spans into a lost-time table that
 // says *why* a run is slow, not just where time went.
 //
-// Four categories per rank:
+// Two categories per rank:
 //
-//   - late sender:   the rank asked Recv before the matching send
-//     happened and sat blocked (mpi RecvBlockedNs);
-//   - late receiver: messages addressed to the rank sat in its inbox
-//     because it asked late (mpi RecvQueueNs) — time its *peers'* sends
-//     spent unconsumed, a symptom that this rank is the straggler;
-//   - barrier skew:  arrival-to-release wait at barrier/collective
-//     synchronization points (mpi BarrierWaitNs) — in the collectives-
-//     only BSP core this is where essentially all blocked time lives;
+//   - barrier skew:  arrival-to-release wait at the synchronization
+//     points of collectives (mpi BarrierWaitNs) — the core is
+//     collectives-only and bulk-synchronous, so this is all the time a
+//     rank sits blocked;
 //   - imbalance:     the journal-derived work deficit — per phase, how
 //     much less wall time this rank spent than the busiest rank. It is
 //     the *explanation* of the skew measured on the other ranks: a rank
@@ -33,14 +29,6 @@ import (
 // names carry "wall": the values are measured times/classifications that
 // vary run to run and must never gate a regression diff.
 type WaitTotals struct {
-	// RecvBlockedWallNs is blocked wait in Recv on late senders.
-	RecvBlockedWallNs int64 `json:"recv_blocked_wall_ns,omitempty"`
-	// RecvQueueWallNs is inbox residency of received messages (late
-	// receiver).
-	RecvQueueWallNs int64 `json:"recv_queue_wall_ns,omitempty"`
-	// RecvsBlockedWall counts receives that blocked on a late sender
-	// (a classification of measured timing, hence nondeterministic).
-	RecvsBlockedWall int64 `json:"recvs_blocked_wall,omitempty"`
 	// BarrierWaitWallNs is arrival-to-release skew at synchronization
 	// points.
 	BarrierWaitWallNs int64 `json:"barrier_wait_wall_ns,omitempty"`
@@ -52,9 +40,6 @@ type WaitTotals struct {
 // waitFromStats extracts the wait-state fields of one Stats snapshot.
 func waitFromStats(s mpi.Stats) WaitTotals {
 	return WaitTotals{
-		RecvBlockedWallNs: s.RecvBlockedNs,
-		RecvQueueWallNs:   s.RecvQueueNs,
-		RecvsBlockedWall:  s.RecvsBlocked,
 		BarrierWaitWallNs: s.BarrierWaitNs,
 		BarrierSyncs:      s.BarrierSyncs,
 	}
@@ -63,9 +48,6 @@ func waitFromStats(s mpi.Stats) WaitTotals {
 // waitFromKind extracts the wait-state fields of one kind bucket.
 func waitFromKind(k mpi.KindStats) WaitTotals {
 	return WaitTotals{
-		RecvBlockedWallNs: k.RecvBlockedNs,
-		RecvQueueWallNs:   k.RecvQueueNs,
-		RecvsBlockedWall:  k.RecvsBlocked,
 		BarrierWaitWallNs: k.BarrierWaitNs,
 		BarrierSyncs:      k.BarrierSyncs,
 	}
@@ -73,9 +55,6 @@ func waitFromKind(k mpi.KindStats) WaitTotals {
 
 // add accumulates o into w field-wise.
 func (w *WaitTotals) add(o WaitTotals) {
-	w.RecvBlockedWallNs += o.RecvBlockedWallNs
-	w.RecvQueueWallNs += o.RecvQueueWallNs
-	w.RecvsBlockedWall += o.RecvsBlockedWall
 	w.BarrierWaitWallNs += o.BarrierWaitWallNs
 	w.BarrierSyncs += o.BarrierSyncs
 }
@@ -146,19 +125,16 @@ func BuildWaitStates(stats []mpi.Stats, j *Journal) *WaitStatesReport {
 	return w
 }
 
-// RankLostTime is the lost-time attribution for one rank. LateSender
-// and BarrierSkew are time this rank itself sat blocked; LateReceiver
-// is its peers' messages aging in this rank's inbox; Imbalance is the
+// RankLostTime is the lost-time attribution for one rank. BarrierSkew
+// is time this rank itself sat blocked; Imbalance is the
 // journal-derived work deficit explaining why this rank reached
 // synchronization points early.
 type RankLostTime struct {
-	Rank               int   `json:"rank"`
-	LateSenderWallNs   int64 `json:"late_sender_wall_ns"`
-	LateReceiverWallNs int64 `json:"late_receiver_wall_ns"`
-	BarrierSkewWallNs  int64 `json:"barrier_skew_wall_ns"`
-	ImbalanceWallNs    int64 `json:"imbalance_wall_ns"`
-	// ByPhaseWallNs is the rank's blocked time (late sender + barrier
-	// skew) per journal phase, from the span wait counters.
+	Rank              int   `json:"rank"`
+	BarrierSkewWallNs int64 `json:"barrier_skew_wall_ns"`
+	ImbalanceWallNs   int64 `json:"imbalance_wall_ns"`
+	// ByPhaseWallNs is the rank's blocked time per journal phase, from
+	// the span wait counters.
 	ByPhaseWallNs map[string]int64 `json:"by_phase_wall_ns,omitempty"`
 	// ByKindWallNs is the rank's blocked time per message kind.
 	ByKindWallNs map[string]int64 `json:"by_kind_wall_ns,omitempty"`
@@ -167,10 +143,9 @@ type RankLostTime struct {
 // LostTimeReport is the run-level lost-time attribution table.
 type LostTimeReport struct {
 	Ranks []RankLostTime `json:"ranks"`
-	// TotalLostWallNs sums the blocked time (late sender + barrier skew)
-	// over ranks. Late-receiver and imbalance are excluded: the former
-	// double-counts the peers' blocked time from the other side, the
-	// latter is the explanation of the skew, not additional loss.
+	// TotalLostWallNs sums the blocked time (barrier skew) over ranks.
+	// Imbalance is excluded: it is the explanation of the skew, not
+	// additional loss.
 	TotalLostWallNs int64 `json:"total_lost_wall_ns"`
 	// LostFractionWall is TotalLostWallNs over the total rank-time
 	// p * RunWallNs; 0 when the run did not journal.
@@ -205,14 +180,9 @@ func BuildLostTime(stats []mpi.Stats, j *Journal) *LostTimeReport {
 	}
 
 	for r, s := range stats {
-		rl := RankLostTime{
-			Rank:               r,
-			LateSenderWallNs:   s.RecvBlockedNs,
-			LateReceiverWallNs: s.RecvQueueNs,
-			BarrierSkewWallNs:  s.BarrierWaitNs,
-		}
+		rl := RankLostTime{Rank: r, BarrierSkewWallNs: s.BarrierWaitNs}
 		for k := 0; k < mpi.NumKinds; k++ {
-			if blocked := s.ByKind[k].RecvBlockedNs + s.ByKind[k].BarrierWaitNs; blocked != 0 {
+			if blocked := s.ByKind[k].BarrierWaitNs; blocked != 0 {
 				if rl.ByKindWallNs == nil {
 					rl.ByKindWallNs = make(map[string]int64)
 				}
@@ -233,7 +203,7 @@ func BuildLostTime(stats []mpi.Stats, j *Journal) *LostTimeReport {
 				rl.ImbalanceWallNs += (max - phaseWall[r][ph]).Nanoseconds()
 			}
 		}
-		lt.TotalLostWallNs += rl.LateSenderWallNs + rl.BarrierSkewWallNs
+		lt.TotalLostWallNs += rl.BarrierSkewWallNs
 		lt.Ranks[r] = rl
 	}
 	if wall := runWall(j).Nanoseconds(); wall > 0 {
