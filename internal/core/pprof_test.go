@@ -12,18 +12,19 @@ import (
 	"dinfomap/internal/mpi"
 )
 
-// profilingTransport is a proc transport whose first completed gather,
-// on whichever rank gets there first, snapshots the goroutine profile.
-// Every rank has then contributed to the gather, so every rank is
-// inside its body, and none can finish before this one goes on.
+// profilingTransport is a proc transport whose first completed
+// collective, on whichever rank gets there first, snapshots the
+// goroutine profile. Every rank has then contributed to the collective,
+// so every rank is inside its body, and none can finish before this one
+// goes on.
 type profilingTransport struct {
 	*mpi.ProcTransport
 	once    *sync.Once
 	profile *bytes.Buffer
 }
 
-func (t profilingTransport) GatherSlots(data []byte) [][]byte {
-	views := t.ProcTransport.GatherSlots(data)
+func (t profilingTransport) ScatterSlots(bufs [][]byte) [][]byte {
+	views := t.ProcTransport.ScatterSlots(bufs)
 	t.once.Do(func() {
 		if err := pprof.Lookup("goroutine").WriteTo(t.profile, 1); err != nil {
 			fmt.Fprintf(t.profile, "goroutine profile: %v", err)

@@ -17,22 +17,23 @@ const (
 
 // The two-phase window pattern used by every collective below:
 //
-//	Publish local contribution    (blocks until everyone published)
-//	read the returned views, combine into pooled storage
-//	ReleaseSlots                  (views dead; transport storage reusable)
+//	ScatterSlots send list         (blocks until every peer's payload is in)
+//	read the returned views, copy into pooled storage
+//	ReleaseSlots                   (views dead; transport storage reusable)
 //
 // On the goroutine backend both phases are barriers over shared slots,
-// mirroring MPI's blocking collectives; the proc backend exchanges
-// sequence-tagged messages instead, and its release only recycles the
-// received frames without synchronizing. Either way
-// each collective is billed as exactly two synchronization points, so
-// BarrierSyncs counts match bit-for-bit across backends.
+// mirroring MPI's blocking collectives; the proc backend sends each peer
+// one frame per collective instead, in the same order on every rank, and
+// its release only recycles the received frames without synchronizing.
+// Either way each collective is billed as exactly two synchronization
+// points, so BarrierSyncs counts match bit-for-bit across backends.
 //
 // Receive-side storage is pooled per Comm: the slices returned by
 // AllgatherBytes and Alltoallv are valid only until the next collective
 // on the same Comm. Callers must decode (or copy) before communicating
 // again — every caller in this repository decodes immediately, which is
-// what lets steady-state exchange rounds run at zero allocations.
+// what lets steady-state exchange rounds run at zero allocations on
+// both backends.
 
 // AllreduceI64 reduces one int64 across all ranks with op.
 func (c *Comm) AllreduceI64(x int64, op ReduceOp) int64 {
@@ -68,27 +69,9 @@ func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
 			}
 		}
 	}
-	arrive := c.t.Now()
-	in := c.t.ScatterSlots(bufs)
-	c.noteSync(arrive)
-	c.recordSlotMatches()
-	if c.pool.a2aOut == nil {
-		c.pool.a2aOut = make([][]byte, c.size)
-	}
-	out := c.pool.a2aOut
-	total := 0
-	for src := 0; src < c.size; src++ {
-		total += len(in[src])
-	}
-	c.pool.a2aSlab = grow(c.pool.a2aSlab, total)
-	slab := c.pool.a2aSlab
-	off := 0
+	out := c.window(bufs, &c.pool.a2a)
 	recvd, recvMsgs := 0, int64(0)
-	for src := 0; src < c.size; src++ {
-		b := in[src]
-		n := copy(slab[off:off+len(b)], b)
-		out[src] = slab[off : off+n : off+n]
-		off += n
+	for src, b := range out {
 		if src != c.rank {
 			recvd += len(b)
 			if len(b) > 0 {
@@ -97,9 +80,6 @@ func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
 		}
 	}
 	c.countExchange(c.kind, sentMsgs, int64(sent), recvMsgs, int64(recvd))
-	arrive = c.t.Now()
-	c.t.ReleaseSlots()
-	c.noteSync(arrive)
 	return out
 }
 
@@ -109,26 +89,28 @@ func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
 // collective on this Comm.
 func (c *Comm) AllgatherBytes(data []byte) [][]byte {
 	c.collectiveCost(len(data))
+	if c.pool.agSend == nil {
+		c.pool.agSend = make([][]byte, c.size)
+	}
+	send := c.pool.agSend
+	for dst := range send {
+		send[dst] = data
+	}
+	out := c.window(send, &c.pool.ag)
+	// Cleared only now: until ReleaseSlots a slower goroutine rank may
+	// still be reading its view out of the send list.
+	clear(send)
+	return out
+}
+
+// window runs one collective's two-phase window over the send list
+// bufs, copying what this rank receives into s.
+func (c *Comm) window(bufs [][]byte, s *recvSlab) [][]byte {
 	arrive := c.t.Now()
-	in := c.t.GatherSlots(data)
+	in := c.t.ScatterSlots(bufs)
 	c.noteSync(arrive)
 	c.recordSlotMatches()
-	if c.pool.agOut == nil {
-		c.pool.agOut = make([][]byte, c.size)
-	}
-	out := c.pool.agOut
-	total := 0
-	for _, s := range in {
-		total += len(s)
-	}
-	c.pool.agSlab = grow(c.pool.agSlab, total)
-	slab := c.pool.agSlab
-	off := 0
-	for i, s := range in {
-		n := copy(slab[off:off+len(s)], s)
-		out[i] = slab[off : off+n : off+n]
-		off += n
-	}
+	out := s.fill(in)
 	arrive = c.t.Now()
 	c.t.ReleaseSlots()
 	c.noteSync(arrive)

@@ -11,8 +11,10 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -335,8 +337,8 @@ func TestProcPoisonPropagatesCause(t *testing.T) {
 // both backends: a rank blocked in a collective when the world is
 // poisoned unwinds with the cause and the time it spent blocked — not a
 // bare "world poisoned" message. On the proc backend the message also
-// names the frame it waited for and summarizes the pending inbox: rank
-// 2's allgather frame has arrived, rank 1's never will.
+// names the frame it waited for and the frames queued: rank 2's
+// allgather frame has arrived, rank 1's never will.
 func TestConformancePoisonDiagnostics(t *testing.T) {
 	for _, b := range backendRunners() {
 		t.Run(b.name, func(t *testing.T) {
@@ -373,8 +375,7 @@ func TestConformancePoisonDiagnostics(t *testing.T) {
 			defer mu.Unlock()
 			want := []string{"boom with context", "cause:", "world poisoned while waiting in "}
 			if b.name == "proc" {
-				want = append(want, fmt.Sprintf("Allgather(src=1, tag=%d)", tagGather), "1 pending:",
-					fmt.Sprintf("(src=2 tag=%d 2B)", tagGather))
+				want = append(want, "ScatterSlots(src=1, seq=0)", "1 queued:", "(src=2 seq=0 2B)")
 			}
 			for _, w := range want {
 				if !strings.Contains(msg, w) {
@@ -442,6 +443,40 @@ func TestHandshakeRejectsMismatchedBuilds(t *testing.T) {
 	combined := fmt.Sprint(errs[0], errs[1])
 	if !strings.Contains(combined, "build mismatch") {
 		t.Fatalf("errors = %v, want build mismatch", combined)
+	}
+}
+
+// TestHandshakeRejectsHostileHello: a dialer that sends a truncated or
+// lying hello fails the accepting rank's DialProc with a handshake
+// error; decoding it must not panic the accept goroutine.
+func TestHandshakeRejectsHostileHello(t *testing.T) {
+	for i, hello := range hostileHellos() {
+		dir := shortTempDir(t)
+		listeners, addrs, err := ListenRanks("unix", 2, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[1].Close()
+		done := make(chan error, 1)
+		go func() {
+			_, err := DialProc(ProcConfig{
+				Rank: 0, Size: 2, Listener: listeners[0], Addrs: addrs, Network: "unix",
+			}, WithConnectTimeout(2*time.Second))
+			done <- err
+		}()
+		conn, err := net.Dial("unix", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(encodeFrame(tagHello, 0, hello)); err != nil {
+			t.Fatal(err)
+		}
+		err = <-done
+		conn.Close()
+		var mismatch *handshakeMismatch
+		if !errors.As(err, &mismatch) || !strings.Contains(err.Error(), "hello") {
+			t.Errorf("hostile hello %d: DialProc error = %v, want a hello mismatch", i, err)
+		}
 	}
 }
 
@@ -547,8 +582,8 @@ func TestProcTransportTelemetry(t *testing.T) {
 		}
 	}
 	// Conservation: sent(0→1) == recv(1←0) and vice versa, frames and
-	// bytes alike. Finish's barrier traffic is included on both sides,
-	// so the totals still balance.
+	// bytes alike. Finish's exchange is included on both sides, so the
+	// totals still balance.
 	for r := 0; r < size; r++ {
 		peer := 1 - r
 		sent := stats[r].Peers[peer]

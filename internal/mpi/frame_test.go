@@ -22,7 +22,7 @@ func encodeFrame(tag int, sentAt time.Duration, payload []byte) []byte {
 
 // forgedHeader is a frame header claiming a maxFrame-byte payload.
 func forgedHeader() []byte {
-	b := encodeFrame(tagScat-3, 0, nil)
+	b := encodeFrame(3, 0, nil)
 	binary.LittleEndian.PutUint64(b[0:], maxFrame)
 	return b
 }
@@ -61,13 +61,13 @@ func TestReadFrameChunked(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i*7 + n)
 		}
-		wire := encodeFrame(tagGather-int(n), 42, payload)
+		wire := encodeFrame(n, 42, payload)
 		for _, buf := range [][]byte{nil, make([]byte, 10), make([]byte, n+5)} {
 			f, err := readFrame(bytes.NewReader(wire), hdr, buf, maxFrame)
 			if err != nil {
 				t.Fatalf("n=%d cap=%d: %v", n, cap(buf), err)
 			}
-			if f.tag != tagGather-n || f.sentAt != 42 || !bytes.Equal(f.data, payload) {
+			if f.tag != n || f.sentAt != 42 || !bytes.Equal(f.data, payload) {
 				t.Fatalf("n=%d cap=%d: frame decoded wrong", n, cap(buf))
 			}
 			if cap(buf) >= n && &f.data[0] != &buf[:1][0] {
@@ -85,7 +85,7 @@ func TestReadFrameChunked(t *testing.T) {
 // bytes its header announced, and a buffer grown for it must hold
 // exactly its payload.
 func FuzzReadFrame(f *testing.F) {
-	valid := encodeFrame(tagScat-1, 1234, []byte("a valid payload"))
+	valid := encodeFrame(1, 1234, []byte("a valid payload"))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4]) // truncated payload
 	f.Add(forgedHeader())       // forged 2 GiB length, then EOF
@@ -170,6 +170,39 @@ func TestProcFrameRecycling(t *testing.T) {
 					panic(fmt.Sprintf("round %d: AllreduceI64 = %#x, want %#x", round, got, want))
 				}
 			}
+		}
+	})
+}
+
+// hostileHellos are hello payloads a peer that is not a dinfomap rank
+// could send: empty, shorter than the fixed part, and one whose version
+// length claims 1 MiB.
+func hostileHellos() [][]byte {
+	lying := encodeHello(2, 1, "v1")
+	binary.LittleEndian.PutUint64(lying[helloFixed-8:], 1<<20)
+	return [][]byte{{}, make([]byte, 8), lying}
+}
+
+// FuzzHello decodes arbitrary bytes as a hello payload. Whatever the
+// input, decoding must not panic, a rejection must be a
+// handshakeMismatch, and an accepted hello must re-encode to exactly
+// the input.
+func FuzzHello(f *testing.F) {
+	f.Add(encodeHello(4, 3, "dinfomap v1"))
+	for _, h := range hostileHellos() {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		size, rank, version, err := decodeHello(in)
+		if err != nil {
+			var mismatch *handshakeMismatch
+			if !errors.As(err, &mismatch) {
+				t.Fatalf("rejection %v is not a handshakeMismatch", err)
+			}
+			return
+		}
+		if !bytes.Equal(encodeHello(size, rank, version), in) {
+			t.Fatalf("hello (%d, %d, %q) does not re-encode to its input", size, rank, version)
 		}
 	})
 }

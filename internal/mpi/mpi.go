@@ -44,8 +44,7 @@ type World struct {
 	epoch   time.Time     // zero point of all barrier timestamps
 	rec     *Recorder     // optional wait-state event recorder (may be nil)
 	barrier *barrier
-	slots   [][]byte   // collective exchange slots, one per rank
-	a2a     [][][]byte // alltoallv slots
+	a2a     [][][]byte // exchange slots: a2a[r] is rank r's ScatterSlots send list
 	fail    failState
 }
 
@@ -89,8 +88,6 @@ func WithConnectTimeout(d time.Duration) RunOpt {
 		}
 	}
 }
-
-func (w *World) poisonWith(err error) { w.fail.poisonWith(err) }
 
 // Comm is one rank's endpoint into a world. Communication methods are
 // not safe for concurrent use by multiple goroutines (like an MPI
@@ -281,7 +278,6 @@ func Run(size int, fn func(c *Comm), opts ...RunOpt) []Stats {
 		connect: DefaultConnectTimeout,
 		epoch:   time.Now(),
 		barrier: newBarrier(size),
-		slots:   make([][]byte, size),
 		a2a:     make([][][]byte, size),
 	}
 	w.fail.init()
@@ -298,12 +294,12 @@ func Run(size int, fn func(c *Comm), opts ...RunOpt) []Stats {
 		go func(rank int) {
 			defer wg.Done()
 			c := &Comm{rank: rank, size: size, rec: w.rec}
-			c.gt = goroutineTransport{rank: rank, w: w}
+			c.gt = goroutineTransport{rank: rank, w: w, view: make([][]byte, size)}
 			c.t = &c.gt
 			defer func() {
 				stats[rank] = c.Stats()
 				if p := recover(); p != nil {
-					w.poisonWith(fmt.Errorf("rank %d: %v", rank, p))
+					w.fail.poisonWith(fmt.Errorf("rank %d: %v", rank, p))
 					c.scrubOnFailure()
 				}
 			}()
@@ -417,41 +413,63 @@ func (c *Comm) noteSync(arrive time.Duration) {
 	}
 }
 
-// barrier is a reusable generation barrier.
+// barrier is a reusable barrier that allocates nothing once warm: each
+// rank waits on its own 1-buffered wake channel, which the last arriver
+// signals, under a deadlock timer it reuses from wait to wait.
 type barrier struct {
-	mu    sync.Mutex
-	size  int
-	count int
-	gen   chan struct{}
+	mu     sync.Mutex
+	count  int
+	wake   []chan struct{}
+	timers []*time.Timer // timers[r] is created by rank r's first wait; only rank r touches it
 }
 
 func newBarrier(size int) *barrier {
-	return &barrier{size: size, gen: make(chan struct{})}
+	b := &barrier{wake: make([]chan struct{}, size), timers: make([]*time.Timer, size)}
+	for r := range b.wake {
+		b.wake[r] = make(chan struct{}, 1)
+	}
+	return b
 }
 
 func (b *barrier) wait(fail *failState, rank int, timeout time.Duration) {
+	size := len(b.wake)
 	b.mu.Lock()
-	ch := b.gen
 	b.count++
 	arrived := b.count
-	if b.count == b.size {
+	if arrived == size {
 		b.count = 0
-		b.gen = make(chan struct{})
-		close(ch)
+		for r, ch := range b.wake {
+			if r == rank {
+				continue
+			}
+			// Every other rank is waiting and took its previous token;
+			// only a rank that unwound from a poisoned world can have
+			// left one behind, so never block on it.
+			select {
+			case ch <- struct{}{}:
+			default:
+			}
+		}
 		b.mu.Unlock()
 		return
 	}
 	b.mu.Unlock()
 	began := time.Now()
-	deadline := time.NewTimer(timeout)
+	deadline := b.timers[rank]
+	if deadline == nil {
+		deadline = time.NewTimer(timeout)
+		b.timers[rank] = deadline
+	} else {
+		deadline.Reset(timeout)
+	}
 	defer stopTimer(deadline)
 	select {
-	case <-ch:
+	case <-b.wake[rank]:
 	case <-fail.poison:
 		panic(fmt.Sprintf("mpi: rank %d: world poisoned while waiting in Barrier after %v: cause: %v",
 			rank, time.Since(began).Round(time.Microsecond), fail.failure()))
 	case <-deadline.C:
 		panic(fmt.Sprintf("mpi: rank %d deadlocked in Barrier after %v (%d of %d ranks had arrived)",
-			rank, time.Since(began).Round(time.Millisecond), arrived, b.size))
+			rank, time.Since(began).Round(time.Millisecond), arrived, size))
 	}
 }

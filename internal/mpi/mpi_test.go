@@ -91,49 +91,82 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
-// bareProcInbox returns a ProcTransport with only its receive side: an
-// inbox the test fills by hand, no sockets.
-func bareProcInbox() *ProcTransport {
-	t := &ProcTransport{ib: newInbox(), timeout: 10 * time.Second, epoch: time.Now()}
+// bareProcQueues returns a ProcTransport with only its receive side:
+// frame queues from two peers that the test fills by hand, no sockets.
+func bareProcQueues() *ProcTransport {
+	t := &ProcTransport{timeout: 10 * time.Second, epoch: time.Now()}
+	t.in = []chan frame{nil, make(chan frame, queueDepth), make(chan frame, queueDepth)}
 	t.fail.init()
 	return t
 }
 
-// TestRecvMatchesTag: the proc transport's receive matches frames on
-// (source, tag), not arrival order, so a frame of a later collective
-// from a peer that ran ahead waits until its own collective asks.
-func TestRecvMatchesTag(t *testing.T) {
-	tr := bareProcInbox()
-	tr.ib.put(message{src: 1, tag: tagGather - 1, data: []byte("next")})
-	tr.ib.put(message{src: 2, tag: tagGather, data: []byte("other peer")})
-	tr.ib.put(message{src: 1, tag: tagGather, data: []byte("this")})
-	if m := tr.recvMatch(1, tagGather, "Allgather"); string(m.data) != "this" {
-		t.Fatalf("recvMatch(1, seq 0) = %q, want %q", m.data, "this")
+// TestRecvRejectsOutOfSequenceFrame: frames are taken in each peer's
+// arrival order, one queue per peer, and a head frame that belongs to
+// another collective unwinds the rank naming both sequence numbers.
+func TestRecvRejectsOutOfSequenceFrame(t *testing.T) {
+	tr := bareProcQueues()
+	tr.in[1] <- frame{tag: 0, data: []byte("this")}
+	tr.in[1] <- frame{tag: 1, data: []byte("next")}
+	tr.in[2] <- frame{tag: 1, data: []byte("ahead")}
+	if got := tr.recv(1, 0, "ScatterSlots"); string(got) != "this" {
+		t.Fatalf("recv(1, seq 0) = %q, want %q", got, "this")
 	}
-	if m := tr.recvMatch(1, tagGather-1, "Allgather"); string(m.data) != "next" {
-		t.Fatalf("recvMatch(1, seq 1) = %q, want %q", m.data, "next")
+	if got := tr.recv(1, 1, "ScatterSlots"); string(got) != "next" {
+		t.Fatalf("recv(1, seq 1) = %q, want %q", got, "next")
 	}
-	if m := tr.recvMatch(2, tagGather, "Allgather"); string(m.data) != "other peer" {
-		t.Fatalf("recvMatch(2, seq 0) = %q, want %q", m.data, "other peer")
-	}
+	defer func() {
+		want := "ScatterSlots(src=2, seq=0) received the frame of collective 1"
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), want) {
+			t.Fatalf("out-of-sequence frame: panic = %v, want %q", p, want)
+		}
+	}()
+	tr.recv(2, 0, "ScatterSlots")
 }
 
 // TestQueuedRecvAllocFree pins the proc transport's already-arrived
 // receive path at zero allocations: the deadlock timer is created only
 // when a receive has to wait.
 func TestQueuedRecvAllocFree(t *testing.T) {
-	const runs = 100
-	tr := bareProcInbox()
+	tr := bareProcQueues()
 	payload := make([]byte, 32)
-	// AllocsPerRun invokes the body runs+1 times (one warm-up).
-	for i := 0; i < runs+1; i++ {
-		tr.ib.put(message{src: 1, tag: tagScat, data: payload})
-	}
-	avg := testing.AllocsPerRun(runs, func() {
-		tr.recvMatch(1, tagScat, "Alltoallv")
+	seq := 0
+	avg := testing.AllocsPerRun(100, func() {
+		tr.in[1] <- frame{tag: seq, data: payload}
+		tr.recv(1, seq, "ScatterSlots")
+		seq++
 	})
 	if avg != 0 {
 		t.Errorf("queued receive: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestCollectivesAllocFree pins the goroutine backend's steady state at
+// zero allocations, counting both ranks: once the pools, views and
+// barrier timers are warm, an AllreduceI64 or an Alltoallv allocates
+// nothing.
+func TestCollectivesAllocFree(t *testing.T) {
+	const runs = 100
+	bufs := [][]byte{make([]byte, 64), make([]byte, 64)}
+	for _, tc := range []struct {
+		name string
+		op   func(c *Comm)
+	}{
+		{"AllreduceI64", func(c *Comm) { c.AllreduceI64(int64(c.Rank()), OpSum) }},
+		{"Alltoallv", func(c *Comm) { c.Alltoallv(bufs) }},
+	} {
+		Run(2, func(c *Comm) {
+			tc.op(c) // warm the pools and this rank's barrier timer
+			if c.Rank() == 1 {
+				// AllocsPerRun calls the body runs+1 times (one warm-up).
+				for i := 0; i < runs+1; i++ {
+					tc.op(c)
+				}
+				return
+			}
+			if avg := testing.AllocsPerRun(runs, func() { tc.op(c) }); avg != 0 {
+				t.Errorf("%s: %v allocs/op across both ranks, want 0", tc.name, avg)
+			}
+		}, WithTimeout(10*time.Second))
 	}
 }
 
@@ -303,43 +336,6 @@ func TestPerWorldTimeoutIsolated(t *testing.T) {
 	}
 }
 
-// TestTakeClearsVacatedSlot checks that removing a message from the
-// middle of the inbox queue zeroes the vacated tail slot: the buggy
-// append-based delete left a duplicate reference to the tail message in
-// the backing array, retaining its payload for the inbox's lifetime.
-func TestTakeClearsVacatedSlot(t *testing.T) {
-	ib := newInbox()
-	ib.put(message{src: 0, tag: 1, data: []byte("first")})
-	ib.put(message{src: 1, tag: 2, data: []byte("second")})
-	ib.put(message{src: 2, tag: 3, data: make([]byte, 1<<20)})
-
-	m, ok := ib.take(0, 1)
-	if !ok || string(m.data) != "first" {
-		t.Fatalf("take(0,1) = %+v, %v", m, ok)
-	}
-	if len(ib.queue) != 2 {
-		t.Fatalf("queue length = %d, want 2", len(ib.queue))
-	}
-	// The slot the tail shifted out of must not retain the big payload.
-	tail := ib.queue[:3][2]
-	if tail.data != nil {
-		t.Fatalf("vacated slot still references %d payload bytes", len(tail.data))
-	}
-	if tail.src != 0 || tail.tag != 0 {
-		t.Fatalf("vacated slot not zeroed: %+v", tail)
-	}
-	// The remaining messages are intact and in order.
-	if _, ok := ib.take(2, 2); ok {
-		t.Fatal("take(2,2) matched a message from another source")
-	}
-	if m, ok := ib.take(1, 2); !ok || string(m.data) != "second" {
-		t.Fatalf("take(1,2) = %+v, %v", m, ok)
-	}
-	if m, ok := ib.take(2, 3); !ok || len(m.data) != 1<<20 {
-		t.Fatalf("take(2,3) = %d bytes, %v", len(m.data), ok)
-	}
-}
-
 func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e := NewEncoder(64)
 	e.PutU64(12345678901234)
@@ -387,36 +383,46 @@ func TestEncoderReset(t *testing.T) {
 	}
 }
 
-// Stress test: many ranks, many iterations of mixed traffic; checks the
-// runtime against races (run with -race) and lost messages.
+// Stress test: many ranks, many iterations of mixed traffic on both
+// backends; checks the runtime against races (run with -race) and lost
+// messages. Rank 0 sleeps before every other iteration: the peers that
+// get its frame first then run one collective ahead, so their next
+// frames queue behind the current ones at the ranks still waiting.
 func TestStressMixedTraffic(t *testing.T) {
 	const p = 8
 	const iters = 30
-	Run(p, func(c *Comm) {
-		bufs := make([][]byte, p)
-		for it := 0; it < iters; it++ {
-			// Ring exchange: each rank sends only to its successor.
-			next := (c.Rank() + 1) % p
-			prev := (c.Rank() + p - 1) % p
-			e := NewEncoder(16)
-			e.PutInt(it)
-			e.PutInt(c.Rank())
-			bufs[next] = e.Bytes()
-			recv := c.Alltoallv(bufs)
-			d := NewDecoder(recv[prev])
-			if d.Int() != it || d.Int() != prev {
-				t.Errorf("ring message corrupted at iter %d", it)
-			}
-			for src, b := range recv {
-				if src != prev && len(b) != 0 {
-					t.Errorf("iter %d: %d bytes from non-neighbor %d", it, len(b), src)
+	for _, b := range backendRunners() {
+		t.Run(b.name, func(t *testing.T) {
+			b.run(t, p, func(c *Comm) {
+				bufs := make([][]byte, p)
+				for it := 0; it < iters; it++ {
+					if c.Rank() == 0 && it%2 == 1 {
+						time.Sleep(time.Millisecond)
+					}
+					// Ring exchange: each rank sends only to its successor.
+					next := (c.Rank() + 1) % p
+					prev := (c.Rank() + p - 1) % p
+					e := NewEncoder(16)
+					e.PutInt(it)
+					e.PutInt(c.Rank())
+					bufs[next] = e.Bytes()
+					recv := c.Alltoallv(bufs)
+					d := NewDecoder(recv[prev])
+					if d.Int() != it || d.Int() != prev {
+						t.Errorf("ring message corrupted at iter %d", it)
+					}
+					for src, buf := range recv {
+						if src != prev && len(buf) != 0 {
+							t.Errorf("iter %d: %d bytes from non-neighbor %d", it, len(buf), src)
+						}
+					}
+					// Collective.
+					sum := c.AllreduceI64(1, OpSum)
+					if sum != p {
+						t.Errorf("allreduce sum = %d, want %d", sum, p)
+					}
 				}
-			}
-			// Collective.
-			sum := c.AllreduceI64(1, OpSum)
-			if sum != p {
-				t.Errorf("allreduce sum = %d, want %d", sum, p)
-			}
-		}
-	})
+			}, WithTimeout(30*time.Second))
+		})
+	}
 }

@@ -113,11 +113,36 @@ func (s *SendBuffers) Bufs() [][]byte {
 // contract over the failure path, where "the next collective" never
 // comes.
 type commPool struct {
-	pub     []byte   // outgoing publish buffer (AllreduceI64)
-	a2aOut  [][]byte // Alltoallv result headers
-	a2aSlab []byte   // Alltoallv payload slab backing a2aOut
-	agOut   [][]byte // allgather result headers
-	agSlab  []byte   // allgather payload slab backing agOut
+	pub    []byte   // outgoing publish buffer (AllreduceI64)
+	agSend [][]byte // AllgatherBytes send list: the payload once per rank
+	a2a    recvSlab // Alltoallv results
+	ag     recvSlab // AllgatherBytes results
+}
+
+// recvSlab is one collective's pooled results: the received payloads
+// back to back in buf, and out's per-source headers into it.
+type recvSlab struct {
+	out [][]byte
+	buf []byte
+}
+
+// fill copies the views in into the slab and returns their headers.
+func (s *recvSlab) fill(in [][]byte) [][]byte {
+	if s.out == nil {
+		s.out = make([][]byte, len(in))
+	}
+	total := 0
+	for _, b := range in {
+		total += len(b)
+	}
+	s.buf = grow(s.buf, total)
+	off := 0
+	for src, b := range in {
+		n := copy(s.buf[off:], b)
+		s.out[src] = s.buf[off : off+n : off+n]
+		off += n
+	}
+	return s.out
 }
 
 // pubBuf returns the pooled n-byte publish buffer, growing it if
@@ -144,20 +169,11 @@ func grow(b []byte, n int) []byte {
 // a half-written exchange. Capacity is kept — a retry on a fresh world
 // reuses the storage.
 func (p *commPool) scrub() {
-	clearBytes(p.pub[:cap(p.pub)])
-	clearBytes(p.a2aSlab[:cap(p.a2aSlab)])
-	clearBytes(p.agSlab[:cap(p.agSlab)])
-	for i := range p.a2aOut {
-		p.a2aOut[i] = nil
-	}
-	for i := range p.agOut {
-		p.agOut[i] = nil
-	}
-}
-
-func clearBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
+	clear(p.pub[:cap(p.pub)])
+	clear(p.agSend)
+	for _, s := range []*recvSlab{&p.a2a, &p.ag} {
+		clear(s.buf[:cap(s.buf)])
+		clear(s.out)
 	}
 }
 

@@ -9,11 +9,16 @@
 // until the connect budget (WithConnectTimeout) runs out; each
 // connection is verified by a handshake carrying the world size, both
 // rank ids, and the build version, so a mis-wired or mis-built mesh
-// fails the launch instead of corrupting a run. Every frame carries a
-// tag: barrier tokens and collective payloads are sequence-numbered, and
-// each rank's inbox matches them on (source, tag), so a frame from a
-// peer that ran ahead waits until the collective it belongs to asks
-// for it.
+// fails the launch instead of corrupting a run.
+//
+// Every collective sends each peer exactly one frame, and every rank
+// runs the same collectives in the same order, so each peer's stream
+// arrives in the order the rank consumes it: nothing is matched. A
+// frame's tag is its collective's sequence number (0, 1, ...), and the
+// receive side only checks that the head of the peer's queue carries
+// the number it expects. A collective completes only once every peer's
+// frame for it has arrived, so a peer runs at most one collective
+// ahead.
 //
 // Failure semantics mirror the goroutine backend's poison protocol
 // across process boundaries: an aborting rank broadcasts a poison frame
@@ -37,7 +42,8 @@ import (
 )
 
 // Frame layout: a fixed 24-byte header — payload length (u64), tag
-// (i64), sender's epoch-relative send stamp in nanoseconds (i64) —
+// (i64: the collective's sequence number, or a negative control tag),
+// sender's epoch-relative send stamp in nanoseconds (i64) —
 // followed by the payload bytes. Little-endian fixed-width, like every
 // codec-encoded payload it carries.
 const frameHeader = 24
@@ -52,22 +58,19 @@ const maxFrame = 1 << 31
 // costs one chunk, not the length it claims.
 const frameChunk = 1 << 20
 
-// framePool bounds the recycled receive buffers each peer's reader
-// keeps (see ProcTransport.ReleaseSlots). Two lets a peer that ran one
-// collective ahead have its frame read into a recycled buffer while the
-// rank still holds the current one; more would only hold memory.
-const framePool = 2
+// queueDepth is the capacity of each peer's frame queue and of its
+// list of recycled receive buffers (see ProcTransport.ReleaseSlots):
+// the frame of the collective this rank is in, plus the next one from a
+// peer that ran ahead. A peer cannot run further ahead — finishing the
+// next collective needs this rank's frame for it — so a reader never
+// waits for the rank, and more recycled buffers would only hold memory.
+const queueDepth = 2
 
-// Frame tags. Barrier tokens and collective frames are
-// sequence-numbered (SPMD order makes the sequences identical on every
-// rank), so early arrivals from a rank that ran ahead queue harmlessly
-// in the inbox until matched.
+// Control-frame tags. A collective frame's tag is its sequence number,
+// counted from 0 on every rank, so it is never negative.
 const (
-	tagPoison = -1         // payload: the originating error text
-	tagHello  = -2         // handshake frame (never enters the inbox)
-	tagBar    = -(1 << 30) // barrier round r of generation g: tagBar - g*64 - r
-	tagGather = -(2 << 30) // allgather seq s: tagGather - s
-	tagScat   = -(3 << 30) // alltoallv seq s: tagScat - s
+	tagPoison = -1 // payload: the originating error text
+	tagHello  = -2 // handshake frame (never queued)
 )
 
 // anyPeer is the handshake's wantPeer on the accept side: the hello
@@ -118,7 +121,7 @@ type peerConn struct {
 }
 
 func newPeerConn(c net.Conn) *peerConn {
-	return &peerConn{c: c, free: make(chan []byte, framePool)}
+	return &peerConn{c: c, free: make(chan []byte, queueDepth)}
 }
 
 func (pc *peerConn) writeFrame(tag int, sentAt time.Duration, payload []byte) error {
@@ -206,80 +209,6 @@ func readFrame(r io.Reader, hdr, buf []byte, limit uint64) (frame, error) {
 	return f, nil
 }
 
-// message is one frame waiting in a rank's inbox. sentAt is the
-// sender's epoch-relative stamp, carried in the frame header; recorded
-// runs turn it into the send end of a flow arrow.
-type message struct {
-	src, tag int
-	data     []byte
-	sentAt   time.Duration
-}
-
-// inbox is an unbounded mailbox with (src, tag) matching: the peer
-// readers put every arriving frame here, and the rank's collectives
-// take the one they are waiting for.
-type inbox struct {
-	mu      sync.Mutex
-	queue   []message
-	arrived chan struct{} // 1-buffered doorbell
-}
-
-func newInbox() *inbox {
-	return &inbox{arrived: make(chan struct{}, 1)}
-}
-
-func (ib *inbox) put(m message) {
-	ib.mu.Lock()
-	ib.queue = append(ib.queue, m)
-	ib.mu.Unlock()
-	select {
-	case ib.arrived <- struct{}{}:
-	default:
-	}
-}
-
-// take removes and returns the first message matching (src, tag); ok is
-// false when nothing matches.
-func (ib *inbox) take(src, tag int) (message, bool) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for i, m := range ib.queue {
-		if m.src == src && m.tag == tag {
-			// Shift the tail down and zero the vacated slot: a plain
-			// append(queue[:i], queue[i+1:]...) would leave a second
-			// reference to the last message in the backing array,
-			// retaining its payload for the inbox's lifetime.
-			n := len(ib.queue)
-			copy(ib.queue[i:], ib.queue[i+1:])
-			ib.queue[n-1] = message{}
-			ib.queue = ib.queue[:n-1]
-			return m, true
-		}
-	}
-	return message{}, false
-}
-
-// summary describes the pending queue for failure diagnostics: how many
-// messages are waiting and the (src, tag, size) of the first few. It is
-// only called on panic paths.
-func (ib *inbox) summary() string {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if len(ib.queue) == 0 {
-		return "inbox empty"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d pending:", len(ib.queue))
-	for i, m := range ib.queue {
-		if i == 4 {
-			fmt.Fprintf(&b, " +%d more", len(ib.queue)-i)
-			break
-		}
-		fmt.Fprintf(&b, " (src=%d tag=%d %dB)", m.src, m.tag, len(m.data))
-	}
-	return b.String()
-}
-
 // ProcTransport is the multi-process Transport: this process's endpoint
 // into a world of one-process-per-rank peers. Create one with DialProc
 // and run the rank with RunRank.
@@ -290,12 +219,11 @@ type ProcTransport struct {
 	network    string
 
 	fail  failState
-	ib    *inbox
-	conns []*peerConn // indexed by peer rank; nil at self
+	in    []chan frame // in[src]: src's frames in arrival order; nil at self
+	conns []*peerConn  // indexed by peer rank; nil at self
 
-	barGen  int      // barrier generation counter (SPMD-consistent)
-	collSeq int      // collective sequence counter (SPMD-consistent)
-	views   [][]byte // per-rank views returned by the Publish methods
+	seq   int      // sequence number of the next collective (SPMD-consistent)
+	views [][]byte // per-rank views returned by ScatterSlots
 
 	tstats procCounters
 
@@ -307,9 +235,8 @@ type ProcTransport struct {
 		buf []P2PEvent
 	}
 
-	done    atomic.Bool // set on clean Finish: subsequent EOFs are benign
-	closed  sync.Once
-	readers sync.WaitGroup
+	done   atomic.Bool // set on clean Finish: subsequent EOFs are benign
+	closed sync.Once
 }
 
 // procCounters are the transport's wire-level counters. Atomics
@@ -331,8 +258,8 @@ type peerCounters struct {
 
 // PeerTraffic is one peer's share of a rank's wire traffic: whole
 // frames (header included), as put on and taken off the socket. The
-// frame counts are deterministic for a given run — every barrier token
-// and collective frame is one frame — while byte counts include the
+// frame counts are deterministic for a given run — every collective,
+// and Finish, sends each peer one frame — while byte counts include the
 // fixed per-frame header.
 type PeerTraffic struct {
 	FramesSent int64 `json:"frames_sent"`
@@ -429,7 +356,7 @@ func DialProc(cfg ProcConfig, opts ...RunOpt) (*ProcTransport, error) {
 		epoch:   epoch,
 		timeout: bag.timeout,
 		network: cfg.Network,
-		ib:      newInbox(),
+		in:      make([]chan frame, cfg.Size),
 		conns:   make([]*peerConn, cfg.Size),
 		views:   make([][]byte, cfg.Size),
 	}
@@ -464,7 +391,7 @@ func DialProc(cfg ProcConfig, opts ...RunOpt) (*ProcTransport, error) {
 		if pc == nil {
 			continue
 		}
-		t.readers.Add(1)
+		t.in[peer] = make(chan frame, queueDepth)
 		go t.reader(peer, pc)
 	}
 	return t, nil
@@ -556,6 +483,38 @@ type handshakeMismatch struct{ msg string }
 
 func (e *handshakeMismatch) Error() string { return e.msg }
 
+// helloFixed is the fixed part of a hello payload: magic, world size,
+// rank and version length, eight bytes each. The version bytes follow.
+const helloFixed = 32
+
+// encodeHello returns the hello payload of rank in a world of size
+// ranks running build version.
+func encodeHello(size, rank int, version string) []byte {
+	e := NewEncoder(helloFixed + len(version))
+	e.PutU64(handshakeMagic)
+	e.PutInt(size)
+	e.PutInt(rank)
+	e.PutInt(len(version))
+	e.Append([]byte(version))
+	return e.Bytes()
+}
+
+// decodeHello parses a peer's hello payload. It arrives before the peer
+// is verified, so a payload too short for the fixed part, a wrong magic,
+// or a version length other than the bytes that follow is a
+// *handshakeMismatch, never a panic.
+func decodeHello(b []byte) (size, rank int, version string, err error) {
+	d := NewDecoder(b)
+	if len(b) < helloFixed || d.U64() != handshakeMagic {
+		return 0, 0, "", &handshakeMismatch{fmt.Sprintf("bad hello (%d bytes): not a dinfomap mesh peer?", len(b))}
+	}
+	size, rank = d.Int(), d.Int()
+	if n := d.I64(); n != int64(d.Remaining()) {
+		return 0, 0, "", &handshakeMismatch{fmt.Sprintf("hello claims a %d-byte version but carries %d bytes", n, d.Remaining())}
+	}
+	return size, rank, string(b[helloFixed:]), nil
+}
+
 // handshake exchanges and verifies hello frames on a fresh connection.
 // wantPeer is the expected remote rank, or anyPeer on the accept side.
 // Both sides send first and then read — the frames cross on the wire,
@@ -564,12 +523,7 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 	if err := conn.SetDeadline(deadline); err != nil {
 		return 0, fmt.Errorf("handshake deadline: %w", err)
 	}
-	e := NewEncoder(64)
-	e.PutU64(handshakeMagic)
-	e.PutInt(cfg.Size)
-	e.PutInt(cfg.Rank)
-	e.PutInt(len(cfg.Version))
-	hello := append(e.Bytes(), cfg.Version...)
+	hello := encodeHello(cfg.Size, cfg.Rank, cfg.Version)
 	if err := newPeerConn(conn).writeFrame(tagHello, 0, hello); err != nil {
 		return 0, fmt.Errorf("sending hello: %w", err)
 	}
@@ -584,13 +538,10 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 	if f.tag != tagHello {
 		return 0, &handshakeMismatch{fmt.Sprintf("bad hello frame (tag=%d, len=%d): not a dinfomap mesh peer?", f.tag, len(f.data))}
 	}
-	buf := f.data
-	d := NewDecoder(buf)
-	if magic := d.U64(); magic != handshakeMagic {
-		return 0, &handshakeMismatch{fmt.Sprintf("bad hello magic %#x", magic)}
+	size, peer, version, err := decodeHello(f.data)
+	if err != nil {
+		return 0, err
 	}
-	size, peer := d.Int(), d.Int()
-	version := string(buf[len(buf)-d.Int():])
 	if size != cfg.Size {
 		return 0, &handshakeMismatch{fmt.Sprintf("rank %d believes world size is %d, we have %d", peer, size, cfg.Size)}
 	}
@@ -606,13 +557,12 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 	return peer, nil
 }
 
-// reader drains one peer connection into the inbox for the life of the
-// world. Payloads are read into buffers the rank recycled (see
-// ReleaseSlots) when there is one. A poison frame carries a failed
-// peer's cause; a bare connection loss (crash, kill) becomes one. After
-// a clean Finish both are expected and ignored.
+// reader drains one peer connection into the peer's frame queue for
+// the life of the world. Payloads are read into buffers the rank
+// recycled (see ReleaseSlots) when there is one. A poison frame carries
+// a failed peer's cause; a bare connection loss (crash, kill) becomes
+// one. After a clean Finish both are expected and ignored.
 func (t *ProcTransport) reader(peer int, pc *peerConn) {
-	defer t.readers.Done()
 	hdr := make([]byte, frameHeader)
 	var spare []byte
 	for {
@@ -638,7 +588,11 @@ func (t *ProcTransport) reader(peer int, pc *peerConn) {
 			t.fail.poisonWith(fmt.Errorf("poisoned by rank %d: %s", peer, f.data))
 			return
 		}
-		t.ib.put(message{src: peer, tag: f.tag, data: f.data, sentAt: f.sentAt})
+		select {
+		case t.in[peer] <- f:
+		case <-t.fail.poison:
+			return // the rank unwinds and will not take it
+		}
 	}
 }
 
@@ -657,14 +611,14 @@ func (t *ProcTransport) Now() time.Duration { return time.Since(t.epoch) }
 // world (and unwinding this rank) if the write fails. It does not wait
 // for the peer's rank code: the kernel socket buffer and the peer's
 // reader goroutine absorb the payload.
-func (t *ProcTransport) send(dst, tag int, data []byte) {
-	if err := t.conns[dst].writeFrame(tag, t.Now(), data); err != nil {
+func (t *ProcTransport) send(dst, seq int, data []byte) {
+	if err := t.conns[dst].writeFrame(seq, t.Now(), data); err != nil {
 		// A failed write is usually the symptom of a peer's abort —
 		// its sockets close a moment before its poison frame is
 		// processed on our side. Give the real cause a moment to
 		// arrive so the unwind names the disease, not the broken pipe.
 		cause := t.awaitCause(fmt.Errorf("rank %d: send to rank %d failed: %v", t.rank, dst, err))
-		panic(fmt.Sprintf("mpi: rank %d: world poisoned sending to rank %d (tag=%d): cause: %v", t.rank, dst, tag, cause))
+		panic(fmt.Sprintf("mpi: rank %d: world poisoned sending to rank %d (seq=%d): cause: %v", t.rank, dst, seq, cause))
 	}
 	pcnt := &t.tstats.peers[dst]
 	pcnt.framesSent.Add(1)
@@ -687,8 +641,8 @@ func (t *ProcTransport) awaitCause(fallback error) error {
 	return t.fail.failure()
 }
 
-// StampSlotMatches turns per-source match stamping on or off for the
-// slot collectives (the slotStamper capability; see Comm). Called once
+// StampSlotMatches turns per-source match stamping on or off for
+// ScatterSlots (the slotStamper capability; see Comm). Called once
 // before the rank program starts.
 func (t *ProcTransport) StampSlotMatches(on bool) { t.stamps.on = on }
 
@@ -700,124 +654,102 @@ func (t *ProcTransport) TakeSlotMatches() []P2PEvent {
 	return s
 }
 
-// collectMatch is recvMatch plus an optional match stamp: the message's
-// wire-carried send stamp and this rank's receive window, the raw
-// material of cross-process flow arrows.
-func (t *ProcTransport) collectMatch(src, tag int, op string) message {
-	if !t.stamps.on {
-		return t.recvMatch(src, tag, op)
-	}
-	start := t.Now()
-	m := t.recvMatch(src, tag, op)
-	t.stamps.buf = append(t.stamps.buf, P2PEvent{
-		Src: src, Tag: tag,
-		Bytes:  int64(len(m.data)),
-		SentAt: m.sentAt, RecvStart: start, RecvEnd: t.Now(),
-	})
-	return m
-}
-
-// recvMatch blocks until the inbox holds a message matching (src, tag).
-// The deadlock timer is created lazily so the already-arrived fast path
+// recv takes the next frame from src's queue, which must be the frame
+// of collective seq; anything else means the ranks' collective
+// sequences diverged, and the rank unwinds naming both numbers. The
+// deadlock timer is created lazily so the already-arrived fast path
 // stays allocation-free, and the blocked-since stamp is taken at the
-// same moment so diagnostics report the time actually spent blocked.
-// A rank woken by poison or the watchdog unwinds with op (the blocking
-// operation), the cause, and what was actually pending — without these
-// a cross-rank failure is undebuggable.
-func (t *ProcTransport) recvMatch(src, tag int, op string) message {
-	var deadline *time.Timer
-	var began time.Duration
-	for {
-		if m, ok := t.ib.take(src, tag); ok {
-			if deadline != nil {
-				stopTimer(deadline)
-			}
-			return m
-		}
-		if deadline == nil {
-			deadline = time.NewTimer(t.timeout)
-			began = t.Now()
-		}
+// same moment so diagnostics report the time actually spent blocked. A
+// rank woken by poison or the watchdog unwinds with op (the blocking
+// operation), the cause, and what was queued — without these a
+// cross-rank failure is undebuggable. With stamping on, the frame's
+// wire-carried send stamp and this rank's receive window are recorded:
+// the raw material of cross-process flow arrows.
+func (t *ProcTransport) recv(src, seq int, op string) []byte {
+	var start time.Duration
+	if t.stamps.on {
+		start = t.Now()
+	}
+	var f frame
+	select {
+	case f = <-t.in[src]:
+	default:
+		began := t.Now()
+		deadline := time.NewTimer(t.timeout)
 		select {
-		case <-t.ib.arrived:
+		case f = <-t.in[src]:
+			stopTimer(deadline)
 		case <-t.fail.poison:
-			panic(fmt.Sprintf("mpi: rank %d: world poisoned while waiting in %s(src=%d, tag=%d) after %v: cause: %v; %s",
-				t.rank, op, src, tag, (t.Now() - began).Round(time.Microsecond), t.fail.failure(), t.ib.summary()))
+			panic(fmt.Sprintf("mpi: rank %d: world poisoned while waiting in %s(src=%d, seq=%d) after %v: cause: %v; %s",
+				t.rank, op, src, seq, (t.Now() - began).Round(time.Microsecond), t.fail.failure(), t.queued()))
 		case <-deadline.C:
-			panic(fmt.Sprintf("mpi: rank %d deadlocked in %s(src=%d, tag=%d) after %v; %s",
-				t.rank, op, src, tag, (t.Now() - began).Round(time.Millisecond), t.ib.summary()))
+			panic(fmt.Sprintf("mpi: rank %d deadlocked in %s(src=%d, seq=%d) after %v; %s",
+				t.rank, op, src, seq, (t.Now() - began).Round(time.Millisecond), t.queued()))
 		}
 	}
-}
-
-// Sync is a dissemination barrier: ceil(log2 p) rounds, each sending a
-// generation-and-round-tagged token to rank+2^r and waiting for the
-// token from rank-2^r. When the rounds complete, every rank is known to
-// have entered this generation.
-func (t *ProcTransport) Sync() {
-	gen := t.barGen
-	t.barGen++
-	round := 0
-	for k := 1; k < t.size; k <<= 1 {
-		dst := (t.rank + k) % t.size
-		src := (t.rank - k + t.size) % t.size
-		tag := tagBar - gen*64 - round
-		t.send(dst, tag, nil)
-		t.recvMatch(src, tag, "Barrier")
-		round++
+	if f.tag != seq {
+		panic(fmt.Sprintf("mpi: rank %d: %s(src=%d, seq=%d) received the frame of collective %d",
+			t.rank, op, src, seq, f.tag))
 	}
+	if t.stamps.on {
+		t.stamps.buf = append(t.stamps.buf, P2PEvent{
+			Src: src, Tag: seq,
+			Bytes:  int64(len(f.data)),
+			SentAt: f.sentAt, RecvStart: start, RecvEnd: t.Now(),
+		})
+	}
+	return f.data
 }
 
-// GatherSlots is allgather over the mesh: send our contribution to
-// every peer under this collective's sequence tag, then collect every
-// peer's in rank order. Completing the collection is itself the synchronization —
-// a rank cannot pass until all have published.
-func (t *ProcTransport) GatherSlots(data []byte) [][]byte {
-	seq := t.collSeq
-	t.collSeq++
-	tag := tagGather - seq
-	for dst := 0; dst < t.size; dst++ {
-		if dst != t.rank {
-			t.send(dst, tag, data)
+// queued takes every frame still queued and lists their (src, seq,
+// size), at most queueDepth per peer, for failure diagnostics. It is
+// only called on panic paths: the rank is unwinding and would never take
+// them.
+func (t *ProcTransport) queued() string {
+	var b strings.Builder
+	n := 0
+	for src, q := range t.in {
+		for k := len(q); k > 0; k-- {
+			f := <-q // only this goroutine takes, so len(q) frames are there
+			n++
+			fmt.Fprintf(&b, " (src=%d seq=%d %dB)", src, f.tag, len(f.data))
 		}
 	}
-	t.views[t.rank] = data
-	for src := 0; src < t.size; src++ {
-		if src == t.rank {
-			continue
-		}
-		m := t.collectMatch(src, tag, "Allgather")
-		t.views[src] = m.data
-	}
-	return t.views
+	return fmt.Sprintf("%d queued:%s", n, b.String())
 }
 
+// ScatterSlots sends bufs[dst] to every peer as its frame of the next
+// collective, then takes every peer's frame of that collective in rank
+// order. Taking them all is itself the synchronization — a rank cannot
+// pass until every peer has sent.
 func (t *ProcTransport) ScatterSlots(bufs [][]byte) [][]byte {
-	seq := t.collSeq
-	t.collSeq++
-	tag := tagScat - seq
-	for dst := 0; dst < t.size; dst++ {
+	return t.exchange(bufs, "ScatterSlots")
+}
+
+func (t *ProcTransport) exchange(bufs [][]byte, op string) [][]byte {
+	seq := t.seq
+	t.seq++
+	for dst, b := range bufs {
 		if dst != t.rank {
-			t.send(dst, tag, bufs[dst])
+			t.send(dst, seq, b)
 		}
 	}
-	t.views[t.rank] = bufs[t.rank]
-	for src := 0; src < t.size; src++ {
+	for src := range t.views {
 		if src == t.rank {
-			continue
+			t.views[src] = bufs[src]
+		} else {
+			t.views[src] = t.recv(src, seq, op)
 		}
-		m := t.collectMatch(src, tag, "Alltoallv")
-		t.views[src] = m.data
 	}
 	return t.views
 }
 
-// ReleaseSlots synchronizes nothing on this backend: every collective's
-// frames carry a unique sequence tag, so a rank that runs ahead and
-// republishes cannot overwrite anything — early frames just queue in
-// the inbox. It hands the received frames that GatherSlots and
-// ScatterSlots lent out back to their peers' readers, whose next
-// payloads fill them again (Comm has copied them into its slab by now).
+// ReleaseSlots synchronizes nothing on this backend: a rank that runs
+// ahead and sends its next frames cannot overwrite anything — they
+// queue behind the current ones in each peer's stream. It hands the
+// received frames that ScatterSlots lent out back to their peers'
+// readers, whose next payloads fill them again (Comm has copied them
+// into its slab by now).
 func (t *ProcTransport) ReleaseSlots() {
 	for src, b := range t.views {
 		if src != t.rank && b != nil {
@@ -853,23 +785,23 @@ func (t *ProcTransport) Abort(err error) {
 
 func (t *ProcTransport) Err() error { return t.fail.failure() }
 
-// Finish completes this rank cleanly: a final barrier proves every
-// peer has also finished the algorithm (so closing our sockets cannot
-// poison a rank still mid-sweep), then the mesh is torn down. It
-// panics — like any blocked operation — if the world was poisoned
-// instead.
+// Finish completes this rank cleanly: a final exchange of empty frames
+// proves every peer has also finished the algorithm (so closing our
+// sockets cannot poison a rank still mid-sweep), then the mesh is torn
+// down. It panics — like any blocked operation — if the world was
+// poisoned instead.
 //
-// done is set before the barrier, not after: once fn has returned, the
-// only frames this rank still needs are the final-barrier tokens (and
-// any poison), and TCP ordering delivers a peer's tokens before its
-// close — so a hangup observed from here on is a peer that finished
-// and left, not a failure. The narrow cost: a peer that crashes after
-// its algorithm but before its final barrier leaves us to the deadlock
+// done is set before the exchange, not after: once fn has returned, the
+// only frames this rank still needs are the final exchange's (and any
+// poison), and TCP ordering delivers a peer's frame before its close —
+// so a hangup observed from here on is a peer that finished and left,
+// not a failure. The narrow cost: a peer that crashes after its
+// algorithm but before its final exchange leaves us to the deadlock
 // watchdog (or to a poison frame from a third rank that saw the crash
 // while still working) rather than an instant connection-loss poison.
 func (t *ProcTransport) Finish() {
 	t.done.Store(true)
-	t.Sync()
+	t.exchange(make([][]byte, t.size), "Finish")
 	t.closeConns()
 }
 

@@ -25,14 +25,16 @@ import (
 // a Transport is owned by its rank: the communication methods are not
 // safe for concurrent use by multiple goroutines.
 //
-// Collectives use a two-phase window: a Publish method contributes the
-// local payload and blocks until every rank has contributed, the caller
-// copies what it needs out of the returned views, and ReleaseSlots
-// closes the window (the returned views are invalid after that). Both
-// phases are full synchronization points on the goroutine backend; the
-// proc backend's ReleaseSlots does not synchronize, because its
-// per-message sequence tags make early re-publication safe, and only
-// hands the received frames back to its readers.
+// Collectives use a two-phase window: ScatterSlots contributes the
+// local payloads and blocks until every rank has contributed, the
+// caller copies what it needs out of the returned views, and
+// ReleaseSlots closes the window (the returned views are invalid after
+// that). Both phases are full synchronization points on the goroutine
+// backend, whose views alias the other ranks' send buffers. The proc
+// backend's ReleaseSlots does not synchronize: its views are frames it
+// received, so a rank that runs ahead cannot overwrite them, and its
+// next frames queue behind the current ones in each peer's stream.
+// ReleaseSlots only hands the received frames back to its readers.
 type Transport interface {
 	// Rank returns this rank's id in [0, Size()).
 	Rank() int
@@ -42,23 +44,15 @@ type Transport interface {
 	// epoch. Stamps from all ranks are comparable on it.
 	Now() time.Duration
 
-	// Sync blocks until every rank has entered the same synchronization
-	// point. No cost accounting — Comm charges around it.
-	Sync()
-
-	// GatherSlots contributes data and blocks until every rank has
-	// contributed; the result holds rank i's contribution at index i.
-	// The views (including the local one) alias transport storage or
-	// the caller's own buffer and are valid only until ReleaseSlots.
-	GatherSlots(data []byte) [][]byte
 	// ScatterSlots sends bufs[dst] to each rank dst (nil entries send
 	// nothing) and blocks until this rank's column is complete; the
 	// result holds the payload received from rank src at index src,
-	// valid only until ReleaseSlots. len(bufs) must equal Size().
+	// valid only until ReleaseSlots. len(bufs) must equal Size(), and
+	// bufs must stay untouched until ReleaseSlots.
 	ScatterSlots(bufs [][]byte) [][]byte
 	// ReleaseSlots closes the collective window opened by the last
-	// Publish call: transport storage becomes reusable and the views
-	// returned by it are dead.
+	// ScatterSlots call: transport storage becomes reusable and the
+	// views returned by it are dead.
 	ReleaseSlots()
 
 	// Abort poisons the world with err: every rank blocked in a
@@ -106,10 +100,8 @@ func (f *failState) failure() error {
 }
 
 // stopTimer stops t and drains its channel if it already fired, so a
-// timer discarded on the non-timeout path cannot leave a stale tick
-// behind. (The timers here are per-wait and garbage-collected either
-// way; draining keeps tight wait loops from accumulating fired timers
-// that the runtime must still track until their channels are collected.)
+// timer stopped on the non-timeout path leaves no stale tick behind: a
+// reused timer (the goroutine backend's barrier) can then be Reset.
 func stopTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {

@@ -18,13 +18,13 @@ import "time"
 // Times are world-epoch relative (Recorder.Epoch).
 type P2PEvent struct {
 	Src   int   // sending rank
-	Tag   int   // wire tag (the collective's sequence tag)
+	Tag   int   // the collective's sequence number (0, 1, ... on every rank)
 	Kind  Kind  // ambient traffic kind of the collective
 	Bytes int64 // payload size
 
 	SentAt    time.Duration // sender's stamp
 	RecvStart time.Duration // when the receiver asked
-	RecvEnd   time.Duration // when the match completed
+	RecvEnd   time.Duration // when the frame was taken
 }
 
 // Blocked reports whether the receiver asked before the frame was sent.
