@@ -58,8 +58,6 @@ func main() {
 		connectTimeout = flag.Duration("connect-timeout", 30*time.Second,
 			"proc transport: budget for establishing the rank mesh")
 		outPath = flag.String("out", "", "write 'vertex community' lines to this file")
-		dotPath = flag.String("dot", "", "write the community quotient graph as GraphViz DOT")
-		top     = flag.Int("top", 0, "print a report of the top N communities")
 		quiet   = flag.Bool("q", false, "suppress the breakdown report")
 
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-transport=proc merges every rank process onto one timeline)")
@@ -166,7 +164,7 @@ func main() {
 		fmt.Printf("graph: %d vertices, %d edges\n", len(res.Communities), res.NumEdges)
 	}
 	wall := time.Since(start)
-	if g == nil && (*top > 0 || *metricsPath != "" || *dotPath != "") {
+	if g == nil && *metricsPath != "" {
 		if g, err = in.Load(); err != nil {
 			fatal(err)
 		}
@@ -193,12 +191,6 @@ func main() {
 		}
 	}
 
-	if *top > 0 {
-		fmt.Printf("\ntop %d communities:\n", *top)
-		if err := dinfomap.SummarizeCommunities(g, res.Communities).WriteText(os.Stdout, *top); err != nil {
-			fatal(err)
-		}
-	}
 	if *tracePath != "" {
 		if err := writeFile(*tracePath, func(w io.Writer) error {
 			return dinfomap.WriteChromeTraceWith(w, cfg.Journal, res.WaitRecorder)
@@ -214,14 +206,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *metricsPath)
-	}
-	if *dotPath != "" {
-		if err := writeFile(*dotPath, func(w io.Writer) error {
-			return dinfomap.WriteCommunityDOT(w, g, res.Communities, 0)
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *dotPath)
 	}
 	if *outPath != "" {
 		if err := writeCommunities(*outPath, res.Communities); err != nil {

@@ -1,7 +1,7 @@
 // Package dinfomap is a Go implementation of the distributed Infomap
 // community detection algorithm of Zeng & Yu (ICPP 2018), together with
 // the sequential Infomap reference, delegate partitioning, baseline
-// algorithms (Louvain, RelaxMap-style shared-memory, GossipMap-style
+// algorithms (RelaxMap-style shared-memory, GossipMap-style
 // distributed), graph generators, and quality metrics.
 //
 // # Quickstart
@@ -27,13 +27,11 @@ import (
 	"dinfomap/internal/gossip"
 	"dinfomap/internal/graph"
 	"dinfomap/internal/infomap"
-	"dinfomap/internal/louvain"
 	"dinfomap/internal/metrics"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/partition"
 	"dinfomap/internal/relax"
-	"dinfomap/internal/report"
 )
 
 // Graph is the shared CSR graph type. Build one with NewBuilder,
@@ -197,17 +195,6 @@ func AssembleDistributed(cfg DistributedConfig, artifacts []*RankArtifact) (*Dis
 	return core.Assemble(cfg, artifacts)
 }
 
-// LouvainConfig controls the Louvain baseline.
-type LouvainConfig = louvain.Config
-
-// LouvainResult is a Louvain result.
-type LouvainResult = louvain.Result
-
-// RunLouvain executes the sequential Louvain algorithm on g.
-func RunLouvain(g *Graph, cfg LouvainConfig) *LouvainResult {
-	return louvain.Run(g, cfg)
-}
-
 // RelaxConfig controls the RelaxMap-style shared-memory baseline.
 type RelaxConfig = relax.Config
 
@@ -299,23 +286,6 @@ func Modularity(g *Graph, comm []int) float64 { return metrics.Modularity(g, com
 // CodelengthOf evaluates the two-level map equation of an arbitrary
 // partition on g (lower is better).
 func CodelengthOf(g *Graph, comm []int) float64 { return infomap.CodelengthOf(g, comm) }
-
-// ---- Reporting ----
-
-// CommunitySummary describes a detected partition; see SummarizeCommunities.
-type CommunitySummary = report.Summary
-
-// SummarizeCommunities computes per-community statistics (sizes,
-// internal/cut weight, conductance) of comm on g.
-func SummarizeCommunities(g *Graph, comm []int) *CommunitySummary {
-	return report.Summarize(g, comm)
-}
-
-// WriteCommunityDOT writes the community quotient graph in GraphViz DOT
-// format (largest maxNodes communities; 0 means 100).
-func WriteCommunityDOT(w io.Writer, g *Graph, comm []int, maxNodes int) error {
-	return report.WriteDOT(w, g, comm, maxNodes)
-}
 
 // ---- Partitioning analysis ----
 

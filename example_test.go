@@ -56,25 +56,6 @@ func ExampleComparePartitions() {
 	// NMI=1.00 F=1.00 JI=1.00
 }
 
-func ExampleRunDirected() {
-	// Two directed 3-cycles joined by one weak arc pair.
-	b := dinfomap.NewDirectedBuilder(6)
-	for _, base := range []int{0, 3} {
-		b.AddArc(base, base+1)
-		b.AddArc(base+1, base+2)
-		b.AddArc(base+2, base)
-		b.AddArc(base+1, base)
-		b.AddArc(base+2, base+1)
-		b.AddArc(base, base+2)
-	}
-	b.AddArc(0, 3)
-	b.AddArc(3, 0)
-	res := dinfomap.RunDirected(b.Build(), dinfomap.DirectedConfig{Seed: 1})
-	fmt.Println("modules:", res.NumModules)
-	// Output:
-	// modules: 2
-}
-
 func ExampleAnalyzeDelegate() {
 	// A star: the hub makes block-1D partitioning lopsided, while
 	// delegate partitioning splits the hub's edges across ranks.

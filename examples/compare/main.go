@@ -1,8 +1,8 @@
 // Compare: run all four community detection algorithms in this
 // repository on the same ground-truth graph and print a scoreboard —
 // quality (NMI vs truth, codelength, modularity) and cost. This mirrors
-// the paper's positioning of its algorithm against RelaxMap, GossipMap,
-// and the Louvain family.
+// the paper's positioning of its algorithm against sequential Infomap,
+// RelaxMap and GossipMap.
 //
 //	go run ./examples/compare
 package main
@@ -49,10 +49,6 @@ func main() {
 	t0 = time.Now()
 	gos := dinfomap.RunGossip(g, dinfomap.GossipConfig{P: 8, Seed: 5})
 	rows = append(rows, row{"GossipMap-style (p=8)", gos.Communities, gos.NumModules, time.Since(t0)})
-
-	t0 = time.Now()
-	lv := dinfomap.RunLouvain(g, dinfomap.LouvainConfig{Seed: 5})
-	rows = append(rows, row{"Louvain", lv.Communities, lv.NumCommunities, time.Since(t0)})
 
 	fmt.Printf("%-28s %8s %10s %12s %8s %10s\n",
 		"algorithm", "modules", "NMI", "codelength", "Q", "host wall")

@@ -63,7 +63,7 @@ func TestWeightedGraphsSupported(t *testing.T) {
 }
 
 // TestAllAlgorithmsAgreeOnStrongStructure: with very strong community
-// structure, all five algorithms must find essentially the same answer.
+// structure, all four algorithms must find essentially the same answer.
 func TestAllAlgorithmsAgreeOnStrongStructure(t *testing.T) {
 	pg := GeneratePlanted(PlantedConfig{
 		N: 600, NumComms: 10, AvgDegree: 12, Mixing: 0.05,
@@ -74,7 +74,6 @@ func TestAllAlgorithmsAgreeOnStrongStructure(t *testing.T) {
 		"distributed": RunDistributed(g, DistributedConfig{P: 4, Seed: 2}).Communities,
 		"relax":       RunRelax(g, RelaxConfig{Workers: 4, Seed: 2}).Communities,
 		"gossip":      RunGossip(g, GossipConfig{P: 4, Seed: 2}).Communities,
-		"louvain":     RunLouvain(g, LouvainConfig{Seed: 2}).Communities,
 	}
 	for name, comm := range partitions {
 		if nmi := NMI(comm, pg.Truth); nmi < 0.95 {

@@ -28,17 +28,16 @@ import (
 // accepted so testdata packages (and the packages themselves under a
 // different module name) match.
 var criticalPackages = map[string]bool{
-	"dinfomap/internal/core":       true,
-	"dinfomap/internal/partition":  true,
-	"dinfomap/internal/mapeq":      true,
-	"dinfomap/internal/dirinfomap": true,
-	"dinfomap/internal/graph":      true,
-	"dinfomap/internal/metrics":    true,
+	"dinfomap/internal/core":      true,
+	"dinfomap/internal/partition": true,
+	"dinfomap/internal/mapeq":     true,
+	"dinfomap/internal/graph":     true,
+	"dinfomap/internal/metrics":   true,
 }
 
 var criticalNames = map[string]bool{
 	"core": true, "partition": true, "mapeq": true,
-	"dirinfomap": true, "graph": true, "metrics": true,
+	"graph": true, "metrics": true,
 }
 
 // Analyzer is the maporder check.

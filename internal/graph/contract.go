@@ -48,16 +48,6 @@ func Renumber(comm []int) (dense []int, k int) {
 	return dense, len(remap)
 }
 
-// CommunitySizes returns, for a dense assignment with k communities, the
-// number of vertices in each community.
-func CommunitySizes(comm []int, k int) []int {
-	sizes := make([]int, k)
-	for _, c := range comm {
-		sizes[c]++
-	}
-	return sizes
-}
-
 // ProjectAssignment lifts a community assignment on a contracted graph
 // back to the original vertices: given the original-level assignment
 // prev (vertex -> community id), the remap from Contract, and the

@@ -77,13 +77,6 @@ func TestRenumber(t *testing.T) {
 	}
 }
 
-func TestCommunitySizes(t *testing.T) {
-	sizes := CommunitySizes([]int{0, 1, 1, 2, 1}, 3)
-	if sizes[0] != 1 || sizes[1] != 3 || sizes[2] != 1 {
-		t.Fatalf("sizes = %v, want [1 3 1]", sizes)
-	}
-}
-
 func TestProjectAssignment(t *testing.T) {
 	g := FromEdges(4, [][2]int{{0, 1}, {2, 3}})
 	prev := []int{0, 0, 1, 1}

@@ -79,7 +79,11 @@ func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
 			}
 		}
 	}
-	c.countExchange(c.kind, sentMsgs, int64(sent), recvMsgs, int64(recvd))
+	// Real message counters on both sides, no modeled collective term.
+	c.count(KindStats{
+		MsgsSent: sentMsgs, BytesSent: int64(sent),
+		MsgsRecv: recvMsgs, BytesRecv: int64(recvd),
+	})
 	return out
 }
 

@@ -70,29 +70,32 @@ func (k Kind) String() string {
 	return "other"
 }
 
-// KindNames returns the label names of all kinds in Kind order (a fresh
-// slice; callers may reorder it).
-func KindNames() []string {
-	out := make([]string, NumKinds)
-	copy(out, kindNames[:])
-	return out
-}
-
-// KindStats counts one kind's share of a rank's traffic; the fields
-// mirror Stats' totals. For every field, summing KindStats over all
-// kinds equals the Stats total (the conservation invariant: every
-// counter increment lands in exactly one kind bucket).
+// KindStats is one set of traffic counters: a rank's totals (embedded
+// in Stats) or one kind's share of them. For every field, summing
+// KindStats over all kinds equals the total (the conservation
+// invariant: every counter increment lands in exactly one kind bucket).
+// BytesSent/BytesRecv and MsgsSent/MsgsRecv are Alltoallv's real
+// payloads between distinct ranks; Collective* fields use the
+// recursive-doubling model: each allgather-based collective costs
+// ceil(log2 p) messages of the payload size.
 type KindStats struct {
 	BytesSent, BytesRecv int64
 	MsgsSent, MsgsRecv   int64
 	Collectives          int64
-	CollectiveBytes      int64
-	CollectiveMsgs       int64
+	CollectiveBytes      int64 // modeled: payload * ceil(log2 p) per call
+	CollectiveMsgs       int64 // modeled: ceil(log2 p) per call
 
-	// Wait counters, mirroring Stats: synchronization skew follows the
+	// BarrierWaitNs is where the rank lost time blocked on
+	// communication (host wall-clock nanoseconds): arrival-to-release
+	// skew summed over the synchronization points of its collectives,
+	// the time between this rank arriving and the last rank releasing
+	// everyone. Unlike the traffic counters it is measured, not
+	// modeled, and is nondeterministic run to run. Skew follows the
 	// ambient kind at the synchronization point.
 	BarrierWaitNs int64
-	BarrierSyncs  int64
+	// BarrierSyncs counts synchronization points entered (each
+	// collective contributes two).
+	BarrierSyncs int64
 }
 
 // add accumulates other into s.
@@ -123,9 +126,8 @@ func (s KindStats) sub(prev KindStats) KindStats {
 	}
 }
 
-// TotalBytes returns all bytes attributed to this kind (Alltoallv
-// payloads + modeled collective traffic), the per-kind counterpart of
-// Stats.TotalBytes.
+// TotalBytes returns all bytes counted here (Alltoallv payloads +
+// modeled collective traffic).
 func (s KindStats) TotalBytes() int64 {
 	return s.BytesSent + s.BytesRecv + s.CollectiveBytes
 }
@@ -143,17 +145,4 @@ func (s Stats) KindSums() KindStats {
 
 // Conserved reports whether the per-kind buckets sum to the aggregate
 // totals on every field.
-func (s Stats) Conserved() bool {
-	sum := s.KindSums()
-	return sum == KindStats{
-		BytesSent:       s.BytesSent,
-		BytesRecv:       s.BytesRecv,
-		MsgsSent:        s.MsgsSent,
-		MsgsRecv:        s.MsgsRecv,
-		Collectives:     s.Collectives,
-		CollectiveBytes: s.CollectiveBytes,
-		CollectiveMsgs:  s.CollectiveMsgs,
-		BarrierWaitNs:   s.BarrierWaitNs,
-		BarrierSyncs:    s.BarrierSyncs,
-	}
-}
+func (s Stats) Conserved() bool { return s.KindSums() == s.KindStats }

@@ -127,31 +127,13 @@ type Comm struct {
 	gt goroutineTransport
 }
 
-// Stats counts one rank's traffic. BytesSent/BytesRecv and
-// MsgsSent/MsgsRecv are Alltoallv's real payloads between distinct
-// ranks; Collective* fields use the recursive-doubling model: each
-// allgather-based collective costs ceil(log2 p) messages of the payload
-// size. ByKind splits every counter by message kind; each increment
-// lands in the totals and in exactly one kind bucket, so for every
-// field the kind sum equals the total (Conserved). Stats is a
+// Stats counts one rank's traffic. The embedded KindStats holds the
+// rank's totals; ByKind splits every counter by message kind. Each
+// increment lands in the totals and in exactly one kind bucket, so for
+// every field the kind sum equals the total (Conserved). Stats is a
 // comparable value type: snapshots copy.
 type Stats struct {
-	BytesSent, BytesRecv int64
-	MsgsSent, MsgsRecv   int64
-	Collectives          int64
-	CollectiveBytes      int64 // modeled: payload * ceil(log2 p) per call
-	CollectiveMsgs       int64 // modeled: ceil(log2 p) per call
-
-	// BarrierWaitNs is where this rank lost time blocked on
-	// communication (host wall-clock nanoseconds): arrival-to-release
-	// skew summed over the synchronization points of its collectives,
-	// the time between this rank arriving and the last rank releasing
-	// everyone. Unlike the traffic counters it is measured, not
-	// modeled, and is nondeterministic run to run.
-	BarrierWaitNs int64
-	// BarrierSyncs counts synchronization points entered (each
-	// collective contributes two).
-	BarrierSyncs int64
+	KindStats
 
 	// ByKind is the per-kind breakdown, indexed by Kind.
 	ByKind [NumKinds]KindStats
@@ -159,15 +141,7 @@ type Stats struct {
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
-	s.BytesSent += other.BytesSent
-	s.BytesRecv += other.BytesRecv
-	s.MsgsSent += other.MsgsSent
-	s.MsgsRecv += other.MsgsRecv
-	s.Collectives += other.Collectives
-	s.CollectiveBytes += other.CollectiveBytes
-	s.CollectiveMsgs += other.CollectiveMsgs
-	s.BarrierWaitNs += other.BarrierWaitNs
-	s.BarrierSyncs += other.BarrierSyncs
+	s.add(other.KindStats)
 	for k := range s.ByKind {
 		s.ByKind[k].add(other.ByKind[k])
 	}
@@ -178,27 +152,11 @@ func (s *Stats) Add(other Stats) {
 // the phase between the snapshots. The per-kind buckets diff too, so a
 // phase slice carries its own kind breakdown.
 func (s Stats) Sub(prev Stats) Stats {
-	out := Stats{
-		BytesSent:       s.BytesSent - prev.BytesSent,
-		BytesRecv:       s.BytesRecv - prev.BytesRecv,
-		MsgsSent:        s.MsgsSent - prev.MsgsSent,
-		MsgsRecv:        s.MsgsRecv - prev.MsgsRecv,
-		Collectives:     s.Collectives - prev.Collectives,
-		CollectiveBytes: s.CollectiveBytes - prev.CollectiveBytes,
-		CollectiveMsgs:  s.CollectiveMsgs - prev.CollectiveMsgs,
-		BarrierWaitNs:   s.BarrierWaitNs - prev.BarrierWaitNs,
-		BarrierSyncs:    s.BarrierSyncs - prev.BarrierSyncs,
-	}
+	out := Stats{KindStats: s.sub(prev.KindStats)}
 	for k := range s.ByKind {
 		out.ByKind[k] = s.ByKind[k].sub(prev.ByKind[k])
 	}
 	return out
-}
-
-// TotalBytes returns all bytes attributed to this rank (Alltoallv
-// payloads + modeled collective traffic).
-func (s Stats) TotalBytes() int64 {
-	return s.BytesSent + s.BytesRecv + s.CollectiveBytes
 }
 
 // BlockedNs returns the nanoseconds this rank itself spent blocked on
@@ -236,31 +194,12 @@ func (c *Comm) SetKind(k Kind) (prev Kind) {
 	return prev
 }
 
-// countBarrier attributes one synchronization point's wait to the
-// ambient kind.
-func (c *Comm) countBarrier(waitNs int64) {
+// count charges d to the totals and to the ambient kind's bucket, so
+// every increment is conserved by construction.
+func (c *Comm) count(d KindStats) {
 	c.statsMu.Lock()
-	c.stats.BarrierWaitNs += waitNs
-	c.stats.BarrierSyncs++
-	b := &c.stats.ByKind[c.kind]
-	b.BarrierWaitNs += waitNs
-	b.BarrierSyncs++
-	c.statsMu.Unlock()
-}
-
-// countExchange attributes an alltoallv exchange (real message
-// counters on both sides, no modeled collective term) to kind k.
-func (c *Comm) countExchange(k Kind, msgsSent, bytesSent, msgsRecv, bytesRecv int64) {
-	c.statsMu.Lock()
-	c.stats.MsgsSent += msgsSent
-	c.stats.BytesSent += bytesSent
-	c.stats.MsgsRecv += msgsRecv
-	c.stats.BytesRecv += bytesRecv
-	b := &c.stats.ByKind[k]
-	b.MsgsSent += msgsSent
-	b.BytesSent += bytesSent
-	b.MsgsRecv += msgsRecv
-	b.BytesRecv += bytesRecv
+	c.stats.add(d)
+	c.stats.ByKind[c.kind].add(d)
 	c.statsMu.Unlock()
 }
 
@@ -386,16 +325,9 @@ func (c *Comm) collectiveCost(payload int) {
 	if c.size == 1 {
 		steps = 0
 	}
-	bytes := steps * int64(payload)
-	c.statsMu.Lock()
-	c.stats.Collectives++
-	c.stats.CollectiveMsgs += steps
-	c.stats.CollectiveBytes += bytes
-	b := &c.stats.ByKind[c.kind]
-	b.Collectives++
-	b.CollectiveMsgs += steps
-	b.CollectiveBytes += bytes
-	c.statsMu.Unlock()
+	c.count(KindStats{
+		Collectives: 1, CollectiveMsgs: steps, CollectiveBytes: steps * int64(payload),
+	})
 }
 
 // noteSync charges one completed synchronization point that was entered
@@ -407,7 +339,7 @@ func (c *Comm) collectiveCost(payload int) {
 // every backend.
 func (c *Comm) noteSync(arrive time.Duration) {
 	release := c.t.Now()
-	c.countBarrier(int64(release - arrive))
+	c.count(KindStats{BarrierWaitNs: int64(release - arrive), BarrierSyncs: 1})
 	if rec := c.rec; rec != nil {
 		rec.AddBarrier(c.rank, BarrierEvent{Arrive: arrive, Release: release})
 	}

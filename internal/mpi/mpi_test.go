@@ -253,8 +253,8 @@ func TestStatsCollectiveModel(t *testing.T) {
 }
 
 func TestStatsAddAndTotal(t *testing.T) {
-	a := Stats{BytesSent: 1, BytesRecv: 2, CollectiveBytes: 3}
-	b := Stats{BytesSent: 10, BytesRecv: 20, CollectiveBytes: 30}
+	a := Stats{KindStats: KindStats{BytesSent: 1, BytesRecv: 2, CollectiveBytes: 3}}
+	b := Stats{KindStats: KindStats{BytesSent: 10, BytesRecv: 20, CollectiveBytes: 30}}
 	a.Add(b)
 	if a.TotalBytes() != 66 {
 		t.Fatalf("TotalBytes = %d, want 66", a.TotalBytes())

@@ -3,19 +3,19 @@ package mpi
 import "testing"
 
 func TestStatsSub(t *testing.T) {
-	before := Stats{
+	before := Stats{KindStats: KindStats{
 		BytesSent: 100, BytesRecv: 50, MsgsSent: 10, MsgsRecv: 5,
 		Collectives: 2, CollectiveBytes: 64, CollectiveMsgs: 4,
-	}
-	after := Stats{
+	}}
+	after := Stats{KindStats: KindStats{
 		BytesSent: 250, BytesRecv: 80, MsgsSent: 13, MsgsRecv: 9,
 		Collectives: 3, CollectiveBytes: 96, CollectiveMsgs: 6,
-	}
+	}}
 	d := after.Sub(before)
-	want := Stats{
+	want := Stats{KindStats: KindStats{
 		BytesSent: 150, BytesRecv: 30, MsgsSent: 3, MsgsRecv: 4,
 		Collectives: 1, CollectiveBytes: 32, CollectiveMsgs: 2,
-	}
+	}}
 	if d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}

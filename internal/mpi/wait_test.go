@@ -73,8 +73,8 @@ func TestWaitConservation(t *testing.T) {
 // TestWaitStatsSub checks the wait counters subtract like the traffic
 // counters, so interval deltas (report iterations) stay meaningful.
 func TestWaitStatsSub(t *testing.T) {
-	a := Stats{BarrierWaitNs: 70, BarrierSyncs: 9}
-	b := Stats{BarrierWaitNs: 30, BarrierSyncs: 4}
+	a := Stats{KindStats: KindStats{BarrierWaitNs: 70, BarrierSyncs: 9}}
+	b := Stats{KindStats: KindStats{BarrierWaitNs: 30, BarrierSyncs: 4}}
 	d := a.Sub(b)
 	if d.BarrierWaitNs != 40 || d.BarrierSyncs != 5 {
 		t.Fatalf("Sub = %+v", d)

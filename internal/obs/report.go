@@ -34,23 +34,11 @@ type CommTotals struct {
 	BarrierSyncs      int64 `json:"barrier_syncs,omitempty"`
 }
 
-// CommFromStats converts an mpi.Stats snapshot to its report form.
-func CommFromStats(s mpi.Stats) CommTotals {
-	return CommTotals{
-		BytesSent:       s.BytesSent,
-		BytesRecv:       s.BytesRecv,
-		MsgsSent:        s.MsgsSent,
-		MsgsRecv:        s.MsgsRecv,
-		Collectives:     s.Collectives,
-		CollectiveBytes: s.CollectiveBytes,
-		CollectiveMsgs:  s.CollectiveMsgs,
+// CommFromStats converts the totals of an mpi.Stats snapshot to their
+// report form.
+func CommFromStats(s mpi.Stats) CommTotals { return commFromKind(s.KindStats) }
 
-		BarrierWaitWallNs: s.BarrierWaitNs,
-		BarrierSyncs:      s.BarrierSyncs,
-	}
-}
-
-// commFromKind converts one kind bucket to report form.
+// commFromKind converts one set of counters to report form.
 func commFromKind(k mpi.KindStats) CommTotals {
 	return CommTotals{
 		BytesSent:       k.BytesSent,

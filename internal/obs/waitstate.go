@@ -37,15 +37,7 @@ type WaitTotals struct {
 	BarrierSyncs int64 `json:"barrier_syncs,omitempty"`
 }
 
-// waitFromStats extracts the wait-state fields of one Stats snapshot.
-func waitFromStats(s mpi.Stats) WaitTotals {
-	return WaitTotals{
-		BarrierWaitWallNs: s.BarrierWaitNs,
-		BarrierSyncs:      s.BarrierSyncs,
-	}
-}
-
-// waitFromKind extracts the wait-state fields of one kind bucket.
+// waitFromKind extracts the wait-state fields of one set of counters.
 func waitFromKind(k mpi.KindStats) WaitTotals {
 	return WaitTotals{
 		BarrierWaitWallNs: k.BarrierWaitNs,
@@ -108,7 +100,7 @@ func BuildWaitStates(stats []mpi.Stats, j *Journal) *WaitStatesReport {
 		Ranks:     make([]RankWaitStates, len(stats)),
 	}
 	for r, s := range stats {
-		rw := RankWaitStates{Rank: r, WaitTotals: waitFromStats(s)}
+		rw := RankWaitStates{Rank: r, WaitTotals: waitFromKind(s.KindStats)}
 		for k := 0; k < mpi.NumKinds; k++ {
 			kw := waitFromKind(s.ByKind[k])
 			if kw == (WaitTotals{}) {
