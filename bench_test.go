@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"dinfomap/internal/experiments"
-	"dinfomap/internal/trace"
+	"dinfomap/internal/obs"
 )
 
 // benchOpts keeps the full -bench=. sweep around a minute.
@@ -116,7 +116,7 @@ func BenchmarkFig8Breakdown(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		find = bs[len(bs)-1].Phases[trace.PhaseFindBestModule]
+		find = bs[len(bs)-1].Phases[obs.PhaseFindBestModule.Name()]
 	}
 	b.ReportMetric(float64(find.Microseconds()), "find-best-us-at-p8")
 }
@@ -230,41 +230,4 @@ func BenchmarkAblationDamping(b *testing.B) {
 		dNMI = rows[0].SeqNMI - rows[1].SeqNMI
 	}
 	b.ReportMetric(dNMI, "damped-minus-undamped-NMI")
-}
-
-// ---- Core primitive benches ----
-
-func BenchmarkSequentialInfomap(b *testing.B) {
-	pg := GeneratePlanted(PlantedConfig{
-		N: 2000, NumComms: 40, AvgDegree: 10, Mixing: 0.2, DegreeGamma: 2.5,
-	}, 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunSequential(pg.Graph, SequentialConfig{Seed: uint64(i)})
-	}
-}
-
-func BenchmarkDistributedInfomapP4(b *testing.B) {
-	pg := GeneratePlanted(PlantedConfig{
-		N: 2000, NumComms: 40, AvgDegree: 10, Mixing: 0.2, DegreeGamma: 2.5,
-	}, 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunDistributed(pg.Graph, DistributedConfig{P: 4, Seed: uint64(i)})
-	}
-}
-
-func BenchmarkDelegatePartitioning(b *testing.B) {
-	g := GeneratePowerLaw(13, 20000, 2.0, 2, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AnalyzeDelegate(g, 16)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

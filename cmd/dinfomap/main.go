@@ -36,13 +36,14 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"dinfomap"
 	"dinfomap/internal/launch"
-	"dinfomap/internal/trace"
+	"dinfomap/internal/obs"
 )
 
 func main() {
@@ -87,6 +88,13 @@ func main() {
 	if err := in.Check(); err != nil {
 		fatal(err)
 	}
+	// So does an output file in a directory that does not exist: the
+	// files are written only after the run.
+	for _, path := range []string{*outPath, *tracePath, *metricsPath, *memProfile} {
+		if err := checkOutputDir(path); err != nil {
+			fatal(err)
+		}
+	}
 
 	// The journal feeds -trace and the wait-state sections of the
 	// -metrics report (the critical path needs span timings, so a report
@@ -123,9 +131,9 @@ func main() {
 	}
 
 	// The ranks read a file input themselves, each its 1/P (a dataset
-	// is generated whole). The launcher parses the file only after the
-	// run, and only for outputs that need it, so it never competes with
-	// the ranks for the cores or holds the graph beside them.
+	// is generated whole). Nothing after the run needs the graph, so
+	// the launcher never parses a file or holds the graph beside the
+	// ranks.
 	var g *dinfomap.Graph
 	var err error
 	if !multiproc && in.Dataset != "" {
@@ -143,10 +151,9 @@ func main() {
 	var res *dinfomap.DistributedResult
 	if multiproc {
 		fmt.Printf("transport: proc (%d rank processes over TCP loopback)\n", *p)
-		// Report building reads span timings from the journal; the
-		// merged one gives the proc-mode report the same wait-state and
-		// critical-path sections as in-process runs (res carries the
-		// merged recorder).
+		// Report building reads span timings and wait records from the
+		// journal; the merged one gives the proc-mode report the same
+		// wait-state and critical-path sections as in-process runs.
 		res, cfg.Journal, err = launch.Run(launch.Spec{
 			Input: in, P: *p, DHigh: *dHigh, Seed: *seed,
 			Observe: observe, ConnectTimeout: *connectTimeout,
@@ -164,11 +171,6 @@ func main() {
 		fmt.Printf("graph: %d vertices, %d edges\n", len(res.Communities), res.NumEdges)
 	}
 	wall := time.Since(start)
-	if g == nil && *metricsPath != "" {
-		if g, err = in.Load(); err != nil {
-			fatal(err)
-		}
-	}
 
 	fmt.Printf("modules:     %d\n", res.NumModules)
 	fmt.Printf("codelength:  %.6f bits (initial %.6f)\n", res.Codelength, res.InitialCodelength)
@@ -182,18 +184,14 @@ func main() {
 	fmt.Printf("max rank traffic: %d bytes\n", res.MaxRankBytes)
 	if !*quiet {
 		fmt.Println("stage-1 phase breakdown (modeled, max rank):")
-		for _, ph := range []string{
-			trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-			trace.PhaseSwapBoundary, trace.PhaseRefreshRound1,
-			trace.PhaseRefreshRound2,
-		} {
-			fmt.Printf("  %-20s %v\n", ph, res.PhaseModeled[ph].Round(time.Microsecond))
+		for ph := obs.PhaseID(0); ph < obs.PhaseMergeShuffle; ph++ {
+			fmt.Printf("  %-20s %v\n", ph.Name(), res.PhaseModeled[ph.Name()].Round(time.Microsecond))
 		}
 	}
 
 	if *tracePath != "" {
 		if err := writeFile(*tracePath, func(w io.Writer) error {
-			return dinfomap.WriteChromeTraceWith(w, cfg.Journal, res.WaitRecorder)
+			return dinfomap.WriteChromeTrace(w, cfg.Journal)
 		}); err != nil {
 			fatal(err)
 		}
@@ -201,7 +199,7 @@ func main() {
 			*tracePath, cfg.Journal.NumEvents())
 	}
 	if *metricsPath != "" {
-		rep := dinfomap.BuildRunReport(g, cfg, res)
+		rep := dinfomap.BuildRunReport(cfg, res)
 		if err := writeFile(*metricsPath, rep.WriteJSON); err != nil {
 			fatal(err)
 		}
@@ -222,6 +220,24 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *memProfile)
 	}
+}
+
+// checkOutputDir reports why the output file path could not be created
+// because its directory is missing or is not a directory; an empty
+// path (the output not asked for) is fine.
+func checkOutputDir(path string) error {
+	if path == "" {
+		return nil
+	}
+	dir := filepath.Dir(path)
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return fmt.Errorf("output %s: %w", path, err)
+	}
+	if !fi.IsDir() {
+		return fmt.Errorf("output %s: %s is not a directory", path, dir)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -113,3 +113,38 @@ func TestBadInputFailsBeforeSpawn(t *testing.T) {
 		})
 	}
 }
+
+// TestBadOutputPathFailsBeforeRun: an output file whose directory is
+// missing, or is a file, fails the command at once, naming the path,
+// before the run prints its result.
+func TestBadOutputPathFailsBeforeRun(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag, path, wantErr string
+	}{
+		{"-metrics", filepath.Join(dir, "absent", "m.json"), "no such file or directory"},
+		{"-out", filepath.Join(file, "comms.txt"), "is not a directory"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-p", "2", "-q", "-dataset", "amazon", "-scale", "0.05", tc.flag, tc.path)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+				t.Fatalf("want exit status 1, got %v", err)
+			}
+			if msg := stderr.String(); !strings.Contains(msg, tc.path) || !strings.Contains(msg, tc.wantErr) {
+				t.Fatalf("stderr %q does not name %s with %q", msg, tc.path, tc.wantErr)
+			}
+			if strings.Contains(stdout.String(), "modules:") {
+				t.Fatalf("the run went ahead:\n%s", stdout.String())
+			}
+		})
+	}
+}

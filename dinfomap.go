@@ -220,7 +220,9 @@ func RunGossip(g *Graph, cfg GossipConfig) *GossipResult {
 // ---- Observability ----
 
 // RunJournal is the per-rank event journal of a distributed run: one
-// record per phase per synchronized sweep, per rank. Create one with
+// record per phase per synchronized sweep, per rank, plus the ranks'
+// raw wait-state events (synchronization passages, and on the proc
+// transport the collectives' frame matches). Create one with
 // NewRunJournal, assign it to DistributedConfig.Journal, then export it
 // with WriteChromeTrace after RunDistributed returns.
 type RunJournal = obs.Journal
@@ -230,23 +232,11 @@ func NewRunJournal(p int) *RunJournal { return obs.NewJournal(p) }
 
 // WriteChromeTrace exports a run journal as Chrome trace-event JSON
 // (one timeline row per rank), viewable in Perfetto or chrome://tracing.
+// The journal's wait-state events add Perfetto flow arrows for every
+// matched send->recv frame pair and a "blocked ranks" counter track
+// showing how many ranks sit in a blocked wait at each instant.
 func WriteChromeTrace(w io.Writer, j *RunJournal) error {
 	return obs.WriteChromeTrace(w, j)
-}
-
-// WaitRecorder holds the raw wait-state events of a journaled
-// distributed run (barrier arrival/release times, and on the proc
-// transport the collectives' frame matches); RunDistributed fills DistributedResult.WaitRecorder whenever
-// DistributedConfig.Journal is set.
-type WaitRecorder = mpi.Recorder
-
-// WriteChromeTraceWith exports a run journal together with the run's
-// wait-state events: Perfetto flow arrows for every matched send->recv
-// frame pair and a "blocked ranks" counter track showing how many
-// ranks sit in a blocked receive or barrier wait at each instant. rec may be nil,
-// which reduces to WriteChromeTrace.
-func WriteChromeTraceWith(w io.Writer, j *RunJournal, rec *WaitRecorder) error {
-	return obs.WriteChromeTraceWith(w, j, rec)
 }
 
 // BuildProvenance is the running binary's build identity (module
@@ -262,10 +252,10 @@ type RunReport = obs.Report
 
 // BuildRunReport assembles the machine-readable run report (convergence
 // traces, modeled and host timings, per-rank per-phase costs) from a
-// finished distributed run. cfg should be the config passed to
-// RunDistributed. Serialize with RunReport.WriteJSON.
-func BuildRunReport(g *Graph, cfg DistributedConfig, res *DistributedResult) *RunReport {
-	return core.BuildReport(g, cfg, res)
+// finished distributed run; it needs no graph. cfg should be the config
+// passed to RunDistributed. Serialize with RunReport.WriteJSON.
+func BuildRunReport(cfg DistributedConfig, res *DistributedResult) *RunReport {
+	return core.BuildReport(cfg, res)
 }
 
 // ---- Quality measures ----

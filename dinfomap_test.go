@@ -182,7 +182,7 @@ func TestSingleRankIgnoresMinLabel(t *testing.T) {
 			if !slices.Equal(on.Communities, off.Communities) {
 				t.Error("NoMinLabel changed the p = 1 partition")
 			}
-			for _, st := range on.PerRankMinLabel[0] {
+			for _, st := range on.Ranks[0].MinLabel {
 				if st.RefusedReturns != 0 || st.SkippedSwaps != 0 {
 					t.Errorf("p = 1 minimum-label counts %+v, want zero", st)
 				}

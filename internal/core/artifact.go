@@ -10,12 +10,13 @@ import (
 	"dinfomap/internal/partition"
 )
 
-// RankArtifact is everything one rank contributes to a Result. The
-// in-process Run produces one per simulated rank directly from its
-// shared runState; the multi-process driver has each child process
-// serialize its artifact as JSON and the parent Assemble them. Every
-// field is plain data — no live handles — so an artifact round-trips
-// through encoding/json unchanged.
+// RankArtifact is everything one rank contributes to a Result, and the
+// only per-rank record of a run: each rank fills its own while it runs,
+// the in-process Run assembles its simulated ranks' artifacts, and the
+// multi-process driver has each child process serialize its artifact
+// as JSON and the parent Assemble them. The Result keeps them
+// (Result.Ranks). Every field is plain data — no live handles — so an
+// artifact round-trips through encoding/json unchanged.
 type RankArtifact struct {
 	Rank  int       `json:"rank"`
 	Stats mpi.Stats `json:"stats"`
@@ -46,7 +47,7 @@ type RankArtifact struct {
 	Ingest *obs.IngestReport `json:"ingest,omitempty"`
 
 	// Output holds the rank-identical algorithm outputs; only rank 0's
-	// artifact carries it (mirroring runState.out).
+	// artifact carries it.
 	Output *RankOutput `json:"output,omitempty"`
 
 	// Transport carries the rank's wire-level counters when the rank
@@ -67,8 +68,11 @@ type RankArtifact struct {
 // RankOutput is the algorithm's result proper: identical on every rank
 // by construction, published once via rank 0's artifact.
 type RankOutput struct {
-	Communities       []int     `json:"communities"`
-	NumEdges          int       `json:"num_edges"`
+	Communities []int `json:"communities"`
+	NumEdges    int   `json:"num_edges"`
+	// TotalWeight is the graph's total edge weight, summed in vertex id
+	// order exactly as graph.Graph.TotalWeight sums it.
+	TotalWeight       float64   `json:"total_weight"`
 	MDLTrace          []float64 `json:"mdl_trace"`
 	MergeRate         []float64 `json:"merge_rate"`
 	InitialCodelength float64   `json:"initial_codelength"`
@@ -90,11 +94,11 @@ type RankOutput struct {
 //
 // Unlike Run, RunRank cannot serve the degenerate empty graph (there is
 // no rank program to run); callers handle that case locally the way Run
-// does. Journaling (cfg.Journal) works per process; cfg.Recorder, when
-// set, records this process's raw wait events (the launcher merges each
-// child's records into a cross-rank view). Transports that expose
-// wire-level counters (the multi-process mesh's Telemetry method) have
-// them snapshotted into the artifact.
+// does. Journaling (cfg.Journal) works per process: the rank journals
+// its events and records its raw wait events in the journal's recorder
+// (the launcher merges each child's records into a cross-rank view).
+// Transports that expose wire-level counters (the multi-process mesh's
+// Telemetry method) have them snapshotted into the artifact.
 func RunRank(g *graph.Graph, cfg Config, t mpi.Transport) (*RankArtifact, error) {
 	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
 	if g.NumVertices() == 0 || g.TotalWeight() == 0 {
@@ -115,15 +119,14 @@ func runRank(src source, cfg Config, t mpi.Transport) (*RankArtifact, error) {
 	if t.Size() != cfg.P {
 		return nil, fmt.Errorf("core: RunRank config has P=%d but transport world has %d ranks", cfg.P, t.Size())
 	}
-	runner := newRunState(src, &cfg)
-	stats, err := mpi.RunRank(t, cfg.Recorder, runner.rankMain)
-	if err != nil {
+	rs := newRunState(src, &cfg)
+	if _, err := mpi.RunRank(t, cfg.Journal.Recorder(), rs.rankMain); err != nil {
 		return nil, err
 	}
-	if err := runner.err(); err != nil {
+	if err := rs.err(); err != nil {
 		return nil, err
 	}
-	art := runner.artifact(t.Rank(), stats)
+	art := rs.arts[t.Rank()]
 	type telemeter interface{ Telemetry() *mpi.TransportStats }
 	if tm, ok := t.(telemeter); ok {
 		art.Transport = tm.Telemetry()
@@ -153,11 +156,14 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 		return nil, fmt.Errorf("core: rank 0 artifact carries no output section")
 	}
 
-	res := &Result{}
-	dense, k := graph.Renumber(o.Communities)
-	res.Communities = dense
-	res.NumModules = k
+	res := &Result{Ranks: artifacts}
+	// The dense renumbering replaces rank 0's array, so the Result holds
+	// one community array. Renumbering is idempotent: assembling the
+	// same artifacts again gives the same result.
+	o.Communities, res.NumModules = graph.Renumber(o.Communities)
+	res.Communities = o.Communities
 	res.NumEdges = o.NumEdges
+	res.TotalWeight = o.TotalWeight
 	res.MDLTrace = o.MDLTrace
 	res.MergeRate = o.MergeRate
 	res.InitialCodelength = o.InitialCodelength
@@ -173,53 +179,13 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	}
 	res.Partition = artifacts[0].Partition
 
-	// Publish the raw per-rank measurements (telemetry consumers build
-	// the JSON run report from these).
-	res.PerRankPhase = make([]PhaseCosts, cfg.P)
-	res.PerRankStage2Phase = make([]PhaseCosts, cfg.P)
-	res.PerRankWall1 = make([]time.Duration, cfg.P)
-	res.PerRankWall2 = make([]time.Duration, cfg.P)
-	res.PerRankEvals = make([]int64, cfg.P)
-	res.PerRankMinLabel = make([][2]obs.MinLabelCounts, cfg.P)
-	res.PerRankIterations = make([][]obs.IterationReport, cfg.P)
 	res.CommStats = make([]mpi.Stats, cfg.P)
 	for r, a := range artifacts {
-		if a.Ingest != nil {
-			if res.PerRankIngest == nil {
-				res.PerRankIngest = make([]*obs.IngestReport, cfg.P)
-			}
-			res.PerRankIngest[r] = a.Ingest
-		}
-		if a.Transport != nil {
-			if res.Transports == nil {
-				res.Transports = make([]*mpi.TransportStats, cfg.P)
-			}
-			res.Transports[r] = a.Transport
-		}
-		if a.PeakRSSBytes != 0 {
-			if res.PerRankPeakRSS == nil {
-				res.PerRankPeakRSS = make([]int64, cfg.P)
-			}
-			res.PerRankPeakRSS[r] = a.PeakRSSBytes
-		}
-		res.PerRankPhase[r] = a.Phase
-		res.PerRankStage2Phase[r] = a.Stage2Phase
-		res.PerRankWall1[r] = time.Duration(a.Wall1Ns)
-		res.PerRankWall2[r] = time.Duration(a.Wall2Ns)
-		res.PerRankEvals[r] = a.Evals
-		res.PerRankMinLabel[r] = a.MinLabel
-		res.PerRankIterations[r] = a.Iterations
 		res.CommStats[r] = a.Stats
-		if b := a.Stats.TotalBytes(); b > res.MaxRankBytes {
-			res.MaxRankBytes = b
-		}
+		res.MaxRankBytes = max(res.MaxRankBytes, a.Stats.TotalBytes())
 		// Wall times: the slowest rank gates each stage.
-		if res.PerRankWall1[r] > res.Stage1Wall {
-			res.Stage1Wall = res.PerRankWall1[r]
-		}
-		if res.PerRankWall2[r] > res.Stage2Wall {
-			res.Stage2Wall = res.PerRankWall2[r]
-		}
+		res.Stage1Wall = max(res.Stage1Wall, time.Duration(a.Wall1Ns))
+		res.Stage2Wall = max(res.Stage2Wall, time.Duration(a.Wall2Ns))
 		res.DeltaEvaluations += a.Evals
 	}
 
@@ -253,44 +219,4 @@ func perRound(calls int64, rounds int) float64 {
 		return 0
 	}
 	return float64(calls) / float64(rounds)
-}
-
-// fillArtifact packages rank r's slots of this runState into a; rank
-// 0's identical outputs ride along. Filling in place lets Run lay out
-// its P artifacts in one backing array instead of one allocation each.
-func (rs *runState) fillArtifact(a *RankArtifact, rank int, stats mpi.Stats) {
-	*a = RankArtifact{
-		Rank:        rank,
-		Stats:       stats,
-		Phase:       rs.perRankPhase[rank],
-		Stage2Phase: rs.perRankStage2Phase[rank],
-		Wall1Ns:     rs.perRankWall1[rank].Nanoseconds(),
-		Wall2Ns:     rs.perRankWall2[rank].Nanoseconds(),
-		Evals:       rs.perRankEvals[rank],
-		MinLabel:    rs.perRankMinLabel[rank],
-		Iterations:  rs.perRankIters[rank],
-		Partition:   rs.perRankPart[rank],
-		Ingest:      rs.perRankIngest[rank],
-	}
-	if rank == 0 {
-		o := &rs.out
-		a.Output = &RankOutput{
-			Communities:       o.communities,
-			NumEdges:          o.numEdges,
-			MDLTrace:          o.mdlTrace,
-			MergeRate:         o.mergeRate,
-			InitialCodelength: o.initialL,
-			Stage1Iterations:  o.stage1Iters,
-			Stage2Iterations:  o.stage2Iters,
-			RoundSyncs:        o.roundSyncs,
-		}
-	}
-}
-
-// artifact is fillArtifact's allocating form, used by RunRank where a
-// process produces exactly one artifact.
-func (rs *runState) artifact(rank int, stats mpi.Stats) *RankArtifact {
-	a := &RankArtifact{}
-	rs.fillArtifact(a, rank, stats)
-	return a
 }

@@ -29,18 +29,18 @@ func FuzzAssemble(f *testing.F) {
 			sections[r] = arts[r].Telemetry
 		}
 		res, err := Assemble(Config{P: p}, arts)
-		j, rec := obs.MergeTelemetry(p, time.Unix(0, 0), sections)
+		j := obs.MergeTelemetry(p, time.Unix(0, 0), sections)
 		if err != nil {
 			if res != nil {
 				t.Fatalf("Assemble returned a result with error %v", err)
 			}
 			return
 		}
-		obs.CriticalPath(j, rec)
+		obs.CriticalPath(j)
 		obs.BuildWaitStates(res.CommStats, j)
 		obs.BuildLostTime(res.CommStats, j)
-		if err := obs.WriteChromeTraceWith(io.Discard, j, rec); err != nil {
-			t.Fatalf("WriteChromeTraceWith: %v", err)
+		if err := obs.WriteChromeTrace(io.Discard, j); err != nil {
+			t.Fatalf("WriteChromeTrace: %v", err)
 		}
 	})
 }

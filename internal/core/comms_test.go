@@ -18,9 +18,9 @@ func TestCommKindAccounting(t *testing.T) {
 	cfg := Config{P: 4, Seed: 7}
 	res := Run(g, cfg)
 
-	if len(res.CommStats) != cfg.P || len(res.PerRankIterations) != cfg.P {
+	if len(res.CommStats) != cfg.P || len(res.Ranks) != cfg.P {
 		t.Fatalf("per-rank slices sized %d/%d, want %d",
-			len(res.CommStats), len(res.PerRankIterations), cfg.P)
+			len(res.CommStats), len(res.Ranks), cfg.P)
 	}
 	for r, s := range res.CommStats {
 		if !s.Conserved() {
@@ -39,7 +39,7 @@ func TestCommKindAccounting(t *testing.T) {
 			}
 		}
 
-		iters := res.PerRankIterations[r]
+		iters := res.Ranks[r].Iterations
 		if len(iters) != res.OuterIterations {
 			t.Errorf("rank %d: %d iteration slices, want %d (outer iterations)",
 				r, len(iters), res.OuterIterations)
@@ -80,7 +80,7 @@ func TestCommKindAccounting(t *testing.T) {
 
 	// Report rollup: comms.totals is the rank sum; by_kind sums back to
 	// the totals (conservation surfaces in the JSON too).
-	rep := BuildReport(g, cfg, res)
+	rep := BuildReport(cfg, res)
 	if rep.Comms == nil {
 		t.Fatal("report missing comms rollup")
 	}

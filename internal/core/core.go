@@ -52,16 +52,11 @@ type Config struct {
 	// zero value means trace.DefaultCostModel().
 	CostModel trace.CostModel
 	// Journal, when non-nil, receives a per-rank event record for every
-	// phase of every synchronized sweep (see package obs). It must have
-	// at least P rank slots; nil disables journaling at zero cost.
+	// phase of every synchronized sweep (see package obs), and its
+	// recorder the ranks' raw wait-state events. It must have one rank
+	// slot per rank (P); nil disables journaling at zero cost. A
+	// multi-process rank (RunRank) journals into its own rank's slot.
 	Journal *obs.Journal
-	// Recorder, when non-nil, receives the raw wait-state events
-	// (collective frame matches, barrier passages) of this process's
-	// ranks. Run creates one itself when Journal is set and Recorder is
-	// nil; RunRank (one rank per process) uses it as given, so a
-	// multi-process child can record its rank's events and ship them to
-	// the launcher.
-	Recorder *mpi.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -89,10 +84,12 @@ type Result struct {
 	Communities []int
 	// NumModules is the number of final modules.
 	NumModules int
-	// NumEdges is the input graph's undirected edge count, so a caller
-	// that never loaded the graph (the multi-process launcher) can
-	// still report its size; the vertex count is len(Communities).
-	NumEdges int
+	// NumEdges and TotalWeight are the input graph's undirected edge
+	// count and total edge weight, so a caller that never loaded the
+	// graph (the multi-process launcher) can still report its size; the
+	// vertex count is len(Communities).
+	NumEdges    int
+	TotalWeight float64
 	// Codelength is the final global MDL in bits, exactly comparable to
 	// the sequential algorithm's (same Eq. 3, same vertex term).
 	Codelength float64
@@ -121,47 +118,15 @@ type Result struct {
 	// of each stage; every rank enters the same calls.
 	CollectivesPerRound obs.RoundCollectives
 
-	// PerRankPhase[r] is rank r's measured stage-1 cost per phase (the
-	// raw inputs behind PhaseModeled, before the max-over-ranks).
-	PerRankPhase []PhaseCosts
-	// PerRankStage2Phase[r] is rank r's stage-2 cost per phase (the
-	// Figure-8 phases of the merged-level sweeps plus the refresh-round
-	// and merge-shuffle spans); its Total is the rank's stage-2 cost.
-	PerRankStage2Phase []PhaseCosts
-	// PerRankWall1 / PerRankWall2 are each rank's host wall times per stage.
-	PerRankWall1, PerRankWall2 []time.Duration
-	// PerRankEvals[r] is rank r's delta-L evaluation count.
-	PerRankEvals []int64
-	// PerRankMinLabel[r] is rank r's count of minimum-label refusals,
-	// stage 1 then stage 2 (see obs.MinLabelCounts).
-	PerRankMinLabel [][2]obs.MinLabelCounts
-
-	// PerRankIterations[r] is rank r's per-outer-iteration cost/traffic
-	// slices (stage 1 is outer 0, each merged level adds one): cumulative
-	// counters diffed at iteration boundaries, never reset. The final
-	// full-assignment gather happens after the last iteration, so the
-	// slices sum to slightly less than CommStats[r].
-	PerRankIterations [][]obs.IterationReport
-	// PerRankIngest[r] is rank r's ingest report when the ranks read an
-	// edge-list file themselves (RunFile, RunRankFile); nil otherwise.
-	PerRankIngest []*obs.IngestReport
-
-	// CommStats is each rank's cumulative traffic.
+	// Ranks[r] is rank r's artifact: its measured costs per phase, host
+	// walls, evaluation and minimum-label counts, per-outer-iteration
+	// slices, ingest report, traffic, and on multi-process runs its
+	// transport counters and peak RSS. Ranks[0].Output.Communities is
+	// Communities itself. Nil when Run answers an empty or edgeless
+	// graph without running ranks.
+	Ranks []*RankArtifact
+	// CommStats is each rank's cumulative traffic (Ranks[r].Stats).
 	CommStats []mpi.Stats
-	// WaitRecorder holds the run's raw wait-state events (collective
-	// frame matches and barrier arrival/release times) for
-	// critical-path analysis.
-	// Non-nil only when the run journaled (Config.Journal set):
-	// recording is kept out of benchmarked paths.
-	WaitRecorder *mpi.Recorder
-	// Transports holds each rank's wire-level transport counters on
-	// multi-process runs (nil entries where a rank reported none; nil
-	// slice on in-process runs, which have no wire).
-	Transports []*mpi.TransportStats
-	// PerRankPeakRSS[r] is rank r's peak resident set size in bytes on
-	// multi-process runs; nil on in-process runs, whose ranks share one
-	// process.
-	PerRankPeakRSS []int64
 	// MaxRankBytes is the largest per-rank total byte count.
 	MaxRankBytes int64
 	// DeltaEvaluations is the global number of delta-L evaluations.
@@ -182,7 +147,7 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	n := g.NumVertices()
 	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
 	if n == 0 || g.TotalWeight() == 0 {
-		res := &Result{Communities: make([]int, n), NumModules: n, NumEdges: g.NumEdges()}
+		res := &Result{Communities: make([]int, n), NumModules: n, NumEdges: g.NumEdges(), TotalWeight: g.TotalWeight()}
 		for u := range res.Communities {
 			res.Communities[u] = u
 		}
@@ -205,40 +170,21 @@ func RunFile(path string, cfg Config) (*Result, error) {
 	return runInProcess(source{path: path}, cfg.withDefaults())
 }
 
-// runInProcess runs cfg.P goroutine ranks on src and assembles them.
+// runInProcess runs cfg.P goroutine ranks on src and assembles their
+// artifacts — the same path the multi-process driver takes with one
+// artifact per child process. A journaled run also records the ranks'
+// raw wait-state events into the journal's recorder, for the
+// wait-state and critical-path report sections.
 func runInProcess(src source, cfg Config) (*Result, error) {
-	runner := newRunState(src, &cfg)
-
-	// Journaled runs also record raw wait-state events (anchored to the
-	// journal epoch so they compare with span times) for the wait-state
-	// and critical-path report sections.
-	var runOpts []mpi.RunOpt
-	rec := cfg.Recorder
-	if rec == nil && cfg.Journal != nil {
-		rec = mpi.NewRecorder(cfg.P, cfg.Journal.Epoch())
-	}
-	if rec != nil {
-		runOpts = append(runOpts, mpi.WithRecorder(rec))
-	}
-	stats := mpi.Run(cfg.P, runner.rankMain, runOpts...)
-	if err := runner.err(); err != nil {
+	rs := newRunState(src, &cfg)
+	mpi.Run(cfg.P, rs.rankMain, mpi.WithRecorder(cfg.Journal.Recorder()))
+	if err := rs.err(); err != nil {
 		return nil, err
 	}
-
-	// Package each simulated rank's slots as an artifact and assemble —
-	// the same path the multi-process driver takes with one artifact per
-	// child process.
-	backing := make([]RankArtifact, cfg.P)
-	arts := make([]*RankArtifact, cfg.P)
-	for r := range arts {
-		runner.fillArtifact(&backing[r], r, stats[r])
-		arts[r] = &backing[r]
-	}
-	res, err := Assemble(cfg, arts)
+	res, err := Assemble(cfg, rs.arts)
 	if err != nil {
 		return nil, fmt.Errorf("assembling in-process run: %w", err)
 	}
-	res.WaitRecorder = rec
 	return res, nil
 }
 
@@ -261,46 +207,20 @@ func (src source) rows(c *mpi.Comm, sb *mpi.SendBuffers) (*graph.Rows, *obs.Inge
 
 // newRunState sizes the per-rank slots of a run of cfg on src.
 func newRunState(src source, cfg *Config) *runState {
-	return &runState{
-		src: src, cfg: cfg,
-		errs:               make([]error, cfg.P),
-		perRankPart:        make([]partition.BalanceStats, cfg.P),
-		perRankIngest:      make([]*obs.IngestReport, cfg.P),
-		perRankPhase:       make([]PhaseCosts, cfg.P),
-		perRankStage2Phase: make([]PhaseCosts, cfg.P),
-		perRankWall1:       make([]time.Duration, cfg.P),
-		perRankWall2:       make([]time.Duration, cfg.P),
-		perRankEvals:       make([]int64, cfg.P),
-		perRankMinLabel:    make([][2]obs.MinLabelCounts, cfg.P),
-		perRankIters:       make([][]obs.IterationReport, cfg.P),
-	}
+	return &runState{src: src, cfg: cfg, errs: make([]error, cfg.P), arts: make([]*RankArtifact, cfg.P)}
 }
 
-// runState carries inputs and cross-rank outputs of one run. In-process
-// runs share one across all simulated ranks; a multi-process rank has
-// its own and only ever fills its slot. The output fields are written by
-// rank 0 only (all ranks hold identical copies at the end, a property
-// the tests assert).
+// runState carries the inputs and the per-rank outputs of one run.
+// In-process runs share one across all simulated ranks; a
+// multi-process rank has its own and only ever fills its slot. Each
+// rank writes only its own index of the slots: errs holds a rank's
+// input error (every rank reports the same one), arts the artifact
+// the rank publishes when it is done.
 type runState struct {
-	src source
-	cfg *Config
-
-	// Per-rank slots; each rank writes only its own index. errs holds a
-	// rank's input error (every rank reports the same one), perRankPart
-	// the layout summary (identical on every rank), perRankIngest the
-	// rank's ingest report (nil for in-memory inputs).
-	errs               []error
-	perRankPart        []partition.BalanceStats
-	perRankIngest      []*obs.IngestReport
-	perRankPhase       []PhaseCosts
-	perRankStage2Phase []PhaseCosts
-	perRankWall1       []time.Duration
-	perRankWall2       []time.Duration
-	perRankEvals       []int64
-	perRankMinLabel    [][2]obs.MinLabelCounts
-	perRankIters       [][]obs.IterationReport
-
-	out rankOutput
+	src  source
+	cfg  *Config
+	errs []error
+	arts []*RankArtifact
 }
 
 // err returns the first rank's input error, if any.
@@ -311,20 +231,6 @@ func (rs *runState) err() error {
 		}
 	}
 	return nil
-}
-
-// rankOutput is what rank 0 publishes back to Run (these values are
-// identical on every rank by construction; tests assert this).
-type rankOutput struct {
-	communities              []int
-	numEdges                 int
-	mdlTrace                 []float64
-	mergeRate                []float64
-	initialL                 float64
-	stage1Iters, stage2Iters int
-	// roundSyncs counts the synchronizing calls of the round loops,
-	// stage 1 then stage 2.
-	roundSyncs [2]int64
 }
 
 func ownerOf(v, p int) int { return v % p }

@@ -8,7 +8,7 @@ import (
 	"dinfomap/internal/graph"
 	"dinfomap/internal/infomap"
 	"dinfomap/internal/metrics"
-	"dinfomap/internal/trace"
+	"dinfomap/internal/obs"
 )
 
 func planted(seed uint64, n, k int, mixing float64) (*graph.Graph, []int) {
@@ -160,21 +160,21 @@ func TestMergeRateShape(t *testing.T) {
 func TestPhaseAccountingPopulated(t *testing.T) {
 	g, _ := planted(71, 600, 12, 0.2)
 	res := Run(g, Config{P: 4, Seed: 5})
-	if res.PhaseModeled[trace.PhaseFindBestModule] <= 0 {
+	if res.PhaseModeled[obs.PhaseFindBestModule.Name()] <= 0 {
 		t.Error("FindBestModule modeled time missing")
 	}
-	if res.PhaseModeled[trace.PhaseSwapBoundary] <= 0 {
+	if res.PhaseModeled[obs.PhaseSwapBoundary.Name()] <= 0 {
 		t.Error("SwapBoundaryInfo modeled time missing")
 	}
 	// Figure 8's Other bucket is the two refresh rounds; the round-2
 	// payloads carry the MDL reduction and the move vote, so no span is
 	// named Other.
-	for _, ph := range []string{trace.PhaseRefreshRound1, trace.PhaseRefreshRound2} {
+	for _, ph := range []string{obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name()} {
 		if res.PhaseModeled[ph] <= 0 {
 			t.Errorf("%s modeled time missing", ph)
 		}
 	}
-	if _, ok := res.PhaseModeled[trace.PhaseOther]; ok {
+	if _, ok := res.PhaseModeled["Other"]; ok {
 		t.Error("PhaseModeled has an Other phase")
 	}
 	if res.Stage1Modeled <= 0 || res.Stage2Modeled <= 0 {
@@ -198,7 +198,7 @@ func TestDelegatesUsedOnHubGraph(t *testing.T) {
 	if res.Partition.NumHubs == 0 {
 		t.Fatal("no delegates on a power-law graph with threshold p=8")
 	}
-	if res.PhaseModeled[trace.PhaseBcastDelegates] <= 0 {
+	if res.PhaseModeled[obs.PhaseBcastDelegates.Name()] <= 0 {
 		t.Error("BroadcastDelegates modeled time missing despite hubs")
 	}
 }

@@ -59,7 +59,7 @@ func TestRunReportDeterministic(t *testing.T) {
 		var runs [2][]byte
 		for i := range runs {
 			res := Run(g, cfg)
-			rep := BuildReport(g, cfg, res)
+			rep := BuildReport(cfg, res)
 			stripWallTimes(rep)
 			var buf bytes.Buffer
 			if err := rep.WriteJSON(&buf); err != nil {

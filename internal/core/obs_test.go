@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
 
+	"dinfomap/internal/graph"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/trace"
 )
@@ -95,8 +99,8 @@ func checkJournalAgainstCosts(t *testing.T, p int) {
 			}
 		}
 		for ph := obs.PhaseID(0); ph < obs.PhaseOuterIter; ph++ {
-			want := res.PerRankPhase[r][ph]
-			want.Add(res.PerRankStage2Phase[r][ph])
+			want := res.Ranks[r].Phase[ph]
+			want.Add(res.Ranks[r].Stage2Phase[ph])
 			if got[ph] != want {
 				t.Errorf("rank %d %s: journal %+v != costs %+v", r, ph.Name(), got[ph], want)
 			}
@@ -145,14 +149,14 @@ func TestJournalChromeExportFromRealRun(t *testing.T) {
 		t.Fatalf("trace has %d timeline rows, want %d", len(rows), p)
 	}
 	for _, ph := range []string{
-		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-		trace.PhaseSwapBoundary, trace.PhaseRefreshRound1, trace.PhaseRefreshRound2,
+		obs.PhaseFindBestModule.Name(), obs.PhaseBcastDelegates.Name(),
+		obs.PhaseSwapBoundary.Name(), obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name(),
 	} {
 		if !phases[ph] {
 			t.Errorf("trace missing %s spans", ph)
 		}
 	}
-	if phases[trace.PhaseOther] {
+	if phases["Other"] {
 		t.Error("trace has Other spans")
 	}
 }
@@ -161,13 +165,13 @@ func TestJournalChromeExportFromRealRun(t *testing.T) {
 // adds the merge shuffle.
 var (
 	stage1Names = []string{
-		trace.PhaseBcastDelegates, trace.PhaseFindBestModule,
-		trace.PhaseSwapBoundary, trace.PhaseRefreshRound1, trace.PhaseRefreshRound2,
+		obs.PhaseBcastDelegates.Name(), obs.PhaseFindBestModule.Name(),
+		obs.PhaseSwapBoundary.Name(), obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name(),
 	}
 	stage2Names = []string{
-		trace.PhaseBcastDelegates, trace.PhaseFindBestModule,
-		trace.PhaseSwapBoundary, trace.PhaseMergeShuffle, trace.PhaseRefreshRound1,
-		trace.PhaseRefreshRound2,
+		obs.PhaseBcastDelegates.Name(), obs.PhaseFindBestModule.Name(),
+		obs.PhaseSwapBoundary.Name(), obs.PhaseMergeShuffle.Name(), obs.PhaseRefreshRound1.Name(),
+		obs.PhaseRefreshRound2.Name(),
 	}
 )
 
@@ -185,10 +189,11 @@ func TestBuildReportFromRealRun(t *testing.T) {
 	_, res, cfg := runJournaled(t, p)
 	g, _ := planted(7, 400, 8, 0.2)
 
-	rep := BuildReport(g, cfg, res)
+	rep := BuildReport(cfg, res)
 	if rep.Schema != obs.ReportSchema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
+	checkGraphSection(t, "Run", rep, g)
 	if len(rep.Convergence.MDLTrace) != len(res.MDLTrace) {
 		t.Fatalf("report MDL trace %v != result %v", rep.Convergence.MDLTrace, res.MDLTrace)
 	}
@@ -206,11 +211,11 @@ func TestBuildReportFromRealRun(t *testing.T) {
 			t.Fatalf("rank %d stage-2 phases %v, want %v", r, got, stage2Names)
 		}
 		for ph := obs.PhaseID(0); ph < obs.PhaseMergeShuffle; ph++ {
-			if c, want := rr.Phases[ph.Name()], res.PerRankPhase[r][ph]; c != want {
+			if c, want := rr.Phases[ph.Name()], res.Ranks[r].Phase[ph]; c != want {
 				t.Fatalf("rank %d phase %s cost %+v != result %+v", r, ph.Name(), c, want)
 			}
 		}
-		if want := res.PerRankStage2Phase[r].Total(); rr.Stage2 != want {
+		if want := res.Ranks[r].Stage2Phase.Total(); rr.Stage2 != want {
 			t.Fatalf("rank %d stage-2 cost %+v != result total %+v", r, rr.Stage2, want)
 		}
 	}
@@ -227,11 +232,15 @@ func TestBuildReportFromRealRun(t *testing.T) {
 		t.Fatalf("codelength %v lost in round trip (got %v)",
 			res.Codelength, back.Quality.Codelength)
 	}
-	if got := back.Convergence.MinLabel; len(got) != p || !slices.Equal(got, res.PerRankMinLabel) {
-		t.Fatalf("minimum-label counts %v lost in round trip (got %v)", res.PerRankMinLabel, got)
+	var minLabel [][2]obs.MinLabelCounts
+	for _, a := range res.Ranks {
+		minLabel = append(minLabel, a.MinLabel)
+	}
+	if got := back.Convergence.MinLabel; len(got) != p || !slices.Equal(got, minLabel) {
+		t.Fatalf("minimum-label counts %v lost in round trip (got %v)", minLabel, got)
 	}
 	var returns int64
-	for _, st := range res.PerRankMinLabel {
+	for _, st := range minLabel {
 		returns += st[0].RefusedReturns + st[1].RefusedReturns
 	}
 	if returns == 0 {
@@ -268,22 +277,21 @@ func TestStageInternalSpansJournaled(t *testing.T) {
 	}
 	// The new spans flow through to the report: stage-2 phase breakdown
 	// and measured per-phase walls.
-	g, _ := planted(7, 400, 8, 0.2)
-	rep := BuildReport(g, cfg, res)
+	rep := BuildReport(cfg, res)
 	if len(rep.Timing.PhaseWallNs) == 0 {
 		t.Fatal("journaled run produced no Timing.PhaseWallNs")
 	}
-	for _, ph := range []string{trace.PhaseRefreshRound1, trace.PhaseRefreshRound2,
-		trace.PhaseMergeShuffle} {
+	for _, ph := range []string{obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name(),
+		obs.PhaseMergeShuffle.Name()} {
 		if _, ok := rep.Timing.PhaseWallNs[ph]; !ok {
 			t.Errorf("Timing.PhaseWallNs missing %s", ph)
 		}
 	}
 	for r, rr := range rep.Ranks {
-		if _, ok := rr.Stage2Phases[trace.PhaseMergeShuffle]; !ok {
+		if _, ok := rr.Stage2Phases[obs.PhaseMergeShuffle.Name()]; !ok {
 			t.Errorf("rank %d report missing merge-shuffle in Stage2Phases", r)
 		}
-		if _, ok := rr.Phases[trace.PhaseRefreshRound1]; !ok {
+		if _, ok := rr.Phases[obs.PhaseRefreshRound1.Name()]; !ok {
 			t.Errorf("rank %d report missing refresh-round1 in stage-1 Phases", r)
 		}
 		if len(rr.PhaseWallNs) == 0 {
@@ -292,16 +300,56 @@ func TestStageInternalSpansJournaled(t *testing.T) {
 	}
 }
 
+// checkGraphSection fails t unless the report's graph section is g's
+// size and, bit for bit, its total weight.
+func checkGraphSection(t *testing.T, run string, rep *obs.Report, g *graph.Graph) {
+	t.Helper()
+	got := rep.Graph
+	if got.Vertices != g.NumVertices() || got.Edges != g.NumEdges() ||
+		math.Float64bits(got.TotalWeight) != math.Float64bits(g.TotalWeight()) {
+		t.Errorf("%s: report graph section %+v, want %d vertices, %d edges, total weight %v",
+			run, got, g.NumVertices(), g.NumEdges(), g.TotalWeight())
+	}
+}
+
+// TestBuildReportFromFileRun: a run whose ranks read the file reports
+// the graph it never built: the one graph.ReadEdgeList builds from the
+// same file.
+// Its weights are irregular, so a total summed in another order would
+// differ in the last bits.
+func TestBuildReportFromFileRun(t *testing.T) {
+	pg, _ := planted(7, 400, 8, 0.2)
+	b := graph.NewBuilder(pg.NumVertices())
+	pg.Edges(func(u, v int, _ float64) { b.AddWeightedEdge(u, v, 0.1+float64((u*31+v)%17)/7) })
+	path := filepath.Join(t.TempDir(), "g.txt")
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadEdgeList(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{P: 3, Seed: 3}
+	res, err := RunFile(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGraphSection(t, "RunFile", BuildReport(cfg, res), g)
+}
+
 func TestRunWithoutJournalPublishesPerRankCosts(t *testing.T) {
 	g, _ := planted(9, 300, 6, 0.2)
 	res := Run(g, Config{P: 3, Seed: 5})
-	if len(res.PerRankPhase) != 3 || len(res.PerRankStage2Phase) != 3 {
-		t.Fatalf("per-rank slices missing: %d, %d",
-			len(res.PerRankPhase), len(res.PerRankStage2Phase))
+	if len(res.Ranks) != 3 {
+		t.Fatalf("per-rank artifacts missing: %d", len(res.Ranks))
 	}
 	var evals int64
-	for r := 0; r < 3; r++ {
-		evals += res.PerRankEvals[r]
+	for _, a := range res.Ranks {
+		evals += a.Evals
 	}
 	if evals != res.DeltaEvaluations {
 		t.Fatalf("per-rank evals %d != total %d", evals, res.DeltaEvaluations)

@@ -59,8 +59,8 @@ func TestRanksReleaseArcLists(t *testing.T) {
 	}
 	rs := newRunState(source{g: g}, &cfg)
 	mpi.Run(cfg.P, rs.rankMain)
-	for r, st := range rs.perRankPart {
-		if st != want {
+	for r, a := range rs.arts {
+		if st := a.Partition; st != want {
 			t.Errorf("rank %d layout summary %+v, Delegate has %+v", r, st, want)
 		}
 	}

@@ -181,18 +181,30 @@ func (rs *runState) rankMain(c *mpi.Comm) {
 }
 
 // rankBody is the algorithm proper, run under the rank's pprof label.
+// The rank fills its own artifact as it goes and publishes it in its
+// slot of rs.arts when it returns, with its final traffic counters;
+// only rank 0's artifact carries the rank-identical outputs.
 func (rs *runState) rankBody(c *mpi.Comm) {
 	cfg := rs.cfg
 	rank := c.Rank()
 	p := c.Size()
 	jlog := cfg.Journal.Rank(rank)
+	art := &RankArtifact{Rank: rank}
+	var out *RankOutput
+	if rank == 0 {
+		out = &RankOutput{}
+		art.Output = out
+	}
+	defer func() {
+		art.Stats = c.Stats()
+		rs.arts[rank] = art
+	}()
 
 	// Per-outer-iteration slices: cumulative counters snapshotted at
 	// iteration boundaries and diffed (never reset). Outer 0 is stage 1
 	// and includes its preprocessing exchanges; each merged level adds
 	// one slice through its assignment projection. The final
 	// full-assignment gather falls after the last slice.
-	var iterRecs []obs.IterationReport
 	var commMark mpi.Stats
 	var evalMark int64
 	iterStart := time.Now()
@@ -204,7 +216,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		iterStart = time.Now()
 		ops := evalsCum - evalMark
 		evalMark = evalsCum
-		iterRecs = append(iterRecs, obs.IterationReport{
+		art.Iterations = append(art.Iterations, obs.IterationReport{
 			Outer: outer, Stage: stage, Sweeps: sweeps, Ops: ops,
 			WallNs:     wall.Nanoseconds(),
 			Comm:       obs.CommFromStats(d),
@@ -227,24 +239,24 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	// exchanges and every level.
 	mem := newRankMem(c)
 	rows, ingest, err := rs.src.rows(c, mem.sb)
-	rs.perRankIngest[rank] = ingest
+	art.Ingest = ingest
 	if err != nil {
 		rs.errs[rank] = err
 		return
 	}
 	in := preprocess(c, cfg, rows, mem.sb)
-	rs.perRankPart[rank] = in.part
-	if rank == 0 {
-		rs.out.numEdges = in.numEdges
+	art.Partition = in.part
+	if out != nil {
+		out.NumEdges, out.TotalWeight = in.numEdges, in.flow.TotalWeight
 	}
 	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
 	if in.flow.TotalWeight == 0 {
 		// No edges: every vertex is its own module, as Run answers an
 		// edgeless graph without running ranks.
-		if rank == 0 {
-			rs.out.communities = make([]int, in.n)
-			for u := range rs.out.communities {
-				rs.out.communities[u] = u
+		if out != nil {
+			out.Communities = make([]int, in.n)
+			for u := range out.Communities {
+				out.Communities[u] = u
 			}
 		}
 		return
@@ -257,10 +269,10 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	in.arcs = nil
 	lv.jlog, lv.jstage = jlog, 1
 
-	costs1 := lv.costs
 	t0 := time.Now()
 	oc := lv.cluster()
-	wall1 := time.Since(t0)
+	art.Wall1Ns = time.Since(t0).Nanoseconds()
+	art.Phase = *lv.costs
 
 	initialL := initialCodelengthOf(lv)
 	mdlTrace := []float64{oc.finalL}
@@ -268,11 +280,11 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	mergeRate := []float64{float64(oc.liveBefore-oc.numModules) / float64(n0)}
 	iters1 := oc.iterations
 	roundSyncs := [2]int64{oc.roundSyncs, 0}
-	deltaEvals := lv.deltaEvals
-	minLabel := [2]obs.MinLabelCounts{{
+	art.Evals = lv.deltaEvals
+	art.MinLabel[0] = obs.MinLabelCounts{
 		RefusedReturns: lv.refusedReturns, SkippedSwaps: lv.skippedSwaps,
-	}}
-	emitIter(1, 0, iters1, deltaEvals)
+	}
+	emitIter(1, 0, iters1, art.Evals)
 
 	// Projection bookkeeping: this rank's owned original vertices.
 	ownedOrig := make([]int, 0, lv.idSpace/p+1)
@@ -286,7 +298,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 
 	// ---- Stage 2: merge, then parallel clustering without delegates ----
 	// From the first merge shuffle on, every level costs into stage 2.
-	costs2 := new(PhaseCosts)
+	costs2 := &art.Stage2Phase
 	t0 = time.Now()
 	prevL := oc.finalL
 	prevLive := oc.numModules
@@ -307,9 +319,9 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		oc = merged.cluster()
 		iters2 += oc.iterations
 		roundSyncs[1] += oc.roundSyncs
-		deltaEvals += merged.deltaEvals
-		minLabel[1].RefusedReturns += merged.refusedReturns
-		minLabel[1].SkippedSwaps += merged.skippedSwaps
+		art.Evals += merged.deltaEvals
+		art.MinLabel[1].RefusedReturns += merged.refusedReturns
+		art.MinLabel[1].SkippedSwaps += merged.skippedSwaps
 
 		next = merged.gatherAssignments(next)
 		for i := range origComm {
@@ -321,7 +333,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		}
 		mdlTrace = append(mdlTrace, oc.finalL)
 		mergeRate = append(mergeRate, float64(oc.liveBefore-oc.numModules)/float64(n0))
-		emitIter(2, outer, oc.iterations, deltaEvals)
+		emitIter(2, outer, oc.iterations, art.Evals)
 		improved := prevL - oc.finalL
 		noMerge := oc.numModules == oc.liveBefore
 		prevL = oc.finalL
@@ -331,7 +343,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 			break
 		}
 	}
-	wall2 := time.Since(t0)
+	art.Wall2Ns = time.Since(t0).Nanoseconds()
 
 	// ---- Final gather: full assignment of original vertices ----
 	prevKind := c.SetKind(mpi.KindAssignment)
@@ -351,24 +363,14 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		}
 	}
 
-	// Publish per-rank measurements through the shared runState (each
-	// rank writes only its own slot; rank 0 additionally writes the
-	// rank-identical outputs).
-	rs.perRankPhase[rank] = *costs1
-	rs.perRankStage2Phase[rank] = *costs2
-	rs.perRankWall1[rank] = wall1
-	rs.perRankWall2[rank] = wall2
-	rs.perRankEvals[rank] = deltaEvals
-	rs.perRankMinLabel[rank] = minLabel
-	rs.perRankIters[rank] = iterRecs
-	if rank == 0 {
-		rs.out.communities = full
-		rs.out.mdlTrace = mdlTrace
-		rs.out.mergeRate = mergeRate
-		rs.out.initialL = initialL
-		rs.out.stage1Iters = iters1
-		rs.out.stage2Iters = iters2
-		rs.out.roundSyncs = roundSyncs
+	if out != nil {
+		out.Communities = full
+		out.MDLTrace = mdlTrace
+		out.MergeRate = mergeRate
+		out.InitialCodelength = initialL
+		out.Stage1Iterations = iters1
+		out.Stage2Iterations = iters2
+		out.RoundSyncs = roundSyncs
 	}
 }
 

@@ -1,22 +1,21 @@
 package core
 
-import (
-	"dinfomap/internal/graph"
-	"dinfomap/internal/obs"
-)
+import "dinfomap/internal/obs"
 
 // BuildReport assembles the structured JSON run report (obs.Report)
-// from a finished run: the convergence traces, modeled and host
-// timings, partition balance, and the full per-rank per-phase
-// measurements. cfg should be the Config the run was started with.
-func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
+// from a finished run: the graph's size, the convergence traces,
+// modeled and host timings, partition balance, and the full per-rank
+// per-phase measurements, one row per rank artifact. cfg should be the
+// Config the run was started with; its journal, when set, adds the
+// measured phase walls and the wait-state and critical-path sections.
+func BuildReport(cfg Config, res *Result) *obs.Report {
 	cfg = cfg.withDefaults()
 	rep := &obs.Report{
 		Schema: obs.ReportSchema,
 		Graph: obs.GraphInfo{
-			Vertices:    g.NumVertices(),
-			Edges:       g.NumEdges(),
-			TotalWeight: g.TotalWeight(),
+			Vertices:    len(res.Communities),
+			Edges:       res.NumEdges,
+			TotalWeight: res.TotalWeight,
 		},
 		Config: obs.ConfigInfo{
 			P:     cfg.P,
@@ -35,7 +34,6 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 			OuterIterations:     res.OuterIterations,
 			Stage1Sweeps:        res.Stage1Iterations,
 			Stage2Sweeps:        res.Stage2Iterations,
-			MinLabel:            res.PerRankMinLabel,
 			CollectivesPerRound: res.CollectivesPerRound,
 		},
 		Timing: obs.TimingInfo{
@@ -65,17 +63,25 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 	if journaled {
 		rep.Timing.PhaseWallNs = make(map[string]int64)
 	}
-	for r := 0; r < cfg.P && r < len(res.PerRankPhase); r++ {
+	for r, a := range res.Ranks {
 		rr := obs.RankReport{
-			Rank:   r,
-			Phases: make(map[string]obs.PhaseCost, stage1Phases),
+			Rank:         r,
+			Phases:       make(map[string]obs.PhaseCost, stage1Phases),
+			Wall1Ns:      a.Wall1Ns,
+			Wall2Ns:      a.Wall2Ns,
+			DeltaEvals:   a.Evals,
+			Comm:         obs.CommFromStats(a.Stats),
+			CommByKind:   obs.ByKindFromStats(a.Stats),
+			Iterations:   a.Iterations,
+			Ingest:       a.Ingest,
+			Transport:    a.Transport,
+			PeakRSSBytes: a.PeakRSSBytes,
 		}
 		for ph := obs.PhaseID(0); ph < stage1Phases; ph++ {
-			rr.Phases[ph.Name()] = res.PerRankPhase[r][ph]
+			rr.Phases[ph.Name()] = a.Phase[ph]
 		}
 		// A run that never merged recorded no stage 2 and reports none.
-		if r < len(res.PerRankStage2Phase) && res.PerRankStage2Phase[r] != (PhaseCosts{}) {
-			s2 := &res.PerRankStage2Phase[r]
+		if s2 := &a.Stage2Phase; *s2 != (PhaseCosts{}) {
 			rr.Stage2 = s2.Total()
 			rr.Stage2Phases = make(map[string]obs.PhaseCost, stage2Phases)
 			for ph := obs.PhaseID(0); ph < stage2Phases; ph++ {
@@ -95,38 +101,14 @@ func BuildReport(g *graph.Graph, cfg Config, res *Result) *obs.Report {
 				}
 			}
 		}
-		if r < len(res.PerRankWall1) {
-			rr.Wall1Ns = res.PerRankWall1[r].Nanoseconds()
-		}
-		if r < len(res.PerRankWall2) {
-			rr.Wall2Ns = res.PerRankWall2[r].Nanoseconds()
-		}
-		if r < len(res.PerRankEvals) {
-			rr.DeltaEvals = res.PerRankEvals[r]
-		}
-		if r < len(res.CommStats) {
-			rr.Comm = obs.CommFromStats(res.CommStats[r])
-			rr.CommByKind = obs.ByKindFromStats(res.CommStats[r])
-		}
-		if r < len(res.PerRankIterations) {
-			rr.Iterations = res.PerRankIterations[r]
-		}
-		if r < len(res.PerRankIngest) {
-			rr.Ingest = res.PerRankIngest[r]
-		}
-		if r < len(res.Transports) {
-			rr.Transport = res.Transports[r]
-		}
-		if r < len(res.PerRankPeakRSS) {
-			rr.PeakRSSBytes = res.PerRankPeakRSS[r]
-		}
 		rep.Ranks = append(rep.Ranks, rr)
+		rep.Convergence.MinLabel = append(rep.Convergence.MinLabel, a.MinLabel)
 	}
 	rep.Comms = obs.BuildComms(res.CommStats)
 	if journaled {
 		rep.WaitStates = obs.BuildWaitStates(res.CommStats, cfg.Journal)
 		rep.LostTime = obs.BuildLostTime(res.CommStats, cfg.Journal)
-		rep.CriticalPath = obs.CriticalPath(cfg.Journal, res.WaitRecorder)
+		rep.CriticalPath = obs.CriticalPath(cfg.Journal)
 	}
 	build := obs.ReadBuild()
 	rep.Build = &build

@@ -8,10 +8,15 @@ import (
 	"dinfomap/internal/core"
 	"dinfomap/internal/gen"
 	"dinfomap/internal/gossip"
+	"dinfomap/internal/obs"
 	"dinfomap/internal/trace"
 )
 
 // ---- Figure 8: execution time breakdown ----
+
+// fig8Other is Figure 8's fourth column: the two Module_Info refresh
+// rounds, which no journal phase carries under this name.
+const fig8Other = "Other"
 
 // RunFig8 reproduces Figure 8: the stage-1 per-iteration time breakdown
 // (FindBestModule / BroadcastDelegates / SwapBoundaryInfo / Other) for
@@ -41,8 +46,8 @@ func RunFig8(o Options, dataset string, ps []int) ([]trace.Breakdown, error) {
 			// "Other"; the journal and run report keep the rounds split,
 			// but the figure merges them back for comparability.
 			switch ph {
-			case trace.PhaseRefreshRound1, trace.PhaseRefreshRound2:
-				ph = trace.PhaseOther
+			case obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name():
+				ph = fig8Other
 			}
 			b.Phases[ph] += d / time.Duration(iters)
 		}
@@ -55,8 +60,8 @@ func RunFig8(o Options, dataset string, ps []int) ([]trace.Breakdown, error) {
 func FormatFig8(w io.Writer, dataset string, bs []trace.Breakdown) {
 	writeHeader(w, fmt.Sprintf("Figure 8: time breakdown per stage-1 iteration (%s, modeled)", dataset))
 	fmt.Fprint(w, trace.FormatBreakdowns(bs, []string{
-		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-		trace.PhaseSwapBoundary, trace.PhaseOther,
+		obs.PhaseFindBestModule.Name(), obs.PhaseBcastDelegates.Name(),
+		obs.PhaseSwapBoundary.Name(), fig8Other,
 	}))
 }
 

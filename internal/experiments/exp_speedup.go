@@ -116,9 +116,9 @@ func RunSpeedup(o Options, dataset string, ps []int) (*SpeedupResult, error) {
 // bulk-synchronous critical-path approximation the cost model uses.
 func criticalRankCost(res *core.Result) trace.RankCost {
 	var crit trace.RankCost
-	for r := range res.PerRankPhase {
-		c := res.PerRankPhase[r].Total()
-		c.Add(res.PerRankStage2Phase[r].Total())
+	for _, a := range res.Ranks {
+		c := a.Phase.Total()
+		c.Add(a.Stage2Phase.Total())
 		if c.Ops > crit.Ops {
 			crit.Ops = c.Ops
 		}

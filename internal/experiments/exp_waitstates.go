@@ -89,7 +89,7 @@ func RunWaitStates(o Options, datasets []string, ps []int) ([]WaitRow, error) {
 				}
 				row.WallProfile.LostFraction = lt.LostFractionWall
 			}
-			cp := obs.CriticalPath(cfg.Journal, res.WaitRecorder)
+			cp := obs.CriticalPath(cfg.Journal)
 			row.WallProfile.CritSegments = len(cp)
 			var pathNs int64
 			for _, seg := range cp {

@@ -113,11 +113,9 @@ func runChild(v string) error {
 	// Rank-scoped journal: sized for the world (instrumentation indexes
 	// by global rank) but allocating only this rank's row, anchored to
 	// the launcher's epoch so stamps from every process are comparable.
-	var journal *obs.Journal
-	var rec *mpi.Recorder
+	cfg := cs.config()
 	if cs.Observe {
-		journal = obs.NewRankJournal(rank, cs.P, cs.Epoch)
-		rec = mpi.NewRecorder(cs.P, cs.Epoch)
+		cfg.Journal = obs.NewRankJournal(rank, cs.P, cs.Epoch)
 	}
 
 	tr, err := mpi.DialProc(mpi.ProcConfig{
@@ -130,14 +128,12 @@ func runChild(v string) error {
 		return fmt.Errorf("rank %d: %w", rank, err)
 	}
 
-	cfg := cs.config()
-	cfg.Journal, cfg.Recorder = journal, rec
 	art, err := run(cfg, tr)
 	if err != nil {
 		return fmt.Errorf("rank %d: %w", rank, err)
 	}
 	if cs.Observe {
-		art.Telemetry = obs.CaptureTelemetry(journal, rank, rec)
+		art.Telemetry = obs.CaptureTelemetry(cfg.Journal, rank)
 	}
 	art.PeakRSSBytes = peakRSS()
 

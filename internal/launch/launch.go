@@ -17,14 +17,14 @@
 //
 // The launcher does not hold the graph. It only checks that the input
 // exists before spawning, and the graph's size rides in rank 0's
-// artifact (Result.NumEdges).
+// artifact (Result.NumEdges, Result.TotalWeight).
 //
 // When the run is observed (Spec.Observe), each child journals and
 // records its rank against the launcher's epoch and ships the result as
 // the telemetry section of its artifact. The launcher merges the
-// sections into one journal and wait recorder: the inputs of a merged
-// Chrome trace and of the report's wait-state and critical-path
-// sections.
+// sections into one journal, its wait recorder included: the input of
+// a merged Chrome trace and of the report's wait-state and
+// critical-path sections.
 package launch
 
 import (
@@ -121,8 +121,8 @@ type Spec struct {
 // without arguments.
 //
 // When spec.Observe is set, Run also returns the journal merged from
-// the ranks' telemetry sections, and the result carries the merged wait
-// recorder; otherwise the journal is nil.
+// the ranks' telemetry sections, wait records included; otherwise the
+// journal is nil.
 func Run(spec Spec) (*core.Result, *obs.Journal, error) {
 	if err := spec.Input.Check(); err != nil {
 		return nil, nil, err
@@ -211,13 +211,13 @@ func Run(spec Spec) (*core.Result, *obs.Journal, error) {
 	if !spec.Observe {
 		return res, nil, nil
 	}
+	// The merged journal holds the telemetry from here on; the result's
+	// artifacts let go of their sections.
 	sections := make([]*obs.RankTelemetry, spec.P)
 	for r, a := range arts {
-		sections[r] = a.Telemetry
+		sections[r], a.Telemetry = a.Telemetry, nil
 	}
-	journal, rec := obs.MergeTelemetry(spec.P, spec.Epoch, sections)
-	res.WaitRecorder = rec
-	return res, journal, nil
+	return res, obs.MergeTelemetry(spec.P, spec.Epoch, sections), nil
 }
 
 // childEnviron returns the environment of a p-rank run's children on a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -81,11 +82,11 @@ func TestRankProcessGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run at p = %d: %v", p, err)
 		}
-		if len(res.Transports) != p {
-			t.Fatalf("p = %d: %d transport reports", p, len(res.Transports))
+		if len(res.Ranks) != p {
+			t.Fatalf("p = %d: %d rank artifacts", p, len(res.Ranks))
 		}
-		for r, ts := range res.Transports {
-			if ts == nil || ts.GOMAXPROCS != want {
+		for r, a := range res.Ranks {
+			if ts := a.Transport; ts == nil || ts.GOMAXPROCS != want {
 				t.Errorf("p = %d rank %d: transport report %+v, want gomaxprocs %d", p, r, ts, want)
 			}
 		}
@@ -104,9 +105,9 @@ func TestRankProcessGOMAXPROCS(t *testing.T) {
 }
 
 // TestResultCarriesGraphSize pins that the launcher learns the graph's
-// size from the rank processes alone: NumEdges rides in rank 0's
-// artifact and the vertex count is the length of the partition. The
-// input is an edge-list file the launcher never parses.
+// size from the rank processes alone: NumEdges and TotalWeight ride in
+// rank 0's artifact and the vertex count is the length of the
+// partition. The input is an edge-list file the launcher never parses.
 func TestResultCarriesGraphSize(t *testing.T) {
 	g, _ := gen.PlantedPartition(7, gen.PlantedConfig{
 		N: 600, NumComms: 12, AvgDegree: 8, Mixing: 0.2, DegreeGamma: 2.5,
@@ -125,6 +126,9 @@ func TestResultCarriesGraphSize(t *testing.T) {
 	}
 	if res.NumEdges != g.NumEdges() {
 		t.Errorf("NumEdges = %d, graph has %d", res.NumEdges, g.NumEdges())
+	}
+	if math.Float64bits(res.TotalWeight) != math.Float64bits(g.TotalWeight()) {
+		t.Errorf("TotalWeight = %v, graph has %v", res.TotalWeight, g.TotalWeight())
 	}
 	if len(res.Communities) != g.NumVertices() {
 		t.Errorf("%d communities, graph has %d vertices", len(res.Communities), g.NumVertices())
@@ -149,7 +153,7 @@ func TestProcReportParity(t *testing.T) {
 
 	inCfg := cfg
 	inCfg.Journal = obs.NewJournalAt(cfg.P, epoch)
-	inRep := core.BuildReport(g, inCfg, core.Run(g, inCfg))
+	inRep := core.BuildReport(inCfg, core.Run(g, inCfg))
 
 	procRes, journal, err := Run(Spec{Input: testInput, P: cfg.P, Seed: cfg.Seed, Observe: true, Epoch: epoch})
 	if err != nil {
@@ -165,7 +169,16 @@ func TestProcReportParity(t *testing.T) {
 	}
 	procCfg := cfg
 	procCfg.Journal = journal
-	procRep := core.BuildReport(g, procCfg, procRes)
+	procRep := core.BuildReport(procCfg, procRes)
+	// Neither run's report needs the graph to describe it.
+	for i, rep := range []*obs.Report{inRep, procRep} {
+		got := rep.Graph
+		if got.Vertices != g.NumVertices() || got.Edges != g.NumEdges() ||
+			math.Float64bits(got.TotalWeight) != math.Float64bits(g.TotalWeight()) {
+			t.Errorf("%s report graph section %+v, want %d vertices, %d edges, total weight %v",
+				[]string{"goroutine", "proc"}[i], got, g.NumVertices(), g.NumEdges(), g.TotalWeight())
+		}
+	}
 
 	// The proc report must carry the full analysis surface, not a
 	// degraded subset: dinfomap-analyze consumes these unchanged.
@@ -422,7 +435,8 @@ func TestRankLocalIngestMatchesRun(t *testing.T) {
 			t.Fatalf("p=%d: layout %+v, core.Run has %+v", p, got.Partition, want.Partition)
 		}
 		total := int64(0)
-		for r, in := range got.PerRankIngest {
+		for r, a := range got.Ranks {
+			in := a.Ingest
 			if in == nil {
 				t.Fatalf("p=%d: rank %d has no ingest report", p, r)
 			}

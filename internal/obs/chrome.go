@@ -37,12 +37,8 @@ func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 // timeline row (thread) per rank, one complete-event span per journal
 // event, with the per-iteration counters attached as span args. Open the
 // output in https://ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, j *Journal) error {
-	return WriteChromeTraceWith(w, j, nil)
-}
-
-// WriteChromeTraceWith additionally renders the wait-state events of a
-// run recorded with mpi.WithRecorder (sharing j's epoch):
+//
+// The wait-state events of the journal's recorder are drawn on top:
 //
 //   - one flow arrow per matched p2p pair, from the send stamp on the
 //     sender's row to the receive completion on the receiver's row
@@ -51,8 +47,8 @@ func WriteChromeTrace(w io.Writer, j *Journal) error {
 //     a blocked receive or between barrier arrival and release, so
 //     synchronization stalls are visible at a glance.
 //
-// rec may be nil, which reduces to WriteChromeTrace.
-func WriteChromeTraceWith(w io.Writer, j *Journal, rec *mpi.Recorder) error {
+// A recorder that holds no events adds nothing.
+func WriteChromeTrace(w io.Writer, j *Journal) error {
 	if j == nil {
 		return fmt.Errorf("obs: nil journal")
 	}
@@ -97,10 +93,8 @@ func WriteChromeTraceWith(w io.Writer, j *Journal, rec *mpi.Recorder) error {
 			})
 		}
 	}
-	if rec != nil {
-		evs = append(evs, flowEvents(rec)...)
-		evs = append(evs, blockedCounterEvents(rec)...)
-	}
+	evs = append(evs, flowEvents(j.rec)...)
+	evs = append(evs, blockedCounterEvents(j.rec)...)
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }

@@ -9,7 +9,7 @@ import (
 	"dinfomap/internal/mpi"
 )
 
-// decodeTrace parses WriteChromeTraceWith output back into its event
+// decodeTrace parses WriteChromeTrace output back into its event
 // list for structural assertions.
 func decodeTrace(t *testing.T, buf *bytes.Buffer) []chromeEvent {
 	t.Helper()
@@ -26,7 +26,7 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []chromeEvent {
 // steps through the barrier windows and never goes negative.
 func TestChromeTraceWaitOverlays(t *testing.T) {
 	j := NewJournal(2)
-	rec := mpi.NewRecorder(2, j.Epoch())
+	rec := j.Recorder()
 	j.Rank(0).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: 400})
 	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: 400})
 
@@ -41,7 +41,7 @@ func TestChromeTraceWaitOverlays(t *testing.T) {
 	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 150, Release: 210})
 
 	var buf bytes.Buffer
-	if err := WriteChromeTraceWith(&buf, j, rec); err != nil {
+	if err := WriteChromeTrace(&buf, j); err != nil {
 		t.Fatal(err)
 	}
 	evs := decodeTrace(t, &buf)
@@ -106,8 +106,8 @@ func TestChromeTraceWaitOverlays(t *testing.T) {
 	}
 }
 
-// TestChromeTraceNilRecorder: without a recorder the trace must carry
-// no flow or counter events — the plain WriteChromeTrace shape.
+// TestChromeTraceNilRecorder: a journal whose recorder holds no events
+// gives a trace with no flow or counter events, only the spans.
 func TestChromeTraceNilRecorder(t *testing.T) {
 	j := NewJournal(1)
 	j.Rank(0).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: time.Duration(100)})

@@ -12,16 +12,14 @@
 // overlap, so the result reads "rank 2's FindBestModule gated
 // generations 14-38 for 1.2 ms".
 //
-// The walk needs the per-generation arrival times, i.e. a run recorded
-// with mpi.WithRecorder; without one there is no DAG and CriticalPath
-// returns nil.
+// The walk needs the per-generation arrival times, i.e. a run that
+// recorded into the journal's recorder; without them there is no DAG
+// and CriticalPath returns nil.
 package obs
 
 import (
 	"sort"
 	"time"
-
-	"dinfomap/internal/mpi"
 )
 
 // CritSegment is one maximal single-rank stretch of the critical path.
@@ -42,16 +40,17 @@ type CritSegment struct {
 func (s CritSegment) DurNs() int64 { return s.EndWallNs - s.StartWallNs }
 
 // CriticalPath walks the superstep DAG backward and returns the
-// critical path as time-ordered, rank-coalesced segments. rec must come
-// from the run that produced j (same epoch); a nil recorder, a nil
-// journal, or a recorder with no synchronization events yields nil.
+// critical path as time-ordered, rank-coalesced segments, from j's
+// spans and its recorder's synchronization events. A nil journal or a
+// recorder with no synchronization events yields nil.
 //
 // The segment durations sum to the run wall minus the barrier release
 // latencies between hops (the time between the gating rank's arrival
 // and the blocked ranks observing the release), so coverage of the run
 // wall is near 1 and is itself a useful health signal.
-func CriticalPath(j *Journal, rec *mpi.Recorder) []CritSegment {
-	if j == nil || rec == nil || rec.NumRanks() == 0 {
+func CriticalPath(j *Journal) []CritSegment {
+	rec := j.Recorder()
+	if rec == nil || rec.NumRanks() == 0 {
 		return nil
 	}
 	p := rec.NumRanks()

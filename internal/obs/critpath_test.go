@@ -15,9 +15,9 @@ import (
 //	run end: rank 2's final span ends at 600ns, the latest finish
 //
 // so the critical path must read rank 1 -> rank 0 -> rank 2.
-func craftedRun() (*Journal, *mpi.Recorder) {
+func craftedRun() *Journal {
 	j := NewJournal(3)
-	rec := mpi.NewRecorder(3, j.Epoch())
+	rec := j.Recorder()
 
 	arrive0 := []time.Duration{100, 200, 150} // gen 0 arrivals per rank
 	arrive1 := []time.Duration{500, 400, 300} // gen 1 arrivals per rank
@@ -32,12 +32,11 @@ func craftedRun() (*Journal, *mpi.Recorder) {
 	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Start: 0, End: 200})
 	j.Rank(0).Emit(Event{Phase: PhaseFindBestModule, Start: 250, End: 450})
 	j.Rank(2).Emit(Event{Phase: PhaseRefreshRound1, Start: 550, End: 600})
-	return j, rec
+	return j
 }
 
 func TestCriticalPathStragglerChain(t *testing.T) {
-	j, rec := craftedRun()
-	path := CriticalPath(j, rec)
+	path := CriticalPath(craftedRun())
 	if len(path) != 3 {
 		t.Fatalf("path has %d segments, want 3: %+v", len(path), path)
 	}
@@ -82,7 +81,7 @@ func TestCriticalPathStragglerChain(t *testing.T) {
 // generations, its hops merge into a single segment.
 func TestCriticalPathCoalescesSameRank(t *testing.T) {
 	j := NewJournal(2)
-	rec := mpi.NewRecorder(2, j.Epoch())
+	rec := j.Recorder()
 	// Rank 1 arrives last at both generations and finishes last.
 	rec.AddBarrier(0, mpi.BarrierEvent{Arrive: 50, Release: 105})
 	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 100, Release: 105})
@@ -90,7 +89,7 @@ func TestCriticalPathCoalescesSameRank(t *testing.T) {
 	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 300, Release: 305})
 	j.Rank(1).Emit(Event{Phase: PhaseRefreshRound2, Start: 305, End: 400})
 
-	path := CriticalPath(j, rec)
+	path := CriticalPath(j)
 	if len(path) != 1 {
 		t.Fatalf("path has %d segments, want 1 (all on rank 1): %+v", len(path), path)
 	}
@@ -101,16 +100,11 @@ func TestCriticalPathCoalescesSameRank(t *testing.T) {
 }
 
 func TestCriticalPathNilInputs(t *testing.T) {
-	j := NewJournal(2)
-	rec := mpi.NewRecorder(2, j.Epoch())
-	if got := CriticalPath(nil, rec); got != nil {
+	if got := CriticalPath(nil); got != nil {
 		t.Errorf("nil journal: %+v", got)
 	}
-	if got := CriticalPath(j, nil); got != nil {
-		t.Errorf("nil recorder: %+v", got)
-	}
 	// A recorder with no synchronization events has no DAG to walk.
-	if got := CriticalPath(j, rec); got != nil {
+	if got := CriticalPath(NewJournal(2)); got != nil {
 		t.Errorf("no barriers: %+v", got)
 	}
 }

@@ -15,7 +15,7 @@ package obs
 import (
 	"time"
 
-	"dinfomap/internal/trace"
+	"dinfomap/internal/mpi"
 )
 
 // PhaseID identifies one instrumented phase compactly; the hot path
@@ -41,34 +41,24 @@ const (
 	NumPhases
 )
 
-// Name returns the phase name used by package trace and the exporters.
-func (p PhaseID) Name() string {
-	switch p {
-	case PhaseFindBestModule:
-		return trace.PhaseFindBestModule
-	case PhaseBcastDelegates:
-		return trace.PhaseBcastDelegates
-	case PhaseSwapBoundary:
-		return trace.PhaseSwapBoundary
-	case PhaseRefreshRound1:
-		return trace.PhaseRefreshRound1
-	case PhaseRefreshRound2:
-		return trace.PhaseRefreshRound2
-	case PhaseMergeShuffle:
-		return trace.PhaseMergeShuffle
-	case PhaseOuterIter:
-		return trace.PhaseOuterIter
-	}
-	return "Unknown"
+// phaseNames holds each phase's name, indexed by PhaseID: the Figure-8
+// phases under the paper's names, the stage internals in lower case.
+var phaseNames = [NumPhases]string{
+	PhaseFindBestModule: "FindBestModule",
+	PhaseBcastDelegates: "BroadcastDelegates",
+	PhaseSwapBoundary:   "SwapBoundaryInfo",
+	PhaseRefreshRound1:  "refresh-round1",
+	PhaseRefreshRound2:  "refresh-round2",
+	PhaseMergeShuffle:   "merge-shuffle",
+	PhaseOuterIter:      "outer-iteration",
 }
 
-// PhaseNames lists the journal phase names in PhaseID order.
-func PhaseNames() []string {
-	out := make([]string, NumPhases)
-	for p := PhaseID(0); p < NumPhases; p++ {
-		out[p] = p.Name()
+// Name returns the phase name the exporters and reports use.
+func (p PhaseID) Name() string {
+	if p < NumPhases {
+		return phaseNames[p]
 	}
-	return out
+	return "Unknown"
 }
 
 // Event is one journal record: a span of one phase inside one
@@ -132,12 +122,17 @@ func (rl *RankLog) Events() []Event {
 	return rl.events
 }
 
-// Journal collects the per-rank logs of one run. Ranks never share a
-// buffer, so appends need no synchronization; the epoch is read-only
-// after construction.
+// Journal collects the per-rank logs of one run and the wait recorder
+// of its ranks. Ranks never share a buffer, so appends need no
+// synchronization; the epoch is read-only after construction.
 type Journal struct {
 	epoch time.Time
 	ranks []*RankLog
+	// rec receives the ranks' raw wait-state events (collective frame
+	// matches, synchronization passages), stamped on the journal's
+	// epoch so they compare with span times; hand it to the run with
+	// Recorder.
+	rec *mpi.Recorder
 }
 
 // initialEventCap preallocates each rank's buffer; a typical run emits
@@ -154,12 +149,9 @@ func NewJournal(p int) *Journal {
 // to every child so all journals stamp on one shared wall-clock zero
 // point and cross-process spans are comparable.
 func NewJournalAt(p int, epoch time.Time) *Journal {
-	if epoch.IsZero() {
-		epoch = time.Now()
-	}
-	j := &Journal{epoch: epoch, ranks: make([]*RankLog, p)}
+	j := newJournal(p, epoch)
 	for r := range j.ranks {
-		j.ranks[r] = &RankLog{rank: r, epoch: j.epoch, events: make([]Event, 0, initialEventCap)}
+		j.ranks[r] = j.newLog(r)
 	}
 	return j
 }
@@ -170,14 +162,22 @@ func NewJournalAt(p int, epoch time.Time) *Journal {
 // the process. The other slots stay nil, which every RankLog method
 // treats as a valid no-op sink.
 func NewRankJournal(r, p int, epoch time.Time) *Journal {
+	j := newJournal(p, epoch)
+	if r >= 0 && r < p {
+		j.ranks[r] = j.newLog(r)
+	}
+	return j
+}
+
+func newJournal(p int, epoch time.Time) *Journal {
 	if epoch.IsZero() {
 		epoch = time.Now()
 	}
-	j := &Journal{epoch: epoch, ranks: make([]*RankLog, p)}
-	if r >= 0 && r < p {
-		j.ranks[r] = &RankLog{rank: r, epoch: j.epoch, events: make([]Event, 0, initialEventCap)}
-	}
-	return j
+	return &Journal{epoch: epoch, ranks: make([]*RankLog, p), rec: mpi.NewRecorder(p, epoch)}
+}
+
+func (j *Journal) newLog(r int) *RankLog {
+	return &RankLog{rank: r, epoch: j.epoch, events: make([]Event, 0, initialEventCap)}
 }
 
 // NumRanks returns the number of rank logs; 0 on a nil journal.
@@ -188,14 +188,14 @@ func (j *Journal) NumRanks() int {
 	return len(j.ranks)
 }
 
-// Epoch returns the journal's zero point. Pass it to mpi.NewRecorder so
-// recorded communication events and journal spans share one time base.
-// Zero on a nil journal.
-func (j *Journal) Epoch() time.Time {
+// Recorder returns the journal's wait recorder, sized for its ranks
+// and anchored to its epoch: pass it to mpi.Run (mpi.WithRecorder) or
+// mpi.RunRank. Nil on a nil journal, which leaves recording off.
+func (j *Journal) Recorder() *mpi.Recorder {
 	if j == nil {
-		return time.Time{}
+		return nil
 	}
-	return j.epoch
+	return j.rec
 }
 
 // Rank returns rank r's log. Nil-safe: a nil journal yields a nil log,

@@ -51,17 +51,13 @@ func TestJournalRankIsolationAndOrder(t *testing.T) {
 }
 
 func TestPhaseNames(t *testing.T) {
-	names := PhaseNames()
-	want := []string{
+	want := [NumPhases]string{
 		"FindBestModule", "BroadcastDelegates", "SwapBoundaryInfo",
 		"refresh-round1", "refresh-round2", "merge-shuffle", "outer-iteration",
 	}
-	if len(names) != len(want) {
-		t.Fatalf("PhaseNames = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("PhaseNames[%d] = %q, want %q", i, names[i], want[i])
+	for p := PhaseID(0); p < NumPhases; p++ {
+		if got := p.Name(); got != want[p] {
+			t.Fatalf("PhaseID(%d).Name() = %q, want %q", p, got, want[p])
 		}
 	}
 	if got := PhaseID(200).Name(); got != "Unknown" {

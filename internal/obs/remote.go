@@ -6,9 +6,9 @@
 // RankTelemetry section (all events and the wait recorder's raw p2p and
 // barrier records) into the artifact file it writes anyway; the
 // launcher decodes the artifacts and MergeTelemetry rebuilds one
-// journal and recorder on the launcher's timeline: the inputs the
-// merged Chrome trace and the report's waitstates and critical-path
-// sections need.
+// journal, recorder included, on the launcher's timeline: the input
+// the merged Chrome trace and the report's waitstates and
+// critical-path sections need.
 //
 // The stamps need no clock alignment. Every process measures
 // time.Since of the same epoch, decoded from JSON and so carrying no
@@ -31,26 +31,23 @@ type RankTelemetry struct {
 	Barriers []mpi.BarrierEvent `json:"barriers,omitempty"`
 }
 
-// CaptureTelemetry packages rank's section from its journal and
-// recorder. Call only after the rank's run has returned (the journal
-// buffers are single-writer until then). A nil journal or recorder is
-// fine; the section carries what exists.
-func CaptureTelemetry(j *Journal, rank int, rec *mpi.Recorder) *RankTelemetry {
-	rt := &RankTelemetry{Events: j.Rank(rank).Events()}
-	if rec != nil && rank < rec.NumRanks() {
-		rt.P2P = rec.P2P(rank)
-		rt.Barriers = rec.Barriers(rank)
+// CaptureTelemetry packages rank's section from its journal and the
+// journal's recorder. Call only after the rank's run has returned (the
+// journal buffers are single-writer until then).
+func CaptureTelemetry(j *Journal, rank int) *RankTelemetry {
+	return &RankTelemetry{
+		Events:   j.Rank(rank).Events(),
+		P2P:      j.rec.P2P(rank),
+		Barriers: j.rec.Barriers(rank),
 	}
-	return rt
 }
 
 // MergeTelemetry assembles per-rank telemetry sections, indexed by
-// rank, into one journal and wait recorder anchored at epoch. Every
-// record lands on its rank's row unchanged. A missing section (a nil
-// entry) leaves an empty row.
-func MergeTelemetry(p int, epoch time.Time, sections []*RankTelemetry) (*Journal, *mpi.Recorder) {
+// rank, into one journal anchored at epoch. Every record lands on its
+// rank's row, events in the journal and wait records in its recorder,
+// unchanged. A missing section (a nil entry) leaves an empty row.
+func MergeTelemetry(p int, epoch time.Time, sections []*RankTelemetry) *Journal {
 	j := NewJournalAt(p, epoch)
-	rec := mpi.NewRecorder(p, epoch)
 	for r := 0; r < p && r < len(sections); r++ {
 		sec := sections[r]
 		if sec == nil {
@@ -61,11 +58,11 @@ func MergeTelemetry(p int, epoch time.Time, sections []*RankTelemetry) (*Journal
 			rl.Emit(ev)
 		}
 		for _, pe := range sec.P2P {
-			rec.AddP2P(r, pe)
+			j.rec.AddP2P(r, pe)
 		}
 		for _, be := range sec.Barriers {
-			rec.AddBarrier(r, be)
+			j.rec.AddBarrier(r, be)
 		}
 	}
-	return j, rec
+	return j
 }

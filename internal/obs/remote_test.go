@@ -54,7 +54,8 @@ func TestMergeTelemetry(t *testing.T) {
 	for r := 0; r < p; r++ {
 		sections[r] = synthSection(r, (r+1)%p)
 	}
-	j, rec := MergeTelemetry(p, time.Now(), sections)
+	j := MergeTelemetry(p, time.Now(), sections)
+	rec := j.Recorder()
 	for r := 0; r < p; r++ {
 		sec := sections[r]
 		if got := j.Rank(r).Events(); len(got) != 1 || got[0] != sec.Events[0] {
@@ -68,7 +69,8 @@ func TestMergeTelemetry(t *testing.T) {
 		}
 	}
 	sections[2] = nil
-	j2, rec2 := MergeTelemetry(p, time.Now(), sections)
+	j2 := MergeTelemetry(p, time.Now(), sections)
+	rec2 := j2.Recorder()
 	if n := len(j2.Rank(2).Events()) + len(rec2.P2P(2)) + len(rec2.Barriers(2)); n != 0 {
 		t.Errorf("nil section produced %d records", n)
 	}
@@ -84,9 +86,9 @@ func TestMergedTraceGolden(t *testing.T) {
 	for r := 0; r < p; r++ {
 		sections[r] = synthSection(r, (r+1)%p)
 	}
-	j, rec := MergeTelemetry(p, time.Now(), sections)
+	j := MergeTelemetry(p, time.Now(), sections)
 	var buf bytes.Buffer
-	if err := WriteChromeTraceWith(&buf, j, rec); err != nil {
+	if err := WriteChromeTrace(&buf, j); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {

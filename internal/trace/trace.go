@@ -1,7 +1,6 @@
 // Package trace holds the cost model behind the paper's performance
-// figures: the phase names of the distributed algorithm and an explicit
-// alpha-beta communication model that converts measured per-rank work
-// and traffic into modeled execution times.
+// figures: an explicit alpha-beta communication model that converts
+// measured per-rank work and traffic into modeled execution times.
 //
 // Why a model: the paper ran on Titan with up to 4,096 physical cores.
 // Its scalability claims reduce to statements about the *maximum
@@ -16,38 +15,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-)
-
-// Phase names used by the distributed algorithm, matching the paper's
-// Figure 8 breakdown. No span is named Other: the figure's Other bucket
-// is the sum of the two refresh rounds below.
-const (
-	PhaseFindBestModule = "FindBestModule"
-	PhaseBcastDelegates = "BroadcastDelegates"
-	PhaseSwapBoundary   = "SwapBoundaryInfo"
-	PhaseOther          = "Other"
-)
-
-// Algorithm 3 / Section 3.5 stage internals, split out of Other so the
-// journal and trace expose the module-refresh and merge cost structure.
-const (
-	// PhaseRefreshRound1 is the Module_Info partial exchange: local
-	// partial aggregation plus the alltoallv shipping partials to each
-	// module's home rank and the owner-side summation.
-	PhaseRefreshRound1 = "refresh-round1"
-	// PhaseRefreshRound2 is the authoritative reply: owners answer
-	// subscribers (isSent-deduplicated), every payload leading with the
-	// sender's MDL partials and move vote; local module tables rebuild
-	// and the global aggregates are summed.
-	PhaseRefreshRound2 = "refresh-round2"
-	// PhaseMergeShuffle is the distributed graph contraction: local arc
-	// contraction plus the alltoallv redistributing merged arcs to their
-	// new 1D owners.
-	PhaseMergeShuffle = "merge-shuffle"
-	// PhaseOuterIter marks an outer-iteration boundary in the journal: a
-	// zero-duration event whose counters carry the iteration's cumulative
-	// traffic delta (stage 1 is outer 0; each merged level adds one).
-	PhaseOuterIter = "outer-iteration"
 )
 
 // CostModel converts measured counts into modeled times. The defaults

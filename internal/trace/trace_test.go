@@ -33,8 +33,8 @@ func TestStepTimeEmpty(t *testing.T) {
 
 func TestBreakdownTotal(t *testing.T) {
 	b := Breakdown{P: 4, Phases: map[string]time.Duration{
-		PhaseFindBestModule: 3 * time.Millisecond,
-		PhaseSwapBoundary:   time.Millisecond,
+		"FindBestModule":   3 * time.Millisecond,
+		"SwapBoundaryInfo": time.Millisecond,
 	}}
 	if b.Total() != 4*time.Millisecond {
 		t.Fatalf("Total = %v", b.Total())
@@ -43,10 +43,10 @@ func TestBreakdownTotal(t *testing.T) {
 
 func TestFormatBreakdowns(t *testing.T) {
 	bs := []Breakdown{
-		{P: 4, Phases: map[string]time.Duration{PhaseFindBestModule: time.Millisecond}},
-		{P: 8, Phases: map[string]time.Duration{PhaseFindBestModule: 500 * time.Microsecond}},
+		{P: 4, Phases: map[string]time.Duration{"FindBestModule": time.Millisecond}},
+		{P: 8, Phases: map[string]time.Duration{"FindBestModule": 500 * time.Microsecond}},
 	}
-	out := FormatBreakdowns(bs, []string{PhaseFindBestModule})
+	out := FormatBreakdowns(bs, []string{"FindBestModule"})
 	if !strings.Contains(out, "FindBestModule") {
 		t.Errorf("missing phase header:\n%s", out)
 	}
