@@ -10,10 +10,10 @@
 // against the alpha-beta modeled communication time per message kind —
 // the measured counterpart of the model the experiments report.
 //
-// The wait-state sections need a report from a journaled run (one
-// written via -metrics, or core.Config.Journal set); on a report
-// without them the tool still re-checks conservation and prints the
-// modeled communication table.
+// The run wall, lost-time and critical-path sections need a report
+// from a journaled run (one written via -metrics, or
+// core.Config.Journal set); on a report without them the tool still
+// re-checks conservation and prints the modeled communication table.
 //
 // Exit status: 0 clean, 1 conservation violation between the per-kind
 // splits and the totals, 2 usage, I/O, or parse error.
@@ -27,6 +27,7 @@ import (
 	"sort"
 	"time"
 
+	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/trace"
 )
@@ -132,8 +133,8 @@ type analysis struct {
 	PathCoverage float64       `json:"path_coverage"`
 	Path         []pathSegment `json:"critical_path,omitempty"`
 	Stragglers   []straggler   `json:"stragglers,omitempty"`
-	// TotalLostWallNs and LostFractionWall mirror the report's lost-time
-	// rollup.
+	// TotalLostWallNs is the report's comms.totals blocked time;
+	// LostFractionWall is its lost-time fraction.
 	TotalLostWallNs  int64       `json:"total_lost_wall_ns"`
 	LostFractionWall float64     `json:"lost_fraction_wall"`
 	Kinds            []kindModel `json:"kinds,omitempty"`
@@ -173,9 +174,7 @@ func analyze(rep *obs.Report) *analysis {
 			a.PeakRSS = append(a.PeakRSS, rankPeakRSS{Rank: r.Rank, Bytes: r.PeakRSSBytes})
 		}
 	}
-	if rep.WaitStates != nil {
-		a.RunWallNs = rep.WaitStates.RunWallNs
-	}
+	a.RunWallNs = rep.Timing.RunWallNs
 
 	for _, seg := range rep.CriticalPath {
 		a.PathWallNs += seg.DurNs()
@@ -198,16 +197,23 @@ func analyze(rep *obs.Report) *analysis {
 		a.PathCoverage = float64(a.PathWallNs) / float64(a.RunWallNs)
 	}
 
+	// A rank's blocked time is its barrier skew, in its comm totals;
+	// the lost-time section adds the journal-derived columns.
+	if rep.Comms != nil {
+		a.TotalLostWallNs = rep.Comms.Totals.BarrierWaitNs
+	}
 	if rep.LostTime != nil {
-		a.TotalLostWallNs = rep.LostTime.TotalLostWallNs
 		a.LostFractionWall = rep.LostTime.LostFractionWall
 		for _, rl := range rep.LostTime.Ranks {
-			a.Stragglers = append(a.Stragglers, straggler{
-				Rank:              rl.Rank,
-				BarrierSkewWallNs: rl.BarrierSkewWallNs,
-				ImbalanceWallNs:   rl.ImbalanceWallNs,
-				TopPhase:          dominantPhase(rl.ByPhaseWallNs),
-			})
+			s := straggler{
+				Rank:            rl.Rank,
+				ImbalanceWallNs: rl.ImbalanceWallNs,
+				TopPhase:        dominantPhase(rl.ByPhaseWallNs),
+			}
+			if rl.Rank >= 0 && rl.Rank < len(rep.Ranks) {
+				s.BarrierSkewWallNs = rep.Ranks[rl.Rank].Comm.BarrierWaitNs
+			}
+			a.Stragglers = append(a.Stragglers, s)
 		}
 		sort.SliceStable(a.Stragglers, func(i, j int) bool {
 			return a.Stragglers[i].BarrierSkewWallNs > a.Stragglers[j].BarrierSkewWallNs
@@ -217,7 +223,7 @@ func analyze(rep *obs.Report) *analysis {
 	a.ConservationOK = true
 	if rep.Comms != nil && len(rep.Comms.ByKind) > 0 {
 		m := trace.DefaultCostModel()
-		var sum obs.CommTotals
+		var sum mpi.KindStats
 		names := make([]string, 0, len(rep.Comms.ByKind))
 		for name := range rep.Comms.ByKind {
 			names = append(names, name)
@@ -231,7 +237,7 @@ func analyze(rep *obs.Report) *analysis {
 			a.Kinds = append(a.Kinds, kindModel{
 				Kind:          name,
 				ModeledNs:     (time.Duration(msgs)*m.Alpha + time.Duration(bytes)*m.BetaPerByte).Nanoseconds(),
-				BlockedWallNs: kt.BarrierWaitWallNs,
+				BlockedWallNs: kt.BarrierWaitNs,
 				BytesSent:     bytes,
 				Msgs:          msgs,
 			})

@@ -8,6 +8,7 @@ import (
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/partition"
+	"dinfomap/internal/trace"
 )
 
 // RankArtifact is everything one rank contributes to a Result, and the
@@ -156,23 +157,16 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 		return nil, fmt.Errorf("core: rank 0 artifact carries no output section")
 	}
 
-	res := &Result{Ranks: artifacts}
 	// The dense renumbering replaces rank 0's array, so the Result holds
 	// one community array. Renumbering is idempotent: assembling the
 	// same artifacts again gives the same result.
-	o.Communities, res.NumModules = graph.Renumber(o.Communities)
-	res.Communities = o.Communities
-	res.NumEdges = o.NumEdges
-	res.TotalWeight = o.TotalWeight
-	res.MDLTrace = o.MDLTrace
-	res.MergeRate = o.MergeRate
-	res.InitialCodelength = o.InitialCodelength
+	var numModules int
+	o.Communities, numModules = graph.Renumber(o.Communities)
+	res := &Result{RankOutput: *o, NumModules: numModules, Ranks: artifacts}
 	if len(o.MDLTrace) > 0 {
 		res.Codelength = o.MDLTrace[len(o.MDLTrace)-1]
 	}
 	res.OuterIterations = len(o.MDLTrace)
-	res.Stage1Iterations = o.Stage1Iterations
-	res.Stage2Iterations = o.Stage2Iterations
 	res.CollectivesPerRound = obs.RoundCollectives{
 		Stage1: perRound(o.RoundSyncs[0], o.Stage1Iterations),
 		Stage2: perRound(o.RoundSyncs[1], o.Stage2Iterations),
@@ -193,7 +187,7 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	// cost (the bulk-synchronous steps are gated by the slowest rank;
 	// aggregating at stage granularity is accurate because delegate
 	// partitioning keeps ranks balanced within each iteration).
-	model := cfg.CostModel
+	model := trace.DefaultCostModel()
 	res.PhaseModeled = make(map[string]time.Duration, stage1Phases)
 	for ph := obs.PhaseID(0); ph < stage1Phases; ph++ {
 		var worst time.Duration

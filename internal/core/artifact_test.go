@@ -37,7 +37,7 @@ func FuzzAssemble(f *testing.F) {
 			return
 		}
 		obs.CriticalPath(j)
-		obs.BuildWaitStates(res.CommStats, j)
+		obs.RunWall(j)
 		obs.BuildLostTime(res.CommStats, j)
 		if err := obs.WriteChromeTrace(io.Discard, j); err != nil {
 			t.Fatalf("WriteChromeTrace: %v", err)

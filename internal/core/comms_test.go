@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dinfomap/internal/mpi"
-	"dinfomap/internal/obs"
 )
 
 // TestCommKindAccounting runs the full algorithm and checks the
@@ -44,7 +43,7 @@ func TestCommKindAccounting(t *testing.T) {
 			t.Errorf("rank %d: %d iteration slices, want %d (outer iterations)",
 				r, len(iters), res.OuterIterations)
 		}
-		var sum obs.CommTotals
+		var sum mpi.KindStats
 		for i, it := range iters {
 			if it.Outer != i {
 				t.Errorf("rank %d: slice %d has outer %d", r, i, it.Outer)
@@ -56,19 +55,19 @@ func TestCommKindAccounting(t *testing.T) {
 			if it.Stage != wantStage {
 				t.Errorf("rank %d outer %d: stage %d, want %d", r, i, it.Stage, wantStage)
 			}
-			var byKind obs.CommTotals
+			var byKind mpi.KindStats
 			for _, kt := range it.CommByKind {
-				byKind = addCommTotals(byKind, kt)
+				byKind.Add(kt)
 			}
 			if len(it.CommByKind) > 0 && byKind != it.Comm {
 				t.Errorf("rank %d outer %d: by-kind sum %+v != comm %+v",
 					r, i, byKind, it.Comm)
 			}
-			sum = addCommTotals(sum, it.Comm)
+			sum.Add(it.Comm)
 		}
 		// The slices cover run start through the last iteration; only
 		// the final full-assignment gather falls outside them.
-		total := obs.CommFromStats(s)
+		total := s.KindStats
 		if sum.BytesSent > total.BytesSent || sum.CollectiveBytes > total.CollectiveBytes ||
 			sum.MsgsSent > total.MsgsSent || sum.Collectives > total.Collectives {
 			t.Errorf("rank %d: iteration deltas %+v exceed totals %+v", r, sum, total)
@@ -84,24 +83,24 @@ func TestCommKindAccounting(t *testing.T) {
 	if rep.Comms == nil {
 		t.Fatal("report missing comms rollup")
 	}
-	var want obs.CommTotals
+	var want mpi.KindStats
 	for _, s := range res.CommStats {
-		want = addCommTotals(want, obs.CommFromStats(s))
+		want.Add(s.KindStats)
 	}
 	if rep.Comms.Totals != want {
 		t.Errorf("comms.totals %+v != rank sum %+v", rep.Comms.Totals, want)
 	}
-	var byKind obs.CommTotals
+	var byKind mpi.KindStats
 	for _, kt := range rep.Comms.ByKind {
-		byKind = addCommTotals(byKind, kt)
+		byKind.Add(kt)
 	}
 	if byKind != rep.Comms.Totals {
 		t.Errorf("comms.by_kind sum %+v != comms.totals %+v", byKind, rep.Comms.Totals)
 	}
 	for r, rr := range rep.Ranks {
-		var ks obs.CommTotals
+		var ks mpi.KindStats
 		for _, kt := range rr.CommByKind {
-			ks = addCommTotals(ks, kt)
+			ks.Add(kt)
 		}
 		if ks != rr.Comm {
 			t.Errorf("rank %d report: comm_by_kind sum %+v != comm %+v", r, ks, rr.Comm)
@@ -109,20 +108,5 @@ func TestCommKindAccounting(t *testing.T) {
 		if len(rr.Iterations) == 0 {
 			t.Errorf("rank %d report: no iteration slices", r)
 		}
-	}
-}
-
-func addCommTotals(a, b obs.CommTotals) obs.CommTotals {
-	return obs.CommTotals{
-		BytesSent:       a.BytesSent + b.BytesSent,
-		BytesRecv:       a.BytesRecv + b.BytesRecv,
-		MsgsSent:        a.MsgsSent + b.MsgsSent,
-		MsgsRecv:        a.MsgsRecv + b.MsgsRecv,
-		Collectives:     a.Collectives + b.Collectives,
-		CollectiveBytes: a.CollectiveBytes + b.CollectiveBytes,
-		CollectiveMsgs:  a.CollectiveMsgs + b.CollectiveMsgs,
-
-		BarrierWaitWallNs: a.BarrierWaitWallNs + b.BarrierWaitWallNs,
-		BarrierSyncs:      a.BarrierSyncs + b.BarrierSyncs,
 	}
 }

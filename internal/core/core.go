@@ -8,7 +8,6 @@ import (
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 	"dinfomap/internal/partition"
-	"dinfomap/internal/trace"
 )
 
 // Config controls a distributed Infomap run.
@@ -48,9 +47,6 @@ type Config struct {
 	MaxSweeps int
 	// Seed randomizes per-rank vertex visit order.
 	Seed uint64
-	// CostModel converts measured work/traffic into modeled times; the
-	// zero value means trace.DefaultCostModel().
-	CostModel trace.CostModel
 	// Journal, when non-nil, receives a per-rank event record for every
 	// phase of every synchronized sweep (see package obs), and its
 	// recorder the ranks' raw wait-state events. It must have one rank
@@ -72,34 +68,24 @@ func (c Config) withDefaults() Config {
 	if c.MaxSweeps <= 0 {
 		c.MaxSweeps = 100
 	}
-	if c.CostModel == (trace.CostModel{}) {
-		c.CostModel = trace.DefaultCostModel()
-	}
 	return c
 }
 
 // Result reports a finished distributed run.
 type Result struct {
-	// Communities assigns each original vertex its final module (dense).
-	Communities []int
+	// RankOutput is rank 0's output section: the final modules
+	// (Communities, renumbered dense), the graph's size and total
+	// weight (so a caller that never loaded the graph, the
+	// multi-process launcher, can still report them; the vertex count
+	// is len(Communities)), the initial codelength, the MDL trace
+	// (Figure 4), the merge-rate trace (Figure 5) and the synchronized
+	// sweep counts of both stages.
+	RankOutput
 	// NumModules is the number of final modules.
 	NumModules int
-	// NumEdges and TotalWeight are the input graph's undirected edge
-	// count and total edge weight, so a caller that never loaded the
-	// graph (the multi-process launcher) can still report its size; the
-	// vertex count is len(Communities).
-	NumEdges    int
-	TotalWeight float64
 	// Codelength is the final global MDL in bits, exactly comparable to
 	// the sequential algorithm's (same Eq. 3, same vertex term).
 	Codelength float64
-	// InitialCodelength is L of the all-singleton partition.
-	InitialCodelength float64
-	// MDLTrace[k] is the global MDL after outer iteration k (Figure 4).
-	MDLTrace []float64
-	// MergeRate[k] is the fraction of original vertices eliminated by
-	// merging in outer iteration k (Figure 5).
-	MergeRate []float64
 	// OuterIterations counts optimize+merge rounds (stage 1 is round 0).
 	OuterIterations int
 
@@ -111,8 +97,6 @@ type Result struct {
 	Stage1Modeled, Stage2Modeled time.Duration
 	// PhaseModeled breaks stage-1 modeled time into the Figure 8 phases.
 	PhaseModeled map[string]time.Duration
-	// Stage1Iterations / Stage2Iterations count synchronized sweeps.
-	Stage1Iterations, Stage2Iterations int
 	// CollectivesPerRound is the number of synchronizing calls
 	// (collectives and Alltoallvs) a rank enters per synchronized round
 	// of each stage; every rank enters the same calls.
@@ -147,7 +131,10 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	n := g.NumVertices()
 	//dinfomap:float-ok exact emptiness guard: weight is a sum of strictly positive addends
 	if n == 0 || g.TotalWeight() == 0 {
-		res := &Result{Communities: make([]int, n), NumModules: n, NumEdges: g.NumEdges(), TotalWeight: g.TotalWeight()}
+		res := &Result{
+			RankOutput: RankOutput{Communities: make([]int, n), NumEdges: g.NumEdges(), TotalWeight: g.TotalWeight()},
+			NumModules: n,
+		}
 		for u := range res.Communities {
 			res.Communities[u] = u
 		}

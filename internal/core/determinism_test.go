@@ -8,50 +8,13 @@ import (
 	"dinfomap/internal/obs"
 )
 
-// stripWallTimes zeroes the host wall-clock fields, the only report
-// content that legitimately differs between two identical runs (modeled
-// times derive from deterministic op/msg/byte counters and must match).
-// The wait-state measurements (and the blocked-receive classification,
-// which depends on measured timing) are wall-clock too; the barrier
-// sync *count* is deterministic and deliberately kept.
-func stripWallTimes(rep *obs.Report) {
-	rep.Timing.Stage1WallNs = 0
-	rep.Timing.Stage2WallNs = 0
-	stripWaitMap := func(m map[string]obs.CommTotals) {
-		for k, c := range m {
-			stripWait(&c)
-			m[k] = c
-		}
-	}
-	for i := range rep.Ranks {
-		rep.Ranks[i].Wall1Ns = 0
-		rep.Ranks[i].Wall2Ns = 0
-		stripWait(&rep.Ranks[i].Comm)
-		stripWaitMap(rep.Ranks[i].CommByKind)
-		for k := range rep.Ranks[i].Iterations {
-			rep.Ranks[i].Iterations[k].WallNs = 0
-			stripWait(&rep.Ranks[i].Iterations[k].Comm)
-			stripWaitMap(rep.Ranks[i].Iterations[k].CommByKind)
-		}
-	}
-	if rep.Comms != nil {
-		stripWait(&rep.Comms.Totals)
-		stripWaitMap(rep.Comms.ByKind)
-	}
-}
-
-// stripWait zeroes the measured wait field of one comm record.
-func stripWait(c *obs.CommTotals) {
-	c.BarrierWaitWallNs = 0
-}
-
 // TestRunReportDeterministic runs the distributed algorithm twice with
-// the same seed and demands byte-identical dinfomap-run-report/v1 JSON
-// (modulo wall times). This is the regression test for the
-// nondeterministic map iteration that used to randomize wire encoding
-// order in mergeShuffle and the boundary exchange: any map-order
-// dependence in the pipeline shows up here as a diff in the MDL trace,
-// communication volume, or module count.
+// the same seed and demands byte-identical run-report JSON once
+// obs.ScrubVolatile has zeroed the measured fields. This is the
+// regression test for the nondeterministic map iteration that used to
+// randomize wire encoding order in mergeShuffle and the boundary
+// exchange: any map-order dependence in the pipeline shows up here as
+// a diff in the MDL trace, communication volume, or module count.
 func TestRunReportDeterministic(t *testing.T) {
 	g, _ := planted(7, 600, 12, 0.2)
 	for _, p := range []int{1, 4} {
@@ -60,7 +23,7 @@ func TestRunReportDeterministic(t *testing.T) {
 		for i := range runs {
 			res := Run(g, cfg)
 			rep := BuildReport(cfg, res)
-			stripWallTimes(rep)
+			obs.ScrubVolatile(rep)
 			var buf bytes.Buffer
 			if err := rep.WriteJSON(&buf); err != nil {
 				t.Fatalf("p=%d: WriteJSON: %v", p, err)

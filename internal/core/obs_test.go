@@ -94,11 +94,9 @@ func checkJournalAgainstCosts(t *testing.T, p int) {
 	for r := 0; r < p; r++ {
 		var got PhaseCosts
 		for _, ev := range j.Rank(r).Events() {
-			if ev.Phase < obs.PhaseOuterIter {
-				got[ev.Phase].Add(trace.RankCost{Ops: ev.Ops, Msgs: ev.Msgs, Bytes: ev.Bytes})
-			}
+			got[ev.Phase].Add(trace.RankCost{Ops: ev.Ops, Msgs: ev.Msgs, Bytes: ev.Bytes})
 		}
-		for ph := obs.PhaseID(0); ph < obs.PhaseOuterIter; ph++ {
+		for ph := obs.PhaseID(0); ph < obs.NumPhases; ph++ {
 			want := res.Ranks[r].Phase[ph]
 			want.Add(res.Ranks[r].Stage2Phase[ph])
 			if got[ph] != want {

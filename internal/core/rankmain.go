@@ -13,16 +13,12 @@ import (
 )
 
 // PhaseCosts is one rank's modeled cost per phase over one stage,
-// indexed by obs.PhaseID. The PhaseOuterIter slot stays zero: the
-// iteration marker's counters repeat what the spans already counted.
+// indexed by obs.PhaseID.
 type PhaseCosts [obs.NumPhases]trace.RankCost
 
 // Stage 1 costs the phases below stage1Phases (its merge shuffle is
-// costed as stage 2); stage 2 costs every phase below stage2Phases.
-const (
-	stage1Phases = obs.PhaseMergeShuffle
-	stage2Phases = obs.PhaseOuterIter
-)
+// costed as stage 2); stage 2 costs every phase.
+const stage1Phases = obs.PhaseMergeShuffle
 
 // Total sums the table over phases.
 func (pc *PhaseCosts) Total() trace.RankCost {
@@ -219,18 +215,8 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		art.Iterations = append(art.Iterations, obs.IterationReport{
 			Outer: outer, Stage: stage, Sweeps: sweeps, Ops: ops,
 			WallNs:     wall.Nanoseconds(),
-			Comm:       obs.CommFromStats(d),
+			Comm:       d.KindStats,
 			CommByKind: obs.ByKindFromStats(d),
-		})
-		// Journal boundary marker: zero-duration so per-rank span start
-		// times stay monotone; counters carry the iteration delta.
-		now := jlog.Now()
-		jlog.Emit(obs.Event{
-			Stage: uint8(stage), Outer: uint16(outer), Iter: -1,
-			Phase: obs.PhaseOuterIter, Start: now, End: now,
-			Ops: ops, Msgs: d.MsgsSent + d.CollectiveMsgs,
-			Bytes:  d.BytesSent + d.CollectiveBytes,
-			WaitNs: d.BlockedNs(),
 		})
 	}
 

@@ -7,7 +7,8 @@ import "dinfomap/internal/obs"
 // modeled and host timings, partition balance, and the full per-rank
 // per-phase measurements, one row per rank artifact. cfg should be the
 // Config the run was started with; its journal, when set, adds the
-// measured phase walls and the wait-state and critical-path sections.
+// measured phase and run walls and the lost-time and critical-path
+// sections.
 func BuildReport(cfg Config, res *Result) *obs.Report {
 	cfg = cfg.withDefaults()
 	rep := &obs.Report{
@@ -70,7 +71,7 @@ func BuildReport(cfg Config, res *Result) *obs.Report {
 			Wall1Ns:      a.Wall1Ns,
 			Wall2Ns:      a.Wall2Ns,
 			DeltaEvals:   a.Evals,
-			Comm:         obs.CommFromStats(a.Stats),
+			Comm:         a.Stats.KindStats,
 			CommByKind:   obs.ByKindFromStats(a.Stats),
 			Iterations:   a.Iterations,
 			Ingest:       a.Ingest,
@@ -83,8 +84,8 @@ func BuildReport(cfg Config, res *Result) *obs.Report {
 		// A run that never merged recorded no stage 2 and reports none.
 		if s2 := &a.Stage2Phase; *s2 != (PhaseCosts{}) {
 			rr.Stage2 = s2.Total()
-			rr.Stage2Phases = make(map[string]obs.PhaseCost, stage2Phases)
-			for ph := obs.PhaseID(0); ph < stage2Phases; ph++ {
+			rr.Stage2Phases = make(map[string]obs.PhaseCost, obs.NumPhases)
+			for ph := obs.PhaseID(0); ph < obs.NumPhases; ph++ {
 				rr.Stage2Phases[ph.Name()] = s2[ph]
 			}
 		}
@@ -106,7 +107,7 @@ func BuildReport(cfg Config, res *Result) *obs.Report {
 	}
 	rep.Comms = obs.BuildComms(res.CommStats)
 	if journaled {
-		rep.WaitStates = obs.BuildWaitStates(res.CommStats, cfg.Journal)
+		rep.Timing.RunWallNs = obs.RunWall(cfg.Journal).Nanoseconds()
 		rep.LostTime = obs.BuildLostTime(res.CommStats, cfg.Journal)
 		rep.CriticalPath = obs.CriticalPath(cfg.Journal)
 	}

@@ -51,7 +51,7 @@ type WaitRow struct {
 
 // RunWaitStates journals distributed runs across datasets and
 // processor counts and distills each into the wait-state profile the
-// run report's waitstates/lost_time/critical_path sections expose.
+// run report's comm, lost_time and critical_path sections expose.
 func RunWaitStates(o Options, datasets []string, ps []int) ([]WaitRow, error) {
 	o = o.withDefaults()
 	if len(datasets) == 0 {
@@ -75,16 +75,14 @@ func RunWaitStates(o Options, datasets []string, ps []int) ([]WaitRow, error) {
 				row.Collectives += s.Collectives
 				row.BarrierSyncs += s.BarrierSyncs
 				row.TotalBytes += s.BytesSent + s.CollectiveBytes
+				row.WallProfile.BarrierSkewNs += s.BarrierWaitNs
 				if !s.Conserved() {
 					row.ConservationOK = false
 				}
 			}
-			if ws := obs.BuildWaitStates(res.CommStats, cfg.Journal); ws != nil {
-				row.WallProfile.RunNs = ws.RunWallNs
-			}
+			row.WallProfile.RunNs = obs.RunWall(cfg.Journal).Nanoseconds()
 			if lt := obs.BuildLostTime(res.CommStats, cfg.Journal); lt != nil {
 				for _, rl := range lt.Ranks {
-					row.WallProfile.BarrierSkewNs += rl.BarrierSkewWallNs
 					row.WallProfile.ImbalanceNs += rl.ImbalanceWallNs
 				}
 				row.WallProfile.LostFraction = lt.LostFractionWall

@@ -34,9 +34,6 @@ type Config struct {
 	MaxSweeps int
 	// Seed randomizes sweep order.
 	Seed uint64
-	// CostModel converts measured work into modeled time; zero value
-	// means trace.DefaultCostModel().
-	CostModel trace.CostModel
 }
 
 func (c Config) withDefaults() Config {
@@ -48,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweeps <= 0 {
 		c.MaxSweeps = 50
-	}
-	if c.CostModel == (trace.CostModel{}) {
-		c.CostModel = trace.DefaultCostModel()
 	}
 	return c
 }
@@ -263,7 +257,7 @@ func propagate(g *graph.Graph, cfg Config, salt uint64) ([]int, time.Duration) {
 		costs[r].Msgs = s.MsgsSent + s.CollectiveMsgs
 		costs[r].Bytes = s.BytesSent + s.CollectiveBytes
 	}
-	return final, cfg.CostModel.StepTime(costs)
+	return final, trace.DefaultCostModel().StepTime(costs)
 }
 
 // exactL evaluates the two-level map equation of comm on g.

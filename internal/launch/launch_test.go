@@ -139,7 +139,7 @@ func TestResultCarriesGraphSize(t *testing.T) {
 // parity contract: a multi-process run whose telemetry flowed through
 // rank journals, the artifacts' telemetry sections and the merge must
 // produce a report that (a) carries the same analysis sections as an
-// in-process journaled run — wait states and a critical path — and (b)
+// in-process journaled run — lost time and a critical path — and (b)
 // is byte-identical on every deterministic field once volatile
 // wall-clock data is scrubbed. This is the same comparison
 // dinfomap-diff -parity performs in CI.
@@ -182,8 +182,8 @@ func TestProcReportParity(t *testing.T) {
 
 	// The proc report must carry the full analysis surface, not a
 	// degraded subset: dinfomap-analyze consumes these unchanged.
-	if procRep.WaitStates == nil {
-		t.Fatal("proc report has no waitstates section")
+	if procRep.LostTime == nil || procRep.Timing.RunWallNs == 0 {
+		t.Fatal("proc report has no lost_time section or no run wall")
 	}
 	if len(procRep.CriticalPath) == 0 {
 		t.Fatal("proc report has no critical path")
@@ -222,6 +222,56 @@ func TestProcReportParity(t *testing.T) {
 		}
 		t.Fatalf("scrubbed reports differ in length: %d vs %d lines", len(al), len(bl))
 	}
+}
+
+// TestScrubVolatileZeroesEveryWall pins obs.ScrubVolatile, the one
+// definition of a deterministic report field that dinfomap-diff
+// -parity applies, against the regression differ's rule that a key
+// naming "wall" holds measured host time: on the fullest report a run
+// gives — observed, over rank processes that each read part of a file,
+// so it has ingest, transport, lost-time and critical-path sections —
+// every value under a key containing "wall" is zero or absent once
+// scrubbed.
+func TestScrubVolatileZeroesEveryWall(t *testing.T) {
+	path, _ := writeHostileFile(t)
+	cfg := core.Config{P: 2, Seed: 42}
+	res, journal, err := Run(Spec{Input: Input{Path: path}, P: cfg.P, Seed: cfg.Seed, Observe: true})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	cfg.Journal = journal
+	rep := core.BuildReport(cfg, res)
+	if rep.Timing.RunWallNs == 0 || rep.LostTime == nil || len(rep.CriticalPath) == 0 ||
+		rep.Ranks[0].Ingest == nil || rep.Ranks[0].Transport == nil {
+		t.Fatal("the report lacks a section this test must see scrubbed")
+	}
+	obs.ScrubVolatile(rep)
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(path string, v any, wall bool)
+	walk = func(path string, v any, wall bool) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, c := range v {
+				walk(path+"."+k, c, wall || strings.Contains(k, "wall"))
+			}
+		case []any:
+			for i, c := range v {
+				walk(fmt.Sprintf("%s[%d]", path, i), c, wall)
+			}
+		default:
+			if wall && v != nil && v != float64(0) {
+				t.Errorf("%s = %v after ScrubVolatile, want 0 or absent", path, v)
+			}
+		}
+	}
+	walk("", doc, false)
 }
 
 // TestRunRejectsBadInputBeforeSpawn pins that a launch with an input

@@ -78,12 +78,17 @@ func (k Kind) String() string {
 // payloads between distinct ranks; Collective* fields use the
 // recursive-doubling model: each allgather-based collective costs
 // ceil(log2 p) messages of the payload size.
+//
+// The JSON names are the run report's. The measured wait carries "wall"
+// in its name, so run-to-run diffs ignore it.
 type KindStats struct {
-	BytesSent, BytesRecv int64
-	MsgsSent, MsgsRecv   int64
-	Collectives          int64
-	CollectiveBytes      int64 // modeled: payload * ceil(log2 p) per call
-	CollectiveMsgs       int64 // modeled: ceil(log2 p) per call
+	BytesSent       int64 `json:"bytes_sent"`
+	BytesRecv       int64 `json:"bytes_recv"`
+	MsgsSent        int64 `json:"msgs_sent"`
+	MsgsRecv        int64 `json:"msgs_recv"`
+	Collectives     int64 `json:"collectives"`
+	CollectiveBytes int64 `json:"collective_bytes"` // modeled: payload * ceil(log2 p) per call
+	CollectiveMsgs  int64 `json:"collective_msgs"`  // modeled: ceil(log2 p) per call
 
 	// BarrierWaitNs is where the rank lost time blocked on
 	// communication (host wall-clock nanoseconds): arrival-to-release
@@ -92,14 +97,14 @@ type KindStats struct {
 	// everyone. Unlike the traffic counters it is measured, not
 	// modeled, and is nondeterministic run to run. Skew follows the
 	// ambient kind at the synchronization point.
-	BarrierWaitNs int64
+	BarrierWaitNs int64 `json:"barrier_wait_wall_ns,omitempty"`
 	// BarrierSyncs counts synchronization points entered (each
 	// collective contributes two).
-	BarrierSyncs int64
+	BarrierSyncs int64 `json:"barrier_syncs,omitempty"`
 }
 
-// add accumulates other into s.
-func (s *KindStats) add(other KindStats) {
+// Add accumulates other into s.
+func (s *KindStats) Add(other KindStats) {
 	s.BytesSent += other.BytesSent
 	s.BytesRecv += other.BytesRecv
 	s.MsgsSent += other.MsgsSent
@@ -138,7 +143,7 @@ func (s KindStats) TotalBytes() int64 {
 func (s Stats) KindSums() KindStats {
 	var sum KindStats
 	for k := range s.ByKind {
-		sum.add(s.ByKind[k])
+		sum.Add(s.ByKind[k])
 	}
 	return sum
 }

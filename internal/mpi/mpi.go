@@ -141,9 +141,9 @@ type Stats struct {
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
-	s.add(other.KindStats)
+	s.KindStats.Add(other.KindStats)
 	for k := range s.ByKind {
-		s.ByKind[k].add(other.ByKind[k])
+		s.ByKind[k].Add(other.ByKind[k])
 	}
 }
 
@@ -198,8 +198,8 @@ func (c *Comm) SetKind(k Kind) (prev Kind) {
 // every increment is conserved by construction.
 func (c *Comm) count(d KindStats) {
 	c.statsMu.Lock()
-	c.stats.add(d)
-	c.stats.ByKind[c.kind].add(d)
+	c.stats.KindStats.Add(d)
+	c.stats.ByKind[c.kind].Add(d)
 	c.statsMu.Unlock()
 }
 

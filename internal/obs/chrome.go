@@ -43,9 +43,9 @@ func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 //   - one flow arrow per matched p2p pair, from the send stamp on the
 //     sender's row to the receive completion on the receiver's row
 //     (Perfetto draws these as arrows between the enclosing slices);
-//   - a "blocked ranks" counter track stepping up while a rank sits in
-//     a blocked receive or between barrier arrival and release, so
-//     synchronization stalls are visible at a glance.
+//   - a "blocked ranks" counter track: how many ranks sit between
+//     barrier arrival and release, so synchronization stalls are
+//     visible at a glance.
 //
 // A recorder that holds no events adds nothing.
 func WriteChromeTrace(w io.Writer, j *Journal) error {
@@ -126,8 +126,10 @@ func flowEvents(rec *mpi.Recorder) []chromeEvent {
 }
 
 // blockedCounterEvents builds the "blocked ranks" counter track: +1
-// while a rank waits between barrier arrival and release or inside a
-// blocked receive, emitted as one counter sample per change point.
+// while a rank waits between barrier arrival and release, emitted as
+// one counter sample per change point. Only barrier windows count: a
+// collective's frame waits lie inside the same rank's barrier window,
+// so counting them too would count one blocked rank twice.
 func blockedCounterEvents(rec *mpi.Recorder) []chromeEvent {
 	type delta struct {
 		at time.Duration
@@ -137,11 +139,6 @@ func blockedCounterEvents(rec *mpi.Recorder) []chromeEvent {
 	for r := 0; r < rec.NumRanks(); r++ {
 		for _, b := range rec.Barriers(r) {
 			ds = append(ds, delta{b.Arrive, +1}, delta{b.Release, -1})
-		}
-		for _, e := range rec.P2P(r) {
-			if e.Blocked() {
-				ds = append(ds, delta{e.RecvStart, +1}, delta{e.RecvEnd, -1})
-			}
 		}
 	}
 	if len(ds) == 0 {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,9 +22,9 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []chromeEvent {
 }
 
 // TestChromeTraceWaitOverlays checks the recorder-fed additions: one
-// flow start/finish pair per matched p2p event (bound by a shared id,
+// flow start/finish pair per matched frame (bound by a shared id,
 // sender row to receiver row) and a "blocked ranks" counter track that
-// steps through the barrier windows and never goes negative.
+// steps through the barrier windows only and never goes negative.
 func TestChromeTraceWaitOverlays(t *testing.T) {
 	j := NewJournal(2)
 	rec := j.Recorder()
@@ -72,9 +73,10 @@ func TestChromeTraceWaitOverlays(t *testing.T) {
 		t.Errorf("flow finish binding point %q, want \"e\" (enclosing slice)", f.BP)
 	}
 
-	// Counter track: blocked recv [30,120) overlaps nothing, barrier
-	// waits [150,210) and [200,210) overlap each other. The running
-	// count must match at every change point and end at zero.
+	// Counter track: the blocked frame wait [30,120) draws an arrow but
+	// no counter step; barrier waits [150,210) and [200,210) overlap
+	// each other. The running count must match at every change point
+	// and end at zero.
 	type sample struct {
 		ts      float64
 		blocked int
@@ -90,8 +92,7 @@ func TestChromeTraceWaitOverlays(t *testing.T) {
 		got = append(got, sample{e.Ts, int(e.Args["blocked"].(float64))})
 	}
 	want := []sample{
-		{usec(30), 1}, {usec(120), 0}, {usec(150), 1},
-		{usec(200), 2}, {usec(210), 1}, {usec(210), 0},
+		{usec(150), 1}, {usec(200), 2}, {usec(210), 1}, {usec(210), 0},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("counter samples = %+v, want %+v", got, want)
@@ -103,6 +104,32 @@ func TestChromeTraceWaitOverlays(t *testing.T) {
 		if got[i].blocked < 0 {
 			t.Errorf("counter sample %d negative: %+v", i, got[i])
 		}
+	}
+}
+
+// TestBlockedCounterCountsEachRankOnce: a collective's frame waits lie
+// inside the same rank's barrier window, as on a proc run, so the
+// "blocked ranks" counter never exceeds the number of ranks in a
+// window: here one.
+func TestBlockedCounterCountsEachRankOnce(t *testing.T) {
+	j := NewJournal(2)
+	rec := j.Recorder()
+	rec.AddBarrier(1, mpi.BarrierEvent{Arrive: 100, Release: 300})
+	rec.AddP2P(1, mpi.P2PEvent{Src: 0, SentAt: 180, RecvStart: 120, RecvEnd: 180})
+	rec.AddP2P(1, mpi.P2PEvent{Src: 0, SentAt: 250, RecvStart: 200, RecvEnd: 250})
+
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, j); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, e := range decodeTrace(t, &buf) {
+		if e.Ph == "C" {
+			got = append(got, int(e.Args["blocked"].(float64)))
+		}
+	}
+	if want := []int{1, 0}; !slices.Equal(got, want) {
+		t.Errorf("blocked ranks samples = %v, want %v", got, want)
 	}
 }
 

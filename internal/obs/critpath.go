@@ -39,6 +39,31 @@ type CritSegment struct {
 // DurNs returns the segment length in nanoseconds.
 func (s CritSegment) DurNs() int64 { return s.EndWallNs - s.StartWallNs }
 
+// rankFinish returns when rank r left the measured run: its last
+// journal span end or its last barrier release, whichever is later. The
+// release counts because the run's final assignment gather lies outside
+// every span.
+func rankFinish(j *Journal, r int) time.Duration {
+	var t time.Duration
+	for _, ev := range j.Rank(r).Events() {
+		t = max(t, ev.End)
+	}
+	if bars := j.rec.Barriers(r); len(bars) > 0 {
+		t = max(t, bars[len(bars)-1].Release)
+	}
+	return t
+}
+
+// RunWall returns the journal-measured run wall: the latest rankFinish
+// over all ranks; 0 on a nil journal.
+func RunWall(j *Journal) time.Duration {
+	var t time.Duration
+	for r := 0; r < j.NumRanks(); r++ {
+		t = max(t, rankFinish(j, r))
+	}
+	return t
+}
+
 // CriticalPath walks the superstep DAG backward and returns the
 // critical path as time-ordered, rank-coalesced segments, from j's
 // spans and its recorder's synchronization events. A nil journal or a
@@ -66,25 +91,9 @@ func CriticalPath(j *Journal) []CritSegment {
 		return nil
 	}
 
-	// finish(r): when rank r left the measured run — its last journal
-	// span end or last barrier release, whichever is later.
-	finish := func(r int) time.Duration {
-		var t time.Duration
-		for _, ev := range j.Rank(r).Events() {
-			if ev.End > t {
-				t = ev.End
-			}
-		}
-		if bars := rec.Barriers(r); len(bars) > 0 {
-			if rel := bars[len(bars)-1].Release; rel > t {
-				t = rel
-			}
-		}
-		return t
-	}
-	cur, curEnd := 0, finish(0)
+	cur, curEnd := 0, rankFinish(j, 0)
 	for r := 1; r < p; r++ {
-		if t := finish(r); t > curEnd {
+		if t := rankFinish(j, r); t > curEnd {
 			cur, curEnd = r, t
 		}
 	}
@@ -147,9 +156,6 @@ func attributePhases(j *Journal, path []CritSegment) {
 		for _, ev := range evs[lo:] {
 			if ev.Start.Nanoseconds() >= seg.EndWallNs {
 				break
-			}
-			if ev.Phase == PhaseOuterIter {
-				continue
 			}
 			start, end := ev.Start.Nanoseconds(), ev.End.Nanoseconds()
 			if start < seg.StartWallNs {

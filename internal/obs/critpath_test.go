@@ -109,29 +109,29 @@ func TestCriticalPathNilInputs(t *testing.T) {
 	}
 }
 
-// TestWaitStatesConservation: the per-kind wait splits in the report
-// must sum to the rank totals, mirroring the mpi invariant.
-func TestWaitStatesConservation(t *testing.T) {
-	var s mpi.Stats
-	s.BarrierWaitNs, s.BarrierSyncs = 900, 7
-	s.ByKind[mpi.KindModuleInfo].BarrierWaitNs = 500
-	s.ByKind[mpi.KindModuleInfo].BarrierSyncs = 4
-	s.ByKind[mpi.KindCollective].BarrierWaitNs = 400
-	s.ByKind[mpi.KindCollective].BarrierSyncs = 3
-
-	ws := BuildWaitStates([]mpi.Stats{s}, nil)
-	if ws == nil || len(ws.Ranks) != 1 {
-		t.Fatalf("BuildWaitStates = %+v", ws)
+// TestRunWallCountsFinalRelease: the run wall ends at the later of the
+// last span end and the last barrier release over all ranks, so the
+// final gather no span covers still counts; the critical path ends at
+// the same instant.
+func TestRunWallCountsFinalRelease(t *testing.T) {
+	if got := RunWall(nil); got != 0 {
+		t.Errorf("RunWall(nil) = %v, want 0", got)
 	}
-	var sum WaitTotals
-	for _, kt := range ws.Ranks[0].ByKind {
-		sum.add(kt)
+	j := craftedRun()
+	if got := RunWall(j); got != 600 {
+		t.Errorf("RunWall = %v, want 600 (rank 2's last span end)", got)
 	}
-	if sum != ws.Ranks[0].WaitTotals {
-		t.Errorf("kind sum %+v != rank totals %+v", sum, ws.Ranks[0].WaitTotals)
+	// A last synchronization released after every span: the wall and
+	// the path's end move to its release.
+	for r := 0; r < 3; r++ {
+		j.Recorder().AddBarrier(r, mpi.BarrierEvent{Arrive: 610, Release: 700})
 	}
-	if ws.Totals != ws.Ranks[0].WaitTotals {
-		t.Errorf("run totals %+v != single-rank totals %+v", ws.Totals, ws.Ranks[0].WaitTotals)
+	if got := RunWall(j); got != 700 {
+		t.Errorf("RunWall = %v, want 700 (the final release)", got)
+	}
+	path := CriticalPath(j)
+	if end := path[len(path)-1].EndWallNs; end != 700 {
+		t.Errorf("critical path ends at %d, want 700 (the run wall)", end)
 	}
 }
 
@@ -144,13 +144,14 @@ func TestBuildLostTimeImbalance(t *testing.T) {
 
 	var s0, s1 mpi.Stats
 	s0.BarrierWaitNs = 40
-	s0.ByKind[mpi.KindCollective].BarrierWaitNs = 40
 	s1.BarrierWaitNs = 640
-	s1.ByKind[mpi.KindCollective].BarrierWaitNs = 640
 
 	lt := BuildLostTime([]mpi.Stats{s0, s1}, j)
 	if lt == nil || len(lt.Ranks) != 2 {
 		t.Fatalf("BuildLostTime = %+v", lt)
+	}
+	if BuildLostTime([]mpi.Stats{s0, s1}, nil) != nil {
+		t.Error("BuildLostTime without a journal must be nil")
 	}
 	if lt.Ranks[0].ImbalanceWallNs != 0 {
 		t.Errorf("busiest rank imbalance = %d, want 0", lt.Ranks[0].ImbalanceWallNs)
@@ -158,13 +159,11 @@ func TestBuildLostTimeImbalance(t *testing.T) {
 	if lt.Ranks[1].ImbalanceWallNs != 600 {
 		t.Errorf("idle rank imbalance = %d, want 600", lt.Ranks[1].ImbalanceWallNs)
 	}
-	if lt.TotalLostWallNs != 40+640 {
-		t.Errorf("TotalLostWallNs = %d, want %d", lt.TotalLostWallNs, 40+640)
-	}
 	if lt.Ranks[0].ByPhaseWallNs[PhaseFindBestModule.Name()] != 40 {
 		t.Errorf("span wait attribution = %+v", lt.Ranks[0].ByPhaseWallNs)
 	}
-	// Lost fraction: 680ns over 2 ranks x 1000ns run wall.
+	// Lost fraction: 40 + 640 ns blocked over 2 ranks x 1000 ns run
+	// wall.
 	if want := 680.0 / 2000.0; lt.LostFractionWall != want { //dinfomap:float-ok exact division both sides
 		t.Errorf("LostFractionWall = %v, want %v", lt.LostFractionWall, want)
 	}

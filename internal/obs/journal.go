@@ -33,10 +33,6 @@ const (
 	PhaseRefreshRound1
 	PhaseRefreshRound2
 	PhaseMergeShuffle
-	// PhaseOuterIter is an outer-iteration boundary marker: a
-	// zero-duration event emitted when a rank finishes one outer
-	// iteration, whose counters carry that iteration's traffic delta.
-	PhaseOuterIter
 	// NumPhases is the number of phase IDs, for tables indexed by phase.
 	NumPhases
 )
@@ -50,7 +46,6 @@ var phaseNames = [NumPhases]string{
 	PhaseRefreshRound1:  "refresh-round1",
 	PhaseRefreshRound2:  "refresh-round2",
 	PhaseMergeShuffle:   "merge-shuffle",
-	PhaseOuterIter:      "outer-iteration",
 }
 
 // Name returns the phase name the exporters and reports use.

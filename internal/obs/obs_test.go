@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dinfomap/internal/mpi"
 )
 
 func TestNilJournalIsValidSink(t *testing.T) {
@@ -53,7 +55,7 @@ func TestJournalRankIsolationAndOrder(t *testing.T) {
 func TestPhaseNames(t *testing.T) {
 	want := [NumPhases]string{
 		"FindBestModule", "BroadcastDelegates", "SwapBoundaryInfo",
-		"refresh-round1", "refresh-round2", "merge-shuffle", "outer-iteration",
+		"refresh-round1", "refresh-round2", "merge-shuffle",
 	}
 	for p := PhaseID(0); p < NumPhases; p++ {
 		if got := p.Name(); got != want[p] {
@@ -181,7 +183,7 @@ func TestReportRoundTrip(t *testing.T) {
 			},
 			Stage2:     PhaseCost{Ops: 20, Msgs: 2, Bytes: 64},
 			DeltaEvals: 100,
-			Comm:       CommTotals{MsgsSent: 6, BytesSent: 320},
+			Comm:       mpi.KindStats{MsgsSent: 6, BytesSent: 320},
 		}},
 	}
 	var buf bytes.Buffer

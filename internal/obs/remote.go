@@ -7,7 +7,7 @@
 // barrier records) into the artifact file it writes anyway; the
 // launcher decodes the artifacts and MergeTelemetry rebuilds one
 // journal, recorder included, on the launcher's timeline: the input
-// the merged Chrome trace and the report's waitstates and
+// the merged Chrome trace and the report's run wall, lost-time and
 // critical-path sections need.
 //
 // The stamps need no clock alignment. Every process measures

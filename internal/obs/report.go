@@ -12,73 +12,23 @@ import (
 // ReportSchema identifies the run-report JSON schema. Bump the suffix
 // when a field changes meaning or is removed; adding fields is
 // backward-compatible and does not bump it.
-const ReportSchema = "dinfomap-run-report/v1"
+const ReportSchema = "dinfomap-run-report/v2"
 
 // PhaseCost is one rank's measured work and traffic for one phase.
 type PhaseCost = trace.RankCost
 
-// CommTotals mirrors mpi.Stats with stable JSON names. The wait fields
-// (schema addition, v1-compatible) are omitempty; BarrierWaitWallNs is
-// measured host time whose JSON name carries "wall" so run-to-run diffs
-// classify it ignored.
-type CommTotals struct {
-	BytesSent       int64 `json:"bytes_sent"`
-	BytesRecv       int64 `json:"bytes_recv"`
-	MsgsSent        int64 `json:"msgs_sent"`
-	MsgsRecv        int64 `json:"msgs_recv"`
-	Collectives     int64 `json:"collectives"`
-	CollectiveBytes int64 `json:"collective_bytes"`
-	CollectiveMsgs  int64 `json:"collective_msgs"`
-
-	BarrierWaitWallNs int64 `json:"barrier_wait_wall_ns,omitempty"`
-	BarrierSyncs      int64 `json:"barrier_syncs,omitempty"`
-}
-
-// CommFromStats converts the totals of an mpi.Stats snapshot to their
-// report form.
-func CommFromStats(s mpi.Stats) CommTotals { return commFromKind(s.KindStats) }
-
-// commFromKind converts one set of counters to report form.
-func commFromKind(k mpi.KindStats) CommTotals {
-	return CommTotals{
-		BytesSent:       k.BytesSent,
-		BytesRecv:       k.BytesRecv,
-		MsgsSent:        k.MsgsSent,
-		MsgsRecv:        k.MsgsRecv,
-		Collectives:     k.Collectives,
-		CollectiveBytes: k.CollectiveBytes,
-		CollectiveMsgs:  k.CollectiveMsgs,
-
-		BarrierWaitWallNs: k.BarrierWaitNs,
-		BarrierSyncs:      k.BarrierSyncs,
-	}
-}
-
-// Add accumulates o into c field-wise.
-func (c *CommTotals) Add(o CommTotals) {
-	c.BytesSent += o.BytesSent
-	c.BytesRecv += o.BytesRecv
-	c.MsgsSent += o.MsgsSent
-	c.MsgsRecv += o.MsgsRecv
-	c.Collectives += o.Collectives
-	c.CollectiveBytes += o.CollectiveBytes
-	c.CollectiveMsgs += o.CollectiveMsgs
-	c.BarrierWaitWallNs += o.BarrierWaitWallNs
-	c.BarrierSyncs += o.BarrierSyncs
-}
-
-// ByKindFromStats converts the per-kind buckets of an mpi.Stats
-// snapshot to report form, keyed by stable kind name. All-zero kinds
+// ByKindFromStats keys the per-kind buckets of an mpi.Stats snapshot
+// by stable kind name for the report. All-zero kinds
 // are omitted, so reports stay compact and adding future kinds does not
 // perturb existing output. encoding/json writes map keys sorted, so the
 // field is deterministic.
-func ByKindFromStats(s mpi.Stats) map[string]CommTotals {
-	out := make(map[string]CommTotals)
-	for k := 0; k < mpi.NumKinds; k++ {
-		if s.ByKind[k] == (mpi.KindStats{}) {
+func ByKindFromStats(s mpi.Stats) map[string]mpi.KindStats {
+	out := make(map[string]mpi.KindStats)
+	for k, ks := range s.ByKind {
+		if ks == (mpi.KindStats{}) {
 			continue
 		}
-		out[mpi.Kind(k).String()] = commFromKind(s.ByKind[k])
+		out[mpi.Kind(k).String()] = ks
 	}
 	if len(out) == 0 {
 		return nil
@@ -97,18 +47,18 @@ type IterationReport struct {
 	Ops    int64 `json:"ops"`    // counted work within the iteration
 	WallNs int64 `json:"wall_ns"`
 	// Comm is this iteration's traffic delta for the rank.
-	Comm CommTotals `json:"comm"`
+	Comm mpi.KindStats `json:"comm"`
 	// CommByKind splits Comm by message kind (absent when empty).
-	CommByKind map[string]CommTotals `json:"comm_by_kind,omitempty"`
+	CommByKind map[string]mpi.KindStats `json:"comm_by_kind,omitempty"`
 }
 
 // CommsReport is the run-level communication rollup: totals and per-
-// kind splits summed over ranks. Schema addition (v1-compatible).
+// kind splits summed over ranks.
 type CommsReport struct {
-	Totals CommTotals `json:"totals"`
+	Totals mpi.KindStats `json:"totals"`
 	// ByKind is keyed by stable kind name; kinds with no traffic are
 	// omitted.
-	ByKind map[string]CommTotals `json:"by_kind,omitempty"`
+	ByKind map[string]mpi.KindStats `json:"by_kind,omitempty"`
 }
 
 // BuildComms sums per-rank cumulative stats into the run-level rollup.
@@ -116,25 +66,11 @@ func BuildComms(stats []mpi.Stats) *CommsReport {
 	if len(stats) == 0 {
 		return nil
 	}
-	c := &CommsReport{ByKind: make(map[string]CommTotals)}
+	var sum mpi.Stats
 	for _, s := range stats {
-		t := c.Totals
-		t.Add(CommFromStats(s))
-		c.Totals = t
-		for k := 0; k < mpi.NumKinds; k++ {
-			if s.ByKind[k] == (mpi.KindStats{}) {
-				continue
-			}
-			name := mpi.Kind(k).String()
-			kt := c.ByKind[name]
-			kt.Add(commFromKind(s.ByKind[k]))
-			c.ByKind[name] = kt
-		}
+		sum.Add(s)
 	}
-	if len(c.ByKind) == 0 {
-		c.ByKind = nil
-	}
-	return c
+	return &CommsReport{Totals: sum.KindStats, ByKind: ByKindFromStats(sum)}
 }
 
 // RankReport is one rank's contribution to the run report.
@@ -146,9 +82,8 @@ type RankReport struct {
 	Phases map[string]PhaseCost `json:"phases"`
 	// Stage2 is the rank's total stage-2 cost (all merged levels).
 	Stage2 PhaseCost `json:"stage2"`
-	// Stage2Phases breaks Stage2 into phases, including merge-shuffle.
-	// Schema addition (v1-compatible): absent in reports written before
-	// stage internals were first-class spans.
+	// Stage2Phases breaks Stage2 into phases, including merge-shuffle;
+	// absent when the run never merged.
 	Stage2Phases map[string]PhaseCost `json:"stage2_phases,omitempty"`
 	// PhaseWallNs is the rank's measured journal wall time per span
 	// name, both stages combined. Only present when the run journaled;
@@ -157,26 +92,23 @@ type RankReport struct {
 	Wall1Ns     int64            `json:"wall1_ns"`
 	Wall2Ns     int64            `json:"wall2_ns"`
 	DeltaEvals  int64            `json:"delta_evals"`
-	Comm        CommTotals       `json:"comm"`
-	// CommByKind splits Comm by message kind. Schema addition
-	// (v1-compatible): absent in reports written before per-kind
-	// accounting existed.
-	CommByKind map[string]CommTotals `json:"comm_by_kind,omitempty"`
+	Comm        mpi.KindStats    `json:"comm"`
+	// CommByKind splits Comm by message kind.
+	CommByKind map[string]mpi.KindStats `json:"comm_by_kind,omitempty"`
 	// Iterations are the rank's per-outer-iteration cost/traffic slices
-	// in outer order. Schema addition (v1-compatible).
+	// in outer order.
 	Iterations []IterationReport `json:"iterations,omitempty"`
 	// Transport carries the rank's wire-level counters on multi-process
 	// runs (frames/bytes per peer, connect retries, handshake latency,
-	// poison events). Schema addition (v1-compatible); absent on
-	// in-process runs, which have no wire.
+	// poison events); absent on in-process runs, which have no wire.
 	Transport *mpi.TransportStats `json:"transport,omitempty"`
 	// Ingest reports the rank's share of reading an edge-list file when
-	// the ranks read it themselves. Schema addition (v1-compatible);
-	// absent when the ranks cut their rows from an in-memory graph.
+	// the ranks read it themselves; absent when the ranks cut their
+	// rows from an in-memory graph.
 	Ingest *IngestReport `json:"ingest,omitempty"`
 	// PeakRSSBytes is the rank process's peak resident set size on
-	// multi-process runs. Schema addition (v1-compatible); absent on
-	// in-process runs, whose ranks share one process.
+	// multi-process runs; absent on in-process runs, whose ranks share
+	// one process.
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 }
 
@@ -224,11 +156,10 @@ type ConvergenceInfo struct {
 	Stage1Sweeps    int       `json:"stage1_sweeps"`
 	Stage2Sweeps    int       `json:"stage2_sweeps"`
 	// MinLabel[r] holds rank r's minimum-label refusals, stage 1 then
-	// stage 2. Schema addition (v1-compatible); deterministic.
+	// stage 2; deterministic.
 	MinLabel [][2]MinLabelCounts `json:"min_label,omitempty"`
 	// CollectivesPerRound is the synchronizing calls per synchronized
-	// round of each stage. Schema addition (v1-compatible);
-	// deterministic.
+	// round of each stage; deterministic.
 	CollectivesPerRound RoundCollectives `json:"collectives_per_round"`
 }
 
@@ -261,9 +192,13 @@ type TimingInfo struct {
 	TotalModeledNs  int64            `json:"total_modeled_ns"`
 	PhaseModeledNs  map[string]int64 `json:"phase_modeled_ns"`
 	// PhaseWallNs is the measured journal wall time per span name,
-	// max over ranks (the bulk-synchronous gate). Schema addition;
-	// present only when the run journaled.
+	// max over ranks (the bulk-synchronous gate). Present only when the
+	// run journaled.
 	PhaseWallNs map[string]int64 `json:"phase_wall_ns,omitempty"`
+	// RunWallNs is the journal-measured run wall (see RunWall): the
+	// denominator of the critical path's coverage and of the lost
+	// fraction. Present only when the run journaled.
+	RunWallNs int64 `json:"run_wall_ns,omitempty"`
 }
 
 // PartitionInfo summarizes the delegate layout (Figures 6-7).
@@ -290,17 +225,16 @@ type Report struct {
 	MaxRankBytes     int64           `json:"max_rank_bytes"`
 	DeltaEvaluations int64           `json:"delta_evaluations"`
 	// Comms is the run-level communication rollup (totals and by-kind
-	// splits summed over ranks). Schema addition (v1-compatible).
+	// splits summed over ranks); its barrier_wait_wall_ns are the
+	// measured blocked times.
 	Comms *CommsReport `json:"comms,omitempty"`
-	// WaitStates, CriticalPath, and LostTime are the wait-state analysis
-	// sections consumed by cmd/dinfomap-analyze. Schema additions
-	// (v1-compatible); present when the run journaled. All their timing
-	// fields are measured host wall clock (nondeterministic).
-	WaitStates   *WaitStatesReport `json:"waitstates,omitempty"`
-	CriticalPath []CritSegment     `json:"critical_path,omitempty"`
-	LostTime     *LostTimeReport   `json:"lost_time,omitempty"`
-	// Build records the binary's provenance. Schema addition
-	// (v1-compatible).
+	// CriticalPath and LostTime are the journal-derived sections
+	// consumed by cmd/dinfomap-analyze, present when the run journaled.
+	// All their timing fields are measured host wall clock
+	// (nondeterministic).
+	CriticalPath []CritSegment   `json:"critical_path,omitempty"`
+	LostTime     *LostTimeReport `json:"lost_time,omitempty"`
+	// Build records the binary's provenance.
 	Build *BuildInfo   `json:"build,omitempty"`
 	Ranks []RankReport `json:"ranks"`
 }

@@ -1,5 +1,7 @@
 package obs
 
+import "dinfomap/internal/mpi"
+
 // ScrubVolatile zeroes every nondeterministic field of a run report —
 // measured host times, journal-only analysis sections, build
 // provenance, transport wire counters, process memory — so two
@@ -16,13 +18,13 @@ func ScrubVolatile(rep *Report) {
 	rep.Timing.Stage1WallNs = 0
 	rep.Timing.Stage2WallNs = 0
 	rep.Timing.PhaseWallNs = nil
-	rep.WaitStates = nil
+	rep.Timing.RunWallNs = 0
 	rep.CriticalPath = nil
 	rep.LostTime = nil
 	rep.Build = nil
 	if rep.Comms != nil {
-		scrubCommTotals(&rep.Comms.Totals)
-		scrubCommTotalsMap(rep.Comms.ByKind)
+		scrubWait(&rep.Comms.Totals)
+		scrubWaitMap(rep.Comms.ByKind)
 	}
 	for i := range rep.Ranks {
 		r := &rep.Ranks[i]
@@ -36,26 +38,26 @@ func ScrubVolatile(rep *Report) {
 			in.WallNs = 0
 			r.Ingest = &in
 		}
-		scrubCommTotals(&r.Comm)
-		scrubCommTotalsMap(r.CommByKind)
+		scrubWait(&r.Comm)
+		scrubWaitMap(r.CommByKind)
 		for k := range r.Iterations {
 			r.Iterations[k].WallNs = 0
-			scrubCommTotals(&r.Iterations[k].Comm)
-			scrubCommTotalsMap(r.Iterations[k].CommByKind)
+			scrubWait(&r.Iterations[k].Comm)
+			scrubWaitMap(r.Iterations[k].CommByKind)
 		}
 	}
 }
 
-// scrubCommTotals zeroes the wall-clock wait measurement of one comm
+// scrubWait zeroes the wall-clock wait measurement of one comm
 // record. The traffic counters and BarrierSyncs stay: they are
 // deterministic and the parity check's point.
-func scrubCommTotals(c *CommTotals) {
-	c.BarrierWaitWallNs = 0
+func scrubWait(c *mpi.KindStats) {
+	c.BarrierWaitNs = 0
 }
 
-func scrubCommTotalsMap(m map[string]CommTotals) {
+func scrubWaitMap(m map[string]mpi.KindStats) {
 	for k, c := range m {
-		scrubCommTotals(&c)
+		scrubWait(&c)
 		m[k] = c
 	}
 }

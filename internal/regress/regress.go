@@ -1,7 +1,7 @@
 // Package regress compares two directories of experiment/run JSON
-// artifacts (the dinfomap-experiment/v1 siblings and
-// dinfomap-run-report/v1 reports under results/) and flags numeric
-// regressions beyond class-specific thresholds.
+// artifacts (the dinfomap-experiment/v1 files under results/ and
+// dinfomap-run-report files) and flags numeric regressions beyond
+// class-specific thresholds.
 //
 // The comparison is a generic walk over the JSON trees — no schema
 // knowledge beyond path classification — so it keeps working as the
