@@ -7,8 +7,8 @@
 // Only files present in both directories are compared, so a partial
 // regeneration diffs cleanly against the full golden set. Host
 // wall-clock fields are ignored; codelength fields fail on any
-// increase, modeled-time and per-kind byte fields fail beyond their
-// relative thresholds; everything else is informational.
+// increase and NMI fields on any decrease, modeled-time and per-kind
+// byte fields fail beyond +10%; everything else is informational.
 //
 // Exit status: 0 clean, 1 regressions found, 2 usage or I/O error.
 package main
@@ -25,12 +25,6 @@ import (
 
 func main() {
 	var (
-		codelengthTol = flag.Float64("codelength-tol", regress.DefaultCodelengthTol,
-			"relative codelength increase tolerated before failing")
-		modeledTol = flag.Float64("modeled-tol", regress.DefaultModeledTol,
-			"relative modeled-time increase tolerated before failing")
-		bytesTol = flag.Float64("bytes-tol", regress.DefaultBytesTol,
-			"relative traffic-bytes increase tolerated before failing")
 		reportPath = flag.String("report", "", "write the JSON diff report to this file")
 		verbose    = flag.Bool("v", false, "print informational findings, not just regressions")
 		parity     = flag.Bool("parity", false,
@@ -56,11 +50,7 @@ func main() {
 		os.Exit(runParity(flag.Arg(0), flag.Arg(1)))
 	}
 
-	rep, err := regress.Diff(flag.Arg(0), flag.Arg(1), regress.Options{
-		CodelengthTol: *codelengthTol,
-		ModeledTol:    *modeledTol,
-		BytesTol:      *bytesTol,
-	})
+	rep, err := regress.Diff(flag.Arg(0), flag.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dinfomap-diff:", err)
 		os.Exit(2)

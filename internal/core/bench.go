@@ -5,11 +5,12 @@ import (
 	"dinfomap/internal/mpi"
 )
 
-// BenchLevel is a retained single-rank stage-1 level used by the
-// benchmark suite and the allocation-budget tests to drive the hot
-// paths (sweep passes, Module_Info refresh rounds) in isolation,
-// outside a full Run. With p = 1 every collective self-completes, so
-// the level's communicator stays usable after mpi.Run returns.
+// BenchLevel is a retained single-rank stage-1 level that drives the
+// sweep hot path in isolation, outside a full Run. The COST benchmark
+// (bench/traced.go) times its passes as core.sweep.pass_ns_per_vertex;
+// BenchmarkSweepPass and the allocation-budget tests drive it too.
+// With p = 1 every collective self-completes, so the level's
+// communicator stays usable after mpi.Run returns.
 type BenchLevel struct {
 	lv *level
 	s  *sweepScratch
@@ -36,27 +37,4 @@ func (b *BenchLevel) SweepPass() int {
 	b.lv.activateAll()
 	moves, _, _ := b.lv.sweep(b.s, 1)
 	return moves
-}
-
-// BenchCodecRound encodes recs into e (reset first) and decodes them
-// all back through d, returning the number of records decoded. It is
-// the Module_Info wire round used by the codec benchmarks and the
-// allocation-budget tests: with a warm encoder and a reused decoder the
-// round allocates nothing.
-func BenchCodecRound(e *mpi.Encoder, d *mpi.Decoder, recs []ModuleInfo) int {
-	e.Reset()
-	for _, m := range recs {
-		if m.IsSent {
-			m.encodeShort(e)
-		} else {
-			m.encode(e)
-		}
-	}
-	d.Reset(e.Bytes())
-	decoded := 0
-	for d.Remaining() > 0 {
-		_ = decodeModuleInfoMaybeShort(d)
-		decoded++
-	}
-	return decoded
 }

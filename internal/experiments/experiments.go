@@ -2,8 +2,8 @@
 // paper's evaluation (Section 4) on the synthetic stand-in datasets.
 // Each experiment has a Run function returning structured results and a
 // Format function rendering the same rows/series the paper reports.
-// The cmd/experiments binary drives them; the root bench_test.go wraps
-// each in a testing.B benchmark.
+// The cmd/experiments binary drives them; their tests run each at a
+// reduced scale.
 package experiments
 
 import (
@@ -15,7 +15,7 @@ import (
 // Options configures an experiment run.
 type Options struct {
 	// Scale multiplies dataset sizes; 1.0 is the registry default
-	// (about 1/1000 of the paper). Benchmarks use smaller scales.
+	// (about 1/1000 of the paper). Tests use smaller scales.
 	Scale float64
 	// Seed offsets all generator and algorithm seeds.
 	Seed uint64

@@ -163,19 +163,6 @@ func Names() []string {
 	return names
 }
 
-// ByClass returns registry keys of the given class ("small", "medium",
-// "large") sorted by name.
-func ByClass(class string) []string {
-	var names []string
-	for n, d := range Registry {
-		if d.Class == class {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Lookup returns a dataset by (case-sensitive lower) name.
 func Lookup(name string) (Dataset, error) {
 	d, ok := Registry[name]

@@ -227,17 +227,6 @@ func TestDatasetGenerateSmall(t *testing.T) {
 	}
 }
 
-func TestByClass(t *testing.T) {
-	small := ByClass("small")
-	if len(small) != 3 {
-		t.Fatalf("small class has %d datasets, want 3", len(small))
-	}
-	large := ByClass("large")
-	if len(large) != 4 {
-		t.Fatalf("large class has %d datasets, want 4", len(large))
-	}
-}
-
 // Property: generation is deterministic for a given seed.
 func TestPropertyGenerationDeterministic(t *testing.T) {
 	f := func(seed uint64) bool {

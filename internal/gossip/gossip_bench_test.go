@@ -12,6 +12,6 @@ func BenchmarkRun(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(g, Config{P: 4, Seed: uint64(i)})
+		Run(g, Config{P: 4, Seed: 1})
 	}
 }

@@ -47,16 +47,3 @@ func Renumber(comm []int) (dense []int, k int) {
 	}
 	return dense, len(remap)
 }
-
-// ProjectAssignment lifts a community assignment on a contracted graph
-// back to the original vertices: given the original-level assignment
-// prev (vertex -> community id), the remap from Contract, and the
-// assignment next on the contracted graph (contracted vertex ->
-// community), it returns the composed assignment on original vertices.
-func ProjectAssignment(prev []int, remap map[int]int, next []int) []int {
-	out := make([]int, len(prev))
-	for u, c := range prev {
-		out[u] = next[remap[c]]
-	}
-	return out
-}

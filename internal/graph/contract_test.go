@@ -77,21 +77,6 @@ func TestRenumber(t *testing.T) {
 	}
 }
 
-func TestProjectAssignment(t *testing.T) {
-	g := FromEdges(4, [][2]int{{0, 1}, {2, 3}})
-	prev := []int{0, 0, 1, 1}
-	_, remap := Contract(g, prev)
-	next := make([]int, 2)
-	next[remap[0]] = 42
-	next[remap[1]] = 42 // both contracted vertices merge again
-	out := ProjectAssignment(prev, remap, next)
-	for u, c := range out {
-		if c != 42 {
-			t.Fatalf("out[%d] = %d, want 42", u, c)
-		}
-	}
-}
-
 // Property: contraction preserves total edge weight for random graphs and
 // random assignments.
 func TestPropertyContractPreservesWeight(t *testing.T) {

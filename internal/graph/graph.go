@@ -231,10 +231,6 @@ func (b *Builder) AddWeightedEdge(u, v int, w float64) {
 	b.ws = append(b.ws, w)
 }
 
-// NumPendingEdges returns how many edge records have been added (before
-// parallel-edge merging).
-func (b *Builder) NumPendingEdges() int { return len(b.us) }
-
 // EnsureVertices grows the builder's vertex count to at least n,
 // creating trailing isolated vertices if needed.
 func (b *Builder) EnsureVertices(n int) {

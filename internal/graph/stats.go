@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -133,28 +132,4 @@ func ConnectedComponents(g *Graph) (labels []int, count int) {
 		count++
 	}
 	return labels, count
-}
-
-// PowerLawExponentMLE estimates the exponent of a power-law degree
-// distribution via the discrete maximum-likelihood estimator
-// alpha = 1 + n / sum(ln(d_i / (dmin - 0.5))), over vertices with degree
-// >= dmin. Returns NaN when fewer than two vertices qualify.
-func PowerLawExponentMLE(g *Graph, dmin int) float64 {
-	if dmin < 1 {
-		dmin = 1
-	}
-	n := 0
-	sum := 0.0
-	for u := 0; u < g.NumVertices(); u++ {
-		d := g.Degree(u)
-		if d >= dmin {
-			n++
-			sum += math.Log(float64(d) / (float64(dmin) - 0.5))
-		}
-	}
-	//dinfomap:float-ok degenerate guard: every addend of sum is > 0 (d >= dmin > dmin-0.5), so 0 iff empty
-	if n < 2 || sum == 0 {
-		return math.NaN()
-	}
-	return 1 + float64(n)/sum
 }

@@ -69,28 +69,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestPowerLawExponentMLEOnRegular(t *testing.T) {
-	// Clique: all degrees equal -> MLE blows up toward infinity or NaN;
-	// just check it does not return something < 1.
-	b := NewBuilder(10)
-	for u := 0; u < 10; u++ {
-		for v := u + 1; v < 10; v++ {
-			b.AddEdge(u, v)
-		}
-	}
-	alpha := PowerLawExponentMLE(b.Build(), 1)
-	if !math.IsNaN(alpha) && alpha < 1 {
-		t.Fatalf("alpha = %v, want >= 1 or NaN", alpha)
-	}
-}
-
-func TestPowerLawExponentMLETooFewVertices(t *testing.T) {
-	g := FromEdges(2, [][2]int{{0, 1}})
-	if a := PowerLawExponentMLE(g, 100); !math.IsNaN(a) {
-		t.Fatalf("alpha = %v, want NaN when no vertex qualifies", a)
-	}
-}
-
 func TestRelabelByDegree(t *testing.T) {
 	// Star with spoke-spoke edge: vertex 3 is the hub in the original ids.
 	b := NewBuilder(5)

@@ -15,7 +15,7 @@ func BenchmarkRun(b *testing.B) {
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Run(g, Config{Seed: uint64(i)})
+				Run(g, Config{Seed: 1})
 			}
 		})
 	}

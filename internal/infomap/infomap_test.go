@@ -216,3 +216,24 @@ func TestDeltaEvaluationsCounted(t *testing.T) {
 		t.Fatal("Moves not counted")
 	}
 }
+
+// seqAllocCeiling bounds the allocations of one sequential run with
+// seed 1 on the planted graph below. The run makes 594–596 allocations;
+// the ceiling leaves 0.5% over 595, so one new allocation per move pass
+// or per level fails.
+const seqAllocCeiling = 598
+
+// TestSequentialAllocBudget pins the allocation count of a whole
+// sequential run: flow init, every level's move passes and contraction.
+// Allocation counts repeat on every host, so no baseline file is needed.
+func TestSequentialAllocBudget(t *testing.T) {
+	g, _ := gen.PlantedPartition(11, gen.PlantedConfig{
+		N: 2000, NumComms: 40, AvgDegree: 10, Mixing: 0.2, DegreeGamma: 2.5,
+	})
+	cfg := Config{Seed: 1}
+	avg := testing.AllocsPerRun(3, func() { Run(g, cfg) })
+	t.Logf("sequential Run: %v allocs/op (ceiling %d)", avg, seqAllocCeiling)
+	if avg > seqAllocCeiling {
+		t.Fatalf("sequential Run: %v allocs/op, want at most %d", avg, seqAllocCeiling)
+	}
+}

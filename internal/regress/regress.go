@@ -1,7 +1,10 @@
 // Package regress compares two directories of experiment/run JSON
 // artifacts (the dinfomap-experiment/v1 files under results/ and
 // dinfomap-run-report files) and flags numeric regressions beyond
-// class-specific thresholds.
+// class-specific thresholds. It answers one question: did a
+// deterministic result move? How fast the code runs is the COST
+// benchmark's question (bench/), and how much it allocates is pinned by
+// ordinary tests.
 //
 // The comparison is a generic walk over the JSON trees — no schema
 // knowledge beyond path classification — so it keeps working as the
@@ -13,16 +16,9 @@
 //     increase beyond a tiny tolerance (quality must never regress
 //     silently — runs are deterministic given the seed);
 //   - paths mentioning "modeled" are cost-model times and fail on
-//     relative increase beyond the modeled threshold (default 10%);
+//     relative increase beyond 10%;
 //   - leaves whose final key mentions "bytes" (including the per-kind
-//     comm splits) fail on relative increase beyond the bytes
-//     threshold (default 10%);
-//   - leaves whose final key mentions "ns_per_op" are benchmark times
-//     (the dinfomap-bench/v1 reports) and fail on relative increase
-//     beyond the generous time threshold (default 25%);
-//   - leaves whose final key mentions "allocs_per_op" are benchmark
-//     allocation counts and fail on ANY relative increase beyond the
-//     allocs threshold (default 0: pooling regressions fail loudly);
+//     comm splits) fail on relative increase beyond 10%;
 //   - leaves whose final key mentions "nmi" are partition quality and
 //     fail on ANY relative decrease beyond a tiny tolerance (NMI sums
 //     in a fixed order, so same-seed runs reproduce it exactly);
@@ -45,53 +41,19 @@ import (
 // ReportSchema tags the diff report JSON.
 const ReportSchema = "dinfomap-diff-report/v1"
 
-// Default thresholds.
+// The per-class regression thresholds, all relative ((new-old)/|old|).
 const (
-	DefaultCodelengthTol = 1e-9
-	DefaultModeledTol    = 0.10
-	DefaultBytesTol      = 0.10
-	DefaultTimeTol       = 0.25
-	DefaultQualityTol    = 1e-9
+	codelengthTol = 1e-9
+	modeledTol    = 0.10
+	bytesTol      = 0.10
+	qualityTol    = 1e-9
 )
-
-// Options are the per-class regression thresholds, all relative
-// ((new-old)/|old|). Zero values mean the defaults. AllocsTol defaults
-// to 0: any allocs/op increase is a regression.
-type Options struct {
-	CodelengthTol float64 `json:"codelength_tol"`
-	ModeledTol    float64 `json:"modeled_tol"`
-	BytesTol      float64 `json:"bytes_tol"`
-	TimeTol       float64 `json:"time_tol"`
-	AllocsTol     float64 `json:"allocs_tol"`
-	QualityTol    float64 `json:"quality_tol"`
-}
-
-func (o Options) withDefaults() Options {
-	if o.CodelengthTol <= 0 {
-		o.CodelengthTol = DefaultCodelengthTol
-	}
-	if o.ModeledTol <= 0 {
-		o.ModeledTol = DefaultModeledTol
-	}
-	if o.BytesTol <= 0 {
-		o.BytesTol = DefaultBytesTol
-	}
-	if o.TimeTol <= 0 {
-		o.TimeTol = DefaultTimeTol
-	}
-	if o.QualityTol <= 0 {
-		o.QualityTol = DefaultQualityTol
-	}
-	return o
-}
 
 // Classes a finding can belong to.
 const (
 	ClassCodelength = "codelength"
 	ClassModeled    = "modeled"
 	ClassBytes      = "bytes"
-	ClassTime       = "time"
-	ClassAllocs     = "allocs"
 	ClassQuality    = "quality"
 	ClassOther      = "other"
 	ClassStructure  = "structure"
@@ -132,7 +94,6 @@ type Report struct {
 	Schema        string   `json:"schema"`
 	BaselineDir   string   `json:"baseline_dir"`
 	CandidateDir  string   `json:"candidate_dir"`
-	Options       Options  `json:"options"`
 	Files         []string `json:"files"`
 	OnlyBaseline  []string `json:"only_baseline,omitempty"`
 	OnlyCandidate []string `json:"only_candidate,omitempty"`
@@ -148,8 +109,7 @@ type Report struct {
 func (r *Report) Failed() bool { return r.Regressions > 0 }
 
 // Diff compares every JSON file present in both directories.
-func Diff(baselineDir, candidateDir string, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func Diff(baselineDir, candidateDir string) (*Report, error) {
 	base, err := jsonFiles(baselineDir)
 	if err != nil {
 		return nil, err
@@ -160,7 +120,7 @@ func Diff(baselineDir, candidateDir string, opt Options) (*Report, error) {
 	}
 	rep := &Report{
 		Schema: ReportSchema, BaselineDir: baselineDir,
-		CandidateDir: candidateDir, Options: opt,
+		CandidateDir: candidateDir,
 	}
 	for _, f := range base {
 		if contains(cand, f) {
@@ -183,7 +143,7 @@ func Diff(baselineDir, candidateDir string, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		findings, compared, err := DiffFiles(f, bb, cb, opt)
+		findings, compared, err := diffFiles(f, bb, cb)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +162,9 @@ func Diff(baselineDir, candidateDir string, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// DiffFiles compares two JSON documents and returns the findings plus
+// diffFiles compares two JSON documents and returns the findings plus
 // the count of numeric leaves compared.
-func DiffFiles(name string, baseline, candidate []byte, opt Options) ([]Finding, int, error) {
-	opt = opt.withDefaults()
+func diffFiles(name string, baseline, candidate []byte) ([]Finding, int, error) {
 	var bv, cv any
 	if err := unmarshalNumbers(baseline, &bv); err != nil {
 		return nil, 0, fmt.Errorf("regress: baseline %s: %w", name, err)
@@ -213,7 +172,7 @@ func DiffFiles(name string, baseline, candidate []byte, opt Options) ([]Finding,
 	if err := unmarshalNumbers(candidate, &cv); err != nil {
 		return nil, 0, fmt.Errorf("regress: candidate %s: %w", name, err)
 	}
-	w := &walker{file: name, opt: opt}
+	w := &walker{file: name}
 	w.walk("$", bv, cv)
 	return w.findings, w.compared, nil
 }
@@ -226,7 +185,6 @@ func unmarshalNumbers(data []byte, v *any) error {
 
 type walker struct {
 	file     string
-	opt      Options
 	findings []Finding
 	compared int
 }
@@ -332,18 +290,14 @@ func (w *walker) number(path string, old, new float64) {
 	}
 	switch class {
 	case ClassCodelength:
-		f.Regression = increaseBeyond(old, new, w.opt.CodelengthTol)
+		f.Regression = increaseBeyond(old, new, codelengthTol)
 	case ClassModeled:
-		f.Regression = increaseBeyond(old, new, w.opt.ModeledTol)
+		f.Regression = increaseBeyond(old, new, modeledTol)
 	case ClassBytes:
-		f.Regression = increaseBeyond(old, new, w.opt.BytesTol)
-	case ClassTime:
-		f.Regression = increaseBeyond(old, new, w.opt.TimeTol)
-	case ClassAllocs:
-		f.Regression = increaseBeyond(old, new, w.opt.AllocsTol)
+		f.Regression = increaseBeyond(old, new, bytesTol)
 	case ClassQuality:
 		// Quality regresses downward: gate decreases, welcome increases.
-		f.Regression = increaseBeyond(new, old, w.opt.QualityTol)
+		f.Regression = increaseBeyond(new, old, qualityTol)
 	}
 	w.emit(f)
 }
@@ -394,10 +348,6 @@ func classify(path string) string {
 		return ClassModeled
 	case strings.Contains(last, "bytes"):
 		return ClassBytes
-	case strings.Contains(last, "ns_per_op"):
-		return ClassTime
-	case strings.Contains(last, "allocs_per_op"):
-		return ClassAllocs
 	case strings.Contains(last, "nmi"):
 		return ClassQuality
 	default:

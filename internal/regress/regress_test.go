@@ -32,7 +32,7 @@ func TestDiffIdenticalDirs(t *testing.T) {
 	files := map[string]string{"table1.json": baseExperiment}
 	a := writeDir(t, files)
 	b := writeDir(t, files)
-	rep, err := Diff(a, b, Options{})
+	rep, err := Diff(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDiffCodelengthRegression(t *testing.T) {
   ]
 }`
 	b := writeDir(t, map[string]string{"table1.json": bad})
-	rep, err := Diff(a, b, Options{})
+	rep, err := Diff(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDiffCodelengthRegression(t *testing.T) {
 		t.Fatalf("first finding not a codelength regression: %+v", f)
 	}
 	// Improvements must not fail: same diff in the other direction.
-	rev, err := Diff(b, a, Options{})
+	rev, err := Diff(b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDiffModeledThreshold(t *testing.T) {
 
 	// +5% modeled: within the 10% threshold, reported but not failed.
 	b := writeDir(t, map[string]string{"fig4.json": mk(1050000)})
-	rep, err := Diff(a, b, Options{})
+	rep, err := Diff(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,21 +107,12 @@ func TestDiffModeledThreshold(t *testing.T) {
 
 	// +15% modeled: beyond the threshold.
 	c := writeDir(t, map[string]string{"fig4.json": mk(1150000)})
-	rep, err = Diff(a, c, Options{})
+	rep, err = Diff(a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Failed() || rep.Findings[0].Class != ClassModeled {
 		t.Fatalf("+15%% modeled not flagged: %+v", rep.Findings)
-	}
-
-	// A looser explicit threshold lets it pass.
-	rep, err = Diff(a, c, Options{ModeledTol: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		t.Fatalf("+15%% modeled flagged despite 25%% tolerance: %+v", rep.Findings)
 	}
 }
 
@@ -132,7 +123,7 @@ func TestDiffBytesByKind(t *testing.T) {
 	}
 	a := writeDir(t, map[string]string{"report.json": mk(1000)})
 	b := writeDir(t, map[string]string{"report.json": mk(1300)})
-	rep, err := Diff(a, b, Options{})
+	rep, err := Diff(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +142,7 @@ func TestDiffIgnoresWallAndAdditiveFields(t *testing.T) {
 	b := writeDir(t, map[string]string{"report.json": `{
   "codelength": 10.0, "wall_ns": 999999, "stage1_wall_ns": 222,
   "comms": {"by_kind": {"setup": {"bytes_sent": 9}}}}`})
-	rep, err := Diff(a, b, Options{})
+	rep, err := Diff(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +166,7 @@ func TestDiffFileSets(t *testing.T) {
 		"table1.json": baseExperiment,
 		"new.json":    `{"y": 2}`,
 	})
-	rep, err := Diff(a, b, Options{})
+	rep, err := Diff(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +194,6 @@ func TestClassify(t *testing.T) {
 		{"$.rows[0].Bytes", ClassBytes},
 		{"$.rows[0].SeqNMI", ClassQuality},
 		{"$.rows[0].Iterations", ClassOther},
-		{"$.benchmarks.SweepPass.ns_per_op", ClassTime},
-		{"$.benchmarks.SweepPass.allocs_per_op", ClassAllocs},
 		// Golden-file aliases: fig4/5 finals, table3, fig9, fig8 phases.
 		{"$.rows[0].SeqFinal", ClassCodelength},
 		{"$.rows[1].DistFinal", ClassCodelength},

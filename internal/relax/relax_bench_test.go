@@ -14,7 +14,7 @@ func BenchmarkRunWorkers(b *testing.B) {
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Run(g, Config{Workers: w, Seed: uint64(i)})
+				Run(g, Config{Workers: w, Seed: 1})
 			}
 		})
 	}
