@@ -39,16 +39,24 @@ import (
 type Graph = graph.Graph
 
 // Builder accumulates undirected edges; call Build to obtain a Graph.
+// Parallel edges are merged, their weights summed in input order. Three
+// or more fractional-weight copies of one edge may differ in the last
+// bit from builds that merged in comparison-sort order.
 type Builder = graph.Builder
 
 // NewBuilder returns a Builder for a graph with n vertices (growing
-// automatically as larger vertex ids appear).
+// automatically as larger vertex ids appear). Parallel edges sum in the
+// order they are added.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // FromEdges builds an unweighted undirected graph from an edge list.
 func FromEdges(n int, edges [][2]int) *Graph { return graph.FromEdges(n, edges) }
 
 // ReadEdgeList parses a whitespace-separated "u v [w]" edge list.
+// Parallel edges are merged, their weights summed in file order; a file
+// with three or more fractional-weight copies of one edge may read back
+// differently in the last bit than builds that merged in
+// comparison-sort order.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // WriteEdgeList writes g as a text edge list.

@@ -1,7 +1,9 @@
 package gen
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -328,5 +330,51 @@ func TestLoadPinsRegistryGraphs(t *testing.T) {
 	}
 	if _, _, err := Load("nope", 1, 0); err == nil {
 		t.Error(`Load("nope") succeeded`)
+	}
+}
+
+// TestDatasetFingerprints pins the SHA-256 of every registry dataset's
+// edge list at scale 0.3, as WriteEdgeList writes it: every tool that
+// builds a graph from a dataset name builds exactly this one, and a
+// change to a generator, Build, RelabelByDegree or the writer that
+// moves one byte shows here.
+func TestDatasetFingerprints(t *testing.T) {
+	want := map[string]string{
+		"amazon":       "309ef8a71a284a2ac04c172a72812bd2ad2181b4bfaad2faec442eb34c8d35da",
+		"dblp":         "9b252073a39dd50d524c375c07e4310178aceaeab95dfc303ac8bbbd72aa48a4",
+		"friendster":   "4c82d22abc166a3ff5baea7af4de27a9b00117d4cd0a648b3e91e22398c1674d",
+		"livejournal":  "35736b3269b022656a4a8b174ea81ddcbacd5107937b5e06e3dff9000ad8e245",
+		"ndweb":        "19d55761478f69706ffe8ce9977167e507d4bbe50e9dcacffd989de4841dfd79",
+		"uk-2005":      "ede948ec321b703db3701cb6b6f720886f42e1e412ca77c27fb22e587f17bcd8",
+		"uk-2007":      "b8eb8340641e2c071e234861da260751f99bb3d67fc54584258f72384dcd3126",
+		"webbase-2001": "4445b5eed34ef401653d886c74eeb485ab7b33b51f4a9427018908492aef9f7d",
+		"youtube":      "7f34fadb4ed1fb1094d0754f04e8fec2181660717e84eaccbb07dd5c82fe547d",
+	}
+	if len(want) != len(Registry) {
+		t.Fatalf("%d fingerprints for %d registry datasets", len(want), len(Registry))
+	}
+	for _, name := range Names() {
+		g, _, err := Load(name, 0.3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := graph.WriteEdgeList(h, g); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[name] {
+			t.Errorf("%s at scale 0.3: edge list SHA-256 %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// BenchmarkGenerate times the uk-2007 stand-in at scale 0.3: the
+// planted generator, its Build and the degree relabelling.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Load("uk-2007", 0.3, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

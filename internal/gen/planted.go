@@ -44,13 +44,10 @@ func PlantedPartition(seed uint64, cfg PlantedConfig) (*graph.Graph, []int) {
 	sizes := communitySizes(r, n, k, cfg.SizeSkew)
 
 	truth := make([]int, n)
-	members := make([][]int, k)
 	u := 0
 	for c := 0; c < k; c++ {
-		members[c] = make([]int, 0, sizes[c])
 		for i := 0; i < sizes[c]; i++ {
 			truth[u] = c
-			members[c] = append(members[c], u)
 			u++
 		}
 	}
@@ -94,11 +91,22 @@ func PlantedPartition(seed uint64, cfg PlantedConfig) (*graph.Graph, []int) {
 	if mu > 1 {
 		mu = 1
 	}
-	b := graph.NewBuilder(n)
-	intraStubs := make([][]int, k) // per community: repeated vertex list
-	var interStubs []int
+	intraOf := func(v int) int { return int(float64(degs[v])*(1-mu) + 0.5) }
+	intraLen := make([]int, k)
+	stubs, interLen := 0, 0
 	for v := 0; v < n; v++ {
-		intra := int(float64(degs[v])*(1-mu) + 0.5)
+		intra := intraOf(v)
+		intraLen[truth[v]] += intra
+		interLen += degs[v] - intra
+		stubs += degs[v]
+	}
+	intraStubs := make([][]int, k) // per community: repeated vertex list
+	for c := range intraStubs {
+		intraStubs[c] = make([]int, 0, intraLen[c])
+	}
+	interStubs := make([]int, 0, interLen)
+	for v := 0; v < n; v++ {
+		intra := intraOf(v)
 		inter := degs[v] - intra
 		c := truth[v]
 		for i := 0; i < intra; i++ {
@@ -108,6 +116,9 @@ func PlantedPartition(seed uint64, cfg PlantedConfig) (*graph.Graph, []int) {
 			interStubs = append(interStubs, v)
 		}
 	}
+	// Every edge pairs two stubs.
+	b := graph.NewBuilder(n)
+	b.Grow(stubs / 2)
 	// Pair intra stubs within each community (configuration model).
 	for c := 0; c < k; c++ {
 		pairStubs(r, intraStubs[c], b, nil)

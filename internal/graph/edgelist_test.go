@@ -293,27 +293,7 @@ func TestRowsMatchBuild(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 5} {
 			m, total := 0, 0.0
 			for rank := 0; rank < p; rank++ {
-				k := OwnedCount(n, rank, p)
-				rowArcs := make([][]edgeRec, k)
-				for _, e := range edges {
-					if e.u%p == rank {
-						rowArcs[e.u/p] = append(rowArcs[e.u/p], e)
-					}
-					if e.v != e.u && e.v%p == rank {
-						rowArcs[e.v/p] = append(rowArcs[e.v/p], edgeRec{e.v, e.u, e.w})
-					}
-				}
-				off := make([]int, k+1)
-				var ts []int32
-				var ws []float64
-				for i, row := range rowArcs {
-					for _, e := range row {
-						ts = append(ts, int32(e.v))
-						ws = append(ws, e.w)
-					}
-					off[i+1] = len(ts)
-				}
-				got := NewRows(n, rank, p, off, ts, ws)
+				got := ingestRows(n, rank, p, edges)
 				if want := g.Rows(rank, p); !rowsEqual(got, want) {
 					t.Fatalf("trial %d p=%d rank %d: NewRows = %+v, the graph's rows %+v", trial, p, rank, got, want)
 				}

@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -188,18 +189,22 @@ func (g *Graph) Validate() error {
 }
 
 // Builder accumulates undirected edges and produces a Graph. Parallel
-// edges are merged by summing their weights. Builders are not safe for
-// concurrent use.
+// edges are merged by summing their weights in input order, the order
+// AddWeightedEdge saw them. Integer weights sum exactly in any order,
+// but three or more fractional-weight copies of one edge may differ in
+// the last bit from builds that merged in comparison-sort order.
+// Builders are not safe for concurrent use.
 type Builder struct {
 	n     int
-	us    []int
-	vs    []int
+	us    []int32 // ids never exceed MaxID
+	vs    []int32
 	ws    []float64
 	unitW bool
 }
 
 // NewBuilder returns a Builder for a graph with n vertices. Edges touching
-// vertices >= n grow the graph automatically.
+// vertices >= n grow the graph automatically. Parallel edges sum in the
+// order they are added (see Builder).
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n, unitW: true}
 }
@@ -208,10 +213,11 @@ func NewBuilder(n int) *Builder {
 func (b *Builder) AddEdge(u, v int) { b.AddWeightedEdge(u, v, 1) }
 
 // AddWeightedEdge records the undirected edge {u, v} with weight w.
-// Self-loops (u == v) are allowed. Panics on negative or zero weight.
+// Self-loops (u == v) are allowed. Panics on an id outside [0, MaxID]
+// and on a weight that is not positive and finite.
 func (b *Builder) AddWeightedEdge(u, v int, w float64) {
-	if u < 0 || v < 0 {
-		panic(fmt.Sprintf("graph: negative vertex in edge (%d,%d)", u, v))
+	if u < 0 || v < 0 || u > MaxID || v > MaxID {
+		panic(fmt.Sprintf("graph: vertex out of [0, %d] in edge (%d,%d)", MaxID, u, v))
 	}
 	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", w, u, v))
@@ -226,9 +232,17 @@ func (b *Builder) AddWeightedEdge(u, v int, w float64) {
 	if w != 1 {
 		b.unitW = false
 	}
-	b.us = append(b.us, u)
-	b.vs = append(b.vs, v)
+	b.us = append(b.us, int32(u))
+	b.vs = append(b.vs, int32(v))
 	b.ws = append(b.ws, w)
+}
+
+// Grow reserves room for m more edges, so a caller that knows about
+// how many it adds does not regrow the builder's arrays on the way.
+func (b *Builder) Grow(m int) {
+	b.us = slices.Grow(b.us, m)
+	b.vs = slices.Grow(b.vs, m)
+	b.ws = slices.Grow(b.ws, m)
 }
 
 // EnsureVertices grows the builder's vertex count to at least n,
@@ -241,59 +255,86 @@ func (b *Builder) EnsureVertices(n int) {
 
 // Build produces the immutable Graph. The Builder may be reused afterward,
 // but edges already added remain.
+//
+// Build is a stable counting sort, with no comparisons: every arc
+// (u, v) is bucketed by its head v in input order, then the heads are
+// visited in ascending order and each arc is appended to its tail's
+// row. Rows come out sorted with parallel arcs adjacent in input order,
+// and a last pass merges those.
 func (b *Builder) Build() *Graph {
+	if len(b.us) > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d edges do not fit int32 edge indices", len(b.us)))
+	}
 	n := b.n
 	// Count arcs per vertex: every edge contributes one arc at each
-	// endpoint; a self-loop contributes a single arc.
-	deg := make([]int, n+1)
+	// endpoint; a self-loop contributes a single arc. Arcs are
+	// symmetric, so a vertex heads as many arcs as it tails.
+	offsets := make([]int, n+1)
 	for i := range b.us {
-		deg[b.us[i]]++
+		offsets[b.us[i]+1]++
 		if b.us[i] != b.vs[i] {
-			deg[b.vs[i]]++
+			offsets[b.vs[i]+1]++
 		}
 	}
-	offsets := make([]int, n+1)
 	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + deg[u]
+		offsets[u+1] += offsets[u]
+	}
+	// byHead holds each arc's tail when every weight is 1, and
+	// otherwise the index of its edge: the tail is then the edge's
+	// other endpoint us[i] + vs[i] - head (the head for a self-loop).
+	cursor := make([]int, n)
+	copy(cursor, offsets[:n])
+	byHead := make([]int32, offsets[n])
+	for i := range b.us {
+		u, v := b.us[i], b.vs[i]
+		x, y := u, v
+		if !b.unitW {
+			x, y = int32(i), int32(i)
+		}
+		byHead[cursor[v]] = x
+		cursor[v]++
+		if u != v {
+			byHead[cursor[u]] = y
+			cursor[u]++
+		}
 	}
 	targets := make([]int, offsets[n])
 	weights := make([]float64, offsets[n])
-	cursor := make([]int, n)
 	copy(cursor, offsets[:n])
-	place := func(u, v int, w float64) {
-		targets[cursor[u]] = v
-		weights[cursor[u]] = w
-		cursor[u]++
-	}
-	for i := range b.us {
-		u, v, w := b.us[i], b.vs[i], b.ws[i]
-		place(u, v, w)
-		if u != v {
-			place(v, u, w)
+	for h := 0; h < n; h++ {
+		for _, x := range byHead[offsets[h]:offsets[h+1]] {
+			u := int(x)
+			if !b.unitW {
+				u = int(b.us[x]) + int(b.vs[x]) - h
+				weights[cursor[u]] = b.ws[x]
+			}
+			targets[cursor[u]] = h
+			cursor[u]++
 		}
 	}
-	// Sort each adjacency list and merge parallel arcs.
-	out := 0
-	newOffsets := make([]int, n+1)
+	// Merge parallel arcs, summing their weights in input order.
+	out, lo := 0, 0
 	for u := 0; u < n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
-		sortAdj(targets[lo:hi], weights[lo:hi])
-		start := out
+		start, hi := out, offsets[u+1]
 		for i := lo; i < hi; i++ {
+			w := 1.0
+			if !b.unitW {
+				w = weights[i]
+			}
 			if out > start && targets[out-1] == targets[i] {
-				weights[out-1] += weights[i]
+				weights[out-1] += w
 				continue
 			}
-			targets[out] = targets[i]
-			weights[out] = weights[i]
+			targets[out], weights[out] = targets[i], w
 			out++
 		}
-		newOffsets[u+1] = out
+		offsets[u], lo = start, hi
 	}
+	offsets[n] = out
 	targets = targets[:out:out]
 	weights = weights[:out:out]
 
-	g := &Graph{offsets: newOffsets, targets: targets, weights: weights}
+	g := &Graph{offsets: offsets, targets: targets, weights: weights}
 	if b.unitW && allUnit(weights) {
 		g.weights = nil // common unweighted case: drop the weight array
 	}
@@ -328,26 +369,6 @@ func allUnit(ws []float64) bool {
 		}
 	}
 	return true
-}
-
-// sortAdj sorts parallel slices (targets, weights) by target. The
-// sort is not stable, but its permutation depends only on the sequence
-// of comparisons, so a row sorted as []int32 comes out in exactly the
-// order the same row sorted as []int does.
-func sortAdj[T int | int32](t []T, w []float64) {
-	sort.Sort(&adjSorter[T]{t, w})
-}
-
-type adjSorter[T int | int32] struct {
-	t []T
-	w []float64
-}
-
-func (s *adjSorter[T]) Len() int           { return len(s.t) }
-func (s *adjSorter[T]) Less(i, j int) bool { return s.t[i] < s.t[j] }
-func (s *adjSorter[T]) Swap(i, j int) {
-	s.t[i], s.t[j] = s.t[j], s.t[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
 // FromEdges builds a graph with n vertices from an unweighted edge list.

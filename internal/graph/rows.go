@@ -1,5 +1,7 @@
 package graph
 
+import "sort"
+
 // Rows is the adjacency of the vertices one rank owns under round-robin
 // ownership: the vertices u with u mod P == Rank, in ascending order.
 // Row i belongs to vertex Rank + i·P and holds its arcs sorted by
@@ -58,14 +60,17 @@ func (g *Graph) Rows(rank, p int) *Rows {
 // NewRows builds Rows from unsorted rows: row i holds the arcs of
 // vertex rank + i·p in the order Build would have placed them — one arc
 // per edge line naming the vertex, in file order. Each row is sorted
-// and its parallel arcs merged the way Build does it, in place, so the
-// result equals the whole graph's Rows(rank, p) bit for bit. The
-// slices are taken over.
+// stably in place and its parallel arcs merged in that order, as Build
+// merges them, so the result equals the whole graph's Rows(rank, p)
+// bit for bit. The slices are taken over; no allocation is made per
+// row.
 func NewRows(n, rank, p int, off []int, targets []int32, weights []float64) *Rows {
 	out := 0
+	s := &adjSorter{}
 	for i := 0; i+1 < len(off); i++ {
 		lo, hi := off[i], off[i+1]
-		sortAdj(targets[lo:hi], weights[lo:hi])
+		s.t, s.w = targets[lo:hi], weights[lo:hi]
+		sort.Stable(s)
 		start := out
 		for j := lo; j < hi; j++ {
 			if out > start && targets[out-1] == targets[j] {
@@ -80,6 +85,20 @@ func NewRows(n, rank, p int, off []int, targets []int32, weights []float64) *Row
 	}
 	off[len(off)-1] = out
 	return &Rows{N: n, P: p, Rank: rank, Off: off, Targets: targets[:out:out], Weights: weights[:out:out]}
+}
+
+// adjSorter sorts one row's parallel slices (targets, weights) by
+// target.
+type adjSorter struct {
+	t []int32
+	w []float64
+}
+
+func (s *adjSorter) Len() int           { return len(s.t) }
+func (s *adjSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
+func (s *adjSorter) Swap(i, j int) {
+	s.t[i], s.t[j] = s.t[j], s.t[i]
+	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
 // VertexSums are the per-vertex quantities the global graph statistics

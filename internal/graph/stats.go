@@ -82,26 +82,47 @@ func (s DegreeStats) String() string {
 // partitioning catastrophically imbalanced (paper Figure 6).
 func RelabelByDegree(g *Graph) (*Graph, []int) {
 	n := g.NumVertices()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	// Counting sort by descending degree; ascending ids keep ties in id
+	// order.
+	maxDeg := g.MaxDegree()
+	first := make([]int, maxDeg+2) // first[maxDeg-d] is degree d's first new id
+	for u := 0; u < n; u++ {
+		first[maxDeg-g.Degree(u)+1]++
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := g.Degree(order[a]), g.Degree(order[b])
-		if da != db {
-			return da > db
-		}
-		return order[a] < order[b]
-	})
+	for d := 1; d < len(first); d++ {
+		first[d] += first[d-1]
+	}
 	perm := make([]int, n)
-	for newID, oldID := range order {
-		perm[oldID] = newID
+	order := make([]int, n)
+	for u := 0; u < n; u++ {
+		k := maxDeg - g.Degree(u)
+		perm[u], order[first[k]] = first[k], u
+		first[k]++
 	}
-	b := NewBuilder(n)
-	g.Edges(func(u, v int, w float64) {
-		b.AddWeightedEdge(perm[u], perm[v], w)
-	})
-	return b.Build(), perm
+	// Permute the CSR: new vertex x inherits old vertex order[x]'s
+	// degree, and visiting the new ids in ascending order appends each
+	// one to its neighbours' rows, which therefore come out sorted.
+	h := &Graph{offsets: make([]int, n+1), targets: make([]int, len(g.targets))}
+	if g.weights != nil && !allUnit(g.weights) {
+		h.weights = make([]float64, len(g.weights))
+	}
+	for x, u := range order {
+		h.offsets[x+1] = h.offsets[x] + g.Degree(u)
+	}
+	cursor := make([]int, n)
+	copy(cursor, h.offsets[:n])
+	for x, u := range order {
+		for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
+			y := perm[g.targets[i]]
+			h.targets[cursor[y]] = x
+			if h.weights != nil {
+				h.weights[cursor[y]] = g.weights[i]
+			}
+			cursor[y]++
+		}
+	}
+	h.countEdges()
+	return h, perm
 }
 
 // ConnectedComponents labels vertices by connected component (BFS) and
