@@ -10,7 +10,6 @@ import (
 	"dinfomap/internal/analysis/codecsym"
 	"dinfomap/internal/analysis/floateq"
 	"dinfomap/internal/analysis/maporder"
-	"dinfomap/internal/analysis/rankshare"
 	"dinfomap/internal/analysis/seededrand"
 )
 
@@ -22,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		floateq.Analyzer,
 		seededrand.Analyzer,
 		closecheck.Analyzer,
-		rankshare.Analyzer,
 		bufalias.Analyzer,
 		codecsym.Analyzer,
 	}

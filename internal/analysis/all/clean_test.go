@@ -7,12 +7,11 @@ import (
 	"dinfomap/internal/analysis/all"
 )
 
-// TestRepositoryIsClean runs the full analyzer suite — including
-// rankshare v2's alias tracking and the bufalias pooled-buffer check —
-// over the module and demands zero findings: every true positive must
-// be fixed and every false positive justified with a //dinfomap:<key>
-// comment, so a regression in either direction fails go test, not just
-// CI's vet job. Stale suppressions fail too: a justification comment
+// TestRepositoryIsClean runs the full analyzer suite — including the
+// bufalias pooled-buffer check — over the module and demands zero
+// findings: every true positive must be fixed and every false positive
+// justified with a //dinfomap:<key> comment, so a regression in either
+// direction fails go test, not just CI's vet job. Stale suppressions fail too: a justification comment
 // that no longer suppresses anything (or names no registered key) is
 // dead weight that would hide a future finding at the same site.
 func TestRepositoryIsClean(t *testing.T) {
@@ -27,10 +26,8 @@ func TestRepositoryIsClean(t *testing.T) {
 	for _, a := range all.Analyzers() {
 		names[a.Name] = true
 	}
-	for _, want := range []string{"rankshare", "bufalias"} {
-		if !names[want] {
-			t.Errorf("suite is missing the %s analyzer", want)
-		}
+	if !names["bufalias"] {
+		t.Error("suite is missing the bufalias analyzer")
 	}
 	diags, stale, err := analysis.RunAnalyzersStale(all.Analyzers(), pkgs)
 	if err != nil {

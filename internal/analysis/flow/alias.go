@@ -6,10 +6,8 @@ import (
 	"go/types"
 )
 
-// Alias and escape helpers: the lattice here is the may-alias closure
-// of a seed set over a function's definitions (MayAlias), plus the
-// structural queries clients need to classify where a value flows
-// (BaseVar, IsPackageLevel).
+// Escape helpers: the structural queries clients need to classify
+// where a value flows (BaseVar, IsPackageLevel).
 
 // BaseVar resolves the root variable of an lvalue or projection chain —
 // selectors, indexing, slicing, dereference, address-of, parens — so
@@ -57,67 +55,4 @@ func IsPackageLevel(v *types.Var) bool {
 	}
 	s := v.Parent()
 	return s != nil && s.Parent() == types.Universe
-}
-
-// TaintSpec configures MayAlias.
-type TaintSpec struct {
-	// Seeds reports variables tainted a priori (e.g. parameters of the
-	// shared type).
-	Seeds func(*types.Var) bool
-	// Source, if non-nil, reports expressions that are tainted
-	// regardless of definitions (e.g. any expression whose type is the
-	// shared type).
-	Source func(ast.Expr) bool
-	// Via, if non-nil, decides whether definition d makes d.Var alias a
-	// tainted value; tainted answers the question for sub-expressions.
-	// The default accepts d when its RHS's base variable is tainted or
-	// the RHS is a Source — so plain copies, projections (x := s.f,
-	// p := &s.f, sl := s.buf[i:j]) and range bindings propagate, while
-	// calls and composite literals do not.
-	Via func(d *Def, tainted func(ast.Expr) bool) bool
-}
-
-// MayAlias computes the set of variables that may alias a tainted value
-// anywhere in the function: the closure of Seeds over all definitions
-// under Via. It is flow-insensitive (one tainting definition taints the
-// variable everywhere), which is sound for may-alias use.
-func (c *Chains) MayAlias(spec TaintSpec) map[*types.Var]bool {
-	tainted := map[*types.Var]bool{}
-	for v := range c.defsOf {
-		if spec.Seeds != nil && spec.Seeds(v) {
-			tainted[v] = true
-		}
-	}
-	exprTainted := func(e ast.Expr) bool {
-		if spec.Source != nil && spec.Source(e) {
-			return true
-		}
-		v := BaseVar(c.Info, e)
-		if v == nil {
-			return false
-		}
-		// Consult Seeds directly as well, so variables without local
-		// definitions (e.g. captured from an enclosing function) still
-		// propagate taint.
-		return tainted[v] || (spec.Seeds != nil && spec.Seeds(v))
-	}
-	via := spec.Via
-	if via == nil {
-		via = func(d *Def, t func(ast.Expr) bool) bool {
-			return d.RHS != nil && t(d.RHS)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range c.defs {
-			if tainted[d.Var] || d.Node == nil {
-				continue
-			}
-			if via(d, exprTainted) {
-				tainted[d.Var] = true
-				changed = true
-			}
-		}
-	}
-	return tainted
 }

@@ -1,28 +1,23 @@
-// Package flow is the SSA-lite dataflow layer under dinfomap's
-// analyzer suite: a per-function control-flow graph over the plain AST,
-// with dominance information, reaching-definition def-use chains, a
-// generic forward-dataflow fixpoint engine, and alias/escape helpers
-// for pointer-typed locals, parameters, returns, and struct-field
-// projections.
+// Package flow is the dataflow layer under dinfomap's analyzer suite:
+// a per-function control-flow graph over the plain AST and a generic
+// forward-dataflow fixpoint engine (RunForward), plus the escape
+// helpers BaseVar and IsPackageLevel.
 //
 // Like the driver it serves (see package analysis), it is built on the
-// standard library only — no golang.org/x/tools, no real SSA
-// construction. Statements are not rewritten into instructions; instead
-// each basic block lists the original ast.Node values in execution
-// order, and analyses interpret those nodes directly. That keeps
-// positions exact for diagnostics and keeps the layer small, at the
-// cost of some precision a full SSA form would add (no phi nodes; value
-// numbering is by variable, not by definition).
+// standard library only — no golang.org/x/tools, no SSA construction.
+// Statements are not rewritten into instructions; instead each basic
+// block lists the original ast.Node values in execution order, and
+// analyses interpret those nodes directly. That keeps positions exact
+// for diagnostics and keeps the layer small.
 //
 // Known, deliberate approximations:
 //
 //   - Function literals are opaque: a FuncLit's body is not part of the
-//     enclosing function's CFG. Clients that need to look inside a
-//     closure build a separate Func for it (rankshare does).
+//     enclosing function's CFG. A client that needs to look inside a
+//     closure builds a separate Func for it.
 //   - defer and go statements appear as ordinary nodes at their textual
-//     position; clients decide their timing semantics (the rankshare
-//     lock analysis, for example, ignores deferred Unlock calls because
-//     they release only at function exit).
+//     position; clients decide their timing semantics (a deferred call
+//     runs only at function exit).
 //   - panic does not terminate a block: paths through a panic call are
 //     kept, which only ever makes must-analyses more conservative.
 package flow
@@ -32,24 +27,16 @@ import (
 	"go/token"
 )
 
-// Func is the SSA-lite IR of one function body: a CFG of basic blocks,
-// each holding the function's statements and conditions in execution
-// order. Build it with New; dominance and def-use are computed on
-// demand (Dominators, Chains).
+// Func is the CFG of one function body: basic blocks, each holding the
+// function's statements and conditions in execution order. Build it
+// with New.
 type Func struct {
-	// Body is the function body the CFG was built from.
-	Body *ast.BlockStmt
-	// Blocks lists the reachable basic blocks; Blocks[0] is Entry.
+	// Blocks lists the reachable basic blocks in reverse postorder;
+	// Blocks[0] is the entry.
 	Blocks []*Block
-	// Entry is the function entry block (parameters are considered
-	// defined here).
-	Entry *Block
-	// Exit is the synthetic exit block every return (and the final
-	// fallthrough) leads to. It holds no nodes.
-	Exit *Block
 
-	rpo      []*Block // reverse postorder, entry first
-	domBuilt bool
+	entry *Block // function entry
+	exit  *Block // synthetic exit every return (and the final fallthrough) leads to; holds no nodes
 }
 
 // Block is one basic block: a maximal straight-line node sequence.
@@ -62,11 +49,8 @@ type Block struct {
 	// itself at the loop head (standing for the per-iteration
 	// key/value assignment); everything else is the original ast.Stmt.
 	Nodes []ast.Node
-	// Succs and Preds are the control-flow edges.
-	Succs, Preds []*Block
 
-	idom     *Block
-	domDepth int
+	succs, preds []*Block // control-flow edges
 }
 
 // builder carries CFG construction state.
@@ -91,22 +75,22 @@ type ctx struct {
 // New builds the CFG of body. It never returns nil, even for an empty
 // body (the entry block then falls through to exit directly).
 func New(body *ast.BlockStmt) *Func {
-	f := &Func{Body: body}
+	f := &Func{}
 	b := &builder{
 		f:             f,
 		labels:        map[string]*Block{},
 		labelBreak:    map[string]*Block{},
 		labelContinue: map[string]*Block{},
 	}
-	f.Entry = newBlock()
-	f.Exit = newBlock()
+	f.entry = newBlock()
+	f.exit = newBlock()
 	var last *Block
 	if body != nil {
-		last = b.stmts(f.Entry, body.List, ctx{})
+		last = b.stmts(f.entry, body.List, ctx{})
 	} else {
-		last = f.Entry
+		last = f.entry
 	}
-	edge(last, f.Exit)
+	edge(last, f.exit)
 	f.finish()
 	return f
 }
@@ -119,8 +103,8 @@ func edge(cur, next *Block) {
 	if cur == nil || next == nil {
 		return
 	}
-	cur.Succs = append(cur.Succs, next)
-	next.Preds = append(next.Preds, cur)
+	cur.succs = append(cur.succs, next)
+	next.preds = append(next.preds, cur)
 }
 
 // stmts threads the statement list through the CFG starting at cur and
@@ -298,7 +282,7 @@ func (b *builder) stmt(cur *Block, s ast.Stmt, c ctx) *Block {
 
 	case *ast.ReturnStmt:
 		cur = b.put(cur, st)
-		edge(cur, b.f.Exit)
+		edge(cur, b.f.exit)
 		return nil
 
 	case *ast.EmptyStmt:
@@ -363,8 +347,8 @@ func (b *builder) labelTarget(name string) *Block {
 	return blk
 }
 
-// finish prunes blocks unreachable from the entry, numbers the
-// survivors in discovery order, and computes reverse postorder.
+// finish prunes blocks unreachable from the entry and lists the
+// survivors in Blocks in reverse postorder, numbering them as it goes.
 func (f *Func) finish() {
 	// Reachability and postorder in one DFS.
 	seen := map[*Block]bool{}
@@ -375,37 +359,31 @@ func (f *Func) finish() {
 			return
 		}
 		seen[b] = true
-		for _, s := range b.Succs {
+		for _, s := range b.succs {
 			dfs(s)
 		}
 		post = append(post, b)
 	}
-	dfs(f.Entry)
-	if !seen[f.Exit] {
+	dfs(f.entry)
+	if !seen[f.exit] {
 		// Keep the synthetic exit even when no return reaches it (an
 		// infinite loop); it stays edge-less.
-		seen[f.Exit] = true
-		post = append([]*Block{f.Exit}, post...)
+		seen[f.exit] = true
+		post = append([]*Block{f.exit}, post...)
 	}
 
-	f.rpo = make([]*Block, 0, len(post))
+	f.Blocks = make([]*Block, 0, len(post))
 	for i := len(post) - 1; i >= 0; i-- {
-		f.rpo = append(f.rpo, post[i])
-	}
-	f.Blocks = f.Blocks[:0]
-	for i, b := range f.rpo {
-		b.Index = i
+		b := post[i]
+		b.Index = len(f.Blocks)
 		// Drop edges from pruned (unreachable) predecessors.
-		preds := b.Preds[:0]
-		for _, p := range b.Preds {
+		preds := b.preds[:0]
+		for _, p := range b.preds {
 			if seen[p] {
 				preds = append(preds, p)
 			}
 		}
-		b.Preds = preds
+		b.preds = preds
 		f.Blocks = append(f.Blocks, b)
 	}
 }
-
-// RPO returns the reachable blocks in reverse postorder (entry first).
-func (f *Func) RPO() []*Block { return f.rpo }

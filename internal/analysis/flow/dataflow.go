@@ -29,17 +29,17 @@ func RunForward[S any](f *Func, p ForwardProblem[S]) []S {
 		in[i] = p.Top()
 		out[i] = p.Top()
 	}
-	ei := f.Entry.Index
+	ei := f.entry.Index
 	in[ei] = p.Entry()
-	out[ei] = p.Transfer(f.Entry, in[ei])
+	out[ei] = p.Transfer(f.entry, in[ei])
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.rpo {
-			if b == f.Entry {
+		for _, b := range f.Blocks {
+			if b == f.entry {
 				continue
 			}
 			s := p.Top()
-			for _, pr := range b.Preds {
+			for _, pr := range b.preds {
 				s = p.Join(s, out[pr.Index])
 			}
 			in[b.Index] = s

@@ -10,26 +10,19 @@ import (
 	"dinfomap/internal/analysis/flow"
 )
 
-// parse typechecks a single import-free file and returns its AST plus
-// the filled-in type info.
-func parse(t *testing.T, src string) (*ast.File, *types.Info) {
+// parse typechecks a single import-free file and returns its AST.
+func parse(t *testing.T, src string) *ast.File {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "t.go", src, 0)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
 	conf := types.Config{Error: func(err error) { t.Fatalf("typecheck: %v", err) }}
-	if _, err := conf.Check("p", fset, []*ast.File{file}, info); err != nil {
+	if _, err := conf.Check("p", fset, []*ast.File{file}, nil); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return file, info
+	return file
 }
 
 // funcDecl finds the declaration of the named function.
@@ -69,245 +62,6 @@ func blockOf(t *testing.T, f *flow.Func, label string) *flow.Block {
 	return nil
 }
 
-// callArg finds the sole argument of the first call to fn.
-func callArg(t *testing.T, root ast.Node, fn string) ast.Expr {
-	t.Helper()
-	var arg ast.Expr
-	ast.Inspect(root, func(n ast.Node) bool {
-		if arg != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == fn {
-			arg = call.Args[0]
-			return false
-		}
-		return true
-	})
-	if arg == nil {
-		t.Fatalf("no call to %s", fn)
-	}
-	return arg
-}
-
-// varNamed finds a defined variable by name.
-func varNamed(t *testing.T, info *types.Info, name string) *types.Var {
-	t.Helper()
-	for _, obj := range info.Defs {
-		if v, ok := obj.(*types.Var); ok && v != nil && v.Name() == name {
-			return v
-		}
-	}
-	t.Fatalf("no var %s", name)
-	return nil
-}
-
-func TestDominanceDiamond(t *testing.T) {
-	file, _ := parse(t, `package p
-func mark(s string) {}
-func f(c bool) {
-	mark("entry")
-	if c {
-		mark("then")
-	} else {
-		mark("else")
-	}
-	mark("join")
-}`)
-	cfg := flow.New(funcDecl(t, file, "f").Body)
-	entry := blockOf(t, cfg, "entry")
-	then := blockOf(t, cfg, "then")
-	els := blockOf(t, cfg, "else")
-	join := blockOf(t, cfg, "join")
-
-	if entry != cfg.Entry {
-		t.Errorf("mark(entry) not in entry block")
-	}
-	for _, b := range []*flow.Block{then, els, join} {
-		if !cfg.Dominates(entry, b) {
-			t.Errorf("entry should dominate block %d", b.Index)
-		}
-	}
-	if cfg.Dominates(then, join) || cfg.Dominates(els, join) {
-		t.Errorf("branch arms must not dominate the join")
-	}
-	if !cfg.Dominates(join, join) {
-		t.Errorf("dominance must be reflexive")
-	}
-	if cfg.Idom(join) != entry {
-		t.Errorf("join's idom = %v, want entry", cfg.Idom(join))
-	}
-}
-
-func TestDominanceLoop(t *testing.T) {
-	file, _ := parse(t, `package p
-func mark(s string) {}
-func f(n int) {
-	mark("pre")
-	for i := 0; i < n; i++ {
-		mark("body")
-	}
-	mark("after")
-}`)
-	cfg := flow.New(funcDecl(t, file, "f").Body)
-	pre := blockOf(t, cfg, "pre")
-	body := blockOf(t, cfg, "body")
-	after := blockOf(t, cfg, "after")
-	head := cfg.Idom(body) // loop head holds the condition
-
-	if !cfg.Dominates(pre, body) || !cfg.Dominates(pre, after) {
-		t.Errorf("preheader should dominate body and after")
-	}
-	if !cfg.Dominates(head, body) || !cfg.Dominates(head, after) {
-		t.Errorf("loop head should dominate body and after")
-	}
-	if cfg.Dominates(body, after) {
-		t.Errorf("loop body must not dominate the loop exit")
-	}
-	// The back edge must exist: body (via post) reaches head again.
-	if len(head.Preds) < 2 {
-		t.Errorf("loop head should have an entry edge and a back edge, got %d preds", len(head.Preds))
-	}
-}
-
-func TestReachingDefsBranch(t *testing.T) {
-	file, info := parse(t, `package p
-func use(v0 int) {}
-func f(c bool) {
-	x := 1
-	if c {
-		x = 2
-	}
-	use(x)
-}`)
-	fd := funcDecl(t, file, "f")
-	cfg := flow.New(fd.Body)
-	ch := flow.BuildChains(cfg, info, nil)
-	x := varNamed(t, info, "x")
-	defs := ch.ReachingDefs(callArg(t, fd, "use"), x)
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs of x at use, want 2 (init + branch)", len(defs))
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	file, info := parse(t, `package p
-func use(v0 int) {}
-func f() {
-	y := 1
-	y = 2
-	use(y)
-}`)
-	fd := funcDecl(t, file, "f")
-	cfg := flow.New(fd.Body)
-	ch := flow.BuildChains(cfg, info, nil)
-	y := varNamed(t, info, "y")
-	defs := ch.ReachingDefs(callArg(t, fd, "use"), y)
-	if len(defs) != 1 {
-		t.Fatalf("got %d reaching defs of y, want 1 (redefinition kills)", len(defs))
-	}
-	if lit, ok := defs[0].RHS.(*ast.BasicLit); !ok || lit.Value != "2" {
-		t.Errorf("surviving def RHS = %v, want the literal 2", defs[0].RHS)
-	}
-}
-
-func TestReachingDefsRange(t *testing.T) {
-	file, info := parse(t, `package p
-func use(v0 []byte) {}
-func sink(v1 []byte) {}
-func f(xs [][]byte) {
-	var last []byte
-	for _, b := range xs {
-		use(b)
-		last = b
-	}
-	sink(last)
-}`)
-	fd := funcDecl(t, file, "f")
-	cfg := flow.New(fd.Body)
-	ch := flow.BuildChains(cfg, info, nil)
-
-	b := varNamed(t, info, "b")
-	defs := ch.ReachingDefs(callArg(t, fd, "use"), b)
-	if len(defs) != 1 {
-		t.Fatalf("got %d reaching defs of range value b, want 1", len(defs))
-	}
-	if _, ok := defs[0].Node.(*ast.RangeStmt); !ok {
-		t.Errorf("range binding def node = %T, want *ast.RangeStmt", defs[0].Node)
-	}
-	if id, ok := defs[0].RHS.(*ast.Ident); !ok || id.Name != "xs" {
-		t.Errorf("range binding RHS = %v, want the range operand xs", defs[0].RHS)
-	}
-
-	last := varNamed(t, info, "last")
-	defs = ch.ReachingDefs(callArg(t, fd, "sink"), last)
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs of last after loop, want 2 (decl + loop body)", len(defs))
-	}
-}
-
-func TestReachingDefsFuncLitWeak(t *testing.T) {
-	file, info := parse(t, `package p
-func use(v0 int) {}
-func f() {
-	x := 1
-	g := func() { x = 2 }
-	g()
-	use(x)
-}`)
-	fd := funcDecl(t, file, "f")
-	cfg := flow.New(fd.Body)
-	ch := flow.BuildChains(cfg, info, nil)
-	x := varNamed(t, info, "x")
-	defs := ch.ReachingDefs(callArg(t, fd, "use"), x)
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs of closed-over x, want 2 (initial + weak)", len(defs))
-	}
-	weak := 0
-	for _, d := range defs {
-		if d.Weak {
-			weak++
-		}
-	}
-	if weak != 1 {
-		t.Errorf("got %d weak defs, want exactly 1 (the closure assignment)", weak)
-	}
-}
-
-func TestMayAlias(t *testing.T) {
-	file, info := parse(t, `package p
-type state struct {
-	n   int
-	buf []int
-}
-func newState() *state { return nil }
-func f(rs *state, other []int) {
-	s := rs
-	p := &s.n
-	sl := rs.buf[1:]
-	q := other
-	fresh := newState()
-	_, _, _, _ = p, sl, q, fresh
-}`)
-	fd := funcDecl(t, file, "f")
-	cfg := flow.New(fd.Body)
-	rs := varNamed(t, info, "rs")
-	ch := flow.BuildChains(cfg, info, []*types.Var{rs})
-	tainted := ch.MayAlias(flow.TaintSpec{
-		Seeds: func(v *types.Var) bool { return v == rs },
-	})
-	want := map[string]bool{"rs": true, "s": true, "p": true, "sl": true, "q": false, "fresh": false}
-	for name, wantTaint := range want {
-		v := varNamed(t, info, name)
-		if tainted[v] != wantTaint {
-			t.Errorf("tainted[%s] = %v, want %v", name, tainted[v], wantTaint)
-		}
-	}
-}
-
 // lockState is the must-held lattice for TestRunForwardMustLock.
 type lockState struct {
 	top  bool
@@ -338,7 +92,7 @@ func lockTransfer(b *flow.Block, in lockState) lockState {
 }
 
 func TestRunForwardMustLock(t *testing.T) {
-	file, _ := parse(t, `package p
+	file := parse(t, `package p
 func mark(s string) {}
 func lock()         {}
 func unlock()       {}
@@ -403,7 +157,7 @@ func f(c bool) {
 	// After a branch that locks on only one arm the must-join loses it —
 	// here it stays held only because it was already held before the if;
 	// exercise the real one-arm case with a fresh function.
-	file2, _ := parse(t, `package p
+	file2 := parse(t, `package p
 func mark(s string) {}
 func lock()         {}
 func unlock()       {}
@@ -432,5 +186,47 @@ func g(c bool) {
 	after := blockOf(t, cfg2, "after")
 	if got := in2[after.Index]; got.held {
 		t.Errorf("at mark(after): lock held on one arm only, must-join should drop it")
+	}
+}
+
+// TestRunForwardLoopBackEdge checks that state set late in a loop body
+// reaches the body's entry through the back edge, as bufalias needs for
+// a buffer recycled at the end of one iteration and read in the next.
+func TestRunForwardLoopBackEdge(t *testing.T) {
+	file := parse(t, `package p
+func mark(s string) {}
+func set()          {}
+func f(n int) {
+	for i := 0; i < n; i++ {
+		mark("top")
+		set()
+	}
+	mark("after")
+}`)
+	cfg := flow.New(funcDecl(t, file, "f").Body)
+	// May-analysis: has set() run on some path to here?
+	in := flow.RunForward(cfg, flow.ForwardProblem[bool]{
+		Entry: func() bool { return false },
+		Top:   func() bool { return false },
+		Join:  func(a, b bool) bool { return a || b },
+		Transfer: func(b *flow.Block, s bool) bool {
+			for _, n := range b.Nodes {
+				if es, ok := n.(*ast.ExprStmt); ok {
+					if call, ok := es.X.(*ast.CallExpr); ok {
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "set" {
+							s = true
+						}
+					}
+				}
+			}
+			return s
+		},
+		Equal: func(a, b bool) bool { return a == b },
+	})
+	if !in[blockOf(t, cfg, "top").Index] {
+		t.Error("at mark(top): set() later in the body must reach the loop head")
+	}
+	if !in[blockOf(t, cfg, "after").Index] {
+		t.Error("at mark(after): the loop exit follows iterations that called set()")
 	}
 }

@@ -120,14 +120,16 @@ func runRank(src source, cfg Config, t mpi.Transport) (*RankArtifact, error) {
 	if t.Size() != cfg.P {
 		return nil, fmt.Errorf("core: RunRank config has P=%d but transport world has %d ranks", cfg.P, t.Size())
 	}
-	rs := newRunState(src, &cfg)
-	if _, err := mpi.RunRank(t, cfg.Journal.Recorder(), rs.rankMain); err != nil {
+	var art *RankArtifact
+	var rankErr error
+	if _, err := mpi.RunRank(t, cfg.Journal.Recorder(), func(c *mpi.Comm) {
+		art, rankErr = rankMain(c, src, cfg)
+	}); err != nil {
 		return nil, err
 	}
-	if err := rs.err(); err != nil {
-		return nil, err
+	if rankErr != nil {
+		return nil, rankErr
 	}
-	art := rs.arts[t.Rank()]
 	type telemeter interface{ Telemetry() *mpi.TransportStats }
 	if tm, ok := t.(telemeter); ok {
 		art.Transport = tm.Telemetry()

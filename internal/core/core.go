@@ -163,12 +163,18 @@ func RunFile(path string, cfg Config) (*Result, error) {
 // raw wait-state events into the journal's recorder, for the
 // wait-state and critical-path report sections.
 func runInProcess(src source, cfg Config) (*Result, error) {
-	rs := newRunState(src, &cfg)
-	mpi.Run(cfg.P, rs.rankMain, mpi.WithRecorder(cfg.Journal.Recorder()))
-	if err := rs.err(); err != nil {
-		return nil, err
+	arts := make([]*RankArtifact, cfg.P)
+	errs := make([]error, cfg.P)
+	mpi.Run(cfg.P, func(c *mpi.Comm) {
+		arts[c.Rank()], errs[c.Rank()] = rankMain(c, src, cfg)
+	}, mpi.WithRecorder(cfg.Journal.Recorder()))
+	// Every rank reports the same input error; return rank 0's.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	res, err := Assemble(cfg, rs.arts)
+	res, err := Assemble(cfg, arts)
 	if err != nil {
 		return nil, fmt.Errorf("assembling in-process run: %w", err)
 	}
@@ -190,34 +196,6 @@ func (src source) rows(c *mpi.Comm, sb *mpi.SendBuffers) (*graph.Rows, *obs.Inge
 		return src.g.Rows(c.Rank(), c.Size()), nil, nil
 	}
 	return ingestFile(c, src.path, sb)
-}
-
-// newRunState sizes the per-rank slots of a run of cfg on src.
-func newRunState(src source, cfg *Config) *runState {
-	return &runState{src: src, cfg: cfg, errs: make([]error, cfg.P), arts: make([]*RankArtifact, cfg.P)}
-}
-
-// runState carries the inputs and the per-rank outputs of one run.
-// In-process runs share one across all simulated ranks; a
-// multi-process rank has its own and only ever fills its slot. Each
-// rank writes only its own index of the slots: errs holds a rank's
-// input error (every rank reports the same one), arts the artifact
-// the rank publishes when it is done.
-type runState struct {
-	src  source
-	cfg  *Config
-	errs []error
-	arts []*RankArtifact
-}
-
-// err returns the first rank's input error, if any.
-func (rs *runState) err() error {
-	for _, err := range rs.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func ownerOf(v, p int) int { return v % p }

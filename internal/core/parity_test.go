@@ -40,8 +40,8 @@ func TestResultCarriesGraphSize(t *testing.T) {
 // no rank holds the graph or another rank's arcs. Each rank's
 // preprocessing builds exactly its own list of the delegate layout
 // (partition.Delegate's list for that rank, order included) from its
-// own rows, the run state keeps no list once the levels hold the arcs,
-// and every rank reports Delegate's layout summary.
+// own rows, no rank keeps the list once its levels hold the arcs, and
+// every rank returns Delegate's layout summary in its artifact.
 func TestRanksReleaseArcLists(t *testing.T) {
 	g, _ := planted(3, 400, 8, 0.2)
 	cfg := Config{P: 3, Seed: 1}.withDefaults()
@@ -57,9 +57,14 @@ func TestRanksReleaseArcLists(t *testing.T) {
 	if !reflect.DeepEqual(lists, layout.RankArcs) {
 		t.Fatal("the ranks' preprocessed lists differ from partition.Delegate's")
 	}
-	rs := newRunState(source{g: g}, &cfg)
-	mpi.Run(cfg.P, rs.rankMain)
-	for r, a := range rs.arts {
+	arts := make([]*RankArtifact, cfg.P)
+	mpi.Run(cfg.P, func(c *mpi.Comm) {
+		var err error
+		if arts[c.Rank()], err = rankMain(c, source{g: g}, cfg); err != nil {
+			t.Error(err)
+		}
+	})
+	for r, a := range arts {
 		if st := a.Partition; st != want {
 			t.Errorf("rank %d layout summary %+v, Delegate has %+v", r, st, want)
 		}

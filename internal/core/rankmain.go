@@ -168,20 +168,23 @@ func (lv *level) round(iter int, s *sweepScratch) (total, numModules int64) {
 }
 
 // rankMain is the SPMD program each simulated rank executes: the full
-// Algorithm 2. It labels the goroutine's profiler samples with the rank
-// id, so a -cpuprofile taken over a run splits per simulated rank
+// Algorithm 2. Each rank takes its own copy of cfg and returns its own
+// artifact, so ranks share nothing but the messages they exchange. It
+// labels the goroutine's profiler samples with the rank id, so a
+// -cpuprofile taken over a run splits per simulated rank
 // (go tool pprof -tagfocus rank=3).
-func (rs *runState) rankMain(c *mpi.Comm) {
+func rankMain(c *mpi.Comm, src source, cfg Config) (art *RankArtifact, err error) {
 	pprof.Do(context.Background(), pprof.Labels("rank", strconv.Itoa(c.Rank())),
-		func(context.Context) { rs.rankBody(c) })
+		func(context.Context) { art, err = rankBody(c, src, &cfg) })
+	return art, err
 }
 
 // rankBody is the algorithm proper, run under the rank's pprof label.
-// The rank fills its own artifact as it goes and publishes it in its
-// slot of rs.arts when it returns, with its final traffic counters;
-// only rank 0's artifact carries the rank-identical outputs.
-func (rs *runState) rankBody(c *mpi.Comm) {
-	cfg := rs.cfg
+// The rank fills its own artifact as it goes and returns it with its
+// final traffic counters; only rank 0's artifact carries the
+// rank-identical outputs. A rank whose input fails returns the error
+// instead (every rank reports the same one).
+func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 	rank := c.Rank()
 	p := c.Size()
 	jlog := cfg.Journal.Rank(rank)
@@ -191,10 +194,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		out = &RankOutput{}
 		art.Output = out
 	}
-	defer func() {
-		art.Stats = c.Stats()
-		rs.arts[rank] = art
-	}()
+	defer func() { art.Stats = c.Stats() }()
 
 	// Per-outer-iteration slices: cumulative counters snapshotted at
 	// iteration boundaries and diffed (never reset). Outer 0 is stage 1
@@ -224,11 +224,10 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	// One pooled send set serves the ingest, the preprocessing
 	// exchanges and every level.
 	mem := newRankMem(c)
-	rows, ingest, err := rs.src.rows(c, mem.sb)
+	rows, ingest, err := src.rows(c, mem.sb)
 	art.Ingest = ingest
 	if err != nil {
-		rs.errs[rank] = err
-		return
+		return nil, err
 	}
 	in := preprocess(c, cfg, rows, mem.sb)
 	art.Partition = in.part
@@ -245,7 +244,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 				out.Communities[u] = u
 			}
 		}
-		return
+		return art, nil
 	}
 
 	// ---- Stage 1: parallel clustering with delegates ----
@@ -358,6 +357,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 		out.Stage2Iterations = iters2
 		out.RoundSyncs = roundSyncs
 	}
+	return art, nil
 }
 
 // initialCodelengthOf returns the all-singleton codelength of the
@@ -365,11 +365,11 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 func initialCodelengthOf(lv *level) float64 {
 	// Every vertex is a singleton module: aggregates follow directly
 	// from the global flow arrays, identically on every rank.
-	var q, qlogq, qplogqp float64
+	a := mapeq.Aggregates{SumPlogpP: lv.vertexTerm}
 	for v := 0; v < lv.idSpace; v++ {
-		q += lv.exitP[v]
-		qlogq += mapeq.PlogP(lv.exitP[v])
-		qplogqp += mapeq.PlogP(lv.exitP[v] + lv.visit[v])
+		a.QTotal += lv.exitP[v]
+		a.SumQLogQ += mapeq.PlogP(lv.exitP[v])
+		a.SumQPLogQP += mapeq.PlogP(lv.exitP[v] + lv.visit[v])
 	}
-	return mapeq.PlogP(q) - 2*qlogq - lv.vertexTerm + qplogqp
+	return a.L()
 }
