@@ -142,15 +142,17 @@ type analysis struct {
 	// Ingest holds each rank's rank-local ingest report, in rank order,
 	// when the ranks read an edge-list file themselves.
 	Ingest []rankIngest `json:"ingest,omitempty"`
-	// PeakRSS holds each rank process's peak resident set size, in rank
-	// order, on multi-process runs.
-	PeakRSS []rankPeakRSS `json:"peak_rss,omitempty"`
+	// Memory holds each rank's memory figures, in rank order: its live
+	// heap at the two phase boundaries and, on multi-process runs, its
+	// process's peak resident set size.
+	Memory []rankMemory `json:"memory,omitempty"`
 }
 
-// rankPeakRSS is one rank's row of the memory table.
-type rankPeakRSS struct {
-	Rank  int   `json:"rank"`
-	Bytes int64 `json:"peak_rss_bytes"`
+// rankMemory is one rank's row of the memory table.
+type rankMemory struct {
+	Rank         int      `json:"rank"`
+	PeakRSSBytes int64    `json:"peak_rss_bytes,omitempty"`
+	LiveBytes    [2]int64 `json:"live_bytes"`
 }
 
 // rankIngest is one rank's row of the ingest table.
@@ -170,8 +172,8 @@ func analyze(rep *obs.Report) *analysis {
 		if r.Ingest != nil {
 			a.Ingest = append(a.Ingest, rankIngest{Rank: r.Rank, IngestReport: *r.Ingest})
 		}
-		if r.PeakRSSBytes != 0 {
-			a.PeakRSS = append(a.PeakRSS, rankPeakRSS{Rank: r.Rank, Bytes: r.PeakRSSBytes})
+		if r.PeakRSSBytes != 0 || r.LiveBytes != [2]int64{} {
+			a.Memory = append(a.Memory, rankMemory{Rank: r.Rank, PeakRSSBytes: r.PeakRSSBytes, LiveBytes: r.LiveBytes})
 		}
 	}
 	a.RunWallNs = rep.Timing.RunWallNs
@@ -282,10 +284,16 @@ func (a *analysis) writeText(w *os.File, topN int) {
 				in.Rank, in.BytesRead, in.ArcsSent, in.ArcsKept, dur(in.WallNs))
 		}
 	}
-	if len(a.PeakRSS) > 0 {
-		fmt.Fprintln(w, "\nmemory: each rank process's peak resident set")
-		for _, m := range a.PeakRSS {
-			fmt.Fprintf(w, "  rank %2d  %8.1f MB peak RSS\n", m.Rank, float64(m.Bytes)/(1<<20))
+	if len(a.Memory) > 0 {
+		fmt.Fprintln(w, "\nmemory: each rank's peak resident set (rank processes only) and live heap")
+		fmt.Fprintln(w, "after preprocessing and after the first merge (process-wide on in-process runs)")
+		for _, m := range a.Memory {
+			peak := "       -   "
+			if m.PeakRSSBytes != 0 {
+				peak = fmt.Sprintf("%8.1f MB", mb(m.PeakRSSBytes))
+			}
+			fmt.Fprintf(w, "  rank %2d  %s peak RSS  %8.1f MB live after preprocess  %8.1f MB live after merge\n",
+				m.Rank, peak, mb(m.LiveBytes[0]), mb(m.LiveBytes[1]))
 		}
 	}
 
@@ -353,3 +361,6 @@ func dur(ns int64) time.Duration {
 		return d
 	}
 }
+
+// mb renders bytes in MiB.
+func mb(b int64) float64 { return float64(b) / (1 << 20) }

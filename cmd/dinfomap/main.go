@@ -64,7 +64,7 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-transport=proc merges every rank process onto one timeline)")
 		metricsPath = flag.String("metrics", "", "write the structured JSON run report to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to this file (with -transport=proc, of the launcher only, which holds no graph; the -metrics report has each rank's ranks[].live_bytes and peak_rss_bytes)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		version     = flag.Bool("version", false, "print build provenance and exit")
 	)

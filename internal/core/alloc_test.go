@@ -9,6 +9,8 @@ package core
 // question (bench/).
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -66,6 +68,51 @@ func TestReactivateAllocFree(t *testing.T) {
 	if activated == 0 || activated == len(lv.active) {
 		t.Fatalf("re-activation scan activated %d of %d vertices, want a strict subset",
 			activated, len(lv.active))
+	}
+}
+
+// TestStage1RoundAllocFree runs a two-rank stage-1 level to
+// convergence, then asserts that further synchronized rounds (sweep,
+// boundary exchange, delegate rounds, both refresh rounds) allocate no
+// bytes: the first refresh sized every send buffer, receive slab and
+// held list.
+func TestStage1RoundAllocFree(t *testing.T) {
+	g := plantedAllocGraph()
+	var allocated [2]uint64
+	var hubs [2]int
+	// MemStats counts the whole process. With two Ps, 4 of 200 runs saw
+	// one 192-byte allocation of the runtime's own while the ranks
+	// blocked; on one P, none of 1,000 did.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mpi.Run(2, func(c *mpi.Comm) {
+		cfg := Config{P: 2, Seed: 7}.withDefaults()
+		lv := stage1LevelOf(c, &cfg, g)
+		iter := lv.cluster().iterations
+		// Warm-up rounds fill this scratch and let the per-round lists
+		// (sweep candidates, delegate winners) reach their high water.
+		s := lv.newScratch()
+		for end := iter + 3; iter < end; iter++ {
+			lv.round(iter, s)
+		}
+		// Both ranks are past their warm-up rounds when either reads.
+		var before, after runtime.MemStats
+		c.AllreduceI64(0, mpi.OpSum)
+		runtime.ReadMemStats(&before)
+		for end := iter + 5; iter < end; iter++ {
+			lv.round(iter, s)
+		}
+		c.AllreduceI64(0, mpi.OpSum)
+		runtime.ReadMemStats(&after)
+		allocated[c.Rank()] = after.TotalAlloc - before.TotalAlloc
+		hubs[c.Rank()] = len(lv.hubs)
+	})
+	if hubs[0] == 0 {
+		t.Fatalf("stage-1 level has no delegates; the rounds skip the delegate exchange")
+	}
+	for r, b := range allocated {
+		if b != 0 {
+			t.Errorf("rank %d: five steady-state stage-1 rounds allocated %d bytes, want 0", r, b)
+		}
 	}
 }
 
@@ -155,9 +202,10 @@ func TestMergeAllocFree(t *testing.T) {
 }
 
 // runAllocCeiling bounds the allocations of one 4-rank Run with seed 1
-// on plantedAllocGraph. The run makes 5,484–5,486 allocations (5,501
-// under the race detector); the ceiling leaves 0.5% over 5,487, so one
-// new allocation per vertex, per refresh or per sweep pass fails.
+// on plantedAllocGraph. The run makes 5,411 allocations (5,455 under
+// the race detector) in 116 refreshes over its ranks; the ceiling
+// leaves 103 over 5,411, so one new allocation per vertex or per
+// refresh fails.
 const runAllocCeiling = 5514
 
 // plantedAllocGraph is the planted graph of the end-to-end allocation
@@ -178,5 +226,60 @@ func TestRunAllocBudget(t *testing.T) {
 	t.Logf("4-rank Run: %v allocs/op (ceiling %d)", avg, runAllocCeiling)
 	if avg > runAllocCeiling {
 		t.Fatalf("4-rank Run: %v allocs/op, want at most %d", avg, runAllocCeiling)
+	}
+}
+
+// writePlantedFile writes a dense planted graph to path and returns its
+// arc count (twice its edge count; it has no self-loops). The graph
+// dies with the call, so a run of the file holds none of it.
+func writePlantedFile(t *testing.T, path string) int {
+	g, _ := gen.PlantedPartition(3, gen.PlantedConfig{
+		N: 16000, NumComms: 160, AvgDegree: 60, Mixing: 0.2,
+	})
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return 2 * g.NumEdges()
+}
+
+// TestPhaseBoundariesReleaseLiveSet checks that each phase-boundary
+// collection of a one-rank file run finds only what the next phase
+// reads. After preprocessing the ingest rows (12 bytes per arc: an
+// int32 target and a float64 weight) are dead, so the live heap stays
+// below the rows plus the stage-1 list (16 bytes per arc, one
+// partition.Arc); after the first merge the stage-1 level is dead, so
+// it stays below the list alone. Either phase's dead data kept
+// reachable puts its boundary over the bound.
+func TestPhaseBoundariesReleaseLiveSet(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	arcs := writePlantedFile(t, path)
+	if arcs < 200_000 {
+		t.Fatalf("planted graph has %d arcs, want at least 200,000", arcs)
+	}
+	res, err := RunFile(path, Config{P: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OuterIterations < 2 {
+		t.Fatalf("run never merged (%d outer iterations)", res.OuterIterations)
+	}
+	live := res.Ranks[0].LiveBytes
+	rowBytes, listBytes := int64(arcs)*12, int64(arcs)*16
+	t.Logf("%d arcs: live %d B after preprocess (bound %d), %d B after the first merge (bound %d)",
+		arcs, live[0], rowBytes+listBytes, live[1], listBytes)
+	if live[0] <= 0 || live[0] >= rowBytes+listBytes {
+		t.Errorf("live heap after preprocessing = %d bytes, want in (0, %d): rows plus stage-1 list of %d arcs",
+			live[0], rowBytes+listBytes, arcs)
+	}
+	if live[1] <= 0 || live[1] >= listBytes {
+		t.Errorf("live heap after the first merge = %d bytes, want in (0, %d): the stage-1 list of %d arcs",
+			live[1], listBytes, arcs)
 	}
 }

@@ -64,6 +64,14 @@ type RankArtifact struct {
 	// getrusage reports it when the rank is done; 0 when the rank is
 	// not a process of its own.
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
+
+	// LiveBytes is the live heap right after the rank's two
+	// phase-boundary collections: after preprocessing, with the ingest
+	// rows released, and after the first merge shuffle, with the
+	// stage-1 level released; 0 for a boundary the run never reached.
+	// Ranks of an in-process run share one heap, so there it is the
+	// process's.
+	LiveBytes [2]int64 `json:"live_bytes"`
 }
 
 // RankOutput is the algorithm's result proper: identical on every rank

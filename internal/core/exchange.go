@@ -56,7 +56,13 @@ func (lv *level) swapBoundary(cands []hubCandidate) {
 		lv.dsch.round++
 		lv.dsch.nWin = 0
 	}
-	lv.ghostIn = lv.ghostIn[:0]
+	// Any received update may change a community; the payload sizes
+	// bound their number, so the held list grows at most once a round.
+	held := 0
+	for _, b := range recv {
+		held += len(b) / ghostUpdateBytes
+	}
+	lv.ghostIn = slices.Grow(lv.ghostIn[:0], held)
 	d := &lv.dec
 	for src, b := range recv {
 		d.Reset(b)
@@ -340,12 +346,14 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 	rs := lv.rsch
 	rs.round++
 	round := rs.round
+	clear(rs.sends)
 	touch := func(m int) {
 		if rs.pStamp[m] != round {
 			rs.pStamp[m] = round
 			rs.pSumPr[m] = 0
 			rs.pExit[m] = 0
 			rs.pMembers[m] = 0
+			rs.sends[dst(m, lv.p)]++
 		}
 	}
 
@@ -389,6 +397,14 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 	// each destination buffer is byte-identical run to run.
 	sb := lv.sendBufs
 	sb.Reset()
+	// touch counted each destination's records, so every buffer is
+	// sized once: the level's first refresh, its largest, grows it in
+	// one step rather than by repeated doubling.
+	for r, k := range rs.sends {
+		if k > 0 {
+			sb.For(r).Grow(k * modulePartialBytes)
+		}
+	}
 	r1Ops := int64(0)
 	var dupCounts map[int]int
 	if lv.cfg.NoDedup {

@@ -126,6 +126,9 @@ type ghostUpdate struct {
 	Comm   int
 }
 
+// ghostUpdateBytes is the wire size of one ghostUpdate.
+const ghostUpdateBytes = 2 * 8
+
 func (g ghostUpdate) encode(e *mpi.Encoder) {
 	e.PutInt(g.Vertex)
 	e.PutInt(g.Comm)
@@ -144,6 +147,9 @@ type modulePartial struct {
 	ExitPr  float64
 	Members int
 }
+
+// modulePartialBytes is the wire size of one modulePartial.
+const modulePartialBytes = 4 * 8
 
 func (m modulePartial) encode(e *mpi.Encoder) {
 	e.PutInt(m.ModID)

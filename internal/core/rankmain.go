@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -230,6 +232,10 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 		return nil, err
 	}
 	in := preprocess(c, cfg, rows, mem.sb)
+	// Phase boundary: the stage-1 list holds every arc now, so the
+	// ingest rows are dead.
+	rows = nil
+	art.LiveBytes[0] = collectLive()
 	art.Partition = in.part
 	if out != nil {
 		out.NumEdges, out.TotalWeight = in.numEdges, in.flow.TotalWeight
@@ -298,6 +304,12 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 		}
 		cur.costs = costs2
 		arcs := cur.mergeShuffle()
+		if outer == 1 {
+			// Phase boundary: the merged arcs are all the next level
+			// reads, so the stage-1 level is dead.
+			lv, cur = nil, nil
+			art.LiveBytes[1] = collectLive()
+		}
 		merged := newMergedLevel(c, cfg, idSpace, arcs, vertexTerm, cfg.Seed, outer, mem)
 		merged.jlog, merged.jstage, merged.jouter = jlog, 2, uint16(outer)
 		merged.costs = costs2
@@ -358,6 +370,22 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 		out.RoundSyncs = roundSyncs
 	}
 	return art, nil
+}
+
+// collectLive runs a full collection at a phase boundary, where the
+// rank's live set has just fallen, and returns the live heap it marked.
+// Without it the heap grows to the goal the pacer set while the dead
+// data was still live, twice the old live set, before the next cycle
+// starts, so the rank's peak would follow GC timing rather than its
+// live set. The heap is mostly pointer-free arrays, so a cycle costs
+// about a millisecond. Ranks of an in-process run share one heap; there
+// the value is the process's.
+func collectLive() int64 {
+	runtime.GC()
+	var s [1]metrics.Sample
+	s[0].Name = "/gc/heap/live:bytes"
+	metrics.Read(s[:])
+	return int64(s[0].Value.Uint64())
 }
 
 // initialCodelengthOf returns the all-singleton codelength of the

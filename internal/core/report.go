@@ -77,6 +77,7 @@ func BuildReport(cfg Config, res *Result) *obs.Report {
 			Ingest:       a.Ingest,
 			Transport:    a.Transport,
 			PeakRSSBytes: a.PeakRSSBytes,
+			LiveBytes:    a.LiveBytes,
 		}
 		for ph := obs.PhaseID(0); ph < stage1Phases; ph++ {
 			rr.Phases[ph.Name()] = a.Phase[ph]

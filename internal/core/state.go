@@ -228,6 +228,8 @@ type refreshScratch struct {
 	oStamp   []int32
 	oSubs    [][]int32
 	newOwned []int32
+	// sends counts the round's partials per destination rank.
+	sends []int
 }
 
 // delegateScratch holds the delegate rounds' per-round state, indexed
@@ -368,6 +370,7 @@ func (lv *level) initLocalState() {
 	}
 	rs.oSubs = rs.oSubs[:slots]
 	rs.newOwned = rs.newOwned[:0]
+	reuse(&rs.sends, lv.p)
 	lv.rsch = rs
 	lv.sendBufs, lv.enc = m.sb, m.enc
 

@@ -155,10 +155,14 @@ func (c *Comm) pubBuf(n int) []byte {
 }
 
 // grow returns b resized to length n, reusing its capacity when
-// possible. The previous contents are not preserved.
+// possible. A slab that must grow takes a quarter more room than asked,
+// append's rate for large slices: consecutive exchanges of one phase
+// differ by a few percent (a refresh's replies run a little longer than
+// its partials), and an exact fit would reallocate for each of them.
+// The previous contents are not preserved.
 func grow(b []byte, n int) []byte {
 	if cap(b) < n {
-		return make([]byte, n)
+		return make([]byte, n, n+n/4)
 	}
 	return b[:n]
 }
