@@ -143,7 +143,7 @@ type analysis struct {
 	// when the ranks read an edge-list file themselves.
 	Ingest []rankIngest `json:"ingest,omitempty"`
 	// Memory holds each rank's memory figures, in rank order: its live
-	// heap at the two phase boundaries and, on multi-process runs, its
+	// heap at the three phase boundaries and, on multi-process runs, its
 	// process's peak resident set size.
 	Memory []rankMemory `json:"memory,omitempty"`
 }
@@ -152,7 +152,7 @@ type analysis struct {
 type rankMemory struct {
 	Rank         int      `json:"rank"`
 	PeakRSSBytes int64    `json:"peak_rss_bytes,omitempty"`
-	LiveBytes    [2]int64 `json:"live_bytes"`
+	LiveBytes    [3]int64 `json:"live_bytes"`
 }
 
 // rankIngest is one rank's row of the ingest table.
@@ -172,7 +172,7 @@ func analyze(rep *obs.Report) *analysis {
 		if r.Ingest != nil {
 			a.Ingest = append(a.Ingest, rankIngest{Rank: r.Rank, IngestReport: *r.Ingest})
 		}
-		if r.PeakRSSBytes != 0 || r.LiveBytes != [2]int64{} {
+		if r.PeakRSSBytes != 0 || r.LiveBytes != [3]int64{} {
 			a.Memory = append(a.Memory, rankMemory{Rank: r.Rank, PeakRSSBytes: r.PeakRSSBytes, LiveBytes: r.LiveBytes})
 		}
 	}
@@ -285,15 +285,15 @@ func (a *analysis) writeText(w *os.File, topN int) {
 		}
 	}
 	if len(a.Memory) > 0 {
-		fmt.Fprintln(w, "\nmemory: each rank's peak resident set (rank processes only) and live heap")
-		fmt.Fprintln(w, "after preprocessing and after the first merge (process-wide on in-process runs)")
+		fmt.Fprintln(w, "\nmemory: each rank's peak resident set (rank processes only) and live heap after")
+		fmt.Fprintln(w, "ingest, after preprocessing and after the first merge (process-wide on in-process runs)")
 		for _, m := range a.Memory {
 			peak := "       -   "
 			if m.PeakRSSBytes != 0 {
 				peak = fmt.Sprintf("%8.1f MB", mb(m.PeakRSSBytes))
 			}
-			fmt.Fprintf(w, "  rank %2d  %s peak RSS  %8.1f MB live after preprocess  %8.1f MB live after merge\n",
-				m.Rank, peak, mb(m.LiveBytes[0]), mb(m.LiveBytes[1]))
+			fmt.Fprintf(w, "  rank %2d  %s peak RSS  %8.1f MB live after ingest  %8.1f MB after preprocess  %8.1f MB after merge\n",
+				m.Rank, peak, mb(m.LiveBytes[0]), mb(m.LiveBytes[1]), mb(m.LiveBytes[2]))
 		}
 	}
 

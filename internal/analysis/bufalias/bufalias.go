@@ -20,7 +20,8 @@
 //
 // Domains: Comm results are invalidated by any Comm collective
 // (Alltoallv, AllgatherBytes, AllreduceI64); SendBuffers slabs are
-// invalidated by SendBuffers.Reset. Method matching is by
+// invalidated by SendBuffers.Reset; Comm.ReleaseBuffers invalidates
+// both. Method matching is by
 // receiver type name (Comm, SendBuffers), so testdata can stub the mpi
 // surface; package mpi itself is exempt — it implements the pool.
 //
@@ -50,9 +51,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:         run,
 }
 
-// Pool domains: which invalidators recycle which producers' results.
+// Pool domains, one bit each: which invalidators recycle which
+// producers' results.
 const (
-	domComm = iota
+	domComm = 1 << iota
 	domSend
 )
 
@@ -72,6 +74,7 @@ var invalidators = map[string]map[string]int{
 		"Alltoallv":      domComm,
 		"AllgatherBytes": domComm,
 		"AllreduceI64":   domComm,
+		"ReleaseBuffers": domComm | domSend,
 	},
 	"SendBuffers": {
 		"Reset": domSend,
@@ -373,7 +376,7 @@ func (fc *funcCheck) applyInvalidations(s poolState, n ast.Node) {
 			return true
 		}
 		for v, st := range s {
-			if st.domain == dom && !st.stale {
+			if st.domain&dom != 0 && !st.stale {
 				st.stale = true
 				st.cause = method
 				st.causePos = call.Pos()

@@ -9,6 +9,7 @@ type Comm struct{}
 func (*Comm) AllgatherBytes(data []byte) [][]byte { return nil }
 func (*Comm) Alltoallv(bufs [][]byte) [][]byte    { return nil }
 func (*Comm) AllreduceI64(x int64, op int) int64  { return x }
+func (*Comm) ReleaseBuffers()                     {}
 
 type SendBuffers struct{}
 
@@ -78,6 +79,16 @@ func sendSlab(sb *SendBuffers, c *Comm, bufs [][]byte) {
 	e.PutInt(1)
 	sb.Reset()
 	e.PutInt(2) // want `use of pooled For result after Reset recycled the buffer`
+}
+
+// released: releasing the pools recycles collective results and send
+// slabs alike.
+func released(sb *SendBuffers, c *Comm, payload []byte) int {
+	parts := c.AllgatherBytes(payload)
+	e := sb.For(0)
+	c.ReleaseBuffers()
+	e.PutInt(1)              // want `use of pooled For result after ReleaseBuffers recycled the buffer`
+	return consume(parts[0]) // want `use of pooled AllgatherBytes result after ReleaseBuffers recycled the buffer`
 }
 
 // escapes: pooled values stored past the call's extent are flagged even

@@ -186,11 +186,11 @@ func TestMergeAllocFree(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		arcs := len(lv.mergeShuffle())
 		runtime.ReadMemStats(&after)
-		if arcs == 0 || arcs >= len(lv.adj) {
-			t.Errorf("merge shuffled %d of %d arcs, want a contraction", arcs, len(lv.adj))
+		if arcs == 0 || arcs >= len(lv.adjV) {
+			t.Errorf("merge shuffled %d of %d arcs, want a contraction", arcs, len(lv.adjV))
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(lv.adj)) {
-			t.Errorf("first merge shuffle of %d arcs allocated %d bytes, want under one per arc", len(lv.adj), got)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(lv.adjV)) {
+			t.Errorf("first merge shuffle of %d arcs allocated %d bytes, want under one per arc", len(lv.adjV), got)
 		}
 		if avg := testing.AllocsPerRun(20, func() {
 			lv.sendBufs.Reset()
@@ -202,11 +202,11 @@ func TestMergeAllocFree(t *testing.T) {
 }
 
 // runAllocCeiling bounds the allocations of one 4-rank Run with seed 1
-// on plantedAllocGraph. The run makes 5,411 allocations (5,455 under
+// on plantedAllocGraph. The run makes 1,315 allocations (1,367 under
 // the race detector) in 116 refreshes over its ranks; the ceiling
-// leaves 103 over 5,411, so one new allocation per vertex or per
+// leaves 103 over 1,315, so one new allocation per vertex or per
 // refresh fails.
-const runAllocCeiling = 5514
+const runAllocCeiling = 1418
 
 // plantedAllocGraph is the planted graph of the end-to-end allocation
 // budgets: 2,000 vertices in 40 communities, power-law degrees.
@@ -251,12 +251,14 @@ func writePlantedFile(t *testing.T, path string) int {
 
 // TestPhaseBoundariesReleaseLiveSet checks that each phase-boundary
 // collection of a one-rank file run finds only what the next phase
-// reads. After preprocessing the ingest rows (12 bytes per arc: an
-// int32 target and a float64 weight) are dead, so the live heap stays
-// below the rows plus the stage-1 list (16 bytes per arc, one
-// partition.Arc); after the first merge the stage-1 level is dead, so
-// it stays below the list alone. Either phase's dead data kept
-// reachable puts its boundary over the bound.
+// reads. After ingest the routed arc stores (16 bytes per arc) are
+// dead, so the live heap stays below the rows (12 bytes per arc, an
+// int32 target and a float64 weight, and 8 bytes per vertex) plus the
+// routing buffers placement reuses (under 8 ingest chunks). After
+// preprocessing the rows are dead, so it stays below the rows plus the
+// stage-1 adjacency (12 bytes per arc); after the first merge the
+// stage-1 level is dead, so it stays below the adjacency alone. Any
+// phase's dead data kept reachable puts its boundary over the bound.
 func TestPhaseBoundariesReleaseLiveSet(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.txt")
 	arcs := writePlantedFile(t, path)
@@ -271,15 +273,67 @@ func TestPhaseBoundariesReleaseLiveSet(t *testing.T) {
 		t.Fatalf("run never merged (%d outer iterations)", res.OuterIterations)
 	}
 	live := res.Ranks[0].LiveBytes
-	rowBytes, listBytes := int64(arcs)*12, int64(arcs)*16
-	t.Logf("%d arcs: live %d B after preprocess (bound %d), %d B after the first merge (bound %d)",
-		arcs, live[0], rowBytes+listBytes, live[1], listBytes)
-	if live[0] <= 0 || live[0] >= rowBytes+listBytes {
-		t.Errorf("live heap after preprocessing = %d bytes, want in (0, %d): rows plus stage-1 list of %d arcs",
-			live[0], rowBytes+listBytes, arcs)
+	rowBytes := int64(arcs)*12 + int64(len(res.Communities))*8
+	adjBytes := int64(arcs) * 12
+	bounds := [3]int64{rowBytes + 8*ingestChunk, rowBytes + adjBytes, adjBytes}
+	t.Logf("%d arcs: live %d B after ingest (bound %d), %d B after preprocess (bound %d), %d B after the first merge (bound %d)",
+		arcs, live[0], bounds[0], live[1], bounds[1], live[2], bounds[2])
+	for i, b := range [3]struct{ when, what string }{
+		{"after ingest", "the rows and routing buffers"},
+		{"after preprocessing", "the rows plus the stage-1 adjacency"},
+		{"after the first merge", "the stage-1 adjacency"},
+	} {
+		if live[i] <= 0 || live[i] >= bounds[i] {
+			t.Errorf("live heap %s = %d bytes, want in (0, %d): %s of %d arcs",
+				b.when, live[i], bounds[i], b.what, arcs)
+		}
 	}
-	if live[1] <= 0 || live[1] >= listBytes {
-		t.Errorf("live heap after the first merge = %d bytes, want in (0, %d): the stage-1 list of %d arcs",
-			live[1], listBytes, arcs)
+}
+
+// TestRanksShareBoundaryCollections checks that the ranks of an
+// in-process run, which share one heap, pay one forced collection per
+// phase boundary between them rather than one each, on an in-memory
+// graph and on a file, and that every rank still reads the live heap at
+// every boundary.
+func TestRanksShareBoundaryCollections(t *testing.T) {
+	g, _ := planted(5, 2000, 20, 0.2)
+	path := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{P: 4, Seed: 1}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"Run", func() (*Result, error) { return Run(g, cfg), nil }},
+		{"RunFile", func() (*Result, error) { return RunFile(path, cfg) }},
+	} {
+		before := forcedCycles()
+		res, err := tc.run()
+		cycles := forcedCycles() - before
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OuterIterations < 2 {
+			t.Fatalf("%s never merged (%d outer iterations)", tc.name, res.OuterIterations)
+		}
+		if cycles != 3 {
+			t.Errorf("%s at p = %d forced %d collections, want 3: one per phase boundary", tc.name, cfg.P, cycles)
+		}
+		for r, a := range res.Ranks {
+			for _, b := range a.LiveBytes {
+				if b <= 0 {
+					t.Errorf("%s rank %d live bytes %v, want every boundary read", tc.name, r, a.LiveBytes)
+				}
+			}
+		}
 	}
 }

@@ -65,13 +65,14 @@ type RankArtifact struct {
 	// not a process of its own.
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 
-	// LiveBytes is the live heap right after the rank's two
-	// phase-boundary collections: after preprocessing, with the ingest
-	// rows released, and after the first merge shuffle, with the
-	// stage-1 level released; 0 for a boundary the run never reached.
-	// Ranks of an in-process run share one heap, so there it is the
-	// process's.
-	LiveBytes [2]int64 `json:"live_bytes"`
+	// LiveBytes is the live heap right after the rank's three
+	// phase-boundary collections: after ingest, with its routed arcs
+	// released; after preprocessing, with the rows and placement's
+	// exchange buffers released; and once the first merged level is
+	// built, with the stage-1 level released. 0 for a boundary the run
+	// never reached. Ranks of an in-process run share one heap, so there
+	// it is the process's.
+	LiveBytes [3]int64 `json:"live_bytes"`
 }
 
 // RankOutput is the algorithm's result proper: identical on every rank
@@ -130,8 +131,9 @@ func runRank(src source, cfg Config, t mpi.Transport) (*RankArtifact, error) {
 	}
 	var art *RankArtifact
 	var rankErr error
+	runStart := forcedCycles()
 	if _, err := mpi.RunRank(t, cfg.Journal.Recorder(), func(c *mpi.Comm) {
-		art, rankErr = rankMain(c, src, cfg)
+		art, rankErr = rankMain(c, src, cfg, runStart)
 	}); err != nil {
 		return nil, err
 	}

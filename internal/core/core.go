@@ -165,8 +165,9 @@ func RunFile(path string, cfg Config) (*Result, error) {
 func runInProcess(src source, cfg Config) (*Result, error) {
 	arts := make([]*RankArtifact, cfg.P)
 	errs := make([]error, cfg.P)
+	runStart := forcedCycles()
 	mpi.Run(cfg.P, func(c *mpi.Comm) {
-		arts[c.Rank()], errs[c.Rank()] = rankMain(c, src, cfg)
+		arts[c.Rank()], errs[c.Rank()] = rankMain(c, src, cfg, runStart)
 	}, mpi.WithRecorder(cfg.Journal.Recorder()))
 	// Every rank reports the same input error; return rank 0's.
 	for _, err := range errs {

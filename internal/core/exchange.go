@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"dinfomap/internal/mapeq"
@@ -56,13 +57,9 @@ func (lv *level) swapBoundary(cands []hubCandidate) {
 		lv.dsch.round++
 		lv.dsch.nWin = 0
 	}
-	// Any received update may change a community; the payload sizes
-	// bound their number, so the held list grows at most once a round.
-	held := 0
-	for _, b := range recv {
-		held += len(b) / ghostUpdateBytes
-	}
-	lv.ghostIn = slices.Grow(lv.ghostIn[:0], held)
+	// At most one update per ghost arrives, so the held list, sized for
+	// every ghost, never grows.
+	lv.ghostIn = lv.ghostIn[:0]
 	d := &lv.dec
 	for src, b := range recv {
 		d.Reset(b)
@@ -300,15 +297,15 @@ func (lv *level) localHubWeights(h, target, from int) (wTo, wFrom float64) {
 		return 0, 0
 	}
 	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-		v := int(lv.adj[j].V)
+		v := int(lv.adjV[j])
 		if v == h {
 			continue
 		}
 		switch lv.comm[v] {
 		case target:
-			wTo += lv.adj[j].W * lv.inv2W
+			wTo += lv.adjW[j] * lv.inv2W
 		case from:
-			wFrom += lv.adj[j].W * lv.inv2W
+			wFrom += lv.adjW[j] * lv.inv2W
 		}
 	}
 	return wTo, wFrom
@@ -372,9 +369,9 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 		m := lv.comm[u]
 		var exit float64
 		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-			v := int(lv.adj[j].V)
+			v := int(lv.adjV[j])
 			if v != u && lv.comm[v] != m {
-				exit += lv.adj[j].W
+				exit += lv.adjW[j]
 			}
 		}
 		//dinfomap:float-ok skip-empty guard: exit is a sum of strictly positive weights, exactly 0 iff none
@@ -439,26 +436,31 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 	// ---- Owner side: sum partials, bump versions, answer subscribers ----
 	// Contributions accumulate in (source rank, record) order — the
 	// float-summation order the golden results were produced with — and
-	// each module's subscriber list comes out rank-ascending.
+	// each module's subscribers are marked in its bit set, which round 2
+	// walks rank-ascending; sends now counts each rank's replies.
 	d := &lv.dec
+	words := subWords(lv.p)
+	clear(rs.sends)
 	for src, b := range recv {
 		d.Reset(b)
+		w, bit := src/64, uint64(1)<<(src%64)
 		for d.Remaining() > 0 {
 			mp := decodeModulePartial(d)
 			slot := mp.ModID / lv.p
+			subs := rs.oSubs[slot*words : (slot+1)*words]
 			if rs.oStamp[slot] != round {
 				rs.oStamp[slot] = round
 				rs.oSumPr[slot] = 0
 				rs.oExit[slot] = 0
 				rs.oMembers[slot] = 0
-				rs.oSubs[slot] = rs.oSubs[slot][:0]
+				clear(subs)
 			}
 			rs.oSumPr[slot] += mp.SumPr
 			rs.oExit[slot] += mp.ExitPr
 			rs.oMembers[slot] += int32(mp.Members)
-			subs := rs.oSubs[slot]
-			if len(subs) == 0 || subs[len(subs)-1] != int32(src) {
-				rs.oSubs[slot] = append(subs, int32(src))
+			if subs[w]&bit == 0 {
+				subs[w] |= bit
+				rs.sends[src]++
 			}
 		}
 	}
@@ -511,10 +513,11 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 	// ---- Round 2: authoritative stats back to subscribers ----
 	// Every payload, self included, opens with this rank's MDL partials
 	// and its vote: round 2 doubles as the MDL reduction and the
-	// convergence vote.
+	// convergence vote. Each buffer is sized for its full-form replies.
 	sb.Reset()
 	for r := 0; r < lv.p; r++ {
 		e := sb.For(r)
+		e.Grow(len(part)*8 + 8 + rs.sends[r]*moduleInfoWireSize)
 		for _, x := range part {
 			e.PutF64(x)
 		}
@@ -534,21 +537,24 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 		lv.ownedStats[slot] = mod
 		lv.ownedHas[slot] = true
 		rs.newOwned = append(rs.newOwned, int32(slot))
-		for _, dstRank := range rs.oSubs[slot] {
-			e := sb.For(int(dstRank))
-			unchanged := !lv.cfg.NoDedup && lv.sentVersion[dstRank][slot] == lv.modVersion[slot]
-			if unchanged {
-				// Short form: the subscriber already has this version.
-				ModuleInfo{ModID: m, IsSent: true}.encodeShort(e)
-			} else {
-				ModuleInfo{
-					ModID:      m,
-					SumPr:      mod.SumPr,
-					ExitPr:     mod.ExitPr,
-					NumMembers: mod.Members,
-					IsSent:     false,
-				}.encode(e)
-				lv.sentVersion[dstRank][slot] = lv.modVersion[slot]
+		for w, set := range rs.oSubs[slot*words : (slot+1)*words] {
+			for ; set != 0; set &= set - 1 {
+				dstRank := w*64 + bits.TrailingZeros64(set)
+				e := sb.For(dstRank)
+				unchanged := !lv.cfg.NoDedup && lv.sentVersion[dstRank][slot] == lv.modVersion[slot]
+				if unchanged {
+					// Short form: the subscriber already has this version.
+					ModuleInfo{ModID: m, IsSent: true}.encodeShort(e)
+				} else {
+					ModuleInfo{
+						ModID:      m,
+						SumPr:      mod.SumPr,
+						ExitPr:     mod.ExitPr,
+						NumMembers: mod.Members,
+						IsSent:     false,
+					}.encode(e)
+					lv.sentVersion[dstRank][slot] = lv.modVersion[slot]
+				}
 			}
 		}
 	}
@@ -623,3 +629,6 @@ func (lv *level) refresh(iter int32, vote int64) (numModules, total int64) {
 }
 
 func dst(m, p int) int { return ownerOf(m, p) }
+
+// subWords is the number of 64-bit words in one slot's subscriber set.
+func subWords(p int) int { return (p + 63) / 64 }

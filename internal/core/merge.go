@@ -74,7 +74,7 @@ func (lv *level) contract(sb *mpi.SendBuffers) int64 {
 		hi := end[cu]
 		for _, i := range members[lo:hi] {
 			for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-				row.add(int32(lv.comm[int(lv.adj[j].V)]), lv.adj[j].W)
+				row.add(int32(lv.comm[int(lv.adjV[j])]), lv.adjW[j])
 			}
 		}
 		lo = hi

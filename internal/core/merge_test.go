@@ -10,7 +10,6 @@ import (
 	"dinfomap/internal/gen"
 	"dinfomap/internal/graph"
 	"dinfomap/internal/mpi"
-	"dinfomap/internal/partition"
 )
 
 // countingSortContract is the contraction mergeShuffle ran before the
@@ -27,8 +26,8 @@ func countingSortContract(lv *level) ([][]byte, int64) {
 	for i, u := range lv.evalVerts {
 		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
 			aU = append(aU, int32(lv.comm[u]))
-			aV = append(aV, int32(lv.comm[int(lv.adj[j].V)]))
-			w = append(w, lv.adj[j].W)
+			aV = append(aV, int32(lv.comm[int(lv.adjV[j])]))
+			w = append(w, lv.adjW[j])
 		}
 	}
 	m := len(aU)
@@ -113,7 +112,7 @@ func countingSortContract(lv *level) ([][]byte, int64) {
 // countingSortCSR is newMergedLevel's former CSR build, the oracle of
 // the row-by-row one: received arcs sorted by (u, v) with a stable
 // two-pass counting sort, equal pairs summed in arrival order.
-func countingSortCSR(arcs []mergedArc, idSpace int) (verts, off []int, adj []partition.Arc) {
+func countingSortCSR(arcs []mergedArc, idSpace int) (verts, off []int, adjV []int32, adjW []float64) {
 	m := len(arcs)
 	cnt := make([]int, idSpace)
 	for _, a := range arcs {
@@ -164,9 +163,10 @@ func countingSortCSR(arcs []mergedArc, idSpace int) (verts, off []int, adj []par
 			off = append(off, off[len(off)-1])
 		}
 		off[len(off)-1]++
-		adj = append(adj, partition.Arc{U: a.U, V: a.V, W: w})
+		adjV = append(adjV, a.V)
+		adjW = append(adjW, w)
 	}
-	return verts, off, adj
+	return verts, off, adjV, adjW
 }
 
 // weightedWithIsolated is a planted graph with non-integer weights (so
@@ -228,17 +228,20 @@ func TestContractMatchesCountingSort(t *testing.T) {
 				lv.cluster()
 				check("stage 1", lv)
 				arcs := lv.mergeShuffle()
-				verts, off, adj := countingSortCSR(arcs, lv.idSpace)
+				verts, off, adjV, adjW := countingSortCSR(arcs, lv.idSpace)
 				merged := newMergedLevel(c, &cfg, lv.idSpace, arcs, lv.vertexTerm, cfg.Seed, 1, lv.mem)
-				if !slices.Equal(merged.evalVerts, verts) || !slices.Equal(merged.evalOff, off) || !slices.Equal(merged.adj, adj) {
+				if !slices.Equal(merged.evalVerts, verts) || !slices.Equal(merged.evalOff, off) ||
+					!slices.Equal(merged.adjV, adjV) || !slices.Equal(merged.adjW, adjW) {
 					mu.Lock()
 					t.Errorf("rank %d: merged level's CSR differs from the counting-sort oracle's", c.Rank())
 					mu.Unlock()
 				}
 				zeroSelf := 0
-				for _, a := range merged.adj {
-					if a.U == a.V && a.W == 0 {
-						zeroSelf++
+				for i, u := range merged.evalVerts {
+					for j := merged.evalOff[i]; j < merged.evalOff[i+1]; j++ {
+						if int(merged.adjV[j]) == u && merged.adjW[j] == 0 {
+							zeroSelf++
+						}
 					}
 				}
 				merged.cluster()

@@ -110,6 +110,9 @@ type hubCandidate struct {
 	DeltaL float64 // local delta-L of the proposal (negative = improves)
 }
 
+// hubCandidateBytes is the wire size of one hubCandidate.
+const hubCandidateBytes = 3 * 8
+
 func (h hubCandidate) encode(e *mpi.Encoder) {
 	e.PutInt(h.Hub)
 	e.PutInt(h.Target)

@@ -174,9 +174,9 @@ func TestReturnRule(t *testing.T) {
 // TestReturnRuleExemptsEscapes: vertex 8 carries a heavy self-loop and
 // one link into the odd ring's module 1, where it sits; its own module
 // 8 is empty, and escaping there is its best move. Escaping is a
-// return into module 8 > 1, and the target's remote flag is whatever
-// an earlier evaluation left (bestTarget never touches an empty
-// module), so the escape must be exempt from the rule.
+// return into module 8 > 1 that the return rule would refuse were
+// module 8 remote-reached, so the escape must be exempt from the rule:
+// it is applied, and nothing is counted as a refused return.
 func TestReturnRuleExemptsEscapes(t *testing.T) {
 	b := graph.NewBuilder(10)
 	ring(b, 1, 3, 5, 7, 9)
@@ -192,7 +192,6 @@ func TestReturnRuleExemptsEscapes(t *testing.T) {
 		s := lv.newScratch()
 		i := int(lv.evalIndexOf[8])
 		lv.lastFrom[i] = 8
-		s.remote[8] = true // a stale flag from an earlier evaluation
 		if !lv.moveVertex(s, i, 8) || lv.comm[8] != 8 {
 			t.Errorf("vertex 8 in module %d, want its escape into module 8", lv.comm[8])
 		}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
+	"sort"
 	"time"
 
 	"dinfomap/internal/graph"
@@ -26,9 +29,9 @@ type stage1Input struct {
 	// flow holds the dense flow arrays, equal to mapeq.NewVertexFlow of
 	// the whole graph bit for bit.
 	flow mapeq.VertexFlow
-	// arcs is this rank's list: Delegate(g).RankArcs[rank], order
-	// included.
-	arcs []partition.Arc
+	// adj is this rank's list, Delegate(g).RankArcs[rank], grouped by
+	// evaluation vertex in list order.
+	adj adjacency
 	// part is the layout's balance summary (identical on every rank).
 	part partition.BalanceStats
 }
@@ -198,7 +201,16 @@ func preprocess(c *mpi.Comm, cfg *Config, rows *graph.Rows, sb *mpi.SendBuffers)
 	for _, b := range c.AllgatherBytes(e.Bytes()) {
 		listLen += int(binary.LittleEndian.Uint64(b[8*rank:]))
 	}
-	arcs := make([]partition.Arc, 0, max(listLen, totalArcs/p+1))
+	// Delegate's list arrives sorted by evaluation vertex, so placement
+	// writes it grouped, as the stage-1 adjacency; the vertex bound is
+	// every owned vertex and every hub.
+	arcCap, vertCap := max(listLen, totalArcs/p+1), graph.OwnedCount(n, rank, p)+numHubs
+	adj := adjacency{
+		evalVerts: make([]int, 0, vertCap),
+		evalOff:   append(make([]int, 0, vertCap+1), 0),
+		adjV:      make([]int32, 0, arcCap),
+		adjW:      make([]float64, 0, arcCap),
+	}
 	pos := make([]int, p)
 	row, hub := 0, 0
 	for k := 0; k+1 < len(blocks); k++ {
@@ -225,8 +237,14 @@ func preprocess(c *mpi.Comm, cfg *Config, rows *graph.Rows, sb *mpi.SendBuffers)
 			s := u % p
 			b := recv[s]
 			for pos[s] < len(b) && int(binary.LittleEndian.Uint32(b[pos[s]:])) == u {
-				arcs = append(arcs, getArc(b[pos[s]:]))
+				a := getArc(b[pos[s]:])
+				adj.adjV = append(adj.adjV, a.V)
+				adj.adjW = append(adj.adjW, a.W)
 				pos[s] += arcBytes
+			}
+			if len(adj.adjV) > adj.evalOff[len(adj.evalVerts)] {
+				adj.evalVerts = append(adj.evalVerts, u)
+				adj.evalOff = append(adj.evalOff, len(adj.adjV))
 			}
 		}
 		for s, b := range recv {
@@ -235,12 +253,13 @@ func preprocess(c *mpi.Comm, cfg *Config, rows *graph.Rows, sb *mpi.SendBuffers)
 			}
 		}
 	}
+	rows = nil
 
 	// ---- 4. Rebalance ----
 	if !cfg.NoRebalance && p > 1 {
 		e.Reset()
-		e.PutInt(len(arcs))
-		e.PutInt(partition.CountHubArcs(arcs, isHub))
+		e.PutInt(len(adj.adjV))
+		e.PutInt(adj.hubArcs(isHub))
 		parts := c.AllgatherBytes(e.Bytes())
 		lens, hubArcs := make([]int, p), make([]int, p)
 		for r, b := range parts {
@@ -248,39 +267,52 @@ func preprocess(c *mpi.Comm, cfg *Config, rows *graph.Rows, sb *mpi.SendBuffers)
 			lens[r], hubArcs[r] = decs[r].Int(), decs[r].Int()
 		}
 		if plan := partition.RebalancePlan(lens, hubArcs); len(plan) > 0 {
+			// A source hands out its last hub-sourced arcs, the first
+			// move's count to its destination, then the next move's.
 			sb.Reset()
-			var moved []partition.Arc
+			take := 0
 			for _, m := range plan {
-				if m.Src != rank {
-					continue
-				}
-				arcs, moved = partition.TakeHubArcs(arcs, isHub, m.Count, moved[:0])
-				enc := sb.For(m.Dst)
-				enc.Grow(m.Count * arcBytes)
-				for _, a := range moved {
-					putArc(enc, int(a.U), int(a.V), a.W)
+				if m.Src == rank {
+					take += m.Count
+					sb.For(m.Dst).Grow(m.Count * arcBytes)
 				}
 			}
+			mi, sent := 0, 0
+			adj.takeHubArcs(isHub, take, func(u int, v int32, w float64) {
+				for plan[mi].Src != rank || sent == plan[mi].Count {
+					mi, sent = mi+1, 0
+				}
+				putArc(sb.For(plan[mi].Dst), u, int(v), w)
+				sent++
+			})
 			recv := c.Alltoallv(sb.Bufs())
 			clear(pos)
+			var got []partition.Arc
 			for _, m := range plan {
 				if m.Dst != rank {
 					continue
 				}
 				b := recv[m.Src]
 				for j := 0; j < m.Count; j++ {
-					arcs = append(arcs, getArc(b[pos[m.Src]:]))
+					got = append(got, getArc(b[pos[m.Src]:]))
 					pos[m.Src] += arcBytes
 				}
 			}
+			adj.addHubArcs(got)
 		}
 	}
-	in.arcs = arcs
+	in.adj = adj
 
 	// ---- 5. Balance summary ----
-	ghosts := partition.GhostCount(arcs, isHub, p, rank, make([]bool, n))
-	e.Reset()
-	e.PutInt(len(arcs))
+	// Placement's exchanges were the largest of the run: their buffers,
+	// the views into them and the vertex-sums encoder go before the last
+	// collective, which every rank thus enters with only its stage-1
+	// input live (see phaseGC).
+	c.ReleaseBuffers()
+	clear(decs)
+	ghosts := adj.ghostCount(isHub, p, rank, make([]bool, n))
+	e = mpi.NewEncoder(16)
+	e.PutInt(len(adj.adjV))
 	e.PutInt(ghosts)
 	parts = c.AllgatherBytes(e.Bytes())
 	edgeCounts, ghostCounts := make([]int, p), make([]int, p)
@@ -318,6 +350,165 @@ func getArc(b []byte) partition.Arc {
 		U: int32(binary.LittleEndian.Uint32(b)),
 		V: int32(binary.LittleEndian.Uint32(b[4:])),
 		W: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	}
+}
+
+// hubArcs counts the hub-sourced arcs: partition.CountHubArcs.
+func (a *adjacency) hubArcs(isHub []bool) int {
+	k := 0
+	for i, u := range a.evalVerts {
+		if isHub[u] {
+			k += a.evalOff[i+1] - a.evalOff[i]
+		}
+	}
+	return k
+}
+
+// ghostCount is Layout.GhostCounts for this rank of a delegate layout
+// (round-robin ownership over p ranks): the vertices its arcs name that
+// it neither owns nor shares as hubs. seen is a cleared scratch array
+// indexed by vertex.
+func (a *adjacency) ghostCount(isHub []bool, p, r int, seen []bool) int {
+	count := 0
+	mark := func(x int) {
+		if !seen[x] && !isHub[x] && x%p != r {
+			seen[x] = true
+			count++
+		}
+	}
+	for i, u := range a.evalVerts {
+		mark(u)
+		for _, v := range a.adjV[a.evalOff[i]:a.evalOff[i+1]] {
+			mark(int(v))
+		}
+	}
+	return count
+}
+
+// takeHubArcs is partition.TakeHubArcs on the list the adjacency
+// groups, followed by the stable regrouping by evaluation vertex that
+// a rebalanced list gets: the last k hub-sourced arcs go to put in
+// removal order, and the list's tail fills their places. k must not
+// exceed hubArcs.
+//
+// TakeHubArcs fills each hole with the list's current last arc: an arc
+// of the tail [n-k, n) that it has already passed over, so not
+// hub-sourced, and possibly one an earlier hole received. Every hole
+// below n-k keeps its fill; each fill then rejoins its evaluation
+// vertex's group ahead of the group's unmoved arcs, since every hole
+// lies before the groups of the tail.
+func (a *adjacency) takeHubArcs(isHub []bool, k int, put func(u int, v int32, w float64)) {
+	n := len(a.adjV)
+	holes := make([]int, 0, k) // descending
+	for g := len(a.evalVerts) - 1; g >= 0 && len(holes) < k; g-- {
+		if u := a.evalVerts[g]; isHub[u] {
+			for j := a.evalOff[g+1] - 1; j >= a.evalOff[g] && len(holes) < k; j-- {
+				holes = append(holes, j)
+				put(u, a.adjV[j], a.adjW[j])
+			}
+		}
+	}
+	// Replay the fills: the j-th removal moves the arc at n-1-j, itself
+	// the fill of an earlier hole at that position if there is one.
+	cut := n - len(holes)
+	type fill struct {
+		g, hole int
+		v       int32
+		w       float64
+	}
+	var fills []fill
+	from := make([]int, len(holes))
+	prev := 0
+	for j, h := range holes {
+		last := n - 1 - j
+		for prev < j && holes[prev] > last {
+			prev++
+		}
+		from[j] = last
+		if prev < j && holes[prev] == last {
+			from[j] = from[prev]
+		}
+		if h < cut {
+			g := sort.SearchInts(a.evalOff, from[j]+1) - 1
+			fills = append(fills, fill{g: g, hole: h, v: a.adjV[from[j]], w: a.adjW[from[j]]})
+		}
+	}
+	slices.SortFunc(fills, func(x, y fill) int {
+		return cmp.Or(cmp.Compare(x.g, y.g), cmp.Compare(x.hole, y.hole))
+	})
+	// Regroup in place, front to back: no arc moves right, and fills
+	// land only where every arc has been read.
+	verts, off := a.evalVerts[:0], a.evalOff[:1]
+	next, w, h, f := 0, 0, len(holes)-1, 0
+	for g, u := range a.evalVerts {
+		lo, hi := next, a.evalOff[g+1]
+		next = hi
+		start := w
+		for ; f < len(fills) && fills[f].g == g; f++ {
+			a.adjV[w], a.adjW[w] = fills[f].v, fills[f].w
+			w++
+		}
+		for j := lo; j < min(hi, cut); j++ {
+			if h >= 0 && holes[h] == j {
+				h--
+				continue
+			}
+			a.adjV[w], a.adjW[w] = a.adjV[j], a.adjW[j]
+			w++
+		}
+		if w > start {
+			verts = append(verts, u)
+			off = append(off, w)
+		}
+	}
+	if w != cut {
+		panicf("rebalance regrouped %d arcs, want %d", w, cut)
+	}
+	a.evalVerts, a.evalOff, a.adjV, a.adjW = verts, off, a.adjV[:w], a.adjW[:w]
+}
+
+// addHubArcs appends received hub-sourced arcs, in arrival order, to a
+// list the adjacency groups and regroups it stably: each arc joins its
+// evaluation vertex's group after the arcs already there, and a vertex
+// without a group gets one. It merges from the back, in place.
+func (a *adjacency) addHubArcs(got []partition.Arc) {
+	slices.SortStableFunc(got, func(x, y partition.Arc) int { return cmp.Compare(x.U, y.U) })
+	groups := len(a.evalVerts)
+	for j, x := range got {
+		if j == 0 || x.U != got[j-1].U {
+			if _, ok := slices.BinarySearch(a.evalVerts, int(x.U)); !ok {
+				groups++
+			}
+		}
+	}
+	n, g := len(a.adjV), len(a.evalVerts)-1
+	a.adjV = slices.Grow(a.adjV, len(got))[:n+len(got)]
+	a.adjW = slices.Grow(a.adjW, len(got))[:n+len(got)]
+	a.evalVerts = slices.Grow(a.evalVerts, groups-g-1)[:groups]
+	a.evalOff = slices.Grow(a.evalOff, groups-g-1)[:groups+1]
+	w, end, j := len(a.adjV), n, len(got)-1
+	a.evalOff[groups] = w
+	for k := groups - 1; k >= 0; k-- {
+		u := -1
+		if g >= 0 {
+			u = a.evalVerts[g]
+		}
+		if j >= 0 {
+			u = max(u, int(got[j].U))
+		}
+		for ; j >= 0 && int(got[j].U) == u; j-- {
+			w--
+			a.adjV[w], a.adjW[w] = got[j].V, got[j].W
+		}
+		if g >= 0 && a.evalVerts[g] == u {
+			lo := a.evalOff[g]
+			w -= end - lo
+			copy(a.adjV[w:], a.adjV[lo:end])
+			copy(a.adjW[w:], a.adjW[lo:end])
+			end = lo
+			g--
+		}
+		a.evalVerts[k], a.evalOff[k] = u, w
 	}
 }
 
@@ -397,15 +588,18 @@ func ingestFile(c *mpi.Comm, path string, sb *mpi.SendBuffers) (*graph.Rows, *ob
 	}
 	rep.BytesRead = info.Bytes
 
-	// Headers: the vertex count, and the first error in file order.
-	n, err := exchangeHeaders(c, info, err)
-	if err != nil {
-		rep.ArcsSent, rep.ArcsKept = 0, 0
-		return nil, rep, err
+	// Row arrays: count each owned vertex's arcs, then fill in source
+	// order. They cover the owned vertices up to the largest that has
+	// an arc; the stores die here, before the headers' collective (see
+	// phaseGC).
+	k := 0
+	for _, st := range stores {
+		for _, blk := range st.blocks {
+			for _, a := range blk {
+				k = max(k, int(a.U)/p+1)
+			}
+		}
 	}
-
-	// Rows: count each owned vertex's arcs, then fill in source order.
-	k := graph.OwnedCount(n, rank, p)
 	off := make([]int, k+1)
 	for _, st := range stores {
 		for _, blk := range st.blocks {
@@ -430,6 +624,17 @@ func ingestFile(c *mpi.Comm, path string, sb *mpi.SendBuffers) (*graph.Rows, *ob
 			}
 		}
 		stores[s] = arcStore{}
+	}
+
+	// Headers: the vertex count, and the first error in file order.
+	n, err := exchangeHeaders(c, info, err)
+	if err != nil {
+		rep.ArcsSent, rep.ArcsKept = 0, 0
+		return nil, rep, err
+	}
+	// Owned vertices above the largest with an arc have empty rows.
+	for range graph.OwnedCount(n, rank, p) - k {
+		off = append(off, off[k])
 	}
 	rows := graph.NewRows(n, rank, p, off, targets, weights)
 	rep.WallNs = time.Since(start).Nanoseconds()

@@ -6,6 +6,7 @@ import (
 	"runtime/metrics"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"dinfomap/internal/mapeq"
@@ -174,10 +175,11 @@ func (lv *level) round(iter int, s *sweepScratch) (total, numModules int64) {
 // artifact, so ranks share nothing but the messages they exchange. It
 // labels the goroutine's profiler samples with the rank id, so a
 // -cpuprofile taken over a run splits per simulated rank
-// (go tool pprof -tagfocus rank=3).
-func rankMain(c *mpi.Comm, src source, cfg Config) (art *RankArtifact, err error) {
+// (go tool pprof -tagfocus rank=3). runStart is forcedCycles() read
+// before any rank of the run started (see phaseGC).
+func rankMain(c *mpi.Comm, src source, cfg Config, runStart uint64) (art *RankArtifact, err error) {
 	pprof.Do(context.Background(), pprof.Labels("rank", strconv.Itoa(c.Rank())),
-		func(context.Context) { art, err = rankBody(c, src, &cfg) })
+		func(context.Context) { art, err = rankBody(c, src, &cfg, newPhaseGC(runStart)) })
 	return art, err
 }
 
@@ -186,7 +188,7 @@ func rankMain(c *mpi.Comm, src source, cfg Config) (art *RankArtifact, err error
 // final traffic counters; only rank 0's artifact carries the
 // rank-identical outputs. A rank whose input fails returns the error
 // instead (every rank reports the same one).
-func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
+func rankBody(c *mpi.Comm, src source, cfg *Config, gc *phaseGC) (*RankArtifact, error) {
 	rank := c.Rank()
 	p := c.Size()
 	jlog := cfg.Journal.Rank(rank)
@@ -231,11 +233,13 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Phase boundary: the rows hold every arc this rank owns, so the
+	// routed arcs ingest stored are dead.
+	art.LiveBytes[0] = gc.collect()
+	// Phase boundary: the stage-1 adjacency holds every arc now, so the
+	// rows and placement's exchange buffers are dead.
 	in := preprocess(c, cfg, rows, mem.sb)
-	// Phase boundary: the stage-1 list holds every arc now, so the
-	// ingest rows are dead.
-	rows = nil
-	art.LiveBytes[0] = collectLive()
+	art.LiveBytes[1] = gc.collect()
 	art.Partition = in.part
 	if out != nil {
 		out.NumEdges, out.TotalWeight = in.numEdges, in.flow.TotalWeight
@@ -255,9 +259,9 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 
 	// ---- Stage 1: parallel clustering with delegates ----
 	lv := newStage1Level(c, cfg, in, mem, cfg.Seed)
-	// The level holds this rank's arcs in CSR form now; nothing reads
-	// the arc list again, so let it go for the rest of the run.
-	in.arcs = nil
+	// The level holds this rank's arcs now; nothing reads the
+	// preprocessing product again, so let it go with the level.
+	in = nil
 	lv.jlog, lv.jstage = jlog, 1
 
 	t0 := time.Now()
@@ -305,12 +309,16 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 		cur.costs = costs2
 		arcs := cur.mergeShuffle()
 		if outer == 1 {
-			// Phase boundary: the merged arcs are all the next level
-			// reads, so the stage-1 level is dead.
+			// The merged arcs are all the next level reads, so the
+			// stage-1 level is dead.
 			lv, cur = nil, nil
-			art.LiveBytes[1] = collectLive()
 		}
 		merged := newMergedLevel(c, cfg, idSpace, arcs, vertexTerm, cfg.Seed, outer, mem)
+		if outer == 1 {
+			// Phase boundary: the first merged level replaced the
+			// stage-1 level.
+			art.LiveBytes[2] = gc.collect()
+		}
 		merged.jlog, merged.jstage, merged.jouter = jlog, 2, uint16(outer)
 		merged.costs = costs2
 		oc = merged.cluster()
@@ -372,20 +380,63 @@ func rankBody(c *mpi.Comm, src source, cfg *Config) (*RankArtifact, error) {
 	return art, nil
 }
 
-// collectLive runs a full collection at a phase boundary, where the
-// rank's live set has just fallen, and returns the live heap it marked.
-// Without it the heap grows to the goal the pacer set while the dead
+// phaseGC runs a rank's collections at its phase boundaries, where the
+// rank's live set has just fallen, and reads the live heap they mark.
+// Without them the heap grows to the goal the pacer set while the dead
 // data was still live, twice the old live set, before the next cycle
 // starts, so the rank's peak would follow GC timing rather than its
 // live set. The heap is mostly pointer-free arrays, so a cycle costs
-// about a millisecond. Ranks of an in-process run share one heap; there
-// the value is the process's.
-func collectLive() int64 {
-	runtime.GC()
-	var s [1]metrics.Sample
-	s[0].Name = "/gc/heap/live:bytes"
-	metrics.Read(s[:])
-	return int64(s[0].Value.Uint64())
+// about a millisecond.
+//
+// Ranks of an in-process run share one heap, and one cycle per
+// boundary serves them all. Each boundary's dead data is dropped before
+// a collective that precedes its collection, so no rank collects before
+// every rank has dropped, and a collective separates consecutive
+// boundaries. A rank therefore skips its collection when a forced cycle
+// has completed since its previous boundary (or since the run started,
+// which its launcher reads before starting any rank): that cycle began
+// after every rank's drop. Collections take turns, so the first rank at
+// a boundary collects and the others skip. A rank process is alone and
+// always collects. A forced cycle from outside the run, such as a
+// concurrent run in the same process, can make a rank skip early.
+type phaseGC struct {
+	since   uint64 // forced cycles completed at the previous boundary
+	samples [2]metrics.Sample
+}
+
+// boundaryGC makes the phase-boundary collections of the ranks that
+// share a process take turns.
+var boundaryGC sync.Mutex
+
+// newPhaseGC returns a rank's collector state for a run that started
+// when runStart forced cycles had completed.
+func newPhaseGC(runStart uint64) *phaseGC {
+	return &phaseGC{since: runStart, samples: [2]metrics.Sample{
+		{Name: "/gc/cycles/forced:gc-cycles"},
+		{Name: "/gc/heap/live:bytes"},
+	}}
+}
+
+// forcedCycles returns the number of forced cycles completed so far: a
+// run's start for newPhaseGC.
+func forcedCycles() uint64 { return newPhaseGC(0).read() }
+
+// read reads the collector and returns its forced-cycle count.
+func (g *phaseGC) read() uint64 {
+	metrics.Read(g.samples[:])
+	return g.samples[0].Value.Uint64()
+}
+
+// collect runs or finds the boundary's collection and returns the live
+// heap it marked.
+func (g *phaseGC) collect() int64 {
+	boundaryGC.Lock()
+	defer boundaryGC.Unlock()
+	if g.read() == g.since {
+		runtime.GC()
+	}
+	g.since = g.read()
+	return int64(g.samples[1].Value.Uint64())
 }
 
 // initialCodelengthOf returns the all-singleton codelength of the

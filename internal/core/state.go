@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"dinfomap/internal/gen"
@@ -9,7 +8,6 @@ import (
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
-	"dinfomap/internal/partition"
 )
 
 // level is one rank's state for one clustering level: the level-0 graph
@@ -34,12 +32,8 @@ type level struct {
 	idSpace int
 	p, rank int
 
-	// Local evaluation adjacency in CSR form: vertex evalVerts[i]
-	// evaluates the arcs adj[evalOff[i]:evalOff[i+1]] (neighbour V,
-	// weight W; U is evalVerts[i]).
-	evalVerts []int
-	evalOff   []int
-	adj       []partition.Arc
+	// The local evaluation adjacency.
+	adjacency
 
 	// isHub marks delegated vertices; nil at delegate-free levels.
 	isHub []bool
@@ -167,11 +161,24 @@ type level struct {
 	skippedSwaps   int64
 }
 
-// rankMem is the memory one rank's levels share: the id-space arrays
-// (and the merged level's arc arrays) are allocated by the first level
-// that needs them and handed, cleared, to every later level, so a run
-// of several merged levels allocates them once. Only one level is live
-// at a time: a level's successor is built from the arcs its merge
+// adjacency is a rank's evaluation arcs in CSR form, 12 bytes per arc:
+// vertex evalVerts[i] (ascending) evaluates the arcs
+// [evalOff[i], evalOff[i+1]) of adjV (neighbour) and adjW (weight). An
+// arc's evaluation vertex is its row's, so it is not stored. evalOff
+// always holds len(evalVerts)+1 offsets.
+type adjacency struct {
+	evalVerts []int
+	evalOff   []int
+	adjV      []int32
+	adjW      []float64
+}
+
+// rankMem is the memory one rank's levels share: the id-space and
+// owned-slot arrays (and the merged level's arc arrays) are allocated
+// by the first level that needs them, or handed over by the stage-1
+// level (its flow arrays), and passed, cleared, to every later level,
+// so a run of several levels allocates them once. Only one level is
+// live at a time: a level's successor is built from the arcs its merge
 // shuffle returned, after which nothing reads the old level.
 type rankMem struct {
 	sb  *mpi.SendBuffers
@@ -180,19 +187,24 @@ type rankMem struct {
 	comm                                   []int
 	mods, delivered                        []mapeq.Module
 	modTracked, deliveredOk, movedV, marks []bool
-	changedM, remote, live                 []bool
+	changedM, live                         []bool
 	evalIndexOf, counts, subPos            []int32
 	visit, exitP, wTo                      []float64
 	rsch                                   refreshScratch
 
+	// The owner-side module state, by owned slot.
+	ownedStats            []mapeq.Module
+	ownedHas              []bool
+	ownedList, modVersion []int32
+	sentVersion           [][]int32
+
 	// The contraction's buckets (cnt, byRow) and row accumulator, and
-	// the merged level's arcs and CSR.
-	cnt     []int
-	byRow   []int32
-	rs      rowSum
-	merged  []mergedArc
-	evalOff []int
-	adj     []partition.Arc
+	// the merged level's arcs and adjacency.
+	cnt    []int
+	byRow  []int32
+	rs     rowSum
+	merged []mergedArc
+	adj    adjacency
 }
 
 // newRankMem returns the memory of one rank, with its send set.
@@ -226,9 +238,12 @@ type refreshScratch struct {
 	oExit    []float64
 	oMembers []int32
 	oStamp   []int32
-	oSubs    [][]int32
+	// oSubs holds each owned slot's subscriber set, subWords(p) words
+	// of one bit per rank.
+	oSubs    []uint64
 	newOwned []int32
-	// sends counts the round's partials per destination rank.
+	// sends counts the records this rank sends each rank in the current
+	// round: partials in round 1, replies in round 2.
 	sends []int
 }
 
@@ -278,8 +293,8 @@ func (lv *level) initLocalState() {
 	for _, u := range lv.evalVerts {
 		seen[u] = true
 	}
-	for _, a := range lv.adj {
-		seen[a.V] = true
+	for _, v := range lv.adjV {
+		seen[v] = true
 	}
 	for _, u := range lv.ownedActive {
 		seen[u] = true
@@ -287,7 +302,13 @@ func (lv *level) initLocalState() {
 	for _, h := range lv.hubs {
 		seen[h] = true
 	}
-	lv.visList = lv.visList[:0]
+	nVis := 0
+	for _, s := range seen {
+		if s {
+			nVis++
+		}
+	}
+	lv.visList = make([]int, 0, nVis)
 	for v := 0; v < n; v++ {
 		if seen[v] {
 			lv.visList = append(lv.visList, v)
@@ -310,13 +331,16 @@ func (lv *level) initLocalState() {
 	lv.deliveredOk = reuse(&m.deliveredOk, n)
 
 	slots := lv.ownedSlots()
-	lv.ownedStats = make([]mapeq.Module, slots)
-	lv.ownedHas = make([]bool, slots)
-	lv.ownedList = make([]int32, 0, slots)
-	lv.modVersion = make([]int32, slots)
-	lv.sentVersion = make([][]int32, lv.p)
+	lv.ownedStats = reuse(&m.ownedStats, slots)
+	lv.ownedHas = reuse(&m.ownedHas, slots)
+	lv.ownedList = reuse(&m.ownedList, slots)[:0]
+	lv.modVersion = reuse(&m.modVersion, slots)
+	if m.sentVersion == nil {
+		m.sentVersion = make([][]int32, lv.p)
+	}
+	lv.sentVersion = m.sentVersion
 	for r := range lv.sentVersion {
-		lv.sentVersion[r] = make([]int32, slots)
+		lv.sentVersion[r] = reuse(&m.sentVersion[r], slots)
 	}
 
 	lv.evalIndexOf = reuse(&m.evalIndexOf, n)
@@ -365,28 +389,42 @@ func (lv *level) initLocalState() {
 	reuse(&rs.oExit, slots)
 	reuse(&rs.oMembers, slots)
 	reuse(&rs.oStamp, slots)
-	if cap(rs.oSubs) < slots {
-		rs.oSubs = make([][]int32, slots)
-	}
-	rs.oSubs = rs.oSubs[:slots]
+	reuse(&rs.oSubs, slots*subWords(lv.p))
 	rs.newOwned = rs.newOwned[:0]
 	reuse(&rs.sends, lv.p)
 	lv.rsch = rs
 	lv.sendBufs, lv.enc = m.sb, m.enc
 
 	// Ghosts: visible, not owned, not a hub. visList is sorted, so the
-	// ghost list comes out sorted too.
-	lv.ghosts = lv.ghosts[:0]
+	// ghost list comes out sorted too. Each round delivers at most one
+	// update per ghost, so the held updates never outgrow the list.
+	isGhost := func(v int) bool {
+		return ownerOf(v, lv.p) != lv.rank && (lv.isHub == nil || !lv.isHub[v])
+	}
+	perOwner, nGhosts := make([]int, lv.p), 0
 	for _, v := range lv.visList {
-		if ownerOf(v, lv.p) != lv.rank && (lv.isHub == nil || !lv.isHub[v]) {
+		if isGhost(v) {
+			perOwner[ownerOf(v, lv.p)]++
+			nGhosts++
+		}
+	}
+	lv.ghosts = make([]int, 0, nGhosts)
+	for _, v := range lv.visList {
+		if isGhost(v) {
 			lv.ghosts = append(lv.ghosts, v)
 		}
 	}
+	lv.ghostIn = make([]ghostUpdate, 0, len(lv.ghosts))
 
 	// Ghost registration: tell each ghost's owner that this rank needs
 	// updates for it. This is part of preprocessing in the paper.
 	sb := lv.sendBufs
 	sb.Reset()
+	for r, k := range perOwner {
+		if k > 0 {
+			sb.For(r).Grow(8 * k)
+		}
+	}
 	for _, v := range lv.ghosts {
 		sb.For(ownerOf(v, lv.p)).PutInt(v)
 	}
@@ -399,16 +437,20 @@ func (lv *level) initLocalState() {
 	// order, so each vertex's rank list is ascending.
 	counts := reuse(&m.counts, n)
 	subPos := reuse(&m.subPos, n)
-	total := int32(0)
+	total, nSub := int32(0), 0
 	d := &lv.dec
 	for _, b := range recv {
 		d.Reset(b)
 		for d.Remaining() > 0 {
-			counts[d.Int()]++
+			v := d.Int()
+			if counts[v] == 0 {
+				nSub++
+			}
+			counts[v]++
 			total++
 		}
 	}
-	lv.subVerts = lv.subVerts[:0]
+	lv.subVerts = make([]int, 0, nSub)
 	for v := 0; v < n; v++ {
 		if counts[v] > 0 {
 			lv.subVerts = append(lv.subVerts, v)
@@ -420,13 +462,51 @@ func (lv *level) initLocalState() {
 		subPos[v] = lv.subOff[i]
 	}
 	lv.subRanks = make([]int32, total)
+	subTotals := make([]int, lv.p)
 	for src, b := range recv {
 		d.Reset(b)
 		for d.Remaining() > 0 {
 			v := d.Int()
 			lv.subRanks[subPos[v]] = int32(src)
 			subPos[v]++
+			subTotals[src]++
 		}
+	}
+	lv.sizeSendBuffers(subTotals)
+}
+
+// sizeSendBuffers sizes every send buffer once for the level's largest
+// exchange, which is its first round's: every visible vertex is still a
+// module of its own. Refresh round 1 ships one partial per visible
+// vertex to its owner; round 2 answers every subscriber of an owned
+// vertex in full, a subscriber being this rank itself, a rank ghosting
+// the vertex (subTotals[r] counts rank r's subscriptions), or any rank
+// for a hub; the boundary exchange carries the proposals and one update
+// per subscription, every round.
+func (lv *level) sizeSendBuffers(subTotals []int) {
+	visOwned, myHubs, localHubs := make([]int, lv.p), 0, 0
+	for _, v := range lv.visList {
+		visOwned[ownerOf(v, lv.p)]++
+	}
+	for _, h := range lv.hubs {
+		if ownerOf(h, lv.p) == lv.rank {
+			myHubs++
+		}
+		if lv.evalIndexOf[h] >= 0 {
+			localHubs++
+		}
+	}
+	lv.sendBufs.Reset()
+	for r := range visOwned {
+		replies := subTotals[r] + myHubs
+		if r == lv.rank {
+			replies = visOwned[r]
+		}
+		swap := subTotals[r] * ghostUpdateBytes
+		if len(lv.hubs) > 0 {
+			swap += 8 + localHubs*hubCandidateBytes
+		}
+		lv.sendBufs.For(r).Grow(max(visOwned[r]*modulePartialBytes, 5*8+replies*moduleInfoWireSize, swap))
 	}
 }
 
@@ -447,6 +527,16 @@ func newStage1Level(c *mpi.Comm, cfg *Config, in *stage1Input, mem *rankMem, see
 		costs:      new(PhaseCosts),
 		rng:        gen.NewRNG(seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15),
 	}
+	// The flow arrays are the merged levels' too, once this level is gone.
+	mem.visit, mem.exitP = in.flow.P, in.flow.Exit
+	numHubs := 0
+	for _, hub := range in.isHub {
+		if hub {
+			numHubs++
+		}
+	}
+	lv.hubs = make([]int, 0, numHubs)
+	lv.ownedActive = make([]int, 0, lv.ownedSlots())
 	for v := 0; v < lv.idSpace; v++ {
 		if in.isHub[v] {
 			lv.hubs = append(lv.hubs, v)
@@ -456,40 +546,20 @@ func newStage1Level(c *mpi.Comm, cfg *Config, in *stage1Input, mem *rankMem, see
 		}
 	}
 
-	// This rank's list, grouped by evaluation vertex in list order, is
-	// the level's adjacency. The list is sorted by evaluation vertex
-	// unless rebalancing moved arcs in or out of it; a stable sort then
-	// groups it in place, so the arcs are never copied.
-	arcs := in.arcs
-	byU := func(a, b partition.Arc) int { return cmp.Compare(a.U, b.U) }
-	if !slices.IsSortedFunc(arcs, byU) {
-		slices.SortStableFunc(arcs, byU)
-	}
-	nEval := 0
-	for j := range arcs {
-		if j == 0 || arcs[j].U != arcs[j-1].U {
-			nEval++
+	// Placement wrote this rank's arcs as the level's adjacency.
+	lv.adjacency = in.adj
+	for i, u := range lv.evalVerts {
+		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
+			if int(lv.adjV[j]) == u {
+				// Level-0 self-loops are stored once in the input graph;
+				// merged levels store self-arcs with twice the intra
+				// weight (both contraction directions land on the same
+				// arc). Doubling here unifies the convention, so flow and
+				// merge code treat every level identically.
+				lv.adjW[j] *= 2
+			}
 		}
 	}
-	lv.evalVerts = make([]int, 0, nEval)
-	lv.evalOff = make([]int, 0, nEval+1)
-	for j := range arcs {
-		a := &arcs[j]
-		if j == 0 || a.U != arcs[j-1].U {
-			lv.evalVerts = append(lv.evalVerts, int(a.U))
-			lv.evalOff = append(lv.evalOff, j)
-		}
-		if a.U == a.V {
-			// Level-0 self-loops are stored once in the input graph;
-			// merged levels store self-arcs with twice the intra
-			// weight (both contraction directions land on the same
-			// arc). Doubling here unifies the convention, so flow and
-			// merge code treat every level identically.
-			a.W *= 2
-		}
-	}
-	lv.evalOff = append(lv.evalOff, len(arcs))
-	lv.adj = arcs
 
 	lv.initLocalState()
 	return lv
@@ -534,8 +604,10 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	// out ascending by (u, v) with no comparison sort over the arcs.
 	byU, end := mem.buckets(idSpace, len(arcs), func(i int) int { return int(arcs[i].U) })
 	row := mem.row(idSpace)
-	lv.evalOff = append(mem.evalOff[:0], 0)
-	lv.adj = mem.adj[:0]
+	// The level has at most one arc per received arc.
+	lv.evalOff = append(mem.adj.evalOff[:0], 0)
+	lv.adjV = slices.Grow(mem.adj.adjV[:0], len(arcs))
+	lv.adjW = slices.Grow(mem.adj.adjW[:0], len(arcs))
 	lo := 0
 	for u := 0; u < idSpace; u++ {
 		hi := end[u]
@@ -547,12 +619,13 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 			continue
 		}
 		for _, v := range row.sorted() {
-			lv.adj = append(lv.adj, partition.Arc{U: int32(u), V: v, W: row.take(v)})
+			lv.adjV = append(lv.adjV, v)
+			lv.adjW = append(lv.adjW, row.take(v))
 		}
 		lv.evalVerts = append(lv.evalVerts, u)
-		lv.evalOff = append(lv.evalOff, len(lv.adj))
+		lv.evalOff = append(lv.evalOff, len(lv.adjV))
 	}
-	mem.evalOff, mem.adj = lv.evalOff, lv.adj
+	mem.adj.evalOff, mem.adj.adjV, mem.adj.adjW = lv.evalOff, lv.adjV, lv.adjW
 	lv.ownedActive = append(lv.ownedActive, lv.evalVerts...)
 
 	// Flow exchange: every owner knows the full adjacency of its
@@ -566,11 +639,11 @@ func newMergedLevel(c *mpi.Comm, cfg *Config, idSpace int, arcs []mergedArc,
 	for i, u := range lv.evalVerts {
 		strength, selfW := 0.0, 0.0
 		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-			if int(lv.adj[j].V) == u {
-				selfW += lv.adj[j].W / 2 // self-arc accumulated both directions
-				strength += lv.adj[j].W
+			if int(lv.adjV[j]) == u {
+				selfW += lv.adjW[j] / 2 // self-arc accumulated both directions
+				strength += lv.adjW[j]
 			} else {
-				strength += lv.adj[j].W
+				strength += lv.adjW[j]
 			}
 		}
 		e.PutInt(u)

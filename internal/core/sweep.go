@@ -7,7 +7,6 @@ import (
 // sweepScratch holds reusable per-sweep buffers.
 type sweepScratch struct {
 	wTo     []float64 // indexed by community id
-	remote  []bool    // community reached through a non-owned vertex
 	touched []int
 	visit   []int // one pass's active non-hub eval indices, shuffled
 	cands   []hubCandidate
@@ -15,9 +14,8 @@ type sweepScratch struct {
 
 func (lv *level) newScratch() *sweepScratch {
 	return &sweepScratch{
-		wTo:    reuse(&lv.mem.wTo, lv.idSpace),
-		remote: reuse(&lv.mem.remote, lv.idSpace),
-		visit:  make([]int, 0, len(lv.evalVerts)),
+		wTo:   reuse(&lv.mem.wTo, lv.idSpace),
+		visit: make([]int, 0, len(lv.evalVerts)),
 	}
 }
 
@@ -146,7 +144,7 @@ func (lv *level) reactivate() {
 		}
 		hit := lv.changedM[lv.comm[u]]
 		for j := lv.evalOff[i]; !hit && j < lv.evalOff[i+1]; j++ {
-			v := int(lv.adj[j].V)
+			v := int(lv.adjV[j])
 			hit = lv.movedV[v] || lv.changedM[lv.comm[v]]
 		}
 		lv.active[i] = hit
@@ -167,7 +165,7 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 	from := lv.comm[u]
 	s.touched = s.touched[:0]
 	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-		v := int(lv.adj[j].V)
+		v := int(lv.adjV[j])
 		if v == u {
 			continue
 		}
@@ -175,12 +173,8 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 		//dinfomap:float-ok untouched-slot sentinel: cleared to exact 0 by clearWTo, only positive weights added
 		if s.wTo[cv] == 0 {
 			s.touched = append(s.touched, cv)
-			s.remote[cv] = false
 		}
-		s.wTo[cv] += lv.adj[j].W * lv.inv2W
-		if ownerOf(v, lv.p) != lv.rank || (lv.isHub != nil && lv.isHub[v]) {
-			s.remote[cv] = true
-		}
+		s.wTo[cv] += lv.adjW[j] * lv.inv2W
 	}
 	if len(s.touched) == 0 {
 		return 0, 0, false
@@ -203,6 +197,21 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 	// Leave s.wTo dirty; the caller that needs the weights reads them
 	// before calling clearWTo.
 	return bestC, best, bestC != from
+}
+
+// reachedRemotely reports whether eval vertex index i (vertex u) links
+// into module c through a vertex this rank does not own or a hub: a
+// module another rank may be moving into, or out of, in the same round.
+// Only the one target a vertex would move to is asked about, so the row
+// is rescanned for it rather than flagged during every evaluation.
+func (lv *level) reachedRemotely(i, u, c int) bool {
+	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
+		v := int(lv.adjV[j])
+		if v != u && lv.comm[v] == c && (ownerOf(v, lv.p) != lv.rank || (lv.isHub != nil && lv.isHub[v])) {
+			return true
+		}
+	}
+	return false
 }
 
 func (lv *level) clearWTo(s *sweepScratch) {
@@ -246,11 +255,13 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 		lv.clearWTo(s)
 		return false
 	}
+	// The rules below hold back moves into a remote-reached module.
+	// Escapes retreat into an empty module and cannot bounce.
+	remote := !escape && lv.reachedRemotely(i, u, bestC)
 	// Minimum-label rule against symmetric singleton swaps across rank
 	// boundaries: the bounce arises when u and a remote vertex v, both
 	// in singleton modules, simultaneously adopt each other's module.
-	// Escapes retreat into an empty module and cannot bounce.
-	if !escape && !lv.cfg.NoMinLabel && s.remote[bestC] && bestC >= from &&
+	if remote && !lv.cfg.NoMinLabel && bestC >= from &&
 		lv.mods[bestC].Members == 1 && lv.mods[from].Members == 1 {
 		lv.active[i] = true
 		lv.clearWTo(s)
@@ -262,7 +273,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	// same round, and both would repeat it every round. Only the return
 	// toward the smaller label is applied; the refused vertex stays
 	// inactive until its neighbourhood changes again.
-	if !escape && !lv.cfg.NoMinLabel && s.remote[bestC] &&
+	if remote && !lv.cfg.NoMinLabel &&
 		int32(bestC) == lv.lastFrom[i] && bestC > from {
 		lv.refusedReturns++
 		lv.clearWTo(s)
@@ -274,7 +285,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	// current information. Early rounds defer each remote-target move
 	// probabilistically, desynchronizing the herd; the probability
 	// decays to zero so convergence on small graphs is unaffected.
-	if !escape && !lv.cfg.NoDamping && s.remote[bestC] && lv.dampP > 0 &&
+	if remote && !lv.cfg.NoDamping && lv.dampP > 0 &&
 		lv.rng.Float64() < lv.dampP {
 		lv.deferred++
 		lv.active[i] = true
@@ -302,7 +313,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	// evaluations while keeping codelength closer to the full re-scan
 	// (largest scale-0.3 golden increase +0.16% with it, +0.23% without).
 	for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
-		if k := lv.evalIndexOf[int(lv.adj[j].V)]; k >= 0 {
+		if k := lv.evalIndexOf[int(lv.adjV[j])]; k >= 0 {
 			lv.active[k] = true
 		}
 	}

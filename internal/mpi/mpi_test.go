@@ -170,6 +170,46 @@ func TestCollectivesAllocFree(t *testing.T) {
 	}
 }
 
+// TestReleaseBuffersDropsSlabs pins that a released pool holds no slab
+// capacity: after large exchanges, ReleaseBuffers leaves the receive
+// slabs, their result headers and every registered send encoder without
+// storage, and the next exchanges still deliver.
+func TestReleaseBuffersDropsSlabs(t *testing.T) {
+	Run(2, func(c *Comm) {
+		sb := c.NewSendBuffers()
+		sb.Reset()
+		for r := 0; r < c.Size(); r++ {
+			sb.For(r).Append(make([]byte, 1<<16))
+		}
+		c.Alltoallv(sb.Bufs())
+		c.AllgatherBytes(make([]byte, 1<<16))
+
+		c.ReleaseBuffers()
+		for name, s := range map[string]*recvSlab{"Alltoallv": &c.pool.a2a, "AllgatherBytes": &c.pool.ag} {
+			if cap(s.buf) != 0 {
+				t.Errorf("rank %d: released %s slab keeps %d bytes", c.Rank(), name, cap(s.buf))
+			}
+			for src, b := range s.out {
+				if b != nil {
+					t.Errorf("rank %d: released %s result %d still aliases %d bytes", c.Rank(), name, src, cap(b))
+				}
+			}
+		}
+		for dst, e := range sb.encs {
+			if e != nil || sb.bufs[dst] != nil {
+				t.Errorf("rank %d: released send buffer for %d keeps its storage", c.Rank(), dst)
+			}
+		}
+
+		sb.Reset()
+		sb.For(1 - c.Rank()).PutInt(c.Rank())
+		d := NewDecoder(c.Alltoallv(sb.Bufs())[1-c.Rank()])
+		if got := d.Int(); got != 1-c.Rank() {
+			t.Errorf("rank %d: after release received %d, want %d", c.Rank(), got, 1-c.Rank())
+		}
+	})
+}
+
 func TestAllgatherBytes(t *testing.T) {
 	Run(5, func(c *Comm) {
 		out := c.AllgatherBytes([]byte{byte(c.Rank() * 10)})

@@ -167,6 +167,25 @@ func grow(b []byte, n int) []byte {
 	return b[:n]
 }
 
+// ReleaseBuffers drops the storage behind the Comm's pooled receive
+// slabs and behind every SendBuffers registered with it, keeping only
+// their headers. A phase whose exchanges dwarf the next phase's calls it
+// at its end, so the next phase does not carry that capacity; the next
+// exchanges grow what they need. Every result aliasing the slabs, and
+// every payload returned by Bufs, is invalid afterwards, as after the
+// next collective.
+func (c *Comm) ReleaseBuffers() {
+	for _, s := range []*recvSlab{&c.pool.a2a, &c.pool.ag} {
+		s.buf = nil
+		clear(s.out)
+	}
+	for _, sb := range c.sendBufs {
+		clear(sb.encs)
+		clear(sb.used)
+		clear(sb.bufs)
+	}
+}
+
 // scrub invalidates the pool after a world failure: slabs are zeroed
 // over their full capacity and result headers dropped, so any collective
 // result still aliased by a recovering caller reads as zeros instead of

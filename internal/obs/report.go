@@ -110,11 +110,12 @@ type RankReport struct {
 	// multi-process runs; absent on in-process runs, whose ranks share
 	// one process.
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-	// LiveBytes is the live heap after the rank's two phase-boundary
-	// collections, after preprocessing and after the first merge (0 for
-	// a boundary the run never reached). An in-process run's ranks
-	// share one heap, so there it is the process's.
-	LiveBytes [2]int64 `json:"live_bytes"`
+	// LiveBytes is the live heap after the rank's three phase-boundary
+	// collections: after ingest, after preprocessing and after the
+	// first merge (0 for a boundary the run never reached). An
+	// in-process run's ranks share one heap, so there it is the
+	// process's.
+	LiveBytes [3]int64 `json:"live_bytes"`
 }
 
 // IngestReport is one rank's rank-local ingest: it parsed BytesRead

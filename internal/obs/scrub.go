@@ -33,7 +33,7 @@ func ScrubVolatile(rep *Report) {
 		r.PhaseWallNs = nil
 		r.Transport = nil
 		r.PeakRSSBytes = 0
-		r.LiveBytes = [2]int64{}
+		r.LiveBytes = [3]int64{}
 		if r.Ingest != nil {
 			in := *r.Ingest
 			in.WallNs = 0

@@ -369,14 +369,6 @@ func (l *Layout) markGhosts(r int, seen []bool) int {
 	return markGhosts(l.RankArcs[r], l.IsHub, func(x int) int { return l.Owner[x] }, r, seen)
 }
 
-// GhostCount is Layout.GhostCounts for one rank of a delegate layout
-// (round-robin ownership over p ranks) that holds only its own arcs.
-// seen is a cleared scratch array indexed by vertex; it comes back
-// marked.
-func GhostCount(arcs []Arc, isHub []bool, p, r int, seen []bool) int {
-	return markGhosts(arcs, isHub, func(x int) int { return x % p }, r, seen)
-}
-
 func markGhosts(arcs []Arc, isHub []bool, owner func(int) int, r int, seen []bool) int {
 	count := 0
 	for _, a := range arcs {

@@ -501,7 +501,7 @@ func perRankLayout(g *graph.Graph, p int, opts DelegateOptions) ([][]Arc, Balanc
 	edges, ghosts := make([]int, p), make([]int, p)
 	for r, l := range lists {
 		edges[r] = len(l)
-		ghosts[r] = GhostCount(l, isHub, p, r, make([]bool, n))
+		ghosts[r] = markGhosts(l, isHub, func(x int) int { return x % p }, r, make([]bool, n))
 	}
 	return lists, BalanceOf(edges, ghosts, numHubs)
 }
